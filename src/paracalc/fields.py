@@ -3,7 +3,7 @@
 Fields are immutable expression trees closed under exact differentiation:
 sparse polynomials, plane waves with linear phases, sums, scalar scalings,
 constant left/right paravector factors, and pullbacks along invertible linear
-coordinate maps.  ``exact_partial`` returns another tree; ``numeric_partial``
+coordinate maps.  ``Field.partial`` returns another tree; ``numeric_partial``
 is the independent central-difference oracle (stepping along the real axis of
 a complex coordinate, which recovers the complex partial because every family
 is holomorphic per coordinate).
@@ -37,13 +37,7 @@ __all__ = [
     "PullbackField",
     "ScalarField",
     "component_scalar",
-    "eval_field",
-    "exact_partial",
     "numeric_partial",
-    "pullback",
-    "left_mul_field",
-    "right_mul_field",
-    "scalar_scale_field",
     "sum_fields",
     "random_paravector",
     "random_orthogonal",
@@ -457,15 +451,6 @@ def component_scalar(poly: PolynomialField, comp: int) -> ScalarField:
 # Operation surface
 # ---------------------------------------------------------------------------
 
-def eval_field(f: Field, X: Event) -> FieldValue:
-    return f.at(X)
-
-
-def exact_partial(f: Field, coord) -> Field:
-    """Closed-form partial derivative; stays inside the field families."""
-    return f.partial(coord)
-
-
 def central_difference(value_fn, x: np.ndarray, c: int, h: float) -> np.ndarray:
     """(value(x + h e_c) - value(x - h e_c)) / 2h along the real axis of coord c."""
     xp = x.copy()
@@ -476,28 +461,11 @@ def central_difference(value_fn, x: np.ndarray, c: int, h: float) -> np.ndarray:
 
 
 def numeric_partial(f: Field, X: Event, coord, h: float) -> FieldValue:
-    """Second-order central-difference derivative; the oracle for exact_partial."""
+    """Second-order central-difference derivative; the oracle for Field.partial."""
     if h <= 0:
         raise ValueError("step h must be positive")
     c = coord_index(coord)
     return Paravector.from_data(central_difference(f._value, X.data, c, h))
-
-
-def pullback(f: Field, m: LinearMap) -> Field:
-    """The field X -> f(m(X)); exact differentiation uses m's matrix."""
-    return PullbackField(m, f)
-
-
-def left_mul_field(g: Paravector, f: Field) -> Field:
-    return LeftMulField(g, f)
-
-
-def right_mul_field(f: Field, g: Paravector) -> Field:
-    return RightMulField(f, g)
-
-
-def scalar_scale_field(rho: ScalarField, f: Field) -> Field:
-    return ScalarScaledField(rho, f)
 
 
 # ---------------------------------------------------------------------------

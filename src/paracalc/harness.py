@@ -12,6 +12,7 @@ uniformly.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional
@@ -80,7 +81,7 @@ from .transforms import (
     div_right_transport_residual,
     grad_left_transport_residual,
     grad_right_transport_residual,
-    observer_rotation_residual,
+    observer_rotation_sides,
     right_factor_residuals,
     transformed_field_values,
     transformed_wave_field,
@@ -133,8 +134,8 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
-        if self.tol_exact <= 0 or self.tol_numeric <= 0 or self.h <= 0:
-            raise ConfigError("tolerances and step must be positive")
+        if not all(0 < v < math.inf for v in (self.tol_exact, self.tol_numeric, self.h)):
+            raise ConfigError("tolerances and step must be finite and positive")
         if self.seed < 0:
             raise ConfigError("seed must be a natural number")
 
@@ -174,7 +175,10 @@ def case_rng(seed: int, suite: str, index: int) -> np.random.Generator:
 
 
 class Worst:
-    """Track the largest residual seen and the components attaining it."""
+    """Track the largest residual seen and the components attaining it.
+
+    A non-finite sample (NaN or inf) sticks: the case then fails.
+    """
 
     def __init__(self):
         self.value = 0.0
@@ -183,7 +187,7 @@ class Worst:
     def offer(self, diff) -> None:
         diff = np.atleast_1d(np.asarray(diff, dtype=np.complex128))
         m = float(np.max(np.abs(diff)))
-        if m >= self.value:
+        if m >= self.value or math.isnan(m):
             self.value = m
             self.components = diff
 
@@ -195,7 +199,7 @@ class Worst:
         self.offer((lhs - rhs) / denom)
 
     def floor_deficit(self, value: float, floor: float, components=None) -> None:
-        self.offer(np.array([max(0.0, floor - value)], np.complex128))
+        self.offer(np.array([np.maximum(0.0, floor - value)], np.complex128))
         if components is not None:
             self.components = np.asarray(components, dtype=np.complex128)
 
@@ -347,6 +351,21 @@ def _oracle_grad(f, x):
     return out
 
 
+def _max_partial_error(fields, points, h: float) -> float:
+    """Max |central difference - exact partial| over fields x points x coordinates.
+
+    NaN propagates, so an overflowing step cannot read as a zero error.
+    """
+    worst = 0.0
+    for f in fields:
+        for x in points:
+            for c in range(4):
+                exact = f.partial(c)._value(x)
+                num = central_difference(f._value, x, c, h)
+                worst = float(np.maximum(worst, np.max(np.abs(num - exact))))
+    return worst
+
+
 def _stencil_norm(f, x, h: float) -> float:
     """Max component magnitude of f over the +-h stencil points."""
     m = 0.0
@@ -458,19 +477,11 @@ def _diffop_cases() -> List[Case]:
         for i in range(6):
             f = _sample_field(rng, i)
             pts = [random_event(rng).data for _ in range(10)]
-            errs = []
-            for h in (1e-3, 5e-4):
-                worst = 0.0
-                for x in pts:
-                    for c in range(4):
-                        exact = f.partial(c)._value(x)
-                        num = central_difference(f._value, x, c, h)
-                        worst = max(worst, float(np.max(np.abs(num - exact))))
-                errs.append(worst)
+            errs = [_max_partial_error([f], pts, h) for h in (1e-3, 5e-4)]
             if errs[1] < 1e-12:
                 continue
             ratio = errs[0] / errs[1]
-            w.offer([max(0.0, 3.2 - ratio, ratio - 4.8)])
+            w.offer([np.max([0.0, 3.2 - ratio, ratio - 4.8])])
         return w
 
     return [
@@ -537,7 +548,8 @@ def _transforms_cases() -> List[Case]:
             lam = random_orthogonal(rng)
             f = _sample_field(rng, i)
             Xp = conjugate_rotate(lam, random_event(rng))
-            w.offer(observer_rotation_residual(f, lam, Xp).data)
+            lhs, rhs = observer_rotation_sides(f, lam, Xp)
+            w.offer_rel(lhs.data, rhs.data)
         return w
 
     def group_composition(rng, cfg):
@@ -807,26 +819,35 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                     name=f"{sname}/{case.name}",
                     residual=worst.value,
                     threshold=thr,
-                    passed=worst.value <= thr,
+                    passed=math.isfinite(worst.value) and worst.value <= thr,
                     components=worst.components,
                 )
             )
     return report
 
 
+def _finite_or_null(x) -> Optional[float]:
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def report_to_json(rep: SuiteReport, verbose: bool = False) -> str:
-    """Schema-fixed, newline-terminated JSON; byte-identical for equal inputs."""
+    """Schema-fixed, newline-terminated JSON; byte-identical for equal inputs.
+
+    Non-finite numbers are written as ``null``, so the output is strict JSON.
+    """
     cases = []
     for c in rep.cases:
         entry = {
             "name": c.name,
-            "residual": float(c.residual),
-            "threshold": float(c.threshold),
+            "residual": _finite_or_null(c.residual),
+            "threshold": _finite_or_null(c.threshold),
             "pass": bool(c.passed),
         }
         if verbose and c.components is not None:
             entry["components"] = [
-                [float(z.real), float(z.imag)] for z in np.atleast_1d(c.components)
+                [_finite_or_null(z.real), _finite_or_null(z.imag)]
+                for z in np.atleast_1d(c.components)
             ]
         cases.append(entry)
     obj = {
@@ -842,7 +863,7 @@ def report_to_json(rep: SuiteReport, verbose: bool = False) -> str:
         "passed": rep.passed,
         "failed": rep.failed,
     }
-    return json.dumps(obj) + "\n"
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +888,10 @@ def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List
     steps = [float(s) for s in steps]
     if len(steps) < 2:
         raise ConfigError("need at least two steps")
-    if any(s <= 0 for s in steps) or any(
+    if not all(0 < s < math.inf for s in steps) or any(
         a <= b for a, b in zip(steps, steps[1:])
     ):
-        raise ConfigError("steps must be positive and strictly decreasing")
+        raise ConfigError("steps must be finite, positive and strictly decreasing")
     rng = case_rng(seed, "convergence", 0)
     if fields is None:
         fields = []
@@ -880,16 +901,7 @@ def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List
             else:
                 fields.append(random_plane_wave(rng))
     points = [random_event(rng).data for _ in range(20)]
-    errors = []
-    for h in steps:
-        worst = 0.0
-        for f in fields:
-            for x in points:
-                for c in range(4):
-                    exact = f.partial(c)._value(x)
-                    num = central_difference(f._value, x, c, h)
-                    worst = max(worst, float(np.max(np.abs(num - exact))))
-        errors.append(worst)
+    errors = [_max_partial_error(fields, points, h) for h in steps]
     rows = []
     for i, h in enumerate(steps):
         ratio = None
@@ -900,7 +912,12 @@ def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List
 
 
 def convergence_ok(rows: List[ConvergenceRow]) -> bool:
-    """Each defined ratio must sit within 20% of the second-order prediction."""
+    """Each defined ratio must sit within 20% of the second-order prediction.
+
+    A non-finite error fails the table.
+    """
+    if not all(math.isfinite(r.max_error) for r in rows):
+        return False
     for cur, nxt in zip(rows, rows[1:]):
         if cur.ratio is None:
             continue

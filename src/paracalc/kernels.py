@@ -1,25 +1,15 @@
 """Hot numeric kernels: paravector product, monomial and plane-wave evaluation.
 
-Every kernel exists twice: a loop form compiled with numba's ``@njit`` and a
-pure-numpy form.  The backend is chosen once at import time from the
-``PARACALC_BACKEND`` environment variable (``numba`` by default, ``numpy`` to
-force the fallback; the fallback is also used when numba is not importable).
-``benchmarks/bench_backends.py`` times the two against each other.
+Plain numpy on length-4 complex arrays ``[s, v1, v2, v3]`` (paravectors) and
+``[t, x, y, z]`` (events).
 """
-
-import os
 
 import numpy as np
 
 _C128 = np.complex128
 
 
-# ---------------------------------------------------------------------------
-# Loop-form kernels.  These bodies are valid plain Python/numpy and are the
-# functions handed to numba.njit on the jitted path.
-# ---------------------------------------------------------------------------
-
-def _pv_mul(a, b):
+def pv_mul(a, b):
     # scalar = a0*b0 + a.v . b.v (bilinear); vector = a0*b.v + b0*a.v + i (a.v x b.v)
     out = np.empty(4, _C128)
     out[0] = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
@@ -29,107 +19,29 @@ def _pv_mul(a, b):
     return out
 
 
-def _matvec4(m, x):
+def matvec4(m, x):
     out = np.empty(4, _C128)
     for i in range(4):
         out[i] = m[i, 0] * x[0] + m[i, 1] * x[1] + m[i, 2] * x[2] + m[i, 3] * x[3]
     return out
 
 
-def _poly_eval_loops(exps, coeffs, x):
-    out = np.zeros(4, _C128)
-    for i in range(exps.shape[0]):
-        mono = 1.0 + 0.0j
-        for c in range(4):
-            e = exps[i, c]
-            xc = x[c]
-            for _ in range(e):
-                mono = mono * xc
-        for k in range(4):
-            out[k] = out[k] + coeffs[i, k] * mono
-    return out
-
-
-def _scalar_poly_eval_loops(exps, coeffs, x):
-    out = 0.0 + 0.0j
-    for i in range(exps.shape[0]):
-        mono = 1.0 + 0.0j
-        for c in range(4):
-            e = exps[i, c]
-            xc = x[c]
-            for _ in range(e):
-                mono = mono * xc
-        out = out + coeffs[i] * mono
-    return out
-
-
-def _plane_wave_eval(k4, amp, x):
-    s = k4[0] * x[0] + k4[1] * x[1] + k4[2] * x[2] + k4[3] * x[3]
-    return amp * np.exp(s)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized numpy fallbacks for the term loops.
-# ---------------------------------------------------------------------------
-
-def _poly_eval_numpy(exps, coeffs, x):
+def poly_eval(exps, coeffs, x):
+    """Sum over terms of coeffs[i] * prod_c x[c]**exps[i, c]; coeffs is (n, 4)."""
     if exps.shape[0] == 0:
         return np.zeros(4, _C128)
     monos = np.prod(x[np.newaxis, :] ** exps, axis=1)
     return monos @ coeffs
 
 
-def _scalar_poly_eval_numpy(exps, coeffs, x):
+def scalar_poly_eval(exps, coeffs, x):
+    """As ``poly_eval`` with one complex coefficient per term."""
     if exps.shape[0] == 0:
         return _C128(0.0)
     monos = np.prod(x[np.newaxis, :] ** exps, axis=1)
     return _C128(monos @ coeffs)
 
 
-NUMPY_IMPLS = {
-    "pv_mul": _pv_mul,
-    "matvec4": _matvec4,
-    "poly_eval": _poly_eval_numpy,
-    "scalar_poly_eval": _scalar_poly_eval_numpy,
-    "plane_wave_eval": _plane_wave_eval,
-}
-
-_JIT_SOURCES = {
-    "pv_mul": _pv_mul,
-    "matvec4": _matvec4,
-    "poly_eval": _poly_eval_loops,
-    "scalar_poly_eval": _scalar_poly_eval_loops,
-    "plane_wave_eval": _plane_wave_eval,
-}
-
-
-def jitted_impls():
-    """Compile and return the numba kernel set, or None when numba is missing."""
-    try:
-        import numba
-    except ImportError:
-        return None
-    return {name: numba.njit(cache=True)(fn) for name, fn in _JIT_SOURCES.items()}
-
-
-_requested = os.environ.get("PARACALC_BACKEND", "numba").strip().lower()
-if _requested not in ("numba", "numpy"):
-    raise ValueError(
-        f"PARACALC_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-_active = NUMPY_IMPLS
-BACKEND = "numpy"
-if _requested == "numba":
-    _jitted = jitted_impls()
-    if _jitted is not None:
-        _active = _jitted
-        BACKEND = "numba"
-
-HAS_NUMBA = BACKEND == "numba"
-
-pv_mul = _active["pv_mul"]
-matvec4 = _active["matvec4"]
-poly_eval = _active["poly_eval"]
-scalar_poly_eval = _active["scalar_poly_eval"]
-plane_wave_eval = _active["plane_wave_eval"]
+def plane_wave_eval(k4, amp, x):
+    s = k4[0] * x[0] + k4[1] * x[1] + k4[2] * x[2] + k4[3] * x[3]
+    return amp * np.exp(s)

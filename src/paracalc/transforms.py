@@ -47,6 +47,7 @@ __all__ = [
     "div_right_transport_residual",
     "grad_right_transport_residual",
     "right_factor_residuals",
+    "observer_rotation_sides",
     "observer_rotation_residual",
     "InvarianceForm",
     "transformed_wave_field",
@@ -144,10 +145,10 @@ def right_factor_residuals(
     return d, gr
 
 
-def observer_rotation_residual(
+def observer_rotation_sides(
     f: Field, lam: Paravector, Xp: Event, mode: DiffMode = EXACT
-) -> Paravector:
-    """div4'[L A(L~ X' L) L~] at X' minus L [B(L~ X' L)] L~ with B = div4 A.
+) -> Tuple[Paravector, Paravector]:
+    """div4'[L A(L~ X' L) L~] at X', and L [B(L~ X' L)] L~ with B = div4 A.
 
     X' is the rotated-frame point (X' = L X L~ for the drawn X); the pre-image
     L~ X' L recovers X because det L = 1.
@@ -159,7 +160,14 @@ def observer_rotation_residual(
     )
     lhs = div4(moved, Xp, mode)
     b_val = div4(f, conjugate_rotate(rlam, Xp), mode)
-    rhs = mul(mul(lam, b_val), rlam)
+    return lhs, mul(mul(lam, b_val), rlam)
+
+
+def observer_rotation_residual(
+    f: Field, lam: Paravector, Xp: Event, mode: DiffMode = EXACT
+) -> Paravector:
+    """The two sides of ``observer_rotation_sides``, subtracted."""
+    lhs, rhs = observer_rotation_sides(f, lam, Xp, mode)
     return Paravector.from_data(lhs.data - rhs.data)
 
 

@@ -25,19 +25,13 @@ from paracalc.fields import (
     SumField,
     component_scalar,
     coord_index,
-    eval_field,
-    exact_partial,
-    left_mul_field,
     null_plane_wave,
     numeric_partial,
-    pullback,
     random_event,
     random_field,
     random_paravector,
     random_plane_wave,
     random_scalar_field,
-    right_mul_field,
-    scalar_scale_field,
     sum_fields,
 )
 
@@ -64,12 +58,12 @@ def test_eval_constant():
     c = Paravector(2.0 + 1j, (0.0, 1.0, -1.0))
     f = PolynomialField.constant(c)
     for seed in range(3):
-        assert eval_field(f, random_event(seed)) == c
+        assert f.at(random_event(seed)) == c
 
 
 def test_eval_monomial():
     f = PolynomialField.monomial((1, 1, 0, 0), Paravector(1.0))
-    got = eval_field(f, Event(2.0, (3.0, 0.0, 0.0)))
+    got = f.at(Event(2.0, (3.0, 0.0, 0.0)))
     np.testing.assert_array_equal(got.data, [6.0, 0, 0, 0])
 
 
@@ -80,7 +74,7 @@ def test_eval_plane_wave_closed_form():
     expected = amp.data * np.exp(
         (0.3 + 0.1j) * 0.5 + 0.2 * 1.0 - 0.4 * 2.0 + 1.0j * -0.5
     )
-    np.testing.assert_allclose(eval_field(f, x).data, expected, rtol=1e-15)
+    np.testing.assert_allclose(f.at(x).data, expected, rtol=1e-15)
 
 
 def test_duplicate_terms_merge():
@@ -89,7 +83,7 @@ def test_duplicate_terms_merge():
         MonomialTerm((1, 0, 0, 0), Paravector(2.0)),
     ])
     assert f.exps.shape[0] == 1
-    got = eval_field(f, Event(2.0))
+    got = f.at(Event(2.0))
     np.testing.assert_array_equal(got.data, [6.0, 0, 0, 0])
 
 
@@ -98,23 +92,23 @@ def test_duplicate_terms_merge():
 def test_exact_partial_constant_is_zero():
     f = PolynomialField.constant(Paravector(1.0, (1.0, 2.0, 3.0)))
     for c in "txyz":
-        d = exact_partial(f, c)
-        assert max_abs(eval_field(d, random_event(1)).data) == 0.0
+        d = f.partial(c)
+        assert max_abs(d.at(random_event(1)).data) == 0.0
 
 
 def test_exact_partial_monomial_rule():
     f = PolynomialField.monomial((2, 0, 0, 0), Paravector(0.0, (1.0, 0.0, 0.0)))
-    d = exact_partial(f, "t")
-    got = eval_field(d, Event(3.0))
+    d = f.partial("t")
+    got = d.at(Event(3.0))
     np.testing.assert_array_equal(got.data, [0.0, 6.0, 0.0, 0.0])
 
 
 def test_exact_partial_plane_wave_scales_by_phase_coefficient():
     f = random_plane_wave(7)
-    d = exact_partial(f, "x")
+    d = f.partial("x")
     x = random_event(8)
     np.testing.assert_allclose(
-        eval_field(d, x).data, f.kappa[0] * eval_field(f, x).data, rtol=1e-14
+        d.at(x).data, f.kappa[0] * f.at(x).data, rtol=1e-14
     )
 
 
@@ -142,7 +136,7 @@ def test_exact_vs_numeric_oracle(maker):
         X = random_event(rng)
         loc = _stencil_norm(f, X.data, h)
         for c in range(4):
-            ex = eval_field(exact_partial(f, c), X).data
+            ex = f.partial(c).at(X).data
             num = numeric_partial(f, X, c, h).data
             assert max_abs(num - ex) <= 1e-7 * (1.0 + loc)
 
@@ -204,9 +198,9 @@ def test_diagonal_map():
 
 def test_pullback_identity_map():
     f = random_field(30)
-    p = pullback(f, LinearMap.left_action(Paravector(1.0)))
+    p = PullbackField(LinearMap.left_action(Paravector(1.0)), f)
     x = random_event(31)
-    np.testing.assert_array_equal(eval_field(p, x).data, eval_field(f, x).data)
+    np.testing.assert_array_equal(p.at(x).data, f.at(x).data)
 
 
 def test_pullback_evaluates_at_mapped_point():
@@ -216,20 +210,19 @@ def test_pullback_evaluates_at_mapped_point():
         g = random_paravector(rng)
         X = random_event(rng)
         # field Y -> f(g^-1 Y), evaluated at gX, recovers f(X)
-        p = pullback(f, LinearMap.left_action(inverse(g)))
-        assert rel_err(
-            eval_field(p, act_left(g, X)).data, eval_field(f, X).data
-        ) <= 1e-12
+        p = PullbackField(LinearMap.left_action(inverse(g)), f)
+        assert rel_err(p.at(act_left(g, X)).data, f.at(X).data) <= 1e-12
 
 
 def test_pullback_round_trip():
     rng = np.random.default_rng(33)
     f = random_field(rng)
     g = random_paravector(rng)
-    p = pullback(pullback(f, LinearMap.left_action(g)), LinearMap.left_action(inverse(g)))
+    there = PullbackField(LinearMap.left_action(g), f)
+    p = PullbackField(LinearMap.left_action(inverse(g)), there)
     for _ in range(100):
         x = random_event(rng)
-        assert rel_err(eval_field(p, x).data, eval_field(f, x).data) <= 1e-12
+        assert rel_err(p.at(x).data, f.at(x).data) <= 1e-12
 
 
 # -- pointwise constructions ----------------------------------------------------
@@ -238,10 +231,10 @@ def test_left_right_mul_fields():
     f = random_field(40)
     x = random_event(41)
     g = random_paravector(42)
-    assert eval_field(left_mul_field(Paravector(1.0), f), x) == eval_field(f, x)
+    assert LeftMulField(Paravector(1.0), f).at(x) == f.at(x)
     np.testing.assert_array_equal(
-        eval_field(right_mul_field(f, g), x).data,
-        mul(eval_field(f, x), g).data,
+        RightMulField(f, g).at(x).data,
+        mul(f.at(x), g).data,
     )
 
 
@@ -249,8 +242,8 @@ def test_left_and_right_mul_differ_in_cross_sign():
     f = PolynomialField.constant(Paravector(1.0, (1.0, 0.0, 0.0)))
     g = Paravector(1.0, (0.0, 1.0, 0.0))
     x = Event(0.0)
-    lv = eval_field(left_mul_field(g, f), x).data
-    rv = eval_field(right_mul_field(f, g), x).data
+    lv = LeftMulField(g, f).at(x).data
+    rv = RightMulField(f, g).at(x).data
     assert lv[3] == -1j and rv[3] == 1j
 
 
@@ -258,12 +251,12 @@ def test_scalar_scale_field():
     f = random_field(50)
     x = random_event(51)
     one = ScalarField.constant(1.0)
-    assert eval_field(scalar_scale_field(one, f), x) == eval_field(f, x)
+    assert ScalarScaledField(one, f).at(x) == f.at(x)
     c = Paravector(2.0, (0.0, 1.0, 0.0))
-    t_times_c = scalar_scale_field(ScalarField.coordinate("t"), PolynomialField.constant(c))
+    t_times_c = ScalarScaledField(ScalarField.coordinate("t"), PolynomialField.constant(c))
     mono = PolynomialField.monomial((1, 0, 0, 0), c)
     np.testing.assert_allclose(
-        eval_field(t_times_c, x).data, eval_field(mono, x).data, rtol=1e-15
+        t_times_c.at(x).data, mono.at(x).data, rtol=1e-15
     )
 
 
@@ -272,7 +265,7 @@ def test_component_scalar_and_scalar_field_ops():
     x = random_event(53)
     for comp in range(4):
         sc = component_scalar(f, comp)
-        assert abs(sc.at(x) - complex(eval_field(f, x).data[comp])) <= 1e-13
+        assert abs(sc.at(x) - complex(f.at(x).data[comp])) <= 1e-13
     rho = ScalarField.coordinate("x")
     assert rho.antiderivative("x").at(Event(0, (2.0, 0, 0))) == 2.0
     assert (rho + (-rho)).exps.shape[0] == 0
@@ -285,8 +278,8 @@ def test_double_derivative_closure():
     rng = np.random.default_rng(61)
     for c1 in range(4):
         for c2 in range(4):
-            d2 = exact_partial(exact_partial(f, c1), c2)
-            v = eval_field(d2, random_event(rng))
+            d2 = f.partial(c1).partial(c2)
+            v = d2.at(random_event(rng))
             assert np.all(np.isfinite(v.data))
 
 

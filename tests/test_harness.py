@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -12,6 +13,7 @@ from paracalc.harness import (
     case_rng,
     convergence_ok,
     ConvergenceRow,
+    Worst,
     report_to_json,
     run_convergence,
     run_suite,
@@ -34,6 +36,20 @@ def test_config_validation():
         SuiteConfig(suite="algebra", h=-1.0)
     with pytest.raises(ConfigError):
         SuiteConfig(suite="algebra", seed=-1)
+    for bad in (math.inf, math.nan):
+        for key in ("tol_exact", "tol_numeric", "h"):
+            with pytest.raises(ConfigError):
+                SuiteConfig(suite="algebra", **{key: bad})
+
+
+def test_worst_keeps_non_finite_samples():
+    w = Worst()
+    for sample in (1.0, math.nan, 2.0):
+        w.offer([sample])
+    assert math.isnan(w.value)
+    w = Worst()
+    w.floor_deficit(math.nan, 1.0)
+    assert math.isnan(w.value)
 
 
 def test_json_reports_are_byte_identical():
@@ -133,11 +149,17 @@ def test_run_convergence_validation():
         run_convergence("poly", [5e-4, 1e-3])
     with pytest.raises(ConfigError):
         run_convergence("poly", [1e-3, 0.0])
+    with pytest.raises(ConfigError):
+        run_convergence("poly", [math.inf, 1e-3])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_convergence_ok_band_check():
     rows = [ConvergenceRow(1e-3, 1e-6, 9.0), ConvergenceRow(5e-4, 1.1e-7, None)]
     assert not convergence_ok(rows)  # 9.0 is far from the predicted 4.0
+    rows = run_convergence("poly", [1e200, 1e199])  # overflows to NaN errors
+    assert math.isnan(rows[0].max_error)
+    assert not convergence_ok(rows)
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -171,6 +193,28 @@ def test_cli_unknown_suite_exit_code(capsys):
 
 def test_cli_bad_samples_exit_code(capsys):
     assert main(["check", "algebra", "--samples", "0"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_non_finite_step_exit_code(capsys):
+    assert main(["check", "transforms", "--step", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_overflowing_step_fails_with_strict_json(capsys):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert main(["check", "diffop", "--step", "1e200", "--json", "--verbose"]) == 1
+    obj = json.loads(capsys.readouterr().out, parse_constant=reject)
+    case = next(c for c in obj["cases"] if c["name"] == "diffop/numeric-agreement")
+    assert case["pass"] is False and case["residual"] is None
+
+
+def test_cli_observer_rotation_seed3_passes(capsys):
+    # Ill-conditioned rotations make both sides ~1e3; the residual is relative.
+    assert main(["check", "transforms", "--seed", "3", "--samples", "50"]) == 0
     capsys.readouterr()
 
 
