@@ -81,14 +81,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 tol_exact=args.tol_exact,
                 tol_numeric=args.tol_numeric,
                 h=args.step,
-                json=args.as_json,
-                verbose=args.verbose,
             )
             rep = run_suite(cfg)
-            if cfg.json:
-                sys.stdout.write(report_to_json(rep, verbose=cfg.verbose))
+            if args.as_json:
+                sys.stdout.write(report_to_json(rep, verbose=args.verbose))
             else:
-                _print_check_report(rep, cfg.verbose)
+                _print_check_report(rep, args.verbose)
             return 0 if rep.failed == 0 else 1
 
         steps = [s for s in args.steps.split(",") if s]

@@ -3,16 +3,18 @@
 Every case gets its own random substream derived from
 ``SeedSequence([seed, crc32(suite), case_index])``, so adding cases never
 perturbs existing ones and ``check all`` reproduces the per-suite residuals
-bit for bit.  Residuals are max-abs over the value components; cases that pin
-a *floor* under a witness instead report the deficit ``max(0, floor - value)``
-against a zero threshold so that ``pass == residual <= threshold`` holds
-uniformly.
+bit for bit.  A case is a per-sample draw that one loop (``_sampled``) runs
+in index order.  Residuals are max-abs over the value components; cases that
+pin a *floor* under a witness instead report the deficit
+``max(0, floor - value)`` against a zero threshold so that
+``pass == residual <= threshold`` holds uniformly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import zlib
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional
@@ -36,10 +38,10 @@ from .algebra import (
 from .diffops import (
     EXACT,
     Numeric,
-    assemble_div,
     assemble_grad,
     additivity_residual,
     box4,
+    bundle,
     div4,
     div4_field,
     grad4,
@@ -112,6 +114,7 @@ PRODUCT_RULE_WITNESS_FLOOR = 1.9
 ORDER_GAP_WITNESS_FLOOR = 1.9
 NONCOMMUTATIVITY_FLOOR = 1.0
 VALUE_SPLIT_FLOOR = 1e-3
+NOISE_FLOOR = 1e-12  # convergence errors below this are rounding, not truncation
 
 
 class ConfigError(ValueError):
@@ -126,8 +129,6 @@ class SuiteConfig:
     tol_exact: float = 1e-10
     tol_numeric: float = 1e-5
     h: float = 1e-5
-    json: bool = False
-    verbose: bool = False
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES + ("all",):
@@ -136,6 +137,9 @@ class SuiteConfig:
             raise ConfigError("samples must be >= 1")
         if not all(0 < v < math.inf for v in (self.tol_exact, self.tol_numeric, self.h)):
             raise ConfigError("tolerances and step must be finite and positive")
+        scales = (self.tol_exact / 1e-10, self.tol_numeric / 1e-5)  # see Case.threshold
+        if not all(math.isfinite(s) for s in scales):
+            raise ConfigError("tolerances too large: scaled thresholds must stay finite")
         if self.seed < 0:
             raise ConfigError("seed must be a natural number")
 
@@ -191,17 +195,18 @@ class Worst:
             self.value = m
             self.components = diff
 
-    def offer_rel(self, lhs, rhs) -> None:
-        """Scale-guarded relative difference: |lhs-rhs| / max(1, |lhs|, |rhs|)."""
-        lhs = np.atleast_1d(np.asarray(lhs, dtype=np.complex128))
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=np.complex128))
-        denom = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-        self.offer((lhs - rhs) / denom)
-
     def floor_deficit(self, value: float, floor: float, components=None) -> None:
         self.offer(np.array([np.maximum(0.0, floor - value)], np.complex128))
         if components is not None:
             self.components = np.asarray(components, dtype=np.complex128)
+
+
+def _rel(lhs, rhs) -> np.ndarray:
+    """Scale-guarded relative difference: (lhs-rhs) / max(1, |lhs|, |rhs|)."""
+    lhs = np.atleast_1d(np.asarray(lhs, dtype=np.complex128))
+    rhs = np.atleast_1d(np.asarray(rhs, dtype=np.complex128))
+    denom = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    return (lhs - rhs) / denom
 
 
 @dataclass(frozen=True)
@@ -222,97 +227,111 @@ class Case:
         return self.base_threshold
 
 
+def _sampled(count, sample):
+    """A case run that draws samples 0..count(cfg)-1 in order.
+
+    ``sample(rng, i, cfg)`` draws sample ``i`` and returns its difference
+    arrays; each is offered to the case's ``Worst`` in the order returned.
+    """
+    def run(rng, cfg):
+        w = Worst()
+        for i in range(count(cfg)):
+            for diff in sample(rng, i, cfg):
+                w.offer(diff)
+        return w
+
+    return run
+
+
+def _floor(witness, floor: float):
+    """A floor-deficit case run: ``witness(rng)`` returns the gap array."""
+    def run(rng, cfg):
+        w = Worst()
+        gap = witness(rng)
+        w.floor_deficit(float(np.max(np.abs(gap))), floor, gap)
+        return w
+
+    return run
+
+
+def _times(k: int):
+    """Sample count: k draws per ``--samples``."""
+    return lambda cfg: k * cfg.samples
+
+
+def _fifth(cfg) -> int:
+    return max(1, cfg.samples // 5)
+
+
+def _once(cfg) -> int:
+    return 1
+
+
 # ---------------------------------------------------------------------------
 # algebra suite
 # ---------------------------------------------------------------------------
 
 def _algebra_cases() -> List[Case]:
-    def associativity(rng, cfg):
-        w = Worst()
-        for _ in range(20 * cfg.samples):
-            a, b, c = (random_paravector(rng) for _ in range(3))
-            w.offer_rel(mul(mul(a, b), c).data, mul(a, mul(b, c)).data)
-        return w
+    def associativity(rng, i, cfg):
+        a, b, c = (random_paravector(rng) for _ in range(3))
+        return [_rel(mul(mul(a, b), c).data, mul(a, mul(b, c)).data)]
 
-    def reversion(rng, cfg):
-        w = Worst()
-        for _ in range(20 * cfg.samples):
-            a, b = random_paravector(rng), random_paravector(rng)
-            w.offer_rel(reverse(mul(a, b)).data, mul(reverse(b), reverse(a)).data)
-        return w
+    def reversion(rng, i, cfg):
+        a, b = random_paravector(rng), random_paravector(rng)
+        return [_rel(reverse(mul(a, b)).data, mul(reverse(b), reverse(a)).data)]
 
-    def det_mult(rng, cfg):
-        w = Worst()
-        for _ in range(20 * cfg.samples):
-            a, b = random_paravector(rng), random_paravector(rng)
-            w.offer_rel([det(mul(a, b))], [det(a) * det(b)])
-        return w
+    def det_mult(rng, i, cfg):
+        a, b = random_paravector(rng), random_paravector(rng)
+        return [_rel([det(mul(a, b))], [det(a) * det(b)])]
 
-    def inverse_identity(rng, cfg):
-        w = Worst()
-        for _ in range(20 * cfg.samples):
-            a = random_paravector(rng)
-            w.offer(mul(a, inverse(a)).data - IDENTITY.data)
-            w.offer(mul(inverse(a), a).data - IDENTITY.data)
-        return w
+    def inverse_identity(rng, i, cfg):
+        a = random_paravector(rng)
+        return [mul(a, inverse(a)).data - IDENTITY.data,
+                mul(inverse(a), a).data - IDENTITY.data]
 
-    def orthogonal_unit(rng, cfg):
-        w = Worst()
-        for _ in range(cfg.samples):
-            lam = random_orthogonal(rng)
-            w.offer(mul(lam, reverse(lam)).data - IDENTITY.data)
-        return w
+    def orthogonal_unit(rng, i, cfg):
+        lam = random_orthogonal(rng)
+        return [mul(lam, reverse(lam)).data - IDENTITY.data]
 
-    def action_consistency(rng, cfg):
-        w = Worst()
-        for _ in range(cfg.samples):
-            g, x = random_paravector(rng), random_event(rng)
-            w.offer(act_left(g, x).data - kernels.pv_mul(g.data, x.data))
-            w.offer(act_right(x, g).data - kernels.pv_mul(x.data, g.data))
-        return w
+    def action_consistency(rng, i, cfg):
+        g, x = random_paravector(rng), random_event(rng)
+        return [act_left(g, x).data - kernels.pv_mul(g.data, x.data),
+                act_right(x, g).data - kernels.pv_mul(x.data, g.data)]
 
-    def left_action_expansion(rng, cfg):
-        w = Worst()
+    def left_action_expansion(rng, i, cfg):
         got = act_left(Paravector(1.0, (0.0, 0.0, 1.0)), Event(0.0, (1.0, 1.0, 0.0)))
-        w.offer(got.data - np.array([0.0, 1.0 - 1.0j, 1.0 + 1.0j, 0.0]))
         pure_time = act_left(Paravector(2.0 + 1.0j, (0.5j, 1.0, -2.0)), Event(1.0))
-        w.offer(pure_time.data - np.array([2.0 + 1.0j, 0.5j, 1.0, -2.0]))
-        return w
+        return [got.data - np.array([0.0, 1.0 - 1.0j, 1.0 + 1.0j, 0.0]),
+                pure_time.data - np.array([2.0 + 1.0j, 0.5j, 1.0, -2.0])]
 
-    def right_action_expansion(rng, cfg):
-        w = Worst()
+    def right_action_expansion(rng, i, cfg):
         got = act_right(Event(0.0, (1.0, 1.0, 0.0)), Paravector(1.0, (0.0, 0.0, 1.0)))
-        w.offer(got.data - np.array([0.0, 1.0 + 1.0j, 1.0 - 1.0j, 0.0]))
-        return w
+        return [got.data - np.array([0.0, 1.0 + 1.0j, 1.0 - 1.0j, 0.0])]
 
-    def noncommutativity(rng, cfg):
-        w = Worst()
+    def noncommutativity(rng):
         a = Paravector(1.0, (1.0, 0.0, 0.0))
         b = Paravector(1.0, (0.0, 1.0, 0.0))
-        gap = mul(a, b).data - mul(b, a).data
-        w.floor_deficit(float(np.max(np.abs(gap))), NONCOMMUTATIVITY_FLOOR, gap)
-        return w
+        return mul(a, b).data - mul(b, a).data
 
-    def rotation_round_trip(rng, cfg):
-        w = Worst()
-        for _ in range(cfg.samples):
-            lam = random_orthogonal(rng)
-            x = random_event(rng)
-            back = conjugate_rotate(reverse(lam), conjugate_rotate(lam, x))
-            w.offer(back.data - x.data)
-        return w
+    def rotation_round_trip(rng, i, cfg):
+        lam = random_orthogonal(rng)
+        x = random_event(rng)
+        back = conjugate_rotate(reverse(lam), conjugate_rotate(lam, x))
+        return [back.data - x.data]
 
     return [
-        Case("associativity", "exact", 1e-12, associativity),
-        Case("reversion-antiautomorphism", "exact", 1e-12, reversion),
-        Case("det-multiplicativity", "exact", 1e-12, det_mult),
-        Case("inverse-identity", "exact", 1e-10, inverse_identity),
-        Case("orthogonal-unit", "exact", 1e-10, orthogonal_unit),
-        Case("action-matches-product", "fixed", 0.0, action_consistency),
-        Case("left-action-expansion", "fixed", 0.0, left_action_expansion),
-        Case("right-action-expansion", "fixed", 0.0, right_action_expansion),
-        Case("noncommutativity-floor-deficit", "fixed", 0.0, noncommutativity),
-        Case("rotation-round-trip", "exact", 1e-10, rotation_round_trip),
+        Case("associativity", "exact", 1e-12, _sampled(_times(20), associativity)),
+        Case("reversion-antiautomorphism", "exact", 1e-12, _sampled(_times(20), reversion)),
+        Case("det-multiplicativity", "exact", 1e-12, _sampled(_times(20), det_mult)),
+        Case("inverse-identity", "exact", 1e-10, _sampled(_times(20), inverse_identity)),
+        Case("orthogonal-unit", "exact", 1e-10, _sampled(_times(1), orthogonal_unit)),
+        Case("action-matches-product", "fixed", 0.0,
+             _sampled(_times(1), action_consistency)),
+        Case("left-action-expansion", "fixed", 0.0, _sampled(_once, left_action_expansion)),
+        Case("right-action-expansion", "fixed", 0.0, _sampled(_once, right_action_expansion)),
+        Case("noncommutativity-floor-deficit", "fixed", 0.0,
+             _floor(noncommutativity, NONCOMMUTATIVITY_FLOOR)),
+        Case("rotation-round-trip", "exact", 1e-10, _sampled(_times(1), rotation_round_trip)),
     ]
 
 
@@ -324,31 +343,6 @@ def _sample_field(rng, index: int, degree: int = 3, scale: float = 1.0):
     if index % 2 == 0:
         return random_field(rng, degree=degree, scale=scale)
     return random_plane_wave(rng, scale=scale)
-
-
-def _oracle_div(f, x):
-    # Independent assembly of the operator from per-coordinate partials.
-    d = np.empty((4, 4), np.complex128)
-    for c in range(4):
-        d[:, c] = f.partial(c)._value(x)
-    out = np.empty(4, np.complex128)
-    out[0] = d[0, 0] + d[1, 1] + d[2, 2] + d[3, 3]
-    out[1] = d[1, 0] + d[0, 1] + 1j * (d[3, 2] - d[2, 3])
-    out[2] = d[2, 0] + d[0, 2] + 1j * (d[1, 3] - d[3, 1])
-    out[3] = d[3, 0] + d[0, 3] + 1j * (d[2, 1] - d[1, 2])
-    return out
-
-
-def _oracle_grad(f, x):
-    d = np.empty((4, 4), np.complex128)
-    for c in range(4):
-        d[:, c] = f.partial(c)._value(x)
-    out = np.empty(4, np.complex128)
-    out[0] = d[0, 0] - (d[1, 1] + d[2, 2] + d[3, 3])
-    out[1] = d[1, 0] - d[0, 1] - 1j * (d[3, 2] - d[2, 3])
-    out[2] = d[2, 0] - d[0, 2] - 1j * (d[1, 3] - d[3, 1])
-    out[3] = d[3, 0] - d[0, 3] - 1j * (d[2, 1] - d[1, 2])
-    return out
 
 
 def _max_partial_error(fields, points, h: float) -> float:
@@ -378,123 +372,92 @@ def _stencil_norm(f, x, h: float) -> float:
 
 
 def _diffop_cases() -> List[Case]:
-    def assembly_oracle(rng, cfg):
-        w = Worst()
-        for i in range(2 * cfg.samples):
-            f = _sample_field(rng, i)
-            x = random_event(rng).data
-            w.offer(div4(f, Event.from_data(x)).data - _oracle_div(f, x))
-            w.offer(grad4(f, Event.from_data(x)).data - _oracle_grad(f, x))
-        return w
+    def assembly_oracle(rng, i, cfg):
+        # div4/grad4 assemble a bundle of partials; the oracle is the field
+        # construction sum_k E_k (d_k A), evaluated by paravector products.
+        f = _sample_field(rng, i)
+        X = random_event(rng)
+        return [_rel(div4(f, X).data, div4_field(f).at(X).data),
+                _rel(grad4(f, X).data, grad4_field(f).at(X).data)]
 
-    def numeric_agreement(rng, cfg):
-        w = Worst()
-        for i in range(2 * cfg.samples):
-            f = _sample_field(rng, i)
-            X = random_event(rng)
-            loc = _stencil_norm(f, X.data, cfg.h)
-            for c in range(4):
-                exact = f.partial(c)._value(X.data)
-                num = central_difference(f._value, X.data, c, cfg.h)
-                w.offer((num - exact) / (1.0 + loc))
-        return w
+    def numeric_agreement(rng, i, cfg):
+        f = _sample_field(rng, i)
+        X = random_event(rng)
+        loc = _stencil_norm(f, X.data, cfg.h)
+        err = (bundle(f, X, Numeric(cfg.h)) - bundle(f, X, EXACT)) / (1.0 + loc)
+        return list(err.T)  # one difference per coordinate
 
-    def factorization_exact(rng, cfg):
-        w = Worst()
-        for i in range(cfg.samples):
-            f = _sample_field(rng, i)
-            X = random_event(rng)
-            b = box4(f, X).data
-            w.offer_rel(grad4(div4_field(f), X).data, b)
-            w.offer_rel(div4(grad4_field(f), X).data, b)
-        return w
+    def factorization_exact(rng, i, cfg):
+        f = _sample_field(rng, i)
+        X = random_event(rng)
+        b = box4(f, X).data
+        return [_rel(grad4(div4_field(f), X).data, b),
+                _rel(div4(grad4_field(f), X).data, b)]
 
-    def factorization_numeric(rng, cfg):
-        w = Worst()
+    def factorization_numeric(rng, i, cfg):
         h = 1e-4
-        mode = Numeric(h)
-        for i in range(max(1, cfg.samples // 5)):
-            f = _sample_field(rng, i)
-            X = random_event(rng)
-            b = box4(f, X, mode).data
+        f = _sample_field(rng, i)
+        X = random_event(rng)
+        b = box4(f, X, Numeric(h)).data
 
-            def div_fn(xd, _f=f):
-                dd = np.empty((4, 4), np.complex128)
-                for c in range(4):
-                    dd[:, c] = central_difference(_f._value, xd, c, h)
-                return assemble_div(dd)
+        def div_fn(xd):
+            return div4(f, Event.from_data(xd), Numeric(h)).data
 
-            dgrad = np.empty((4, 4), np.complex128)
-            for c in range(4):
-                dgrad[:, c] = central_difference(div_fn, X.data, c, h)
-            w.offer_rel(assemble_grad(dgrad), b)
-        return w
+        dgrad = np.empty((4, 4), np.complex128)
+        for c in range(4):
+            dgrad[:, c] = central_difference(div_fn, X.data, c, h)
+        return [_rel(assemble_grad(dgrad), b)]
 
-    def null_wave_box(rng, cfg):
-        w = Worst()
-        for _ in range(cfg.samples):
-            f = null_plane_wave(rng)
-            X = random_event(rng)
-            w.offer(box4(f, X).data)
-        return w
+    def null_wave_box(rng, i, cfg):
+        f = null_plane_wave(rng)
+        X = random_event(rng)
+        return [box4(f, X).data]
 
-    def additivity(rng, cfg):
-        w = Worst()
-        for i in range(2 * cfg.samples):
-            f = random_field(rng)
-            g = _sample_field(rng, i)
-            X = random_event(rng)
-            w.offer(additivity_residual(f, g, X).data)
-        return w
+    def additivity(rng, i, cfg):
+        f = random_field(rng)
+        g = _sample_field(rng, i)
+        X = random_event(rng)
+        return [additivity_residual(f, g, X).data]
 
-    def leibniz(rng, cfg):
-        w = Worst()
-        for i in range(2 * cfg.samples):
-            rho = random_scalar_field(rng)
-            f = _sample_field(rng, i)
-            X = random_event(rng)
-            w.offer(leibniz_residual(rho, f, X).data)
-        return w
+    def leibniz(rng, i, cfg):
+        rho = random_scalar_field(rng)
+        f = _sample_field(rng, i)
+        X = random_event(rng)
+        return [leibniz_residual(rho, f, X).data]
 
-    def product_rule_floor(rng, cfg):
-        w = Worst()
+    def product_rule_gap(rng):
         f = PolynomialField.monomial((0, 1, 0, 0), Paravector(0.0, (1.0, 0.0, 0.0)))
         g = PolynomialField.monomial((0, 0, 1, 0), Paravector(0.0, (0.0, 1.0, 0.0)))
-        res = product_rule_failure_witness(f, g, Event(0.0, (1.0, 1.0, 1.0)))
-        w.floor_deficit(norm_inf(res), PRODUCT_RULE_WITNESS_FLOOR, res.data)
-        return w
+        return product_rule_failure_witness(f, g, Event(0.0, (1.0, 1.0, 1.0))).data
 
-    def order_gap_floor(rng, cfg):
-        w = Worst()
+    def order_gap(rng):
         rho = ScalarField.coordinate("x")
         a = Paravector(0.0, (0.0, 1.0, 0.0))
-        res = scalar_order_gap(rho, a, Event(0.0, (1.0, 1.0, 1.0)))
-        w.floor_deficit(norm_inf(res), ORDER_GAP_WITNESS_FLOOR, res.data)
-        return w
+        return scalar_order_gap(rho, a, Event(0.0, (1.0, 1.0, 1.0))).data
 
-    def convergence_band(rng, cfg):
-        w = Worst()
-        for i in range(6):
-            f = _sample_field(rng, i)
-            pts = [random_event(rng).data for _ in range(10)]
-            errs = [_max_partial_error([f], pts, h) for h in (1e-3, 5e-4)]
-            if errs[1] < 1e-12:
-                continue
-            ratio = errs[0] / errs[1]
-            w.offer([np.max([0.0, 3.2 - ratio, ratio - 4.8])])
-        return w
+    def convergence_band(rng, i, cfg):
+        f = _sample_field(rng, i)
+        pts = [random_event(rng).data for _ in range(10)]
+        errs = [_max_partial_error([f], pts, h) for h in (1e-3, 5e-4)]
+        if errs[1] < NOISE_FLOOR:
+            return []
+        ratio = errs[0] / errs[1]
+        return [[np.max([0.0, 3.2 - ratio, ratio - 4.8])]]
 
     return [
-        Case("assembly-matches-oracle", "fixed", 0.0, assembly_oracle),
-        Case("numeric-agreement", "numeric", 1e-7, numeric_agreement),
-        Case("factorization-exact", "exact", 1e-12, factorization_exact),
-        Case("factorization-numeric", "numeric", 1e-4, factorization_numeric),
-        Case("null-plane-wave-box", "exact", 1e-12, null_wave_box),
-        Case("additivity", "exact", 1e-12, additivity),
-        Case("scalar-product-rule", "exact", 1e-12, leibniz),
-        Case("product-rule-failure-floor-deficit", "fixed", 0.0, product_rule_floor),
-        Case("ordering-witness-floor-deficit", "fixed", 0.0, order_gap_floor),
-        Case("convergence-band-deficit", "fixed", 0.0, convergence_band),
+        Case("assembly-matches-oracle", "exact", 1e-12, _sampled(_times(2), assembly_oracle)),
+        Case("numeric-agreement", "numeric", 1e-7, _sampled(_times(2), numeric_agreement)),
+        Case("factorization-exact", "exact", 1e-12, _sampled(_times(1), factorization_exact)),
+        Case("factorization-numeric", "numeric", 1e-4, _sampled(_fifth, factorization_numeric)),
+        Case("null-plane-wave-box", "exact", 1e-12, _sampled(_times(1), null_wave_box)),
+        Case("additivity", "exact", 1e-12, _sampled(_times(2), additivity)),
+        Case("scalar-product-rule", "exact", 1e-12, _sampled(_times(2), leibniz)),
+        Case("product-rule-failure-floor-deficit", "fixed", 0.0,
+             _floor(product_rule_gap, PRODUCT_RULE_WITNESS_FLOOR)),
+        Case("ordering-witness-floor-deficit", "fixed", 0.0,
+             _floor(order_gap, ORDER_GAP_WITNESS_FLOOR)),
+        Case("convergence-band-deficit", "fixed", 0.0,
+             _sampled(lambda cfg: 6, convergence_band)),
     ]
 
 
@@ -509,63 +472,48 @@ def _singular_paravector(rng) -> Paravector:
 
 
 def _transport_case(residual_fn, mode_of):
-    def run(rng, cfg):
-        w = Worst()
-        for i in range(cfg.samples):
-            g = random_paravector(rng)
-            f = _sample_field(rng, i)
-            X = random_event(rng)
-            case = TransformCase(g, f, X, mode_of(cfg))
-            w.offer(residual_fn(case).data)
-        return w
+    def sample(rng, i, cfg):
+        g = random_paravector(rng)
+        f = _sample_field(rng, i)
+        X = random_event(rng)
+        return [residual_fn(TransformCase(g, f, X, mode_of(cfg))).data]
 
-    return run
+    return _sampled(_times(1), sample)
 
 
 def _right_factor_case(mode_of, singular: bool):
-    def run(rng, cfg):
-        w = Worst()
-        n = cfg.samples if not singular else max(1, cfg.samples // 5)
-        for i in range(n):
-            g = _singular_paravector(rng) if singular else random_paravector(rng)
-            f = _sample_field(rng, i)
-            X = random_event(rng)
-            d, gr = right_factor_residuals(f, g, X, mode_of(cfg))
-            w.offer(d.data)
-            w.offer(gr.data)
-        return w
+    def sample(rng, i, cfg):
+        g = _singular_paravector(rng) if singular else random_paravector(rng)
+        f = _sample_field(rng, i)
+        X = random_event(rng)
+        d, gr = right_factor_residuals(f, g, X, mode_of(cfg))
+        return [d.data, gr.data]
 
-    return run
+    return _sampled(_fifth if singular else _times(1), sample)
 
 
 def _transforms_cases() -> List[Case]:
     exact = lambda cfg: EXACT
     numeric = lambda cfg: Numeric(cfg.h)
 
-    def rotation(rng, cfg):
-        w = Worst()
-        for i in range(cfg.samples):
-            lam = random_orthogonal(rng)
-            f = _sample_field(rng, i)
-            Xp = conjugate_rotate(lam, random_event(rng))
-            lhs, rhs = observer_rotation_sides(f, lam, Xp)
-            w.offer_rel(lhs.data, rhs.data)
-        return w
+    def rotation(rng, i, cfg):
+        lam = random_orthogonal(rng)
+        f = _sample_field(rng, i)
+        Xp = conjugate_rotate(lam, random_event(rng))
+        lhs, rhs = observer_rotation_sides(f, lam, Xp)
+        return [_rel(lhs.data, rhs.data)]
 
-    def group_composition(rng, cfg):
-        w = Worst()
-        for i in range(cfg.samples):
-            g1 = random_paravector(rng)
-            g2 = random_paravector(rng)
-            f = _sample_field(rng, i)
-            inner = PullbackField(LinearMap.left_action(inverse(g1)), f)
-            twice = PullbackField(LinearMap.left_action(inverse(g2)), inner)
-            once = PullbackField(LinearMap.left_action(inverse(mul(g2, g1))), f)
-            X = random_event(rng)
-            w.offer_rel(twice._value(X.data), once._value(X.data))
-        return w
+    def group_composition(rng, i, cfg):
+        g1 = random_paravector(rng)
+        g2 = random_paravector(rng)
+        f = _sample_field(rng, i)
+        inner = PullbackField(LinearMap.left_action(inverse(g1)), f)
+        twice = PullbackField(LinearMap.left_action(inverse(g2)), inner)
+        once = PullbackField(LinearMap.left_action(inverse(mul(g2, g1))), f)
+        X = random_event(rng)
+        return [_rel(twice._value(X.data), once._value(X.data))]
 
-    cases = [
+    return [
         Case("div-left-transport-exact", "exact", 1e-10,
              _transport_case(div_left_transport_residual, exact)),
         Case("grad-left-transport-exact", "exact", 1e-10,
@@ -577,8 +525,9 @@ def _transforms_cases() -> List[Case]:
         Case("right-factor-exact", "exact", 1e-10, _right_factor_case(exact, False)),
         Case("right-factor-singular-exact", "exact", 1e-10,
              _right_factor_case(exact, True)),
-        Case("observer-rotation-exact", "exact", 1e-10, rotation),
-        Case("pullback-group-composition", "exact", 1e-10, group_composition),
+        Case("observer-rotation-exact", "exact", 1e-10, _sampled(_times(1), rotation)),
+        Case("pullback-group-composition", "exact", 1e-10,
+             _sampled(_times(1), group_composition)),
         Case("div-left-transport-numeric", "numeric", 1e-5,
              _transport_case(div_left_transport_residual, numeric), substream=0),
         Case("grad-left-transport-numeric", "numeric", 1e-5,
@@ -590,7 +539,6 @@ def _transforms_cases() -> List[Case]:
         Case("right-factor-numeric", "numeric", 1e-5,
              _right_factor_case(numeric, False), substream=4),
     ]
-    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -598,25 +546,21 @@ def _transforms_cases() -> List[Case]:
 # ---------------------------------------------------------------------------
 
 def _wave_form_case(form: InvarianceForm):
-    def run(rng, cfg):
-        w = Worst()
-        for i in range(cfg.samples):
-            lam = random_orthogonal(rng)
-            f = random_field(rng)
-            X = random_event(rng)
-            if form in (InvarianceForm.FORM1, InvarianceForm.FORM2):
-                Xp = act_right(X, lam)
-            else:
-                Xp = act_left(lam, X)
-            w.offer(wave_invariance_residual(form, f, lam, Xp).data)
-        return w
+    def sample(rng, i, cfg):
+        lam = random_orthogonal(rng)
+        f = random_field(rng)
+        X = random_event(rng)
+        if form in (InvarianceForm.FORM1, InvarianceForm.FORM2):
+            Xp = act_right(X, lam)
+        else:
+            Xp = act_left(lam, X)
+        return [wave_invariance_residual(form, f, lam, Xp).data]
 
-    return run
+    return _sampled(_times(1), sample)
 
 
 def _wave_cases() -> List[Case]:
-    def value_split(rng, cfg):
-        w = Worst()
+    def value_split(rng):
         best = 0.0
         best_gap = np.zeros(4, np.complex128)
         for i in range(10):
@@ -630,22 +574,15 @@ def _wave_cases() -> List[Case]:
             m = float(np.max(np.abs(gap)))
             if m > best:
                 best, best_gap = m, gap
-        w.floor_deficit(best, VALUE_SPLIT_FLOOR, best_gap)
-        return w
+        return best_gap
 
-    def structure(rng, cfg):
-        w = Worst()
+    def structure(rng, i, cfg):
         lam = random_orthogonal(rng)
         f = random_field(rng)
         ok = True
-        for form, untouched in (
-            (InvarianceForm.FORM1, True),
-            (InvarianceForm.FORM2, False),
-            (InvarianceForm.FORM3, False),
-            (InvarianceForm.FORM4, True),
-        ):
+        for form in InvarianceForm:
             moved = transformed_wave_field(form, f, lam)
-            if untouched:
+            if form in (InvarianceForm.FORM1, InvarianceForm.FORM4):  # values untouched
                 ok &= isinstance(moved, PullbackField) and moved.inner is f
             else:
                 ok &= (
@@ -655,16 +592,16 @@ def _wave_cases() -> List[Case]:
                 )
         ok &= transformed_wave_field(InvarianceForm.FORM2, f, lam).factor == reverse(lam)
         ok &= transformed_wave_field(InvarianceForm.FORM3, f, lam).factor == lam
-        w.offer([0.0 if ok else 1.0])
-        return w
+        return [[0.0 if ok else 1.0]]
 
     return [
         Case("form1-right-invariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM1)),
         Case("form2-right-contravariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM2)),
         Case("form3-left-covariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM3)),
         Case("form4-left-invariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM4)),
-        Case("covariant-contravariant-split-deficit", "fixed", 0.0, value_split),
-        Case("form-value-structure", "fixed", 0.0, structure),
+        Case("covariant-contravariant-split-deficit", "fixed", 0.0,
+             _floor(value_split, VALUE_SPLIT_FLOOR)),
+        Case("form-value-structure", "fixed", 0.0, _sampled(_once, structure)),
     ]
 
 
@@ -692,99 +629,67 @@ def _random_wave_potential(rng, k: PhysConstants):
 
 
 def _plane_wave_case(constants: PhysConstants, field: str):
-    def run(rng, cfg):
-        w = Worst()
-        for _ in range(2 * cfg.samples):
-            pot = _random_wave_potential(rng, constants)
-            X = _maxwell_event(rng)
-            if field == "gauge":
-                w.offer([em_from_potential(pot, X, constants).scalar])
-            else:
-                emf = em_field_from_potential(pot, constants)
-                src = sources_from_em(emf, X, constants)
-                w.offer(np.concatenate([[src.rho_over_eps], src.j_term]))
-        return w
+    def sample(rng, i, cfg):
+        pot = _random_wave_potential(rng, constants)
+        X = _maxwell_event(rng)
+        if field == "gauge":
+            return [[em_from_potential(pot, X, constants).scalar]]
+        emf = em_field_from_potential(pot, constants)
+        src = sources_from_em(emf, X, constants)
+        return [np.concatenate([[src.rho_over_eps], src.j_term])]
 
-    return run
+    return _sampled(_times(2), sample)
 
 
 def _maxwell_cases() -> List[Case]:
     k1 = PhysConstants()
     k2 = PhysConstants(c=2.0)
 
-    def polynomial_gauge(rng, cfg):
-        w = Worst()
-        for _ in range(cfg.samples):
-            pot = lorenz_gauge_potential(rng)
-            X = _maxwell_event(rng)
-            w.offer([em_from_potential(pot, X, k1).scalar])
-        return w
+    def polynomial_gauge(rng, i, cfg):
+        pot = lorenz_gauge_potential(rng)
+        X = _maxwell_event(rng)
+        return [[em_from_potential(pot, X, k1).scalar]]
 
-    def factorization_chain(rng, cfg):
-        w = Worst()
-        for _ in range(cfg.samples):
-            pot = lorenz_gauge_potential(rng)
-            src = source_field_from_em(em_field_from_potential(pot, k1))
-            X = _maxwell_event(rng)
-            w.offer(wave_residual(pot, src, X, k1).data)
-        return w
+    def factorization_chain(rng, i, cfg):
+        pot = lorenz_gauge_potential(rng)
+        src = source_field_from_em(em_field_from_potential(pot, k1))
+        X = _maxwell_event(rng)
+        return [wave_residual(pot, src, X, k1).data]
 
-    def gauss_slice(rng, cfg):
-        w = Worst()
+    def gauss_slice(rng, i, cfg):
         h = 1e-5
-        for _ in range(cfg.samples):
-            phi = random_scalar_field(rng, degree=3, scale=1.0)
-            phi = ScalarField(phi.exps, phi.coeffs.real.astype(np.complex128))
-            phi = ScalarField(  # spatial only: drop time dependence
-                phi.exps[phi.exps[:, 0] == 0], phi.coeffs[phi.exps[:, 0] == 0]
-            )
-            pot = PotentialField(
-                PolynomialField(
-                    phi.exps,
-                    np.concatenate(
-                        [phi.coeffs[:, None], np.zeros((len(phi.coeffs), 3))], axis=1
-                    ),
-                )
-            )
-            X = Event(0.0, rng.uniform(-2.0, 2.0, size=3))
-            src = sources_from_em(
-                em_field_from_potential(pot, k1), X, k1, Numeric(h)
-            )
+        phi = random_scalar_field(rng, degree=3, scale=1.0)
+        spatial = phi.exps[:, 0] == 0  # drop time dependence
+        coeffs = np.zeros((int(spatial.sum()), 4), np.complex128)
+        coeffs[:, 0] = phi.coeffs[spatial].real
+        pot = PotentialField(PolynomialField(phi.exps[spatial], coeffs))
+        X = Event(0.0, rng.uniform(-2.0, 2.0, size=3))
+        src = sources_from_em(em_field_from_potential(pot, k1), X, k1, Numeric(h))
 
-            def e_component(xd, c):
-                # exact E values routed through the point operator, so the
-                # only numerics in the oracle are the three differences below
-                val = em_from_potential(pot, Event.from_data(xd), k1)
-                return val.F[c - 1].real
+        def e_field(xd):
+            # exact E values routed through the point operator, so the
+            # only numerics in the oracle are the three differences below
+            return em_from_potential(pot, Event.from_data(xd), k1).F.real
 
-            div_e = 0.0
-            for c in (1, 2, 3):
-                xp = X.data.copy()
-                xp[c] += h
-                xm = X.data.copy()
-                xm[c] -= h
-                div_e += (e_component(xp, c) - e_component(xm, c)) / (2.0 * h)
-            w.offer([src.rho_over_eps.real - div_e])
-        return w
+        div_e = 0.0
+        for c in (1, 2, 3):
+            div_e += central_difference(e_field, X.data, c, h)[c - 1]
+        return [[src.rho_over_eps.real - div_e]]
 
-    def static_gradient(rng, cfg):
-        w = Worst()
-        pot = PotentialField(
-            PolynomialField.monomial((0, 1, 0, 0), Paravector(1.0))
-        )
+    def static_gradient(rng, i, cfg):
+        pot = PotentialField(PolynomialField.monomial((0, 1, 0, 0), Paravector(1.0)))
         val = em_from_potential(pot, Event(0.3, (0.7, -1.1, 0.4)), k1)
-        w.offer(np.concatenate([[val.scalar], val.F - np.array([-1.0, 0.0, 0.0])]))
-        return w
+        return [np.concatenate([[val.scalar], val.F - np.array([-1.0, 0.0, 0.0])])]
 
     return [
         Case("plane-wave-gauge-scalar", "exact", 1e-12, _plane_wave_case(k1, "gauge")),
         Case("plane-wave-sources", "exact", 1e-10, _plane_wave_case(k1, "sources")),
-        Case("polynomial-gauge-scalar", "exact", 1e-12, polynomial_gauge),
-        Case("factorization-chain", "exact", 1e-9, factorization_chain),
-        Case("gauss-law-slice", "numeric", 1e-6, gauss_slice),
+        Case("polynomial-gauge-scalar", "exact", 1e-12, _sampled(_times(1), polynomial_gauge)),
+        Case("factorization-chain", "exact", 1e-9, _sampled(_times(1), factorization_chain)),
+        Case("gauss-law-slice", "numeric", 1e-6, _sampled(_times(1), gauss_slice)),
         Case("c2-plane-wave-gauge-scalar", "exact", 1e-12, _plane_wave_case(k2, "gauge")),
         Case("c2-plane-wave-sources", "exact", 1e-10, _plane_wave_case(k2, "sources")),
-        Case("static-gradient-value", "fixed", 0.0, static_gradient),
+        Case("static-gradient-value", "fixed", 0.0, _sampled(_once, static_gradient)),
     ]
 
 
@@ -811,16 +716,21 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     for sname in names:
         for idx, case in enumerate(_SUITE_BUILDERS[sname]()):
             sub = idx if case.substream is None else case.substream
-            rng = case_rng(cfg.seed, sname, sub)
-            worst = case.run(rng, cfg)
+            name = f"{sname}/{case.name}"
+            try:
+                worst = case.run(case_rng(cfg.seed, sname, sub), cfg)
+                residual, components = worst.value, worst.components
+            except Exception as exc:  # a crashed case fails; the rest still run
+                print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                residual, components = math.nan, np.zeros(0, np.complex128)
             thr = case.threshold(cfg)
             report.cases.append(
                 CaseReport(
-                    name=f"{sname}/{case.name}",
-                    residual=worst.value,
+                    name=name,
+                    residual=residual,
                     threshold=thr,
-                    passed=math.isfinite(worst.value) and worst.value <= thr,
-                    components=worst.components,
+                    passed=math.isfinite(residual) and residual <= thr,
+                    components=components,
                 )
             )
     return report
@@ -894,18 +804,14 @@ def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List
         raise ConfigError("steps must be finite, positive and strictly decreasing")
     rng = case_rng(seed, "convergence", 0)
     if fields is None:
-        fields = []
-        for i in range(3):
-            if field_kind == "poly":
-                fields.append(random_field(rng))
-            else:
-                fields.append(random_plane_wave(rng))
+        draw = random_field if field_kind == "poly" else random_plane_wave
+        fields = [draw(rng) for _ in range(3)]
     points = [random_event(rng).data for _ in range(20)]
     errors = [_max_partial_error(fields, points, h) for h in steps]
     rows = []
     for i, h in enumerate(steps):
         ratio = None
-        if i + 1 < len(steps) and errors[i] >= 1e-12 and errors[i + 1] >= 1e-12:
+        if i + 1 < len(steps) and errors[i] >= NOISE_FLOOR and errors[i + 1] >= NOISE_FLOOR:
             ratio = errors[i] / errors[i + 1]
         rows.append(ConvergenceRow(h=h, max_error=errors[i], ratio=ratio))
     return rows
@@ -914,7 +820,9 @@ def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List
 def convergence_ok(rows: List[ConvergenceRow]) -> bool:
     """Each defined ratio must sit within 20% of the second-order prediction.
 
-    A non-finite error fails the table.
+    Close steps put 1 (no convergence) inside that band, so when the first and
+    last errors are above the 1e-12 noise floor, the order fitted between them
+    must also be 2 +- 0.1.  A non-finite error fails the table.
     """
     if not all(math.isfinite(r.max_error) for r in rows):
         return False
@@ -924,4 +832,10 @@ def convergence_ok(rows: List[ConvergenceRow]) -> bool:
         predicted = (cur.h / nxt.h) ** 2
         if not 0.8 * predicted <= cur.ratio <= 1.2 * predicted:
             return False
+    if len(rows) < 2:
+        return True
+    first, last = rows[0], rows[-1]
+    if min(first.max_error, last.max_error) >= NOISE_FLOOR:
+        order = math.log(first.max_error / last.max_error) / math.log(first.h / last.h)
+        return abs(order - 2.0) <= 0.1
     return True

@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+import numpy as np
+
 from paracalc.algebra import Paravector
 from paracalc.cli import main
-from paracalc.fields import PolynomialField
+from paracalc.fields import Field, LeftMulField, PolynomialField, random_field
 from paracalc.harness import (
     ConfigError,
     SUITE_NAMES,
@@ -40,6 +42,9 @@ def test_config_validation():
         for key in ("tol_exact", "tol_numeric", "h"):
             with pytest.raises(ConfigError):
                 SuiteConfig(suite="algebra", **{key: bad})
+    for key in ("tol_exact", "tol_numeric"):  # finite, but the scaled threshold overflows
+        with pytest.raises(ConfigError):
+            SuiteConfig(suite="algebra", **{key: 1e308})
 
 
 def test_worst_keeps_non_finite_samples():
@@ -162,6 +167,36 @@ def test_convergence_ok_band_check():
     assert not convergence_ok(rows)
 
 
+class _SteepY(Field):
+    """A field whose exact y-partial is 1.5 times too large."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self._init_base(inner.depth + 1)
+
+    def _value(self, x):
+        return self.inner._value(x)
+
+    def _partial(self, c):
+        part = self.inner.partial(c)
+        return LeftMulField(Paravector(1.5), part) if c == 2 else part
+
+
+def test_convergence_ok_rejects_flat_error():
+    steps = [0.1, 0.0962, 0.0925444, 0.089]
+    good = run_convergence("poly", steps, seed=42)
+    assert convergence_ok(good)
+    broken = [_SteepY(random_field(np.random.default_rng(i))) for i in range(3)]
+    rows = run_convergence("poly", steps, seed=42, fields=broken)
+    errors = [r.max_error for r in rows]
+    assert min(errors) > 0.5 * max(errors)  # the error does not fall with h
+    # every adjacent ratio sits inside its +-20% band, so only the
+    # whole-sweep order shows that nothing converges
+    for cur, nxt in zip(rows, rows[1:]):
+        assert 0.8 * (cur.h / nxt.h) ** 2 <= cur.ratio <= 1.2 * (cur.h / nxt.h) ** 2
+    assert not convergence_ok(rows)
+
+
 # -- CLI ---------------------------------------------------------------------------
 
 def test_cli_check_passes(capsys):
@@ -210,6 +245,46 @@ def test_cli_overflowing_step_fails_with_strict_json(capsys):
     obj = json.loads(capsys.readouterr().out, parse_constant=reject)
     case = next(c for c in obj["cases"] if c["name"] == "diffop/numeric-agreement")
     assert case["pass"] is False and case["residual"] is None
+
+
+def test_cli_tolerance_overflow_exit_code(capsys):
+    assert main(["check", "algebra", "--tol-exact", "1e308", "--samples", "2"]) == 2
+    assert main(["check", "algebra", "--tol-numeric", "1e308", "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_crashed_case_fails_and_the_rest_run(capsys):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    argv = ["check", "transforms", "--step", "1e300", "--samples", "3", "--json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    obj = json.loads(captured.out, parse_constant=reject)
+    assert len(obj["cases"]) == 13
+    case = next(c for c in obj["cases"] if c["name"] == "transforms/div-left-transport-numeric")
+    assert case["pass"] is False and case["residual"] is None
+    assert "error: transforms/div-left-transport-numeric: ValueError" in captured.err
+    assert "Traceback" not in captured.err
+    assert obj["passed"] == 8  # the exact-mode cases are unaffected
+
+
+def test_assembly_oracle_catches_a_wrong_assembly(monkeypatch):
+    from paracalc import diffops
+
+    right = diffops.assemble_div
+
+    def flipped_curl(d):
+        out = right(d)
+        out[1] = d[1, 0] + d[0, 1] - 1j * (d[3, 2] - d[2, 3])
+        return out
+
+    monkeypatch.setattr(diffops, "assemble_div", flipped_curl)
+    rep = run_suite(small_cfg("diffop"))
+    case = next(c for c in rep.cases if c.name == "diffop/assembly-matches-oracle")
+    assert not case.passed
 
 
 def test_cli_observer_rotation_seed3_passes(capsys):
