@@ -24,7 +24,7 @@ from .algebra import BASIS, Event, Paravector
 from .fields import (
     Field,
     LeftMulField,
-    ScalarField,
+    PolynomialField,
     ScalarScaledField,
     central_difference,
     sum_fields,
@@ -44,7 +44,6 @@ __all__ = [
     "div4_field",
     "grad4_field",
     "additivity_residual",
-    "grad_paravector",
     "leibniz_residual",
     "product_rule_failure_witness",
     "scalar_order_gap",
@@ -171,29 +170,19 @@ def additivity_residual(f: Field, g: Field, X: Event, mode: DiffMode = EXACT) ->
     return Paravector.from_data(both.data - div4(f, X, mode).data - div4(g, X, mode).data)
 
 
-def grad_paravector(rho: ScalarField, X: Event, mode: DiffMode = EXACT) -> Paravector:
-    """Materialize (d rho) = [drho/dt ; grad rho] as a paravector value."""
-    x = X.data
-    out = np.empty(4, np.complex128)
-    if isinstance(mode, Exact):
-        for c in range(4):
-            out[c] = rho.partial(c).value_raw(x)
-    else:
-        for c in range(4):
-            out[c] = central_difference(rho.value_raw, x, c, mode.h)
-    return Paravector.from_data(out)
-
-
-def leibniz_residual(rho: ScalarField, f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
+def leibniz_residual(
+    rho: PolynomialField, f: Field, X: Event, mode: DiffMode = EXACT
+) -> Paravector:
     """div4[rho f] - (d rho) f - rho div4(f); the scalar product rule holds, so ~0.
 
-    The (d rho) factor multiplies on the left, which is the only order for
-    which the rule is valid; see scalar_order_gap.
+    rho is a scalar polynomial (zero vector part), so (d rho) = [drho/dt; grad
+    rho] is div4(rho).  The (d rho) factor multiplies on the left, which is
+    the only order for which the rule is valid; see scalar_order_gap.
     """
     lhs = div4(ScalarScaledField(rho, f), X, mode)
-    drho = grad_paravector(rho, X, mode)
+    drho = div4(rho, X, mode)
     fv = f._value(X.data)
-    rv = rho.value_raw(X.data)
+    rv = rho._value(X.data)[0]
     rhs = kernels.pv_mul(drho.data, fv) + rv * div4(f, X, mode).data
     return Paravector.from_data(lhs.data - rhs)
 
@@ -219,9 +208,9 @@ def product_rule_failure_witness(f: Field, g: Field, X: Event) -> Paravector:
     return Paravector.from_data(lhs - rhs)
 
 
-def scalar_order_gap(rho: ScalarField, a: Paravector, X: Event) -> Paravector:
+def scalar_order_gap(rho: PolynomialField, a: Paravector, X: Event) -> Paravector:
     """(d rho) A - A (d rho): the cost of reordering the scalar product rule."""
-    drho = grad_paravector(rho, X)
+    drho = div4(rho, X)
     return Paravector.from_data(
         kernels.pv_mul(drho.data, a.data) - kernels.pv_mul(a.data, drho.data)
     )

@@ -29,7 +29,6 @@ from .fields import (
     PlaneWaveField,
     PolynomialField,
     PullbackField,
-    ScalarField,
     as_rng,
     random_scalar_field,
 )
@@ -195,15 +194,16 @@ def lorenz_gauge_potential(
     of the c-scaled 4-gradient identically.
     """
     rng = as_rng(seed)
+    # scalar polynomials: each keeps its coefficients in column 0
     w = [random_scalar_field(rng, degree=degree, scale=scale) for _ in range(3)]
-    div_w = w[0].partial(1) + w[1].partial(2) + w[2].partial(3)
-    phi = ScalarField(div_w.exps, k.c * div_w.coeffs).antiderivative(0)
-    comps = [phi, *w]
-    exps = np.concatenate([c.exps for c in comps])
-    coeffs = np.zeros((exps.shape[0], 4), np.complex128)
-    row = 0
-    for col, comp in enumerate(comps):
-        n = comp.exps.shape[0]
-        coeffs[row : row + n, col] = comp.coeffs
-        row += n
-    return PotentialField(PolynomialField(exps, coeffs))
+    parts = [w[i].partial(i + 1) for i in range(3)]
+    div_w = PolynomialField(np.concatenate([p.exps for p in parts]),
+                            np.concatenate([p.coeffs for p in parts]))
+    exps = div_w.exps.copy()
+    exps[:, 0] += 1  # t-antiderivative with zero integration constant
+    phi = PolynomialField(exps, k.c * div_w.coeffs / exps[:, :1])
+    comps = [phi, *w]  # column 0 of the i-th goes to column i of the potential
+    return PotentialField(PolynomialField(
+        np.concatenate([p.exps for p in comps]),
+        np.concatenate([np.roll(p.coeffs, i, axis=1) for i, p in enumerate(comps)]),
+    ))

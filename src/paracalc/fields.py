@@ -12,22 +12,19 @@ is holomorphic per coordinate).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .algebra import Event, Paravector, det, normalize_orthogonal, reverse, scale
+from .algebra import BASIS, Event, Paravector, det, normalize_orthogonal, reverse, scale
 
 __all__ = [
     "DEGREE_CAP",
     "MAX_TERMS",
     "MAX_DEPTH",
-    "FieldValue",
     "coord_index",
     "LinearMap",
     "Field",
-    "MonomialTerm",
     "PolynomialField",
     "PlaneWaveField",
     "SumField",
@@ -35,8 +32,6 @@ __all__ = [
     "LeftMulField",
     "RightMulField",
     "PullbackField",
-    "ScalarField",
-    "component_scalar",
     "numeric_partial",
     "sum_fields",
     "random_paravector",
@@ -51,10 +46,6 @@ __all__ = [
 DEGREE_CAP = 8
 MAX_TERMS = 512
 MAX_DEPTH = 32
-
-#: Field values are paravectors; the scalar part is the phi component and the
-#: vector part the Phi component.
-FieldValue = Paravector
 
 _COORD_NAMES = {"t": 0, "x": 1, "y": 2, "z": 3}
 
@@ -96,23 +87,12 @@ class LinearMap:
 
     @classmethod
     def left_action(cls, g: Paravector) -> "LinearMap":
-        a, bx, by, bz = g.data
-        return cls([
-            [a, bx, by, bz],
-            [bx, a, -1j * bz, 1j * by],
-            [by, 1j * bz, a, -1j * bx],
-            [bz, -1j * by, 1j * bx, a],
-        ])
+        # column j is g E_j, so the matrix applied to X is the product g X
+        return cls(np.column_stack([kernels.pv_mul(g.data, e.data) for e in BASIS]))
 
     @classmethod
     def right_action(cls, g: Paravector) -> "LinearMap":
-        a, bx, by, bz = g.data
-        return cls([
-            [a, bx, by, bz],
-            [bx, a, 1j * bz, -1j * by],
-            [by, -1j * bz, a, 1j * bx],
-            [bz, 1j * by, -1j * bx, a],
-        ])
+        return cls(np.column_stack([kernels.pv_mul(e.data, g.data) for e in BASIS]))
 
     @classmethod
     def conjugation(cls, c: Paravector) -> "LinearMap":
@@ -148,7 +128,7 @@ class Field:
         self.depth = depth
         self._pcache = {}
 
-    def at(self, X: Event) -> FieldValue:
+    def at(self, X: Event) -> Paravector:
         return Paravector.from_data(self._value(X.data))
 
     def partial(self, coord) -> "Field":
@@ -167,10 +147,10 @@ class Field:
         raise NotImplementedError
 
 
-def _canonical_terms(exps, coeffs, width: int):
+def _canonical_terms(exps, coeffs):
     """Merge duplicate exponent tuples, drop zero rows, sort lexicographically."""
     exps = np.asarray(exps, dtype=np.int64).reshape(-1, 4)
-    coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, width)
+    coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 4)
     if exps.shape[0] != coeffs.shape[0]:
         raise ValueError("exponent and coefficient counts differ")
     if exps.size and (exps.min() < 0 or exps.max() > DEGREE_CAP):
@@ -186,27 +166,23 @@ def _canonical_terms(exps, coeffs, width: int):
     if len(keys) > MAX_TERMS:
         raise ValueError(f"term count {len(keys)} exceeds cap {MAX_TERMS}")
     out_e = np.array(keys, dtype=np.int64).reshape(-1, 4)
-    out_c = np.array([merged[k] for k in keys], dtype=np.complex128).reshape(-1, width)
+    out_c = np.array([merged[k] for k in keys], dtype=np.complex128).reshape(-1, 4)
     out_e.flags.writeable = False
     out_c.flags.writeable = False
     return out_e, out_c
 
 
-@dataclass(frozen=True)
-class MonomialTerm:
-    """One monomial t^et x^ex y^ey z^ez with a paravector coefficient."""
-
-    exps: tuple
-    coeff: Paravector
-
-
 class PolynomialField(Field):
-    """Sparse multivariate polynomial with paravector coefficients."""
+    """Sparse multivariate polynomial with paravector coefficients.
+
+    A scalar polynomial rho is the field [rho; 0]: its vector coefficients are
+    all zero, and div4 of it is (d rho) = [drho/dt; grad rho].
+    """
 
     __slots__ = ("exps", "coeffs")
 
     def __init__(self, exps, coeffs):
-        self.exps, self.coeffs = _canonical_terms(exps, coeffs, 4)
+        self.exps, self.coeffs = _canonical_terms(exps, coeffs)
         self._init_base(1)
 
     @classmethod
@@ -219,15 +195,8 @@ class PolynomialField(Field):
 
     @classmethod
     def monomial(cls, exps, coeff: Paravector) -> "PolynomialField":
-        return cls.from_terms([MonomialTerm(tuple(exps), coeff)])
-
-    @classmethod
-    def from_terms(cls, terms) -> "PolynomialField":
-        exps = [t.exps for t in terms]
-        coeffs = [t.coeff.data for t in terms]
-        if not exps:
-            return cls.zero()
-        return cls(np.array(exps), np.array(coeffs))
+        """coeff * t^et x^ex y^ey z^ez for exps = (et, ex, ey, ez)."""
+        return cls(np.array([exps]), coeff.data.reshape(1, 4))
 
     def _value(self, x):
         return kernels.poly_eval(self.exps, self.coeffs, x)
@@ -285,17 +254,19 @@ class SumField(Field):
 
 
 class ScalarScaledField(Field):
-    """Pointwise rho(X) * f(X) for a scalar polynomial rho."""
+    """Pointwise rho(X) * f(X) for a scalar polynomial rho (zero vector part)."""
 
     __slots__ = ("rho", "inner")
 
-    def __init__(self, rho: "ScalarField", inner: Field):
+    def __init__(self, rho: PolynomialField, inner: Field):
+        if not isinstance(rho, PolynomialField) or np.any(rho.coeffs[:, 1:]):
+            raise ValueError("rho must be a PolynomialField with zero vector coefficients")
         self.rho = rho
         self.inner = inner
         self._init_base(inner.depth + 1)
 
     def _value(self, x):
-        return self.rho.value_raw(x) * self.inner._value(x)
+        return self.rho._value(x)[0] * self.inner._value(x)
 
     def _partial(self, c):
         return SumField(
@@ -379,88 +350,25 @@ def sum_fields(*fields: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Scalar fields (complex-valued sparse polynomials)
-# ---------------------------------------------------------------------------
-
-class ScalarField:
-    """Sparse multivariate polynomial with complex coefficients."""
-
-    __slots__ = ("exps", "coeffs")
-
-    def __init__(self, exps, coeffs):
-        self.exps, coeffs2 = _canonical_terms(exps, coeffs, 1)
-        self.coeffs = coeffs2.reshape(-1)
-        self.coeffs.flags.writeable = False
-
-    @classmethod
-    def zero(cls) -> "ScalarField":
-        return cls(np.zeros((0, 4), np.int64), np.zeros(0, np.complex128))
-
-    @classmethod
-    def constant(cls, c) -> "ScalarField":
-        return cls(np.zeros((1, 4), np.int64), np.array([c]))
-
-    @classmethod
-    def coordinate(cls, coord) -> "ScalarField":
-        e = np.zeros((1, 4), np.int64)
-        e[0, coord_index(coord)] = 1
-        return cls(e, np.ones(1, np.complex128))
-
-    def value_raw(self, x: np.ndarray) -> complex:
-        return kernels.scalar_poly_eval(self.exps, self.coeffs, x)
-
-    def at(self, X: Event) -> complex:
-        return complex(self.value_raw(X.data))
-
-    def partial(self, coord) -> "ScalarField":
-        c = coord_index(coord)
-        keep = self.exps[:, c] > 0
-        exps = self.exps[keep].copy()
-        coeffs = self.coeffs[keep] * exps[:, c]
-        exps[:, c] -= 1
-        return ScalarField(exps, coeffs)
-
-    def antiderivative(self, coord) -> "ScalarField":
-        """Coordinate antiderivative with zero integration constant."""
-        c = coord_index(coord)
-        exps = self.exps.copy()
-        coeffs = self.coeffs / (exps[:, c] + 1)
-        exps[:, c] += 1
-        return ScalarField(exps, coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(
-                np.concatenate([self.exps, other.exps]),
-                np.concatenate([self.coeffs, other.coeffs]),
-            )
-        return NotImplemented
-
-    def __neg__(self):
-        return ScalarField(self.exps, -self.coeffs)
-
-
-def component_scalar(poly: PolynomialField, comp: int) -> ScalarField:
-    """Extract one paravector component of a polynomial field as a ScalarField."""
-    if not 0 <= comp <= 3:
-        raise ValueError("component index must be 0..3")
-    return ScalarField(poly.exps, poly.coeffs[:, comp])
-
-
-# ---------------------------------------------------------------------------
 # Operation surface
 # ---------------------------------------------------------------------------
 
 def central_difference(value_fn, x: np.ndarray, c: int, h: float) -> np.ndarray:
-    """(value(x + h e_c) - value(x - h e_c)) / 2h along the real axis of coord c."""
+    """(value(x + h e_c) - value(x - h e_c)) / 2h along the real axis of coord c.
+
+    Raises ValueError when x[c] +- h rounds back to x[c]: such a stencil
+    differences nothing and would read every derivative as zero.
+    """
     xp = x.copy()
     xp[c] += h
     xm = x.copy()
     xm[c] -= h
+    if xp[c] == x[c] or xm[c] == x[c]:
+        raise ValueError(f"step {h!r} does not move coordinate {c} from {complex(x[c])!r}")
     return (value_fn(xp) - value_fn(xm)) / (2.0 * h)
 
 
-def numeric_partial(f: Field, X: Event, coord, h: float) -> FieldValue:
+def numeric_partial(f: Field, X: Event, coord, h: float) -> Paravector:
     """Second-order central-difference derivative; the oracle for Field.partial."""
     if h <= 0:
         raise ValueError("step h must be positive")
@@ -516,25 +424,25 @@ def _degree_exponents(degree: int):
     ]
 
 
-def random_field(seed, degree: int = 3, scale: float = 1.0) -> PolynomialField:
-    """Dense random polynomial of total degree <= degree, |coefficients| <= scale."""
+def _random_polynomial(seed, degree: int, scale: float, width: int) -> PolynomialField:
+    # term by term, the first `width` components; the rest stay zero
     if degree > DEGREE_CAP:
         raise ValueError(f"degree must be <= {DEGREE_CAP}")
     rng = as_rng(seed)
     exps = _degree_exponents(degree)
-    coeffs = np.array(
-        [[_random_complex(rng, scale) for _ in range(4)] for _ in exps]
-    )
+    coeffs = np.zeros((len(exps), 4), np.complex128)
+    coeffs[:, :width] = [[_random_complex(rng, scale) for _ in range(width)] for _ in exps]
     return PolynomialField(np.array(exps), coeffs)
 
 
-def random_scalar_field(seed, degree: int = 3, scale: float = 1.0) -> ScalarField:
-    if degree > DEGREE_CAP:
-        raise ValueError(f"degree must be <= {DEGREE_CAP}")
-    rng = as_rng(seed)
-    exps = _degree_exponents(degree)
-    coeffs = np.array([_random_complex(rng, scale) for _ in exps])
-    return ScalarField(np.array(exps), coeffs)
+def random_field(seed, degree: int = 3, scale: float = 1.0) -> PolynomialField:
+    """Dense random polynomial of total degree <= degree, |coefficients| <= scale."""
+    return _random_polynomial(seed, degree, scale, 4)
+
+
+def random_scalar_field(seed, degree: int = 3, scale: float = 1.0) -> PolynomialField:
+    """As random_field, for a scalar polynomial: the vector coefficients are zero."""
+    return _random_polynomial(seed, degree, scale, 1)
 
 
 def random_plane_wave(seed, scale: float = 1.0) -> PlaneWaveField:

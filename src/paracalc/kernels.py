@@ -34,14 +34,6 @@ def poly_eval(exps, coeffs, x):
     return monos @ coeffs
 
 
-def scalar_poly_eval(exps, coeffs, x):
-    """As ``poly_eval`` with one complex coefficient per term."""
-    if exps.shape[0] == 0:
-        return _C128(0.0)
-    monos = np.prod(x[np.newaxis, :] ** exps, axis=1)
-    return _C128(monos @ coeffs)
-
-
 def plane_wave_eval(k4, amp, x):
     s = k4[0] * x[0] + k4[1] * x[1] + k4[2] * x[2] + k4[3] * x[3]
     return amp * np.exp(s)

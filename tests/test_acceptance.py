@@ -25,6 +25,9 @@ from paracalc.diffops import (
     Numeric,
     additivity_residual,
     div4,
+    div4_field,
+    grad4,
+    grad4_field,
     leibniz_residual,
     product_rule_failure_witness,
     scalar_order_gap,
@@ -42,7 +45,6 @@ from paracalc.electromag import (
 )
 from paracalc.fields import (
     PolynomialField,
-    ScalarField,
     central_difference,
     random_event,
     random_field,
@@ -113,15 +115,10 @@ def test_criterion_2_operator_assembly_and_numeric_oracle():
         f = mixed_field(rng, i)
         X = random_event(rng)
         x = X.data
-        d = np.empty((4, 4), np.complex128)
-        for c in range(4):
-            d[:, c] = f.partial(c)._value(x)
-        oracle = np.empty(4, np.complex128)
-        oracle[0] = d[0, 0] + d[1, 1] + d[2, 2] + d[3, 3]
-        oracle[1] = d[1, 0] + d[0, 1] + 1j * (d[3, 2] - d[2, 3])
-        oracle[2] = d[2, 0] + d[0, 2] + 1j * (d[1, 3] - d[3, 1])
-        oracle[3] = d[3, 0] + d[0, 3] + 1j * (d[2, 1] - d[1, 2])
-        exact_worst = max(exact_worst, max_abs(div4(f, X).data - oracle))
+        # oracle: sum_k E_k (d_k A) built as a field and evaluated by products
+        exact_worst = max(exact_worst,
+                          rel_err(div4(f, X).data, div4_field(f).at(X).data),
+                          rel_err(grad4(f, X).data, grad4_field(f).at(X).data))
 
         loc = 0.0
         for c in range(4):
@@ -153,11 +150,12 @@ def test_criterion_2_operator_assembly_and_numeric_oracle():
             ratios.append(errs[0] / errs[1])
     ratios_ok = bool(ratios) and all(3.2 <= r <= 4.8 for r in ratios)
 
-    ok = exact_worst == 0.0 and numeric_worst <= 1e-7 and ratios_ok
+    ok = exact_worst <= 1e-12 and numeric_worst <= 1e-7 and ratios_ok
     report(
         2,
         ok,
-        f"assembly vs oracle exact residual {exact_worst:.1e} (== 0); numeric "
+        f"div4/grad4 vs sum_k E_k d_k A oracle: relative residual {exact_worst:.1e} "
+        f"(<= 1e-12); numeric "
         f"agreement {numeric_worst:.3e} (<= 1e-7 normalized); halving ratios "
         f"{[f'{r:.2f}' for r in ratios]} in [3.2, 4.8]",
     )
@@ -179,7 +177,7 @@ def test_criterion_3_additivity_and_scalar_product_rule():
     gw = PolynomialField.monomial((0, 0, 1, 0), Paravector(0.0, (0.0, 1.0, 0.0)))
     w1 = max_abs(product_rule_failure_witness(fw, gw, Event(0.0, (1.0, 1.0, 1.0))).data)
     w2 = max_abs(scalar_order_gap(
-        ScalarField.coordinate("x"), Paravector(0.0, (0.0, 1.0, 0.0)),
+        PolynomialField.monomial((0, 1, 0, 0), IDENTITY), Paravector(0.0, (0.0, 1.0, 0.0)),
         Event(0.0, (1.0, 1.0, 1.0)),
     ).data)
     floors_ok = w1 >= 1.9 and w2 >= 1.9

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from paracalc.algebra import (
+    IDENTITY,
     Event,
     Paravector,
     act_left,
@@ -15,15 +16,12 @@ from paracalc.fields import (
     LeftMulField,
     LinearMap,
     MAX_DEPTH,
-    MonomialTerm,
     PlaneWaveField,
     PolynomialField,
     PullbackField,
     RightMulField,
-    ScalarField,
     ScalarScaledField,
     SumField,
-    component_scalar,
     coord_index,
     null_plane_wave,
     numeric_partial,
@@ -78,10 +76,7 @@ def test_eval_plane_wave_closed_form():
 
 
 def test_duplicate_terms_merge():
-    f = PolynomialField.from_terms([
-        MonomialTerm((1, 0, 0, 0), Paravector(1.0)),
-        MonomialTerm((1, 0, 0, 0), Paravector(2.0)),
-    ])
+    f = PolynomialField([(1, 0, 0, 0), (1, 0, 0, 0)], [(1, 0, 0, 0), (2, 0, 0, 0)])
     assert f.exps.shape[0] == 1
     got = f.at(Event(2.0))
     np.testing.assert_array_equal(got.data, [6.0, 0, 0, 0])
@@ -159,6 +154,8 @@ def test_numeric_partial_convergence_order():
 def test_numeric_partial_rejects_bad_step():
     with pytest.raises(ValueError):
         numeric_partial(random_field(0), random_event(0), "t", 0.0)
+    with pytest.raises(ValueError, match="does not move"):  # 2 + 1e-300 == 2
+        numeric_partial(random_field(0), Event(2.0), "t", 1e-300)
 
 
 # -- linear maps ----------------------------------------------------------------
@@ -250,25 +247,23 @@ def test_left_and_right_mul_differ_in_cross_sign():
 def test_scalar_scale_field():
     f = random_field(50)
     x = random_event(51)
-    one = ScalarField.constant(1.0)
+    one = PolynomialField.constant(IDENTITY)
     assert ScalarScaledField(one, f).at(x) == f.at(x)
     c = Paravector(2.0, (0.0, 1.0, 0.0))
-    t_times_c = ScalarScaledField(ScalarField.coordinate("t"), PolynomialField.constant(c))
+    t = PolynomialField.monomial((1, 0, 0, 0), IDENTITY)
+    t_times_c = ScalarScaledField(t, PolynomialField.constant(c))
     mono = PolynomialField.monomial((1, 0, 0, 0), c)
     np.testing.assert_allclose(
         t_times_c.at(x).data, mono.at(x).data, rtol=1e-15
     )
 
 
-def test_component_scalar_and_scalar_field_ops():
+def test_scalar_scale_field_rejects_a_vector_part():
     f = random_field(52)
-    x = random_event(53)
-    for comp in range(4):
-        sc = component_scalar(f, comp)
-        assert abs(sc.at(x) - complex(f.at(x).data[comp])) <= 1e-13
-    rho = ScalarField.coordinate("x")
-    assert rho.antiderivative("x").at(Event(0, (2.0, 0, 0))) == 2.0
-    assert (rho + (-rho)).exps.shape[0] == 0
+    vector_x = PolynomialField.monomial((0, 1, 0, 0), Paravector(1.0, (0.0, 1e-300, 0.0)))
+    for rho in (vector_x, random_field(53), random_plane_wave(54)):
+        with pytest.raises(ValueError, match="zero vector coefficients"):
+            ScalarScaledField(rho, f)
 
 
 # -- closure / caps ---------------------------------------------------------------

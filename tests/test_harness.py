@@ -4,6 +4,7 @@ import math
 import pytest
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from paracalc.algebra import Paravector
 from paracalc.cli import main
@@ -42,9 +43,41 @@ def test_config_validation():
         for key in ("tol_exact", "tol_numeric", "h"):
             with pytest.raises(ConfigError):
                 SuiteConfig(suite="algebra", **{key: bad})
-    for key in ("tol_exact", "tol_numeric"):  # finite, but the scaled threshold overflows
-        with pytest.raises(ConfigError):
-            SuiteConfig(suite="algebra", **{key: 1e308})
+    for key in ("tol_exact", "tol_numeric"):  # the scaled threshold overflows or underflows
+        for bad in (1e308, 5e-324):
+            with pytest.raises(ConfigError):
+                SuiteConfig(suite="algebra", **{key: bad})
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-5, 1e308, 5e-324, 1e-5, 1e-10]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tol_exact=st.floats() | _EDGE_FLOATS,
+    tol_numeric=st.floats() | _EDGE_FLOATS,
+    h=st.floats() | _EDGE_FLOATS,
+    samples=st.integers(),
+    seed=st.integers(),
+)
+def test_accepted_config_gives_every_case_a_usable_threshold(tol_exact, tol_numeric, h,
+                                                             samples, seed):
+    from paracalc import harness
+
+    try:
+        cfg = SuiteConfig(suite="all", seed=seed, samples=samples,
+                          tol_exact=tol_exact, tol_numeric=tol_numeric, h=h)
+    except ConfigError:
+        return
+    for build in harness._SUITE_BUILDERS.values():  # the cases are built, never run
+        for case in build():
+            thr = case.threshold(cfg)
+            if case.kind == "fixed":  # floor deficits and exact values: always 0
+                assert thr == case.base_threshold
+            else:
+                assert math.isfinite(thr) and thr > 0, (case.name, thr)
 
 
 def test_worst_keeps_non_finite_samples():
@@ -269,6 +302,30 @@ def test_cli_crashed_case_fails_and_the_rest_run(capsys):
     assert "error: transforms/div-left-transport-numeric: ValueError" in captured.err
     assert "Traceback" not in captured.err
     assert obj["passed"] == 8  # the exact-mode cases are unaffected
+
+
+def test_cli_step_that_does_not_move_the_stencil_fails(capsys):
+    # 2 + 1e-300 == 2: differencing would read every derivative as 0
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert main(["check", "transforms", "--step", "1e-300", "--samples", "2", "--json"]) == 1
+    captured = capsys.readouterr()
+    obj = json.loads(captured.out, parse_constant=reject)
+    failed = [c for c in obj["cases"] if not c["pass"]]
+    assert [c["name"].split("/")[1] for c in failed] == [
+        "div-left-transport-numeric", "grad-left-transport-numeric",
+        "div-right-transport-numeric", "grad-right-transport-numeric",
+        "right-factor-numeric",
+    ]
+    assert all(c["residual"] is None for c in failed)
+    assert captured.err.count("error:") == 5 and "does not move" in captured.err
+
+
+def test_cli_convergence_step_that_does_not_move_exit_code(capsys):
+    assert main(["convergence", "--field", "poly", "--steps", "1e-300,1e-301"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: step 1e-300 does not move")
 
 
 def test_assembly_oracle_catches_a_wrong_assembly(monkeypatch):

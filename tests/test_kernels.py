@@ -31,9 +31,9 @@ def test_poly_kernels_match_loop_reference():
             sum(m * c for m, c in zip(monos, coeffs)),
             rtol=0, atol=1e-11,
         )
-        sc = rng.normal(size=12) + 1j * rng.normal(size=12)
+        sc = rng.normal(size=(12, 1)) + 1j * rng.normal(size=(12, 1))
         np.testing.assert_allclose(
-            kernels.scalar_poly_eval(exps, sc, x),
+            kernels.poly_eval(exps, sc, x),
             sum(m * c for m, c in zip(monos, sc)),
             rtol=0, atol=1e-11,
         )
@@ -44,7 +44,7 @@ def test_empty_polynomial_evaluates_to_zero():
     coeffs = np.zeros((0, 4), np.complex128)
     x = np.ones(4, np.complex128)
     np.testing.assert_array_equal(kernels.poly_eval(exps, coeffs, x), np.zeros(4))
-    assert kernels.scalar_poly_eval(exps, np.zeros(0, np.complex128), x) == 0
+    assert not np.any(kernels.poly_eval(exps, np.zeros((0, 1), np.complex128), x))
 
 
 def test_pv_mul_identity():
