@@ -21,12 +21,10 @@ __all__ = [
     "reverse",
     "det",
     "norm_sq",
-    "norm_inf",
     "singular_eps",
     "inverse",
     "scale",
     "normalize_orthogonal",
-    "is_orthogonal",
     "event_as_paravector",
     "paravector_as_event",
     "act_left",
@@ -55,7 +53,7 @@ def _freeze(data: np.ndarray) -> np.ndarray:
     data = np.ascontiguousarray(data, dtype=np.complex128)
     if data.shape != (4,):
         raise ValueError(f"expected 4 components, got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise ValueError("components must be finite")
     if data.flags.writeable:
         data = data.copy()
@@ -185,11 +183,6 @@ def norm_sq(a) -> float:
     return float(np.sum(d.real * d.real + d.imag * d.imag))
 
 
-def norm_inf(a) -> float:
-    """Largest component magnitude."""
-    return float(np.max(np.abs(a.data)))
-
-
 def singular_eps(a: Paravector) -> float:
     """Scale-relative singularity threshold: 1e-12 * max(1, |a|^2)."""
     return 1e-12 * max(1.0, norm_sq(a))
@@ -214,13 +207,6 @@ def normalize_orthogonal(a: Paravector) -> Paravector:
     if abs(d) <= singular_eps(a):
         raise SingularParavector(f"determinant {d!r} is numerically zero")
     return scale(1.0 / np.sqrt(np.complex128(d)), a)
-
-
-def is_orthogonal(a: Paravector, tol: float) -> bool:
-    """True when |det(a) - 1| <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return abs(det(a) - 1.0) <= tol
 
 
 # -- reinterpretation and actions on events ----------------------------------

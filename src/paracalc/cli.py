@@ -34,7 +34,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--tol-exact", type=float, default=1e-10)
     check.add_argument("--tol-numeric", type=float, default=1e-5)
     check.add_argument("--step", type=float, default=1e-5,
-                       help="central-difference step for numeric-mode cases")
+                       help="central-difference step for numeric-mode cases, "
+                            "except diffop/factorization-numeric, which always "
+                            "steps by 1e-4: its nested second difference loses "
+                            "~eps/h^2 to rounding")
     check.add_argument("--json", action="store_true", dest="as_json")
     check.add_argument("--verbose", action="store_true")
 

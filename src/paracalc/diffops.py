@@ -8,14 +8,14 @@ Acting on a field A = [phi; Phi]:
 
 Each operator runs in exact mode (closed-form partials of the field tree) or
 numeric mode (central differences with a caller-chosen step).  The module also
-provides the additivity and scalar-product-rule residuals and the two
-documented failure witnesses of the product rule.
+provides the additivity residual, the two sides of the scalar product rule,
+and the two documented failure witnesses of the product rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -44,7 +44,7 @@ __all__ = [
     "div4_field",
     "grad4_field",
     "additivity_residual",
-    "leibniz_residual",
+    "leibniz_sides",
     "product_rule_failure_witness",
     "scalar_order_gap",
 ]
@@ -170,10 +170,10 @@ def additivity_residual(f: Field, g: Field, X: Event, mode: DiffMode = EXACT) ->
     return Paravector.from_data(both.data - div4(f, X, mode).data - div4(g, X, mode).data)
 
 
-def leibniz_residual(
+def leibniz_sides(
     rho: PolynomialField, f: Field, X: Event, mode: DiffMode = EXACT
-) -> Paravector:
-    """div4[rho f] - (d rho) f - rho div4(f); the scalar product rule holds, so ~0.
+) -> Tuple[Paravector, Paravector]:
+    """div4[rho f] and (d rho) f + rho div4(f), equal by the scalar product rule.
 
     rho is a scalar polynomial (zero vector part), so (d rho) = [drho/dt; grad
     rho] is div4(rho).  The (d rho) factor multiplies on the left, which is
@@ -184,7 +184,7 @@ def leibniz_residual(
     fv = f._value(X.data)
     rv = rho._value(X.data)[0]
     rhs = kernels.pv_mul(drho.data, fv) + rv * div4(f, X, mode).data
-    return Paravector.from_data(lhs.data - rhs)
+    return lhs, Paravector.from_data(rhs)
 
 
 def product_rule_failure_witness(f: Field, g: Field, X: Event) -> Paravector:

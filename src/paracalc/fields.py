@@ -147,26 +147,48 @@ class Field:
         raise NotImplementedError
 
 
+_KEY_BASE = DEGREE_CAP + 1
+_KEY_COUNT = _KEY_BASE ** 4
+
+
 def _canonical_terms(exps, coeffs):
-    """Merge duplicate exponent tuples, drop zero rows, sort lexicographically."""
+    """Merge duplicate exponent tuples, drop zero rows, sort lexicographically.
+
+    Duplicates are added onto their first occurrence in order of appearance,
+    so the sums round exactly as a left-to-right merge would.
+    """
     exps = np.asarray(exps, dtype=np.int64).reshape(-1, 4)
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 4)
     if exps.shape[0] != coeffs.shape[0]:
         raise ValueError("exponent and coefficient counts differ")
     if exps.size and (exps.min() < 0 or exps.max() > DEGREE_CAP):
         raise ValueError(f"exponents must lie in [0, {DEGREE_CAP}]")
-    merged: dict = {}
-    for e, c in zip(exps, coeffs):
-        key = tuple(int(v) for v in e)
-        if key in merged:
-            merged[key] = merged[key] + c
-        else:
-            merged[key] = c.copy()
-    keys = sorted(k for k, c in merged.items() if np.any(c != 0))
-    if len(keys) > MAX_TERMS:
-        raise ValueError(f"term count {len(keys)} exceeds cap {MAX_TERMS}")
-    out_e = np.array(keys, dtype=np.int64).reshape(-1, 4)
-    out_c = np.array([merged[k] for k in keys], dtype=np.complex128).reshape(-1, 4)
+    # base-(DEGREE_CAP + 1) digits, so keys order like the exponent tuples
+    b = _KEY_BASE
+    keys = ((exps[:, 0] * b + exps[:, 1]) * b + exps[:, 2]) * b + exps[:, 3]
+    if not (keys[1:] > keys[:-1]).all():
+        # Not sorted or not distinct.  A dense table over all keys lists them
+        # in order; numpy applies repeated fancy-index writes in order, so
+        # writing the rows backwards leaves each key's first occurrence.
+        rows = np.arange(len(keys))
+        first = np.full(_KEY_COUNT, -1, np.intp)
+        first[keys[::-1]] = rows[::-1]
+        lead = first[first >= 0]
+        slot = np.empty(_KEY_COUNT, np.intp)
+        slot[keys[lead]] = np.arange(len(lead))
+        merged = coeffs[lead]
+        rest = rows[first[keys] != rows]
+        while rest.size:  # one pass per further occurrence of a key
+            k = keys[rest]
+            first[k[::-1]] = rest[::-1]
+            now = first[k] == rest
+            merged[slot[k[now]]] += coeffs[rest[now]]
+            rest = rest[~now]
+        exps, coeffs = exps[lead], merged
+    nonzero = (coeffs != 0).any(axis=1)
+    out_e, out_c = exps[nonzero], coeffs[nonzero]
+    if len(out_e) > MAX_TERMS:
+        raise ValueError(f"term count {len(out_e)} exceeds cap {MAX_TERMS}")
     out_e.flags.writeable = False
     out_c.flags.writeable = False
     return out_e, out_c
@@ -182,7 +204,11 @@ class PolynomialField(Field):
     __slots__ = ("exps", "coeffs")
 
     def __init__(self, exps, coeffs):
-        self.exps, self.coeffs = _canonical_terms(exps, coeffs)
+        self._set_terms(*_canonical_terms(exps, coeffs))
+
+    def _set_terms(self, exps, coeffs):
+        # read-only rows that are already distinct, sorted and nonzero
+        self.exps, self.coeffs = exps, coeffs
         self._init_base(1)
 
     @classmethod
@@ -202,11 +228,18 @@ class PolynomialField(Field):
         return kernels.poly_eval(self.exps, self.coeffs, x)
 
     def _partial(self, c):
+        # Lowering one exponent of every kept row keeps the rows distinct and
+        # their order, and scaling by a positive integer keeps them nonzero,
+        # so the result is canonical without a merge.
         keep = self.exps[:, c] > 0
-        exps = self.exps[keep].copy()
+        exps = self.exps[keep]
         coeffs = self.coeffs[keep] * exps[:, c][:, None]
         exps[:, c] -= 1
-        return PolynomialField(exps, coeffs)
+        exps.flags.writeable = False
+        coeffs.flags.writeable = False
+        f = object.__new__(PolynomialField)
+        f._set_terms(exps, coeffs)
+        return f
 
 
 class PlaneWaveField(Field):
@@ -386,22 +419,26 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _random_complex(rng, scale: float) -> complex:
-    # uniform on the closed disc of radius `scale`
-    radius = scale * np.sqrt(rng.uniform())
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    return complex(radius * np.cos(theta), radius * np.sin(theta))
+def _random_complexes(rng, scale: float, n: int) -> np.ndarray:
+    """n values uniform on the closed disc of radius `scale`.
 
-
-def _random_cvec(rng, scale: float) -> np.ndarray:
-    return np.array([_random_complex(rng, scale) for _ in range(3)])
+    Each value takes two consecutive doubles of the stream, the radius uniform
+    then the angle uniform; 2*pi*u is how numpy computes uniform(0, 2*pi).
+    """
+    u = rng.random((n, 2))
+    radius = scale * np.sqrt(u[:, 0])
+    theta = 2.0 * np.pi * u[:, 1]
+    z = np.empty(n, np.complex128)
+    z.real = radius * np.cos(theta)
+    z.imag = radius * np.sin(theta)
+    return z
 
 
 def random_paravector(seed, scale: float = 2.0, min_det: float = 0.1) -> Paravector:
     """Components uniform on the radius-`scale` disc; redrawn until |det| >= min_det."""
     rng = as_rng(seed)
     while True:
-        p = Paravector(_random_complex(rng, scale), _random_cvec(rng, scale))
+        p = Paravector.from_data(_random_complexes(rng, scale, 4))
         if abs(det(p)) >= min_det:
             return p
 
@@ -412,27 +449,34 @@ def random_orthogonal(seed, scale: float = 2.0) -> Paravector:
 
 
 def random_event(seed, scale: float = 2.0) -> Event:
-    rng = as_rng(seed)
-    return Event(_random_complex(rng, scale), _random_cvec(rng, scale))
+    return Event.from_data(_random_complexes(as_rng(seed), scale, 4))
 
 
-def _degree_exponents(degree: int):
-    return [
-        e
-        for e in itertools.product(range(degree + 1), repeat=4)
-        if sum(e) <= degree
-    ]
+_EXPONENTS: dict = {}
+
+
+def _degree_exponents(degree: int) -> np.ndarray:
+    """Read-only exponent rows of total degree <= degree, in lexicographic order."""
+    try:
+        return _EXPONENTS[degree]
+    except KeyError:
+        exps = np.array(
+            [e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) <= degree],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        exps.flags.writeable = False
+        return _EXPONENTS.setdefault(degree, exps)
 
 
 def _random_polynomial(seed, degree: int, scale: float, width: int) -> PolynomialField:
     # term by term, the first `width` components; the rest stay zero
     if degree > DEGREE_CAP:
         raise ValueError(f"degree must be <= {DEGREE_CAP}")
-    rng = as_rng(seed)
     exps = _degree_exponents(degree)
-    coeffs = np.zeros((len(exps), 4), np.complex128)
-    coeffs[:, :width] = [[_random_complex(rng, scale) for _ in range(width)] for _ in exps]
-    return PolynomialField(np.array(exps), coeffs)
+    n = len(exps)
+    coeffs = np.zeros((n, 4), np.complex128)
+    coeffs[:, :width] = _random_complexes(as_rng(seed), scale, n * width).reshape(n, width)
+    return PolynomialField(exps, coeffs)
 
 
 def random_field(seed, degree: int = 3, scale: float = 1.0) -> PolynomialField:
@@ -446,15 +490,14 @@ def random_scalar_field(seed, degree: int = 3, scale: float = 1.0) -> Polynomial
 
 
 def random_plane_wave(seed, scale: float = 1.0) -> PlaneWaveField:
-    rng = as_rng(seed)
-    amp = Paravector(_random_complex(rng, scale), _random_cvec(rng, scale))
-    return PlaneWaveField(_random_complex(rng, scale), _random_cvec(rng, scale), amp)
+    # amplitude (scalar, vector), then kappa0, then kappa
+    z = _random_complexes(as_rng(seed), scale, 8)
+    return PlaneWaveField(z[4], z[5:], Paravector.from_data(z[:4]))
 
 
 def null_plane_wave(seed, scale: float = 1.0) -> PlaneWaveField:
     """Plane wave whose phase satisfies kappa0^2 = kappa . kappa."""
-    rng = as_rng(seed)
-    amp = Paravector(_random_complex(rng, scale), _random_cvec(rng, scale))
-    kappa = _random_cvec(rng, scale)
+    z = _random_complexes(as_rng(seed), scale, 7)
+    kappa = z[4:]
     kappa0 = np.sqrt(np.complex128(kappa @ kappa))
-    return PlaneWaveField(kappa0, kappa, amp)
+    return PlaneWaveField(kappa0, kappa, Paravector.from_data(z[:4]))

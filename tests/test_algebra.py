@@ -15,7 +15,6 @@ from paracalc.algebra import (
     det,
     event_as_paravector,
     inverse,
-    is_orthogonal,
     mul,
     norm_sq,
     normalize_orthogonal,
@@ -153,14 +152,6 @@ def test_normalize_orthogonal():
     assert abs(det(n) - 1.0) <= 1e-12
     with pytest.raises(SingularParavector):
         normalize_orthogonal(Paravector(1.0, (1.0, 0.0, 0.0)))
-
-
-def test_is_orthogonal():
-    assert is_orthogonal(IDENTITY, 1e-12)
-    assert not is_orthogonal(Paravector(2.0, (1.0, 0.0, 0.0)), 1e-12)
-    assert is_orthogonal(normalize_orthogonal(Paravector(2.0, (1.0, 0.0, 0.0))), 1e-12)
-    with pytest.raises(ValueError):
-        is_orthogonal(IDENTITY, 0.0)
 
 
 def test_orthogonal_unit_property():

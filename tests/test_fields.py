@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from paracalc.algebra import (
     act_left,
     act_right,
     conjugate_rotate,
+    det,
     inverse,
     mul,
+    normalize_orthogonal,
 )
 from paracalc.fields import (
     DEGREE_CAP,
@@ -22,11 +26,13 @@ from paracalc.fields import (
     RightMulField,
     ScalarScaledField,
     SumField,
+    _canonical_terms,
     coord_index,
     null_plane_wave,
     numeric_partial,
     random_event,
     random_field,
+    random_orthogonal,
     random_paravector,
     random_plane_wave,
     random_scalar_field,
@@ -320,8 +326,6 @@ def test_random_field_deterministic():
 
 
 def test_random_paravector_respects_det_floor():
-    from paracalc.algebra import det
-
     rng = np.random.default_rng(9)
     for _ in range(200):
         assert abs(det(random_paravector(rng))) >= 0.1
@@ -338,3 +342,171 @@ def test_random_draws_are_finite_and_bounded():
 def test_null_plane_wave_phase():
     f = null_plane_wave(77)
     assert abs(f.kappa0 ** 2 - f.kappa @ f.kappa) <= 1e-14
+
+
+# -- draws and canonical form against their scalar references -----------------
+#
+# The library draws each family in one vectorised call and merges terms
+# without a per-row loop.  These references are the scalar forms it must
+# reproduce bit for bit, random stream included.
+
+def ref_complex(rng, scale):
+    radius = scale * np.sqrt(rng.uniform())
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    return complex(radius * np.cos(theta), radius * np.sin(theta))
+
+
+def ref_components(rng, scale, n):
+    return np.array([ref_complex(rng, scale) for _ in range(n)], np.complex128)
+
+
+def ref_polynomial(rng, degree, scale, width):
+    exps = [e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) <= degree]
+    coeffs = np.zeros((len(exps), 4), np.complex128)
+    coeffs[:, :width] = [[ref_complex(rng, scale) for _ in range(width)] for _ in exps]
+    return np.array(exps, np.int64).reshape(-1, 4), coeffs
+
+
+def ref_paravector(rng, scale=2.0, min_det=0.1):
+    attempts = 0
+    while True:
+        attempts += 1
+        p = Paravector.from_data(ref_components(rng, scale, 4))
+        if abs(det(p)) >= min_det:
+            return p, attempts
+
+
+def ref_plane_wave(rng, null):
+    amp = ref_components(rng, 1.0, 4)
+    if null:
+        kappa = ref_components(rng, 1.0, 3)
+        kappa0 = np.sqrt(np.complex128(kappa @ kappa))
+    else:
+        kappa0 = ref_complex(rng, 1.0)
+        kappa = ref_components(rng, 1.0, 3)
+    return amp, np.concatenate([[kappa0], kappa])
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def draw_pairs():
+    """name -> (draw under test, its reference), each returning the arrays to compare."""
+    def field(width, degree):
+        def draw(rng):
+            f = (random_field if width == 4 else random_scalar_field)(rng, degree=degree)
+            return f.exps, f.coeffs
+        return draw, lambda rng: ref_polynomial(rng, degree, 1.0, width)
+
+    def wave(null):
+        def draw(rng):
+            f = (null_plane_wave if null else random_plane_wave)(rng)
+            return f.amplitude.data, f._k4
+        return draw, lambda rng: ref_plane_wave(rng, null)
+
+    pairs = {f"field-w{w}-d{d}": field(w, d) for w in (4, 1) for d in (0, 1, 3, 8)}
+    pairs.update({
+        "paravector": (lambda rng: (random_paravector(rng).data,),
+                       lambda rng: (ref_paravector(rng)[0].data,)),
+        "paravector-min-det-2": (lambda rng: (random_paravector(rng, 2.0, 2.0).data,),
+                                 lambda rng: (ref_paravector(rng, 2.0, 2.0)[0].data,)),
+        "orthogonal": (lambda rng: (random_orthogonal(rng).data,),
+                       lambda rng: (normalize_orthogonal(ref_paravector(rng)[0]).data,)),
+        "event": (lambda rng: (random_event(rng).data,),
+                  lambda rng: (ref_components(rng, 2.0, 4),)),
+        "plane-wave": wave(False),
+        "null-plane-wave": wave(True),
+    })
+    return pairs
+
+
+DRAW_PAIRS = draw_pairs()
+
+
+# seeds whose first paravector draw has |det| < 0.1, so random_paravector redraws
+REDRAW_SEEDS = (718, 1310, 1373)
+
+
+@pytest.mark.parametrize("name", DRAW_PAIRS)
+def test_draws_match_the_scalar_reference_bit_for_bit(name):
+    draw, ref = DRAW_PAIRS[name]
+    seeds = range(12) if name.endswith("d8") else [*range(150), *REDRAW_SEEDS]
+    for seed in seeds:
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = draw(got_rng), ref(ref_rng)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same_bytes(g, w), (name, seed)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state, (name, seed)
+
+
+def test_paravector_reference_seeds_exercise_the_rejection_loop():
+    # so the draws above also compare the stream use of the redraw loop
+    assert all(ref_paravector(np.random.default_rng(s))[1] > 1 for s in REDRAW_SEEDS)
+    assert sum(ref_paravector(np.random.default_rng(s), 2.0, 2.0)[1] > 1 for s in range(150)) > 10
+
+
+def ref_canonical_terms(exps, coeffs):
+    """Left-to-right dict merge, zero rows dropped, keys sorted."""
+    merged = {}
+    for e, c in zip(np.asarray(exps, np.int64).reshape(-1, 4),
+                    np.asarray(coeffs, np.complex128).reshape(-1, 4)):
+        key = tuple(int(v) for v in e)
+        merged[key] = merged[key] + c if key in merged else c.copy()
+    keys = sorted(k for k, c in merged.items() if np.any(c != 0))
+    return (np.array(keys, dtype=np.int64).reshape(-1, 4),
+            np.array([merged[k] for k in keys], dtype=np.complex128).reshape(-1, 4))
+
+
+def canonical_inputs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 40))
+    top = int(rng.integers(1, DEGREE_CAP + 1))
+    exps = rng.integers(0, top + 1, size=(n, 4))
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -2.5, 3.0])
+    coeffs = (rng.choice(pool, size=(n, 4)) + 1j * rng.choice(pool, size=(n, 4)))
+    coeffs[rng.random(n) < 0.2] = 0.0          # zero rows
+    neg = rng.random(n) < 0.2
+    coeffs[neg] = -0.0 - 0.0j * coeffs[neg]    # signed-zero rows
+    coeffs[rng.random(n) < 0.1] += rng.normal(size=4)  # inexact sums
+    if seed % 3 == 0:                          # sorted, distinct rows
+        exps = np.array(sorted({tuple(e) for e in exps}), np.int64).reshape(-1, 4)
+        coeffs = coeffs[:len(exps)]
+    return exps, coeffs
+
+
+def test_canonical_terms_match_the_dict_merge_byte_for_byte():
+    for seed in range(300):
+        exps, coeffs = canonical_inputs(seed)
+        got = _canonical_terms(exps, coeffs)
+        want = ref_canonical_terms(exps, coeffs)
+        for g, w in zip(got, want):
+            assert same_bytes(g, w), seed
+            assert not g.flags.writeable
+
+
+def test_canonical_terms_merge_in_order_of_appearance():
+    # (a + b) + c differs from a + (b + c) in the last bit here
+    exps = [(0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)]
+    c = np.zeros((5, 4), np.complex128)
+    c[[0, 2, 3], 0] = [0.1, 0.2, 0.3]
+    c[1, 1] = -0.0
+    c[4, 2] = 1.0
+    for rows in itertools.permutations(range(5)):
+        e, k = np.array(exps)[list(rows)], c[list(rows)]
+        for g, w in zip(_canonical_terms(e, k), ref_canonical_terms(e, k)):
+            assert same_bytes(g, w), rows
+
+
+def test_partials_are_canonical_without_a_merge():
+    rng = np.random.default_rng(5)
+    for i in range(40):
+        draw = random_field if i % 2 == 0 else random_scalar_field
+        p = draw(rng, degree=int(rng.integers(0, DEGREE_CAP + 1)))
+        for c in rng.integers(0, 4, size=int(rng.integers(1, 7))):
+            p = p.partial(int(c))
+            q = PolynomialField(p.exps, p.coeffs)
+            assert same_bytes(p.exps, q.exps) and same_bytes(p.coeffs, q.coeffs)
+            assert not p.exps.flags.writeable and not p.coeffs.flags.writeable

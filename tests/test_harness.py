@@ -322,6 +322,15 @@ def test_cli_step_that_does_not_move_the_stencil_fails(capsys):
     assert captured.err.count("error:") == 5 and "does not move" in captured.err
 
 
+def test_cli_gauss_law_slice_reads_the_step(capsys):
+    assert main(["check", "maxwell", "--step", "1e-300", "--samples", "2", "--json"]) == 1
+    captured = capsys.readouterr()
+    obj = json.loads(captured.out)
+    failed = [c["name"] for c in obj["cases"] if not c["pass"]]
+    assert failed == ["maxwell/gauss-law-slice"] and obj["passed"] == 7
+    assert "does not move" in captured.err
+
+
 def test_cli_convergence_step_that_does_not_move_exit_code(capsys):
     assert main(["convergence", "--field", "poly", "--steps", "1e-300,1e-301"]) == 2
     err = capsys.readouterr().err
@@ -348,6 +357,14 @@ def test_cli_observer_rotation_seed3_passes(capsys):
     # Ill-conditioned rotations make both sides ~1e3; the residual is relative.
     assert main(["check", "transforms", "--seed", "3", "--samples", "50"]) == 0
     capsys.readouterr()
+
+
+def test_cli_scalar_product_rule_seed40_passes(capsys):
+    # The worst draw has |div4[rho f]| ~ 6e3, so its rounding exceeds 1e-12
+    # absolutely; the residual is relative, and the threshold stays 1e-12.
+    assert main(["check", "diffop", "--seed", "40"]) == 0
+    out = capsys.readouterr().out
+    assert "scalar-product-rule" in out and "threshold=1.000e-12  PASS" in out
 
 
 def test_cli_convergence(capsys):

@@ -11,6 +11,7 @@ from paracalc.algebra import (
     det,
     inverse,
     mul,
+    normalize_orthogonal,
     reverse,
     scale,
 )
@@ -34,6 +35,7 @@ from paracalc.transforms import (
     grad_left_transport_residual,
     grad_right_transport_residual,
     observer_rotation_residual,
+    require_orthogonal,
     right_factor_residuals,
     transformed_field_values,
     transformed_wave_field,
@@ -165,6 +167,13 @@ def test_rotation_transformed_value_definition():
     np.testing.assert_allclose(
         res.data, div4(moved, Xp).data - expected_rhs.data, atol=1e-14
     )
+
+
+def test_require_orthogonal():
+    require_orthogonal(IDENTITY, 1e-12)
+    require_orthogonal(normalize_orthogonal(Paravector(2.0, (1.0, 0.0, 0.0))), 1e-12)
+    with pytest.raises(NotOrthogonal):
+        require_orthogonal(Paravector(2.0, (1.0, 0.0, 0.0)), 1e-12)
 
 
 def test_rotation_requires_orthogonality():
