@@ -23,6 +23,9 @@ __all__ = [
     "norm_sq",
     "singular_eps",
     "inverse",
+    "det_rows",
+    "reverse_rows",
+    "inverse_rows",
     "scale",
     "normalize_orthogonal",
     "event_as_paravector",
@@ -136,12 +139,6 @@ class Event:
             return Event.from_data(self.data - other.data)
         return NotImplemented
 
-    def shifted(self, coord: int, delta) -> "Event":
-        """Return the event displaced by ``delta`` along one coordinate axis."""
-        data = self.data.copy()
-        data[coord] += delta
-        return Event.from_data(data)
-
     def __eq__(self, other):
         if isinstance(other, Event):
             return bool(np.array_equal(self.data, other.data))
@@ -199,6 +196,60 @@ def inverse(a: Paravector) -> Paravector:
 def scale(c, a: Paravector) -> Paravector:
     """Componentwise scaling by a complex scalar; det scales by c^2."""
     return Paravector.from_data(np.complex128(c) * a.data)
+
+
+# -- stacks: (n, 4) arrays of paravector rows ---------------------------------
+#
+# Each function is its per-value twin applied to every row, and rounds every
+# row exactly as the twin does: it follows the numpy or CPython arithmetic the
+# twin uses, operation for operation.
+
+def det_rows(rows: np.ndarray) -> np.ndarray:
+    """det of each row, as an (n,) complex array."""
+    sq = kernels.cmul(rows, rows)
+    return sq[:, 0] - (sq[:, 1] + sq[:, 2] + sq[:, 3])
+
+
+def reverse_rows(rows: np.ndarray) -> np.ndarray:
+    """reverse of each row."""
+    out = np.array(rows, dtype=np.complex128)
+    out[:, 1:] = -out[:, 1:]
+    return out
+
+
+def _reciprocal(d: np.ndarray) -> np.ndarray:
+    """1.0/d per element, branch for branch as CPython divides a complex.
+
+    numpy's complex division rounds differently from CPython's, which
+    ``inverse`` uses on the Python complex that ``det`` returns.
+    """
+    out = np.empty(d.shape, np.complex128)
+    re, im = d.real, d.imag
+    wide = np.abs(re) >= np.abs(im)
+    r, i = re[wide], im[wide]
+    ratio = i / r
+    denom = r + i * ratio
+    out.real[wide] = (1.0 + 0.0 * ratio) / denom
+    out.imag[wide] = (0.0 - 1.0 * ratio) / denom
+    r, i = re[~wide], im[~wide]
+    ratio = r / i
+    denom = r * ratio + i
+    out.real[~wide] = (1.0 * ratio + 0.0) / denom
+    out.imag[~wide] = (0.0 * ratio - 1.0) / denom
+    return out
+
+
+def inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """inverse of each row; raises SingularParavector if any row is singular."""
+    d = det_rows(rows)
+    sq = rows.real * rows.real + rows.imag * rows.imag
+    eps = 1e-12 * np.maximum(1.0, sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
+    singular = np.hypot(d.real, d.imag) <= eps  # hypot is abs() of a Python complex
+    if singular.any():
+        k = int(np.flatnonzero(singular)[0])
+        raise SingularParavector(f"determinant {complex(d[k])!r} of row {k} is numerically zero")
+    # scale's np.complex128(c) * data, broadcast over the rows
+    return _reciprocal(d)[:, None] * reverse_rows(rows)
 
 
 def normalize_orthogonal(a: Paravector) -> Paravector:

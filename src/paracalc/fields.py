@@ -3,10 +3,10 @@
 Fields are immutable expression trees closed under exact differentiation:
 sparse polynomials, plane waves with linear phases, sums, scalar scalings,
 constant left/right paravector factors, and pullbacks along invertible linear
-coordinate maps.  ``Field.partial`` returns another tree; ``numeric_partial``
-is the independent central-difference oracle (stepping along the real axis of
-a complex coordinate, which recovers the complex partial because every family
-is holomorphic per coordinate).
+coordinate maps.  ``Field.partial`` returns another tree; ``central_difference``
+is the independent oracle (stepping along the real axis of a complex
+coordinate, which recovers the complex partial because every family is
+holomorphic per coordinate).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from . import kernels
-from .algebra import BASIS, Event, Paravector, det, normalize_orthogonal, reverse, scale
+from .algebra import BASIS, Event, Paravector, det_rows, normalize_orthogonal, reverse, scale
 
 __all__ = [
     "DEGREE_CAP",
@@ -32,9 +32,9 @@ __all__ = [
     "LeftMulField",
     "RightMulField",
     "PullbackField",
-    "numeric_partial",
     "sum_fields",
     "random_paravector",
+    "random_paravectors",
     "random_orthogonal",
     "random_event",
     "random_field",
@@ -401,14 +401,6 @@ def central_difference(value_fn, x: np.ndarray, c: int, h: float) -> np.ndarray:
     return (value_fn(xp) - value_fn(xm)) / (2.0 * h)
 
 
-def numeric_partial(f: Field, X: Event, coord, h: float) -> Paravector:
-    """Second-order central-difference derivative; the oracle for Field.partial."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    c = coord_index(coord)
-    return Paravector.from_data(central_difference(f._value, X.data, c, h))
-
-
 # ---------------------------------------------------------------------------
 # Seeded random families
 # ---------------------------------------------------------------------------
@@ -434,13 +426,29 @@ def _random_complexes(rng, scale: float, n: int) -> np.ndarray:
     return z
 
 
+def random_paravectors(seed, n: int, scale: float = 2.0, min_det: float = 0.1) -> np.ndarray:
+    """n paravectors as the rows of an (n, 4) array, drawn as n random_paravector calls.
+
+    Drawing one paravector after another keeps each draw whose |det| clears
+    min_det, so the rows are the first n kept draws of the stream.  Each round
+    here draws exactly the rows still missing, so it takes the same doubles,
+    redraws included, and ends at the same place in the stream.
+    """
+    rng = as_rng(seed)
+    rows = np.empty((n, 4), np.complex128)
+    done = 0
+    while done < n:
+        draws = _random_complexes(rng, scale, 4 * (n - done)).reshape(-1, 4)
+        d = det_rows(draws)
+        kept = draws[np.hypot(d.real, d.imag) >= min_det]  # hypot is abs() of a complex
+        rows[done:done + len(kept)] = kept
+        done += len(kept)
+    return rows
+
+
 def random_paravector(seed, scale: float = 2.0, min_det: float = 0.1) -> Paravector:
     """Components uniform on the radius-`scale` disc; redrawn until |det| >= min_det."""
-    rng = as_rng(seed)
-    while True:
-        p = Paravector.from_data(_random_complexes(rng, scale, 4))
-        if abs(det(p)) >= min_det:
-            return p
+    return Paravector.from_data(random_paravectors(seed, 1, scale, min_det)[0])
 
 
 def random_orthogonal(seed, scale: float = 2.0) -> Paravector:

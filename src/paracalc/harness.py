@@ -4,9 +4,10 @@ Every case gets its own random substream derived from
 ``SeedSequence([seed, crc32(suite), case_index])``, so adding cases never
 perturbs existing ones and ``check all`` reproduces the per-suite residuals
 bit for bit.  A case is a per-sample draw that one loop (``_sampled``) runs
-in index order.  Residuals are max-abs over the value components; cases that
-pin a *floor* under a witness instead report the deficit
-``max(0, floor - value)`` against a zero threshold so that
+in index order, or a draw of a block of samples as stacked arrays, which
+``_blocked`` runs block by block in the same order.  Residuals are max-abs
+over the value components; cases that pin a *floor* under a witness instead
+report the deficit ``max(0, floor - value)`` against a zero threshold so that
 ``pass == residual <= threshold`` holds uniformly.
 """
 
@@ -22,6 +23,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import kernels
+from .kernels import cmul, pv_mul_rows
 from .algebra import (
     Event,
     IDENTITY,
@@ -29,10 +31,12 @@ from .algebra import (
     act_left,
     act_right,
     conjugate_rotate,
-    det,
+    det_rows,
     inverse,
+    inverse_rows,
     mul,
     reverse,
+    reverse_rows,
 )
 from .diffops import (
     EXACT,
@@ -71,6 +75,7 @@ from .fields import (
     random_field,
     random_orthogonal,
     random_paravector,
+    random_paravectors,
     random_plane_wave,
     random_scalar_field,
 )
@@ -189,11 +194,18 @@ class Worst:
         self.components = np.zeros(4, np.complex128)
 
     def offer(self, diff) -> None:
-        diff = np.atleast_1d(np.asarray(diff, dtype=np.complex128))
-        m = float(np.max(np.abs(diff)))
-        if m >= self.value or math.isnan(m):
-            self.value = m
-            self.components = diff
+        """Offer one difference array, or a 2-D stack of them, one per row.
+
+        A stack counts exactly as its rows offered in turn: the last row at
+        the maximum is kept, and a NaN row sticks.
+        """
+        rows = np.atleast_2d(np.asarray(diff, dtype=np.complex128))
+        best = None
+        for k, m in enumerate(np.abs(rows).max(axis=1).tolist()):
+            if m >= self.value or math.isnan(m):
+                self.value, best = m, k
+        if best is not None:
+            self.components = rows[best].copy()
 
     def floor_deficit(self, value: float, floor: float, components=None) -> None:
         self.offer(np.array([np.maximum(0.0, floor - value)], np.complex128))
@@ -202,11 +214,16 @@ class Worst:
 
 
 def _rel(lhs, rhs) -> np.ndarray:
-    """Scale-guarded relative difference: (lhs-rhs) / max(1, |lhs|, |rhs|)."""
+    """Scale-guarded relative difference: (lhs-rhs) / max(1, |lhs|, |rhs|).
+
+    On 2-D stacks the scale is taken per row.  fmax skips NaN as the
+    builtin max does.
+    """
     lhs = np.atleast_1d(np.asarray(lhs, dtype=np.complex128))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=np.complex128))
-    denom = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return (lhs - rhs) / denom
+    scale = np.fmax(np.abs(lhs).max(axis=-1, keepdims=True),
+                    np.abs(rhs).max(axis=-1, keepdims=True))
+    return (lhs - rhs) / np.fmax(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -243,6 +260,28 @@ def _sampled(count, sample):
     return run
 
 
+#: Samples per block of a ``_blocked`` case: small enough that a block's
+#: stacks stay in cache and the peak memory does not grow with --samples.
+BLOCK = 256
+
+
+def _blocked(count, block):
+    """A case run that draws samples 0..count(cfg)-1 in blocks of ``BLOCK``.
+
+    ``block(rng, n)`` draws the next ``n`` samples as stacked arrays and
+    returns their differences as one stack, rows in the order ``_sampled``
+    would offer them; the draws take the stream in sample order.
+    """
+    def run(rng, cfg):
+        w = Worst()
+        total = count(cfg)
+        for start in range(0, total, BLOCK):
+            w.offer(block(rng, min(BLOCK, total - start)))
+        return w
+
+    return run
+
+
 def _floor(witness, floor: float):
     """A floor-deficit case run: ``witness(rng)`` returns the gap array."""
     def run(rng, cfg):
@@ -272,22 +311,32 @@ def _once(cfg) -> int:
 # ---------------------------------------------------------------------------
 
 def _algebra_cases() -> List[Case]:
-    def associativity(rng, i, cfg):
-        a, b, c = (random_paravector(rng) for _ in range(3))
-        return [_rel(mul(mul(a, b), c).data, mul(a, mul(b, c)).data)]
+    # The first four cases draw a block of samples at once: the draws are
+    # rows of stacks, taken from the stream in the per-sample order.
+    def draws(rng, n, k):
+        """k paravectors per sample, as k (n, 4) stacks."""
+        return random_paravectors(rng, k * n).reshape(n, k, 4).transpose(1, 0, 2)
 
-    def reversion(rng, i, cfg):
-        a, b = random_paravector(rng), random_paravector(rng)
-        return [_rel(reverse(mul(a, b)).data, mul(reverse(b), reverse(a)).data)]
+    def associativity(rng, n):
+        a, b, c = draws(rng, n, 3)
+        return _rel(pv_mul_rows(pv_mul_rows(a, b), c), pv_mul_rows(a, pv_mul_rows(b, c)))
 
-    def det_mult(rng, i, cfg):
-        a, b = random_paravector(rng), random_paravector(rng)
-        return [_rel([det(mul(a, b))], [det(a) * det(b)])]
+    def reversion(rng, n):
+        a, b = draws(rng, n, 2)
+        return _rel(reverse_rows(pv_mul_rows(a, b)),
+                    pv_mul_rows(reverse_rows(b), reverse_rows(a)))
 
-    def inverse_identity(rng, i, cfg):
-        a = random_paravector(rng)
-        return [mul(a, inverse(a)).data - IDENTITY.data,
-                mul(inverse(a), a).data - IDENTITY.data]
+    def det_mult(rng, n):
+        a, b = draws(rng, n, 2)
+        # det(a) * det(b) is a product of Python complexes
+        return _rel(det_rows(pv_mul_rows(a, b))[:, None],
+                    cmul(det_rows(a), det_rows(b))[:, None])
+
+    def inverse_identity(rng, n):
+        (a,) = draws(rng, n, 1)
+        inv = inverse_rows(a)
+        both = np.stack([pv_mul_rows(a, inv), pv_mul_rows(inv, a)], axis=1)
+        return both.reshape(-1, 4) - IDENTITY.data  # a a^-1, then a^-1 a, per sample
 
     def orthogonal_unit(rng, i, cfg):
         lam = random_orthogonal(rng)
@@ -320,10 +369,10 @@ def _algebra_cases() -> List[Case]:
         return [back.data - x.data]
 
     return [
-        Case("associativity", "exact", 1e-12, _sampled(_times(20), associativity)),
-        Case("reversion-antiautomorphism", "exact", 1e-12, _sampled(_times(20), reversion)),
-        Case("det-multiplicativity", "exact", 1e-12, _sampled(_times(20), det_mult)),
-        Case("inverse-identity", "exact", 1e-10, _sampled(_times(20), inverse_identity)),
+        Case("associativity", "exact", 1e-12, _blocked(_times(20), associativity)),
+        Case("reversion-antiautomorphism", "exact", 1e-12, _blocked(_times(20), reversion)),
+        Case("det-multiplicativity", "exact", 1e-12, _blocked(_times(20), det_mult)),
+        Case("inverse-identity", "exact", 1e-10, _blocked(_times(20), inverse_identity)),
         Case("orthogonal-unit", "exact", 1e-10, _sampled(_times(1), orthogonal_unit)),
         Case("action-matches-product", "fixed", 0.0,
              _sampled(_times(1), action_consistency)),
@@ -345,19 +394,21 @@ def _sample_field(rng, index: int, degree: int = 3, scale: float = 1.0):
     return random_plane_wave(rng, scale=scale)
 
 
-def _max_partial_error(fields, points, h: float) -> float:
-    """Max |central difference - exact partial| over fields x points x coordinates.
+def _max_partial_errors(fields, points, steps) -> List[float]:
+    """Per step h, max |central difference - exact partial| over fields x points x coordinates.
 
-    NaN propagates, so an overflowing step cannot read as a zero error.
+    The exact partials do not depend on h, so each is evaluated once.  NaN
+    propagates, so an overflowing step cannot read as a zero error.
     """
-    worst = 0.0
-    for f in fields:
-        for x in points:
-            for c in range(4):
-                exact = f.partial(c)._value(x)
-                num = central_difference(f._value, x, c, h)
-                worst = float(np.maximum(worst, np.max(np.abs(num - exact))))
-    return worst
+    exact = [(f, x, c, f.partial(c)._value(x)) for f in fields for x in points for c in range(4)]
+    errors = []
+    for h in steps:
+        worst = 0.0
+        for f, x, c, value in exact:
+            num = central_difference(f._value, x, c, h)
+            worst = float(np.maximum(worst, np.max(np.abs(num - value))))
+        errors.append(worst)
+    return errors
 
 
 def _stencil_norm(f, x, h: float) -> float:
@@ -443,7 +494,7 @@ def _diffop_cases() -> List[Case]:
     def convergence_band(rng, i, cfg):
         f = _sample_field(rng, i)
         pts = [random_event(rng).data for _ in range(10)]
-        errs = [_max_partial_error([f], pts, h) for h in (1e-3, 5e-4)]
+        errs = _max_partial_errors([f], pts, (1e-3, 5e-4))
         if errs[1] < NOISE_FLOOR:
             return []
         ratio = errs[0] / errs[1]
@@ -810,7 +861,7 @@ def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List
         fields = [draw(rng) for _ in range(3)]
     points = [random_event(rng).data for _ in range(20)]
     try:
-        errors = [_max_partial_error(fields, points, h) for h in steps]
+        errors = _max_partial_errors(fields, points, steps)
     except ValueError as exc:  # a step that does not move the stencil
         raise ConfigError(str(exc)) from None
     rows = []

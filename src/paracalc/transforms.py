@@ -48,7 +48,6 @@ __all__ = [
     "grad_right_transport_residual",
     "right_factor_residuals",
     "observer_rotation_sides",
-    "observer_rotation_residual",
     "InvarianceForm",
     "transformed_wave_field",
     "wave_invariance_residual",
@@ -161,14 +160,6 @@ def observer_rotation_sides(
     lhs = div4(moved, Xp, mode)
     b_val = div4(f, conjugate_rotate(rlam, Xp), mode)
     return lhs, mul(mul(lam, b_val), rlam)
-
-
-def observer_rotation_residual(
-    f: Field, lam: Paravector, Xp: Event, mode: DiffMode = EXACT
-) -> Paravector:
-    """The two sides of ``observer_rotation_sides``, subtracted."""
-    lhs, rhs = observer_rotation_sides(f, lam, Xp, mode)
-    return Paravector.from_data(lhs.data - rhs.data)
 
 
 class InvarianceForm(enum.IntEnum):

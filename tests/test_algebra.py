@@ -13,18 +13,21 @@ from paracalc.algebra import (
     act_right,
     conjugate_rotate,
     det,
+    det_rows,
     event_as_paravector,
     inverse,
+    inverse_rows,
     mul,
     norm_sq,
     normalize_orthogonal,
     paravector_as_event,
     reverse,
+    reverse_rows,
     scale,
 )
 from paracalc.fields import random_event, random_orthogonal, random_paravector
 
-from util import max_abs, rel_err
+from util import max_abs, random_rows, rel_err
 
 component = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 complexes = st.builds(complex, component, component)
@@ -228,7 +231,7 @@ def test_event_addition_and_shift():
     b = Event(0.5j, (0.0, 2.0, 0.0))
     assert a + b == Event(1.0 + 0.5j, (1.0, 2.0, 0.0))
     assert (a + b) - b == a
-    assert a.shifted(1, 1e-3) == Event(1.0, (1.001, 0.0, 0.0))
+    assert a + Event(0.0, (1e-3, 0.0, 0.0)) == Event(1.0, (1.001, 0.0, 0.0))
 
 
 def test_nonfinite_components_rejected():
@@ -249,3 +252,32 @@ def test_basis_products():
     for c in range(1, 4):
         assert mul(BASIS[c], BASIS[c]) == IDENTITY
     assert mul(BASIS[1], BASIS[2]).data[3] == 1j
+
+
+# -- stacks: each row bit for bit as the per-value function ------------------
+
+def test_stacked_det_reverse_inverse_match_per_value_bit_for_bit():
+    rows = random_rows(np.random.default_rng(4), 2000)
+    d, rev = det_rows(rows), reverse_rows(rows)
+    invertible = []
+    for i, row in enumerate(rows):
+        p = Paravector.from_data(row)
+        assert d[i].tobytes() == np.complex128(det(p)).tobytes(), i
+        assert rev[i].tobytes() == reverse(p).data.tobytes(), i
+        try:
+            invertible.append((i, inverse(p).data))
+        except SingularParavector:
+            pass
+    assert 2000 < len(invertible) < len(rows)  # every spread row, some exact rows
+    keep = [i for i, _ in invertible]
+    inv = inverse_rows(rows[keep])
+    for k, (i, want) in enumerate(invertible):
+        assert inv[k].tobytes() == want.tobytes(), i
+
+
+def test_stacked_inverse_raises_on_any_singular_row():
+    rows = random_rows(np.random.default_rng(5), 10)[:10]
+    inverse_rows(rows)
+    rows[7] = [1.0 + 0.5j, 1.0 + 0.5j, 0.0, 0.0]  # [s; s e_x] has det 0
+    with pytest.raises(SingularParavector, match="row 7"):
+        inverse_rows(rows)

@@ -1,14 +1,23 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from paracalc.algebra import Paravector
+from paracalc import harness
+from paracalc.algebra import IDENTITY, Paravector, det, inverse, mul, reverse
 from paracalc.cli import main
-from paracalc.fields import Field, LeftMulField, PolynomialField, random_field
+from paracalc.fields import (
+    Field,
+    LeftMulField,
+    PolynomialField,
+    _random_complexes,
+    random_field,
+)
 from paracalc.harness import (
     ConfigError,
     SUITE_NAMES,
@@ -90,6 +99,126 @@ def test_worst_keeps_non_finite_samples():
     assert math.isnan(w.value)
 
 
+class LoopWorst:
+    """Worst.offer as it took one difference at a time: the reference."""
+
+    def __init__(self):
+        self.value = 0.0
+        self.components = np.zeros(4, np.complex128)
+
+    def offer(self, diff):
+        diff = np.atleast_1d(np.asarray(diff, dtype=np.complex128))
+        m = float(np.max(np.abs(diff)))
+        if m >= self.value or math.isnan(m):
+            self.value = m
+            self.components = diff
+
+
+def test_worst_offer_of_a_stack_is_its_rows_in_turn():
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        # ties at the maximum, NaN rows, and a last column that tells rows apart
+        rows = rng.choice([0.0, 0.5, 1.0, math.nan], size=(n, 3), p=[0.3, 0.3, 0.35, 0.05])
+        rows = np.column_stack([rows + 0j, 0.01j * np.arange(n)])
+        want = LoopWorst()
+        for row in rows:
+            want.offer(row)
+        got = Worst()
+        cuts = np.sort(rng.integers(0, n + 1, size=2))
+        for block in np.split(rows, cuts):  # blocks in turn, empty ones too
+            got.offer(block)
+        assert got.value == want.value or math.isnan(got.value) and math.isnan(want.value)
+        assert got.components.tobytes() == want.components.tobytes()
+
+
+def loop_algebra_runs(attempts):
+    """The blocked algebra cases as the per-sample loop ran them: the reference.
+
+    Each sample draws its paravectors one at a time, redrawing each until its
+    |det| reaches 0.1, and offers its differences one at a time.
+    ``attempts`` collects the attempts each draw took.
+    """
+    def draw(rng):
+        n = 1
+        while True:
+            p = Paravector.from_data(_random_complexes(rng, 2.0, 4))
+            if abs(det(p)) >= 0.1:
+                attempts.append(n)
+                return p
+            n += 1
+
+    def rel(lhs, rhs):
+        lhs = np.atleast_1d(np.asarray(lhs, dtype=np.complex128))
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=np.complex128))
+        return (lhs - rhs) / max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+
+    def associativity(rng):
+        a, b, c = (draw(rng) for _ in range(3))
+        return [rel(mul(mul(a, b), c).data, mul(a, mul(b, c)).data)]
+
+    def reversion(rng):
+        a, b = draw(rng), draw(rng)
+        return [rel(reverse(mul(a, b)).data, mul(reverse(b), reverse(a)).data)]
+
+    def det_mult(rng):
+        a, b = draw(rng), draw(rng)
+        return [rel([det(mul(a, b))], [det(a) * det(b)])]
+
+    def inverse_identity(rng):
+        a = draw(rng)
+        return [mul(a, inverse(a)).data - IDENTITY.data, mul(inverse(a), a).data - IDENTITY.data]
+
+    def loop(sample):
+        def run(rng, cfg):
+            w = LoopWorst()
+            for _ in range(20 * cfg.samples):
+                for diff in sample(rng):
+                    w.offer(diff)
+            return w
+        return run
+
+    return {"associativity": loop(associativity),
+            "reversion-antiautomorphism": loop(reversion),
+            "det-multiplicativity": loop(det_mult),
+            "inverse-identity": loop(inverse_identity)}
+
+
+def test_blocked_algebra_cases_match_the_per_sample_loop(monkeypatch):
+    attempts = []
+    loop_runs = loop_algebra_runs(attempts)
+    blocked = harness._algebra_cases()
+    assert {c.name for c in blocked} >= set(loop_runs)
+
+    def loop_cases():
+        return [dataclasses.replace(c, run=loop_runs[c.name]) if c.name in loop_runs else c
+                for c in blocked]
+
+    # a case takes 20 * samples samples: 13 and 26 end the last block mid-way
+    for seed, samples in [*((s, 13) for s in range(20)), (20, 26), (21, 1)]:
+        cfg = small_cfg("algebra", samples=samples, seed=seed)
+        got = report_to_json(run_suite(cfg), verbose=True)
+        with monkeypatch.context() as m:
+            m.setitem(harness._SUITE_BUILDERS, "algebra", loop_cases)
+            want = report_to_json(run_suite(cfg), verbose=True)
+        assert got == want, (seed, samples)
+    assert max(attempts) > 1  # some draw went through the redraw loop
+
+
+def test_algebra_peak_memory_does_not_grow_with_samples():
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            run_suite(small_cfg("algebra", samples=samples))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-use allocations
+    # one unblocked case at 500 samples stacks 10000 samples, several MB of arrays
+    assert peak(500) - peak(50) < 128 * 1024
+
+
 def test_json_reports_are_byte_identical():
     a = report_to_json(run_suite(small_cfg("algebra", samples=10, seed=42)))
     b = report_to_json(run_suite(small_cfg("algebra", samples=10, seed=42)))
@@ -129,11 +258,11 @@ def test_all_concatenates_in_fixed_order():
 
 
 def test_substreams_stable_across_all_and_single_runs():
-    all_rep = run_suite(small_cfg("all", samples=2, seed=5))
-    tr_rep = run_suite(small_cfg("transforms", samples=2, seed=5))
-    all_res = {c.name: c.residual for c in all_rep.cases if c.name.startswith("transforms/")}
-    tr_res = {c.name: c.residual for c in tr_rep.cases}
-    assert all_res == tr_res
+    def entries(suite):  # verbose JSON case entries: residual and components
+        text = report_to_json(run_suite(small_cfg(suite, samples=2, seed=5)), verbose=True)
+        return [json.dumps(c) for c in json.loads(text)["cases"]]
+
+    assert entries("all") == [e for suite in SUITE_NAMES for e in entries(suite)]
 
 
 def test_case_rng_substreams_differ():

@@ -2,6 +2,8 @@ import numpy as np
 
 from paracalc import kernels
 
+from util import random_rows
+
 
 def _random_quad(rng):
     return rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -54,3 +56,12 @@ def test_pv_mul_identity():
         a = _random_quad(rng)
         np.testing.assert_array_equal(kernels.pv_mul(e, a), a)
         np.testing.assert_array_equal(kernels.pv_mul(a, e), a)
+
+
+def test_pv_mul_rows_matches_pv_mul_bit_for_bit():
+    rng = np.random.default_rng(3)
+    a, b = random_rows(rng, 2000), random_rows(rng, 2000)
+    got = kernels.pv_mul_rows(a, b)
+    assert got.shape == a.shape
+    for i in range(len(a)):
+        assert got[i].tobytes() == kernels.pv_mul(a[i], b[i]).tobytes(), i
