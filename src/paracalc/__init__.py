@@ -35,7 +35,7 @@ from .diffops import (
     EXACT,
     Exact,
     Numeric,
-    additivity_residual,
+    additivity_sides,
     box4,
     bundle,
     div4,
@@ -59,7 +59,7 @@ from .electromag import (
     plane_wave_potential,
     source_field_from_em,
     sources_from_em,
-    wave_residual,
+    wave_sides,
 )
 from .fields import (
     Field,
@@ -85,14 +85,14 @@ from .transforms import (
     NotOrthogonal,
     TransformCase,
     TransformedValues,
-    div_left_transport_residual,
-    div_right_transport_residual,
-    grad_left_transport_residual,
-    grad_right_transport_residual,
-    right_factor_residuals,
+    div_left_transport_sides,
+    div_right_transport_sides,
+    grad_left_transport_sides,
+    grad_right_transport_sides,
+    right_factor_sides,
     transformed_field_values,
     transformed_wave_field,
-    wave_invariance_residual,
+    wave_invariance_sides,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ Acting on a field A = [phi; Phi]:
 
 Each operator runs in exact mode (closed-form partials of the field tree) or
 numeric mode (central differences with a caller-chosen step).  The module also
-provides the additivity residual, the two sides of the scalar product rule,
+provides the two sides of additivity and of the scalar product rule,
 and the two documented failure witnesses of the product rule.
 """
 
@@ -43,7 +43,7 @@ __all__ = [
     "box4",
     "div4_field",
     "grad4_field",
-    "additivity_residual",
+    "additivity_sides",
     "leibniz_sides",
     "product_rule_failure_witness",
     "scalar_order_gap",
@@ -162,12 +162,14 @@ def grad4_field(f: Field) -> Field:
     return sum_fields(*parts)
 
 
-# -- residuals ----------------------------------------------------------------
+# -- identity sides and witnesses -------------------------------------------
 
-def additivity_residual(f: Field, g: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
-    """div4(f + g) - div4(f) - div4(g); zero for analytic additive fields."""
+def additivity_sides(
+    f: Field, g: Field, X: Event, mode: DiffMode = EXACT
+) -> Tuple[Paravector, Paravector]:
+    """div4(f + g) and div4(f) + div4(g), equal for analytic additive fields."""
     both = div4(sum_fields(f, g), X, mode)
-    return Paravector.from_data(both.data - div4(f, X, mode).data - div4(g, X, mode).data)
+    return both, Paravector.from_data(div4(f, X, mode).data + div4(g, X, mode).data)
 
 
 def leibniz_sides(

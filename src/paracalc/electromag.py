@@ -18,6 +18,7 @@ rescaled (tau, r) domain and are evaluated through the same convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ __all__ = [
     "em_field_from_potential",
     "sources_from_em",
     "source_field_from_em",
-    "wave_residual",
+    "wave_sides",
     "plane_wave_potential",
     "lorenz_gauge_potential",
 ]
@@ -143,21 +144,21 @@ def source_field_from_em(emf: Field) -> Field:
     return div4_field(emf)
 
 
-def wave_residual(
+def wave_sides(
     pot: PotentialField,
     src: Field,
     X: Event,
     k: PhysConstants = PhysConstants(),
     mode: DiffMode = EXACT,
-) -> Paravector:
-    """(d^2/c^2 dt^2 - laplacian)(phi; -cA) minus the source value at X.
+) -> Tuple[Paravector, Paravector]:
+    """(d^2/c^2 dt^2 - laplacian)(phi; -cA) and the source value, both at X.
 
     ``src`` is a (tau, r)-domain field, e.g. the output of
     source_field_from_em, or the zero field for vacuum configurations.
     """
     tau = _tau_event(X, k.c)
     b = box4(_time_scaled(pot.f, k.c), tau, mode)
-    return Paravector.from_data(b.data - src._value(tau.data))
+    return b, Paravector.from_data(src._value(tau.data))
 
 
 def plane_wave_potential(

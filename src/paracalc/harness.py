@@ -42,7 +42,7 @@ from .diffops import (
     EXACT,
     Numeric,
     assemble_grad,
-    additivity_residual,
+    additivity_sides,
     box4,
     bundle,
     div4,
@@ -62,7 +62,7 @@ from .electromag import (
     plane_wave_potential,
     source_field_from_em,
     sources_from_em,
-    wave_residual,
+    wave_sides,
 )
 from .fields import (
     LeftMulField,
@@ -82,15 +82,15 @@ from .fields import (
 from .transforms import (
     InvarianceForm,
     TransformCase,
-    div_left_transport_residual,
-    div_right_transport_residual,
-    grad_left_transport_residual,
-    grad_right_transport_residual,
+    div_left_transport_sides,
+    div_right_transport_sides,
+    grad_left_transport_sides,
+    grad_right_transport_sides,
     observer_rotation_sides,
-    right_factor_residuals,
+    right_factor_sides,
     transformed_field_values,
     transformed_wave_field,
-    wave_invariance_residual,
+    wave_invariance_sides,
 )
 
 __all__ = [
@@ -472,7 +472,8 @@ def _diffop_cases() -> List[Case]:
         f = random_field(rng)
         g = _sample_field(rng, i)
         X = random_event(rng)
-        return [additivity_residual(f, g, X).data]
+        lhs, rhs = additivity_sides(f, g, X)
+        return [_rel(lhs.data, rhs.data)]
 
     def leibniz(rng, i, cfg):
         rho = random_scalar_field(rng)
@@ -527,12 +528,13 @@ def _singular_paravector(rng) -> Paravector:
     return Paravector(s, (s, 0.0, 0.0))
 
 
-def _transport_case(residual_fn, mode_of):
+def _transport_case(sides_fn, mode_of):
     def sample(rng, i, cfg):
         g = random_paravector(rng)
         f = _sample_field(rng, i)
         X = random_event(rng)
-        return [residual_fn(TransformCase(g, f, X, mode_of(cfg))).data]
+        lhs, rhs = sides_fn(TransformCase(g, f, X, mode_of(cfg)))
+        return [_rel(lhs.data, rhs.data)]
 
     return _sampled(_times(1), sample)
 
@@ -542,8 +544,8 @@ def _right_factor_case(mode_of, singular: bool):
         g = _singular_paravector(rng) if singular else random_paravector(rng)
         f = _sample_field(rng, i)
         X = random_event(rng)
-        d, gr = right_factor_residuals(f, g, X, mode_of(cfg))
-        return [d.data, gr.data]
+        sides = right_factor_sides(f, g, X, mode_of(cfg))
+        return [_rel(lhs.data, rhs.data) for lhs, rhs in sides]
 
     return _sampled(_fifth if singular else _times(1), sample)
 
@@ -571,13 +573,13 @@ def _transforms_cases() -> List[Case]:
 
     return [
         Case("div-left-transport-exact", "exact", 1e-10,
-             _transport_case(div_left_transport_residual, exact)),
+             _transport_case(div_left_transport_sides, exact)),
         Case("grad-left-transport-exact", "exact", 1e-10,
-             _transport_case(grad_left_transport_residual, exact)),
+             _transport_case(grad_left_transport_sides, exact)),
         Case("div-right-transport-exact", "exact", 1e-10,
-             _transport_case(div_right_transport_residual, exact)),
+             _transport_case(div_right_transport_sides, exact)),
         Case("grad-right-transport-exact", "exact", 1e-10,
-             _transport_case(grad_right_transport_residual, exact)),
+             _transport_case(grad_right_transport_sides, exact)),
         Case("right-factor-exact", "exact", 1e-10, _right_factor_case(exact, False)),
         Case("right-factor-singular-exact", "exact", 1e-10,
              _right_factor_case(exact, True)),
@@ -585,13 +587,13 @@ def _transforms_cases() -> List[Case]:
         Case("pullback-group-composition", "exact", 1e-10,
              _sampled(_times(1), group_composition)),
         Case("div-left-transport-numeric", "numeric", 1e-5,
-             _transport_case(div_left_transport_residual, numeric), substream=0),
+             _transport_case(div_left_transport_sides, numeric), substream=0),
         Case("grad-left-transport-numeric", "numeric", 1e-5,
-             _transport_case(grad_left_transport_residual, numeric), substream=1),
+             _transport_case(grad_left_transport_sides, numeric), substream=1),
         Case("div-right-transport-numeric", "numeric", 1e-5,
-             _transport_case(div_right_transport_residual, numeric), substream=2),
+             _transport_case(div_right_transport_sides, numeric), substream=2),
         Case("grad-right-transport-numeric", "numeric", 1e-5,
-             _transport_case(grad_right_transport_residual, numeric), substream=3),
+             _transport_case(grad_right_transport_sides, numeric), substream=3),
         Case("right-factor-numeric", "numeric", 1e-5,
              _right_factor_case(numeric, False), substream=4),
     ]
@@ -610,7 +612,8 @@ def _wave_form_case(form: InvarianceForm):
             Xp = act_right(X, lam)
         else:
             Xp = act_left(lam, X)
-        return [wave_invariance_residual(form, f, lam, Xp).data]
+        lhs, rhs = wave_invariance_sides(form, f, lam, Xp)
+        return [_rel(lhs.data, rhs.data)]
 
     return _sampled(_times(1), sample)
 
@@ -710,7 +713,8 @@ def _maxwell_cases() -> List[Case]:
         pot = lorenz_gauge_potential(rng)
         src = source_field_from_em(em_field_from_potential(pot, k1))
         X = _maxwell_event(rng)
-        return [wave_residual(pot, src, X, k1).data]
+        lhs, rhs = wave_sides(pot, src, X, k1)
+        return [_rel(lhs.data, rhs.data)]
 
     def gauss_slice(rng, i, cfg):
         phi = random_scalar_field(rng, degree=3, scale=1.0)

@@ -1,7 +1,7 @@
 """Residual evaluators for the operator transport identities.
 
-Each evaluator compares the two sides of one identity at corresponding points
-X and X' (X drawn, X' derived) and returns the difference as a field value.
+Each evaluator computes the two sides of one identity at corresponding points
+X and X' (X drawn, X' derived) and returns them as a pair of field values.
 Identities covered:
 
 * left map X' = g X:    div4 A|X  = div4' [g A(g^-1 X')]
@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import kernels
 from .algebra import (
     Event,
     Paravector,
@@ -42,15 +41,15 @@ __all__ = [
     "ORTHOGONALITY_TOL",
     "require_orthogonal",
     "TransformCase",
-    "div_left_transport_residual",
-    "grad_left_transport_residual",
-    "div_right_transport_residual",
-    "grad_right_transport_residual",
-    "right_factor_residuals",
+    "div_left_transport_sides",
+    "grad_left_transport_sides",
+    "div_right_transport_sides",
+    "grad_right_transport_sides",
+    "right_factor_sides",
     "observer_rotation_sides",
     "InvarianceForm",
     "transformed_wave_field",
-    "wave_invariance_residual",
+    "wave_invariance_sides",
     "TransformedValues",
     "transformed_field_values",
 ]
@@ -84,64 +83,51 @@ class TransformCase:
             )
 
 
-def div_left_transport_residual(case: TransformCase) -> Paravector:
-    """div4 A at X minus div4'[Gamma A(Gamma^-1 X')] at X' = Gamma X."""
+def div_left_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravector]:
+    """div4 A at X, and div4'[Gamma A(Gamma^-1 X')] at X' = Gamma X."""
     g = case.gamma
     xp = act_left(g, case.X)
     moved = LeftMulField(g, PullbackField(LinearMap.left_action(inverse(g)), case.f))
-    lhs = div4(case.f, case.X, case.mode)
-    rhs = div4(moved, xp, case.mode)
-    return Paravector.from_data(lhs.data - rhs.data)
+    return div4(case.f, case.X, case.mode), div4(moved, xp, case.mode)
 
 
-def grad_left_transport_residual(case: TransformCase) -> Paravector:
-    """grad4 A at X minus Gamma~ * grad4'[A(Gamma^-1 X')]; the reversed factor
+def grad_left_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravector]:
+    """grad4 A at X, and Gamma~ * grad4'[A(Gamma^-1 X')]; the reversed factor
     multiplies after the operator is applied."""
     g = case.gamma
     xp = act_left(g, case.X)
     moved = PullbackField(LinearMap.left_action(inverse(g)), case.f)
-    lhs = grad4(case.f, case.X, case.mode)
-    rhs = mul(reverse(g), grad4(moved, xp, case.mode))
-    return Paravector.from_data(lhs.data - rhs.data)
+    return grad4(case.f, case.X, case.mode), mul(reverse(g), grad4(moved, xp, case.mode))
 
 
-def div_right_transport_residual(case: TransformCase) -> Paravector:
-    """div4 A at X minus Gamma * div4'[A(X' Gamma^-1)] at X' = X Gamma."""
+def div_right_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravector]:
+    """div4 A at X, and Gamma * div4'[A(X' Gamma^-1)] at X' = X Gamma."""
     g = case.gamma
     xp = act_right(case.X, g)
     moved = PullbackField(LinearMap.right_action(inverse(g)), case.f)
-    lhs = div4(case.f, case.X, case.mode)
-    rhs = mul(g, div4(moved, xp, case.mode))
-    return Paravector.from_data(lhs.data - rhs.data)
+    return div4(case.f, case.X, case.mode), mul(g, div4(moved, xp, case.mode))
 
 
-def grad_right_transport_residual(case: TransformCase) -> Paravector:
-    """grad4 A at X minus grad4'[Gamma~ A(X' Gamma^-1)] at X' = X Gamma."""
+def grad_right_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravector]:
+    """grad4 A at X, and grad4'[Gamma~ A(X' Gamma^-1)] at X' = X Gamma."""
     g = case.gamma
     xp = act_right(case.X, g)
     moved = LeftMulField(
         reverse(g), PullbackField(LinearMap.right_action(inverse(g)), case.f)
     )
-    lhs = grad4(case.f, case.X, case.mode)
-    rhs = grad4(moved, xp, case.mode)
-    return Paravector.from_data(lhs.data - rhs.data)
+    return grad4(case.f, case.X, case.mode), grad4(moved, xp, case.mode)
 
 
-def right_factor_residuals(
+def right_factor_sides(
     f: Field, g: Paravector, X: Event, mode: DiffMode = EXACT
-) -> Tuple[Paravector, Paravector]:
-    """div4[A g] - [div4 A] g and grad4[A g] - [grad4 A] g.
+) -> Tuple[Tuple[Paravector, Paravector], Tuple[Paravector, Paravector]]:
+    """(div4[A g], [div4 A] g) and (grad4[A g], [grad4 A] g).
 
     Needs no inverse, so it holds for singular g as well.
     """
     shifted = RightMulField(f, g)
-    d = Paravector.from_data(
-        div4(shifted, X, mode).data - kernels.pv_mul(div4(f, X, mode).data, g.data)
-    )
-    gr = Paravector.from_data(
-        grad4(shifted, X, mode).data - kernels.pv_mul(grad4(f, X, mode).data, g.data)
-    )
-    return d, gr
+    return ((div4(shifted, X, mode), mul(div4(f, X, mode), g)),
+            (grad4(shifted, X, mode), mul(grad4(f, X, mode), g)))
 
 
 def observer_rotation_sides(
@@ -194,14 +180,14 @@ def transformed_wave_field(form: InvarianceForm, f: Field, lam: Paravector) -> F
     return PullbackField(LinearMap.left_action(rlam), f)
 
 
-def wave_invariance_residual(
+def wave_invariance_sides(
     form: InvarianceForm,
     f: Field,
     lam: Paravector,
     Xp: Event,
     mode: DiffMode = EXACT,
-) -> Paravector:
-    """Residual of the selected invariance form at the primed point X'.
+) -> Tuple[Paravector, Paravector]:
+    """The two sides of the selected invariance form at the primed point X'.
 
     Forms 1/2 correspond to X' = X L (right map), forms 3/4 to X' = L X.
     B is box4 of the original field, evaluated at the pre-image of X'.
@@ -221,8 +207,7 @@ def wave_invariance_residual(
         rhs = mul(lam, b_val)
     else:
         rhs = b_val
-    lhs = box4(moved, Xp, mode)
-    return Paravector.from_data(lhs.data - rhs.data)
+    return box4(moved, Xp, mode), rhs
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from paracalc.algebra import (
 from paracalc.cli import main
 from paracalc.diffops import (
     Numeric,
-    additivity_residual,
+    additivity_sides,
     div4,
     div4_field,
     grad4,
@@ -41,7 +41,7 @@ from paracalc.electromag import (
     plane_wave_potential,
     source_field_from_em,
     sources_from_em,
-    wave_residual,
+    wave_sides,
 )
 from paracalc.fields import (
     PolynomialField,
@@ -56,17 +56,17 @@ from paracalc.fields import (
 from paracalc.transforms import (
     InvarianceForm,
     TransformCase,
-    div_left_transport_residual,
-    div_right_transport_residual,
-    grad_left_transport_residual,
-    grad_right_transport_residual,
+    div_left_transport_sides,
+    div_right_transport_sides,
+    grad_left_transport_sides,
+    grad_right_transport_sides,
     observer_rotation_sides,
-    right_factor_residuals,
+    right_factor_sides,
     transformed_field_values,
-    wave_invariance_residual,
+    wave_invariance_sides,
 )
 
-from util import max_abs, rel_err
+from util import gap, max_abs, rel_err
 
 SEED = 42
 
@@ -169,7 +169,7 @@ def test_criterion_3_additivity_and_scalar_product_rule():
         g = mixed_field(rng, i)
         rho = random_scalar_field(rng)
         X = random_event(rng)
-        worst = max(worst, max_abs(additivity_residual(f, g, X).data))
+        worst = max(worst, max_abs(gap(additivity_sides(f, g, X))))
         lhs, rhs = leibniz_sides(rho, g, X)
         worst = max(worst, max_abs(lhs.data - rhs.data))
     res_ok = worst <= 1e-12
@@ -193,10 +193,10 @@ def test_criterion_3_additivity_and_scalar_product_rule():
 def test_criterion_4_transport_identities():
     rng = np.random.default_rng(SEED + 3)
     residual_fns = {
-        "div-left": div_left_transport_residual,
-        "grad-left": grad_left_transport_residual,
-        "div-right": div_right_transport_residual,
-        "grad-right": grad_right_transport_residual,
+        "div-left": div_left_transport_sides,
+        "grad-left": grad_left_transport_sides,
+        "div-right": div_right_transport_sides,
+        "grad-right": grad_right_transport_sides,
     }
     worst_exact = 0.0
     worst_numeric = 0.0
@@ -205,10 +205,10 @@ def test_criterion_4_transport_identities():
             g = random_paravector(rng)
             f = mixed_field(rng, i)
             X = random_event(rng)
-            worst_exact = max(worst_exact, max_abs(fn(TransformCase(g, f, X)).data))
+            worst_exact = max(worst_exact, max_abs(gap(fn(TransformCase(g, f, X)))))
             worst_numeric = max(
                 worst_numeric,
-                max_abs(fn(TransformCase(g, f, X, Numeric(1e-5))).data),
+                max_abs(gap(fn(TransformCase(g, f, X, Numeric(1e-5))))),
             )
     for i in range(50):
         # every tenth factor is exactly singular; the identity needs no inverse
@@ -219,10 +219,10 @@ def test_criterion_4_transport_identities():
             g = random_paravector(rng)
         f = mixed_field(rng, i)
         X = random_event(rng)
-        d, gr = right_factor_residuals(f, g, X)
-        worst_exact = max(worst_exact, max_abs(d.data), max_abs(gr.data))
-        dn, grn = right_factor_residuals(f, g, X, Numeric(1e-5))
-        worst_numeric = max(worst_numeric, max_abs(dn.data), max_abs(grn.data))
+        d, gr = right_factor_sides(f, g, X)
+        worst_exact = max(worst_exact, max_abs(gap(d)), max_abs(gap(gr)))
+        dn, grn = right_factor_sides(f, g, X, Numeric(1e-5))
+        worst_numeric = max(worst_numeric, max_abs(gap(dn)), max_abs(gap(grn)))
     ok = worst_exact <= 1e-10 and worst_numeric <= 1e-5
     report(
         4,
@@ -259,7 +259,7 @@ def test_criterion_6_wave_invariance():
                 else act_left(lam, X)
             )
             worst = max(worst, max_abs(
-                wave_invariance_residual(form, f, lam, Xp).data
+                gap(wave_invariance_sides(form, f, lam, Xp))
             ))
     forms_ok = worst <= 1e-9
 
@@ -316,7 +316,7 @@ def test_criterion_7_maxwell_embedding():
     for _ in range(50):
         pot = lorenz_gauge_potential(rng)
         src = source_field_from_em(em_field_from_potential(pot))
-        chain = max(chain, max_abs(wave_residual(pot, src, complex_time_event()).data))
+        chain = max(chain, max_abs(gap(wave_sides(pot, src, complex_time_event()))))
     chain_ok = chain <= 1e-9
 
     h = 1e-5

@@ -26,3 +26,9 @@ def random_rows(rng, n):
     exact = rng.choice(pool, size=(n, 4)) + 1j * rng.choice(pool, size=(n, 4))
     exact.imag[rng.random((n, 4)) < 0.3] = -0.0
     return np.concatenate([spread, exact])
+
+
+def gap(sides):
+    """lhs - rhs of a (lhs, rhs) pair of paravectors, as an array."""
+    lhs, rhs = sides
+    return lhs.data - rhs.data
