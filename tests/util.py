@@ -1,6 +1,11 @@
 """Shared helpers for the test suite."""
 
+import itertools
+
 import numpy as np
+
+from paracalc.algebra import IDENTITY, Event, Paravector, mul
+from paracalc.fields import PolynomialField, PullbackField
 
 
 def max_abs(x) -> float:
@@ -32,3 +37,69 @@ def gap(sides):
     """lhs - rhs of a (lhs, rhs) pair of paravectors, as an array."""
     lhs, rhs = sides
     return lhs.data - rhs.data
+
+
+# -- Gaussian-integer lattice draws ---------------------------------------------
+#
+# Polynomial identities hold exactly in Gaussian-integer arithmetic, and
+# binary floats compute sums and products of integers exactly while every
+# value stays below 2^53.  These draws keep every input on that lattice.
+
+LATTICE = 5  # real and imaginary parts are drawn from -5..5
+
+
+def lattice_complex(rng, shape):
+    """Gaussian integers with parts in -LATTICE..LATTICE."""
+    re = rng.integers(-LATTICE, LATTICE + 1, size=shape)
+    im = rng.integers(-LATTICE, LATTICE + 1, size=shape)
+    return re + 1j * im
+
+
+_LATTICE_EXPS = np.array([e for e in itertools.product(range(4), repeat=4) if sum(e) <= 3])
+
+
+def lattice_field(rng, width=4):
+    """Degree-3 polynomial field with Gaussian-integer coefficients in the
+    first `width` components (width 1 gives a scalar field [rho; 0])."""
+    coeffs = np.zeros((len(_LATTICE_EXPS), 4), np.complex128)
+    coeffs[:, :width] = lattice_complex(rng, (len(_LATTICE_EXPS), width))
+    return PolynomialField(_LATTICE_EXPS, coeffs)
+
+
+def lattice_event(rng):
+    return Event.from_data(lattice_complex(rng, 4))
+
+
+def lattice_paravector(rng):
+    return Paravector.from_data(lattice_complex(rng, 4))
+
+
+def unimodular_paravector(rng):
+    """Product of 1-3 factors [1; a(e_j + s i e_k)] with a in {+-1, +-2}, s = +-1.
+
+    Each factor's vector part is null, so its det is exactly 1, and so is the
+    product's: inverse() is exactly the reversion and normalize_orthogonal()
+    scales by exactly 1.
+    """
+    g = IDENTITY
+    for _ in range(rng.integers(1, 4)):
+        j, k = rng.choice(3, size=2, replace=False)
+        v = np.zeros(3, np.complex128)
+        v[j] = rng.choice([-2, -1, 1, 2])
+        v[k] = v[j] * rng.choice([-1j, 1j])
+        g = mul(g, Paravector(1.0, v))
+    return g
+
+
+def pullback(f, m):
+    """The field X -> f(m X) for a LinearMap m."""
+    return PullbackField(m, f)
+
+
+def assert_exact(lhs, rhs):
+    """Both sides are Gaussian integers below 2^53 in every part, and equal."""
+    for side in (lhs, rhs):
+        parts = np.concatenate([np.real(side).ravel(), np.imag(side).ravel()])
+        assert np.all(np.abs(parts) < 2.0 ** 53), "a value left the exact range"
+        assert np.array_equal(parts, np.round(parts)), "a value is not a lattice point"
+    assert np.array_equal(lhs, rhs)
