@@ -63,14 +63,8 @@ from .electromag import (
 )
 from .fields import (
     Field,
-    LeftMulField,
     LinearMap,
-    PlaneWaveField,
     PolynomialField,
-    PullbackField,
-    RightMulField,
-    ScalarScaledField,
-    SumField,
     null_plane_wave,
     random_event,
     random_field,
@@ -78,7 +72,6 @@ from .fields import (
     random_paravector,
     random_plane_wave,
     random_scalar_field,
-    sum_fields,
 )
 from .transforms import (
     InvarianceForm,

@@ -6,7 +6,7 @@ Acting on a field A = [phi; Phi]:
     grad4 A = [ dphi/dt - div Phi ; dPhi/dt - grad phi - i curl Phi ]
     box4  A = (d^2/dt^2 - laplacian) A   componentwise
 
-Each operator runs in exact mode (closed-form partials of the field tree) or
+Each operator runs in exact mode (closed-form partials of the field) or
 numeric mode (central differences with a caller-chosen step).  The module also
 provides the two sides of additivity and of the scalar product rule,
 and the two documented failure witnesses of the product rule.
@@ -21,14 +21,7 @@ import numpy as np
 
 from . import kernels
 from .algebra import BASIS, Event, Paravector
-from .fields import (
-    Field,
-    LeftMulField,
-    PolynomialField,
-    ScalarScaledField,
-    central_difference,
-    sum_fields,
-)
+from .fields import Field, central_difference
 
 __all__ = [
     "Exact",
@@ -143,7 +136,7 @@ def box4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
 # -- operators as field constructions ----------------------------------------
 #
 # Summing E_k * (d_k A) over the unit paravectors E_k reproduces the operator
-# value at every point, which keeps the result inside the exact families.
+# value at every point, and the sum is again a Field.
 
 _NEG_SPATIAL = (
     Paravector(0.0, (-1.0, 0.0, 0.0)),
@@ -153,13 +146,12 @@ _NEG_SPATIAL = (
 
 
 def div4_field(f: Field) -> Field:
-    return sum_fields(*(LeftMulField(BASIS[c], f.partial(c)) for c in range(4)))
+    return Field.sum(*(f.partial(c).left_mul(BASIS[c]) for c in range(4)))
 
 
 def grad4_field(f: Field) -> Field:
-    parts = [LeftMulField(BASIS[0], f.partial(0))]
-    parts += [LeftMulField(_NEG_SPATIAL[c - 1], f.partial(c)) for c in range(1, 4)]
-    return sum_fields(*parts)
+    factors = (BASIS[0],) + _NEG_SPATIAL
+    return Field.sum(*(f.partial(c).left_mul(factors[c]) for c in range(4)))
 
 
 # -- identity sides and witnesses -------------------------------------------
@@ -168,12 +160,12 @@ def additivity_sides(
     f: Field, g: Field, X: Event, mode: DiffMode = EXACT
 ) -> Tuple[Paravector, Paravector]:
     """div4(f + g) and div4(f) + div4(g), equal for analytic additive fields."""
-    both = div4(sum_fields(f, g), X, mode)
+    both = div4(f + g, X, mode)
     return both, Paravector.from_data(div4(f, X, mode).data + div4(g, X, mode).data)
 
 
 def leibniz_sides(
-    rho: PolynomialField, f: Field, X: Event, mode: DiffMode = EXACT
+    rho: Field, f: Field, X: Event, mode: DiffMode = EXACT
 ) -> Tuple[Paravector, Paravector]:
     """div4[rho f] and (d rho) f + rho div4(f), equal by the scalar product rule.
 
@@ -181,7 +173,7 @@ def leibniz_sides(
     rho] is div4(rho).  The (d rho) factor multiplies on the left, which is
     the only order for which the rule is valid; see scalar_order_gap.
     """
-    lhs = div4(ScalarScaledField(rho, f), X, mode)
+    lhs = div4(f.scalar_mul(rho), X, mode)
     drho = div4(rho, X, mode)
     fv = f._value(X.data)
     rv = rho._value(X.data)[0]
@@ -210,7 +202,7 @@ def product_rule_failure_witness(f: Field, g: Field, X: Event) -> Paravector:
     return Paravector.from_data(lhs - rhs)
 
 
-def scalar_order_gap(rho: PolynomialField, a: Paravector, X: Event) -> Paravector:
+def scalar_order_gap(rho: Field, a: Paravector, X: Event) -> Paravector:
     """(d rho) A - A (d rho): the cost of reordering the scalar product rule."""
     drho = div4(rho, X)
     return Paravector.from_data(

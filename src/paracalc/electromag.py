@@ -24,15 +24,7 @@ import numpy as np
 
 from .algebra import Event, Paravector
 from .diffops import DiffMode, EXACT, box4, div4, div4_field, grad4, grad4_field
-from .fields import (
-    Field,
-    LinearMap,
-    PlaneWaveField,
-    PolynomialField,
-    PullbackField,
-    as_rng,
-    random_scalar_field,
-)
+from .fields import Field, LinearMap, as_rng, random_scalar_field
 
 __all__ = [
     "PhysConstants",
@@ -111,7 +103,7 @@ def _tau_event(X: Event, c: float) -> Event:
 def _time_scaled(f: Field, c: float) -> Field:
     if c == 1.0:
         return f
-    return PullbackField(LinearMap.diagonal((1.0 / c, 1.0, 1.0, 1.0)), f)
+    return f.pullback(LinearMap.diagonal((1.0 / c, 1.0, 1.0, 1.0)))
 
 
 def em_from_potential(
@@ -181,8 +173,7 @@ def plane_wave_potential(
         raise NonTransverse(f"pol . kvec = {kv @ pv!r} is not zero")
     omega = k.c * np.sqrt(np.complex128(kv @ kv))
     amplitude = Paravector(0.0, -k.c * np.complex128(amp) * pv)
-    field = PlaneWaveField(1j * omega, -1j * kv, amplitude)
-    return PotentialField(field)
+    return PotentialField(Field.plane_wave(np.concatenate([[1j * omega], -1j * kv]), amplitude))
 
 
 def lorenz_gauge_potential(
@@ -198,13 +189,13 @@ def lorenz_gauge_potential(
     # scalar polynomials: each keeps its coefficients in column 0
     w = [random_scalar_field(rng, degree=degree, scale=scale) for _ in range(3)]
     parts = [w[i].partial(i + 1) for i in range(3)]
-    div_w = PolynomialField(np.concatenate([p.exps for p in parts]),
-                            np.concatenate([p.coeffs for p in parts]))
+    div_w = Field(np.concatenate([p.exps for p in parts]),
+                  np.concatenate([p.coeffs for p in parts]))
     exps = div_w.exps.copy()
     exps[:, 0] += 1  # t-antiderivative with zero integration constant
-    phi = PolynomialField(exps, k.c * div_w.coeffs / exps[:, :1])
+    phi = Field(exps, k.c * div_w.coeffs / exps[:, :1])
     comps = [phi, *w]  # column 0 of the i-th goes to column i of the potential
-    return PotentialField(PolynomialField(
+    return PotentialField(Field(
         np.concatenate([p.exps for p in comps]),
         np.concatenate([np.roll(p.coeffs, i, axis=1) for i, p in enumerate(comps)]),
     ))

@@ -1,38 +1,49 @@
-"""Holomorphic paravector-valued field families over complex space-time.
+"""Holomorphic paravector-valued fields over complex space-time.
 
-Fields are immutable expression trees closed under exact differentiation:
-sparse polynomials, plane waves with linear phases, sums, scalar scalings,
-constant left/right paravector factors, and pullbacks along invertible linear
-coordinate maps.  ``Field.partial`` returns another tree; ``central_difference``
-is the independent oracle (stepping along the real axis of a complex
-coordinate, which recovers the complex partial because every family is
-holomorphic per coordinate).
+Every field is a sum of polynomials in a linear frame times exponentials of
+linear phases,
+
+    f(X) = sum_j P_j(M_j X) exp(k_j . X),
+
+where each P_j has paravector coefficients, M_j is a 4x4 matrix (the
+identity until a pullback composes a map into it) and k_j . X is
+k0 t + k1 x + k2 y + k3 z.  One immutable class, ``Field``, holds it as
+canonical rows: an exponent row, a coefficient row and a phase per term,
+grouped by frame and phase.  The class is closed under every operation the
+package needs:
+
+* partials:  d_c [P(M X) e^{k.X}] = [sum_j M[j, c] (d_j P)(M X) + k_c P(M X)] e^{k.X};
+* pullbacks along a linear map A:  P(M A X) e^{(A^T k).X};
+* constant left and right paravector factors, applied to the coefficient rows;
+* products with a scalar field [rho; 0] in the same frame: polynomials
+  multiply, phases add;
+* sums: the rows concatenated and merged.
+
+Pullbacks keep a frame rather than expanding P(M X) into monomials of X: for
+the strongly non-unitary maps the suites draw, that expansion cancels away
+most of its significant digits when evaluated (see the README).
+``central_difference`` is the independent oracle (stepping along the real
+axis of a complex coordinate, which recovers the complex partial because
+every field is holomorphic per coordinate).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 from . import kernels
-from .algebra import BASIS, Event, Paravector, det_rows, normalize_orthogonal, reverse, scale
+from .algebra import BASIS, Event, Paravector, det_rows, normalize_orthogonal, reverse
 
 __all__ = [
     "DEGREE_CAP",
     "MAX_TERMS",
-    "MAX_DEPTH",
     "coord_index",
     "LinearMap",
     "Field",
     "PolynomialField",
-    "PlaneWaveField",
-    "SumField",
-    "ScalarScaledField",
-    "LeftMulField",
-    "RightMulField",
-    "PullbackField",
-    "sum_fields",
     "random_paravector",
     "random_paravectors",
     "random_orthogonal",
@@ -45,7 +56,6 @@ __all__ = [
 
 DEGREE_CAP = 8
 MAX_TERMS = 512
-MAX_DEPTH = 32
 
 _COORD_NAMES = {"t": 0, "x": 1, "y": 2, "z": 3}
 
@@ -68,8 +78,9 @@ class LinearMap:
 
     Constructors cover the three paravector actions (the matrices are the
     coordinate expansions of gX, Xg and gXg~) plus a diagonal rescaling used
-    for c-scaled operators.  The stored matrix doubles as the constant
-    Jacobian for the pullback chain rule.
+    for c-scaled operators.  ``Field.pullback`` composes the matrix into the
+    frame of each of a field's polynomials and maps its phases by the
+    transpose.
     """
 
     __slots__ = ("matrix",)
@@ -106,49 +117,18 @@ class LinearMap:
             raise ValueError("diagonal map needs 4 factors")
         return cls(np.diag(f))
 
-    def apply_raw(self, x: np.ndarray) -> np.ndarray:
-        return kernels.matvec4(self.matrix, x)
-
-    def __call__(self, X: Event) -> Event:
-        return Event.from_data(self.apply_raw(X.data))
-
 
 # ---------------------------------------------------------------------------
-# Field trees
+# Canonical rows
 # ---------------------------------------------------------------------------
-
-class Field:
-    """Base class; subclasses implement _value(x) and _partial(coord)."""
-
-    __slots__ = ("depth", "_pcache")
-
-    def _init_base(self, depth: int):
-        if depth > MAX_DEPTH:
-            raise ValueError(f"field tree depth {depth} exceeds cap {MAX_DEPTH}")
-        self.depth = depth
-        self._pcache = {}
-
-    def at(self, X: Event) -> Paravector:
-        return Paravector.from_data(self._value(X.data))
-
-    def partial(self, coord) -> "Field":
-        c = coord_index(coord)
-        try:
-            return self._pcache[c]
-        except KeyError:
-            f = self._partial(c)
-            self._pcache[c] = f
-            return f
-
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _partial(self, c: int) -> "Field":
-        raise NotImplementedError
-
 
 _KEY_BASE = DEGREE_CAP + 1
 _KEY_COUNT = _KEY_BASE ** 4
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _canonical_terms(exps, coeffs):
@@ -189,197 +169,270 @@ def _canonical_terms(exps, coeffs):
     out_e, out_c = exps[nonzero], coeffs[nonzero]
     if len(out_e) > MAX_TERMS:
         raise ValueError(f"term count {len(out_e)} exceeds cap {MAX_TERMS}")
-    out_e.flags.writeable = False
-    out_c.flags.writeable = False
-    return out_e, out_c
+    return _frozen(out_e), _frozen(out_c)
 
 
-class PolynomialField(Field):
-    """Sparse multivariate polynomial with paravector coefficients.
+# ---------------------------------------------------------------------------
+# The field type
+# ---------------------------------------------------------------------------
 
-    A scalar polynomial rho is the field [rho; 0]: its vector coefficients are
-    all zero, and div4 of it is (d rho) = [drho/dt; grad rho].
+class Field:
+    """sum_j P_j(M_j X) exp(k_j . X), with paravector-valued polynomials P_j.
+
+    ``Field(exps, coeffs)`` is the polynomial sum_i coeffs[i] X^exps[i], and
+    ``Field(exps, coeffs, phases)`` multiplies row i by exp(phases[i] . X).
+    The frame M_j is the identity until a pullback composes it with a map.
+    A scalar field rho is [rho; 0]: its vector coefficients are all zero, and
+    div4 of it is (d rho) = [drho/dt; grad rho].  ``exps``, ``coeffs`` and
+    ``phases`` read back the canonical rows: grouped by frame and phase in
+    order of first appearance, each group's exponents distinct, sorted and
+    nonzero.
     """
 
-    __slots__ = ("exps", "coeffs")
+    __slots__ = ("_groups", "_pcache")
 
-    def __init__(self, exps, coeffs):
-        self._set_terms(*_canonical_terms(exps, coeffs))
-
-    def _set_terms(self, exps, coeffs):
-        # read-only rows that are already distinct, sorted and nonzero
-        self.exps, self.coeffs = exps, coeffs
-        self._init_base(1)
+    def __init__(self, exps, coeffs, phases=None):
+        exps = np.asarray(exps, dtype=np.int64).reshape(-1, 4)
+        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 4)
+        if phases is None:
+            groups = [(None, _ZERO_PHASE, exps, coeffs)]
+        else:
+            phases = np.asarray(phases, dtype=np.complex128).reshape(-1, 4)
+            if phases.shape[0] != exps.shape[0]:
+                raise ValueError("phase and exponent counts differ")
+            groups = [(None, phases[i], exps[i:i + 1], coeffs[i:i + 1])
+                      for i in range(len(phases))]
+        self._groups = _merged(groups)
+        self._pcache = {}
 
     @classmethod
-    def zero(cls) -> "PolynomialField":
-        return cls(np.zeros((0, 4), np.int64), np.zeros((0, 4), np.complex128))
+    def _of(cls, groups) -> "Field":
+        f = object.__new__(cls)
+        f._groups = groups
+        f._pcache = {}
+        return f
 
     @classmethod
-    def constant(cls, p: Paravector) -> "PolynomialField":
+    def zero(cls) -> "Field":
+        return cls._of(())
+
+    @classmethod
+    def constant(cls, p: Paravector) -> "Field":
         return cls(np.zeros((1, 4), np.int64), p.data.reshape(1, 4))
 
     @classmethod
-    def monomial(cls, exps, coeff: Paravector) -> "PolynomialField":
+    def monomial(cls, exps, coeff: Paravector) -> "Field":
         """coeff * t^et x^ex y^ey z^ez for exps = (et, ex, ey, ez)."""
         return cls(np.array([exps]), coeff.data.reshape(1, 4))
 
-    def _value(self, x):
-        return kernels.poly_eval(self.exps, self.coeffs, x)
+    @classmethod
+    def plane_wave(cls, k, amplitude: Paravector) -> "Field":
+        """amplitude * exp(k0 t + k1 x + k2 y + k3 z) for a complex phase k."""
+        k = np.array(k, dtype=np.complex128)
+        if k.shape != (4,):
+            raise ValueError("the phase must have 4 components")
+        return cls._of(_merged([(None, k, np.zeros((1, 4), np.int64),
+                                 amplitude.data.reshape(1, 4))]))
 
-    def _partial(self, c):
-        # Lowering one exponent of every kept row keeps the rows distinct and
-        # their order, and scaling by a positive integer keeps them nonzero,
-        # so the result is canonical without a merge.
-        keep = self.exps[:, c] > 0
-        exps = self.exps[keep]
-        coeffs = self.coeffs[keep] * exps[:, c][:, None]
-        exps[:, c] -= 1
-        exps.flags.writeable = False
-        coeffs.flags.writeable = False
-        f = object.__new__(PolynomialField)
-        f._set_terms(exps, coeffs)
-        return f
+    def _rows(self, i: int, empty) -> np.ndarray:
+        parts = [g[i] for g in self._groups]
+        if len(parts) == 1:
+            return parts[0]
+        return _frozen(np.concatenate(parts) if parts else empty)
 
+    @property
+    def exps(self) -> np.ndarray:
+        return self._rows(2, np.zeros((0, 4), np.int64))
 
-class PlaneWaveField(Field):
-    """amplitude * exp(kappa0*t + kappa . r) with a complex linear phase."""
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self._rows(3, np.zeros((0, 4), np.complex128))
 
-    __slots__ = ("kappa0", "kappa", "amplitude", "_k4")
+    @property
+    def phases(self) -> np.ndarray:
+        parts = [np.broadcast_to(k, e.shape) for _, k, e, _ in self._groups]
+        return _frozen(np.concatenate(parts) if parts else np.zeros((0, 4), np.complex128))
 
-    def __init__(self, kappa0, kappa, amplitude: Paravector):
-        self.kappa0 = np.complex128(kappa0)
-        k = np.array(kappa, dtype=np.complex128, copy=True)
-        if k.shape != (3,):
-            raise ValueError("kappa must have 3 components")
-        k.flags.writeable = False
-        self.kappa = k
-        self.amplitude = amplitude
-        k4 = np.empty(4, np.complex128)
-        k4[0] = self.kappa0
-        k4[1:] = k
-        k4.flags.writeable = False
-        self._k4 = k4
-        if not np.all(np.isfinite(k4)):
-            raise ValueError("phase coefficients must be finite")
-        self._init_base(1)
+    def at(self, X: Event) -> Paravector:
+        return Paravector.from_data(self._value(X.data))
 
-    def _value(self, x):
-        return kernels.plane_wave_eval(self._k4, self.amplitude.data, x)
+    def _value(self, x: np.ndarray) -> np.ndarray:
+        out = None
+        for m, k, exps, coeffs in self._groups:
+            if k is _ZERO_PHASE:
+                v = kernels.poly_eval(exps, coeffs, x if m is None else m @ x)
+            elif len(exps) == 1 and not exps.any():  # a plane wave
+                v = kernels.plane_wave_eval(k, coeffs[0], x)
+            else:
+                v = kernels.plane_wave_eval(
+                    k, kernels.poly_eval(exps, coeffs, x if m is None else m @ x), x)
+            out = v if out is None else out + v
+        return np.zeros(4, np.complex128) if out is None else out
 
-    def _partial(self, c):
-        return PlaneWaveField(self.kappa0, self.kappa, scale(self._k4[c], self.amplitude))
+    def partial(self, coord) -> "Field":
+        c = coord_index(coord)
+        try:
+            return self._pcache[c]
+        except KeyError:
+            f = self._partial(c)
+            self._pcache[c] = f
+            return f
 
+    def _partial(self, c: int) -> "Field":
+        # d_c [P(M X) e^{k.X}] = [sum_j M[j, c] (d_j P)(M X) + k_c P(M X)] e^{k.X}
+        groups = []
+        for m, k, exps, coeffs in self._groups:
+            if m is None:
+                de, dc = _lowered(exps, coeffs, c)
+            else:
+                de, weights = _gradient_table(exps.tobytes())
+                dc = np.tensordot(m[:, c], weights, axes=1) @ coeffs
+            if k[c] != 0 and len(de):
+                groups += _merged([(m, k, np.concatenate([de, exps]),
+                                    np.concatenate([dc, k[c] * coeffs]))])
+            elif k[c] != 0:  # a constant P: only the phase term
+                groups += _nonzero(m, k, exps, k[c] * coeffs)
+            else:  # d_c P alone has distinct sorted rows: no merge needed
+                groups += _nonzero(m, k, de, dc)
+        return Field._of(tuple(groups))
 
-class SumField(Field):
-    __slots__ = ("left", "right")
+    # -- closure operations ------------------------------------------------
 
-    def __init__(self, left: Field, right: Field):
-        self.left = left
-        self.right = right
-        self._init_base(max(left.depth, right.depth) + 1)
+    def pullback(self, m: LinearMap) -> "Field":
+        """X -> f(M X): P_j(M_j X) e^{k_j.X} becomes P_j(M_j M X) e^{(M^T k_j).X}."""
+        mat = m.matrix
+        return Field._of(_merged([
+            (mat if frame is None else frame @ mat,
+             k if k is _ZERO_PHASE else k @ mat, exps, coeffs)
+            for frame, k, exps, coeffs in self._groups
+        ]))
 
-    def _value(self, x):
-        return self.left._value(x) + self.right._value(x)
+    def left_mul(self, g: Paravector) -> "Field":
+        """X -> g f(X) for a constant paravector g."""
+        return self._times(LinearMap.left_action(g))
 
-    def _partial(self, c):
-        return SumField(self.left.partial(c), self.right.partial(c))
+    def right_mul(self, g: Paravector) -> "Field":
+        """X -> f(X) g for a constant paravector g."""
+        return self._times(LinearMap.right_action(g))
 
+    def _times(self, action: LinearMap) -> "Field":
+        # a constant factor multiplies every coefficient row by its matrix
+        t = action.matrix.T
+        return Field._of(tuple(grp for m, k, exps, coeffs in self._groups
+                               for grp in _nonzero(m, k, exps, coeffs @ t)))
 
-class ScalarScaledField(Field):
-    """Pointwise rho(X) * f(X) for a scalar polynomial rho (zero vector part)."""
+    def scalar_mul(self, rho: "Field") -> "Field":
+        """X -> rho(X) f(X) for a scalar field rho (zero vector part).
 
-    __slots__ = ("rho", "inner")
+        Polynomials multiply and phases add, group by group, so each pair of
+        groups must share a frame (a pulled-back rho scales fields pulled back
+        along the same map).
+        """
+        if any(c[:, 1:].any() for _, _, _, c in rho._groups):
+            raise ValueError("rho must be a scalar field: its vector coefficients must be zero")
+        products = []
+        for mr, kr, er, cr in rho._groups:
+            for mf, kf, ef, cf in self._groups:
+                if not (mr is mf or (mr is not None and mf is not None
+                                     and np.array_equal(mr, mf))):
+                    raise ValueError("rho and the field have different frames")
+                products.append((mf, kr + kf, (er[:, None, :] + ef[None, :, :]).reshape(-1, 4),
+                                 (cr[:, None, :1] * cf[None, :, :]).reshape(-1, 4)))
+        return Field._of(_merged(products))
 
-    def __init__(self, rho: PolynomialField, inner: Field):
-        if not isinstance(rho, PolynomialField) or np.any(rho.coeffs[:, 1:]):
-            raise ValueError("rho must be a PolynomialField with zero vector coefficients")
-        self.rho = rho
-        self.inner = inner
-        self._init_base(inner.depth + 1)
+    @staticmethod
+    def sum(*fields: "Field") -> "Field":
+        """The sum of the fields: their rows concatenated and merged once."""
+        return Field._of(_merged([grp for f in fields for grp in f._groups]))
 
-    def _value(self, x):
-        return self.rho._value(x)[0] * self.inner._value(x)
-
-    def _partial(self, c):
-        return SumField(
-            ScalarScaledField(self.rho.partial(c), self.inner),
-            ScalarScaledField(self.rho, self.inner.partial(c)),
-        )
-
-
-class LeftMulField(Field):
-    """Pointwise g * f(X) for a constant paravector g."""
-
-    __slots__ = ("factor", "inner")
-
-    def __init__(self, factor: Paravector, inner: Field):
-        self.factor = factor
-        self.inner = inner
-        self._init_base(inner.depth + 1)
-
-    def _value(self, x):
-        return kernels.pv_mul(self.factor.data, self.inner._value(x))
-
-    def _partial(self, c):
-        return LeftMulField(self.factor, self.inner.partial(c))
-
-
-class RightMulField(Field):
-    """Pointwise f(X) * g for a constant paravector g."""
-
-    __slots__ = ("inner", "factor")
-
-    def __init__(self, inner: Field, factor: Paravector):
-        self.inner = inner
-        self.factor = factor
-        self._init_base(inner.depth + 1)
-
-    def _value(self, x):
-        return kernels.pv_mul(self.inner._value(x), self.factor.data)
-
-    def _partial(self, c):
-        return RightMulField(self.inner.partial(c), self.factor)
-
-
-class PullbackField(Field):
-    """f(m(X)) for a linear map m; differentiated with m's constant Jacobian."""
-
-    __slots__ = ("mapping", "inner")
-
-    def __init__(self, mapping: LinearMap, inner: Field):
-        self.mapping = mapping
-        self.inner = inner
-        self._init_base(inner.depth + 1)
-
-    def _value(self, x):
-        return self.inner._value(self.mapping.apply_raw(x))
-
-    def _partial(self, c):
-        m = self.mapping.matrix
-        parts = []
-        for k in range(4):
-            w = m[k, c]
-            if w == 0:
-                continue
-            parts.append(_scaled(w, PullbackField(self.mapping, self.inner.partial(k))))
-        return sum_fields(*parts)
+    def __add__(self, other: "Field") -> "Field":
+        if not isinstance(other, Field):
+            return NotImplemented
+        return Field.sum(self, other)
 
 
-def _scaled(w, f: Field) -> Field:
-    if w == 1:
-        return f
-    return LeftMulField(Paravector(w), f)
+_ZERO_PHASE = _frozen(np.zeros(4, np.complex128))
 
 
-def sum_fields(*fields: Field) -> Field:
-    """Fold fields into a sum tree; no arguments gives the zero field."""
-    if not fields:
-        return PolynomialField.zero()
-    acc = fields[0]
-    for f in fields[1:]:
-        acc = SumField(acc, f)
-    return acc
+def _lowered(exps, coeffs, j: int):
+    """Rows of d_j P.  Lowering one exponent of every kept row keeps the rows
+    distinct and in order, and scaling by a positive integer keeps them
+    nonzero, so canonical rows stay canonical."""
+    keep = exps[:, j] > 0
+    de = exps[keep]
+    dc = coeffs[keep] * de[:, j][:, None]
+    de[:, j] -= 1
+    return _frozen(de), _frozen(dc)
+
+
+@functools.lru_cache(maxsize=64)
+def _gradient_table(exps_bytes: bytes):
+    """The rows of every first partial of a polynomial with these exponents.
+
+    Returns the exponent rows U of d_0 P, ..., d_3 P together, distinct and
+    sorted, and weights W of shape (4, len(U), len(exps)) with
+    d_j P = W[j] @ coeffs on the rows U.
+    """
+    exps = np.frombuffer(exps_bytes, np.int64).reshape(-1, 4)
+    rows = [np.flatnonzero(exps[:, j] > 0) for j in range(4)]
+    lowered = np.concatenate([exps[r] - np.eye(4, dtype=np.int64)[j] for j, r in enumerate(rows)])
+    u, where = np.unique(lowered, axis=0, return_inverse=True)
+    weights = np.zeros((4, len(u), len(exps)))
+    start = 0
+    for j, r in enumerate(rows):
+        weights[j, where.ravel()[start:start + len(r)], r] = exps[r, j]
+        start += len(r)
+    return _frozen(u), _frozen(weights)
+
+
+def _nonzero(m, k, exps, coeffs):
+    """The group of these distinct sorted rows without its zero rows, as a
+    0- or 1-tuple; a constant polynomial needs no frame."""
+    keep = (coeffs != 0).any(axis=1)
+    if not keep.all():
+        exps, coeffs = exps[keep], coeffs[keep]
+    if not len(exps):
+        return ()
+    if m is not None and not exps.any():
+        m = None
+    return ((m, k, _frozen(exps), _frozen(coeffs)),)
+
+
+def _merged(groups):
+    """Canonical groups from (frame, phase, exps, coeffs) tuples.
+
+    Tuples with equal frames and phases join in order of first appearance,
+    their rows merge as in _canonical_terms, and groups left without rows are
+    dropped.  A constant polynomial needs no frame, and the identity frame is
+    None.
+    """
+    joined = {}
+    for m, k, exps, coeffs in groups:
+        if not (np.all(np.isfinite(k)) and (m is None or np.all(np.isfinite(m)))):
+            raise ValueError("phases and frames must be finite")
+        exps = np.asarray(exps, dtype=np.int64).reshape(-1, 4)
+        if m is not None and not exps.any():
+            m = None
+        k = _ZERO_PHASE if not k.any() else _frozen(k + 0.0)  # -0.0 joins 0.0
+        m = None if m is None else _frozen(m + 0.0)
+        key = (b"" if m is None else m.tobytes(), k.tobytes())
+        _, _, es, cs = joined.setdefault(key, (m, k, [], []))
+        es.append(exps)
+        cs.append(coeffs)
+    out = []
+    for m, k, es, cs in joined.values():
+        if len(es) == 1:
+            exps, coeffs = _canonical_terms(es[0], cs[0])
+        else:
+            exps, coeffs = _canonical_terms(np.concatenate(es), np.concatenate(cs))
+        if len(exps):
+            out.append((m, k, exps, coeffs))
+    return tuple(out)
+
+
+def PolynomialField(exps, coeffs) -> Field:
+    """The polynomial field sum_i coeffs[i] X^exps[i]; the same as Field(exps, coeffs)."""
+    return Field(exps, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +529,7 @@ def _degree_exponents(degree: int) -> np.ndarray:
         return _EXPONENTS.setdefault(degree, exps)
 
 
-def _random_polynomial(seed, degree: int, scale: float, width: int) -> PolynomialField:
+def _random_polynomial(seed, degree: int, scale: float, width: int) -> Field:
     # term by term, the first `width` components; the rest stay zero
     if degree > DEGREE_CAP:
         raise ValueError(f"degree must be <= {DEGREE_CAP}")
@@ -484,28 +537,28 @@ def _random_polynomial(seed, degree: int, scale: float, width: int) -> Polynomia
     n = len(exps)
     coeffs = np.zeros((n, 4), np.complex128)
     coeffs[:, :width] = _random_complexes(as_rng(seed), scale, n * width).reshape(n, width)
-    return PolynomialField(exps, coeffs)
+    return Field(exps, coeffs)
 
 
-def random_field(seed, degree: int = 3, scale: float = 1.0) -> PolynomialField:
+def random_field(seed, degree: int = 3, scale: float = 1.0) -> Field:
     """Dense random polynomial of total degree <= degree, |coefficients| <= scale."""
     return _random_polynomial(seed, degree, scale, 4)
 
 
-def random_scalar_field(seed, degree: int = 3, scale: float = 1.0) -> PolynomialField:
+def random_scalar_field(seed, degree: int = 3, scale: float = 1.0) -> Field:
     """As random_field, for a scalar polynomial: the vector coefficients are zero."""
     return _random_polynomial(seed, degree, scale, 1)
 
 
-def random_plane_wave(seed, scale: float = 1.0) -> PlaneWaveField:
-    # amplitude (scalar, vector), then kappa0, then kappa
+def random_plane_wave(seed, scale: float = 1.0) -> Field:
+    # amplitude (scalar, vector), then the phase (kappa0, kappa)
     z = _random_complexes(as_rng(seed), scale, 8)
-    return PlaneWaveField(z[4], z[5:], Paravector.from_data(z[:4]))
+    return Field.plane_wave(z[4:], Paravector.from_data(z[:4]))
 
 
-def null_plane_wave(seed, scale: float = 1.0) -> PlaneWaveField:
+def null_plane_wave(seed, scale: float = 1.0) -> Field:
     """Plane wave whose phase satisfies kappa0^2 = kappa . kappa."""
     z = _random_complexes(as_rng(seed), scale, 7)
     kappa = z[4:]
     kappa0 = np.sqrt(np.complex128(kappa @ kappa))
-    return PlaneWaveField(kappa0, kappa, Paravector.from_data(z[:4]))
+    return Field.plane_wave(np.concatenate([[kappa0], kappa]), Paravector.from_data(z[:4]))

@@ -43,13 +43,6 @@ def pv_mul_rows(a, b):
     return out
 
 
-def matvec4(m, x):
-    out = np.empty(4, _C128)
-    for i in range(4):
-        out[i] = m[i, 0] * x[0] + m[i, 1] * x[1] + m[i, 2] * x[2] + m[i, 3] * x[3]
-    return out
-
-
 def poly_eval(exps, coeffs, x):
     """Sum over terms of coeffs[i] * prod_c x[c]**exps[i, c]; coeffs is (n, 4)."""
     if exps.shape[0] == 0:

@@ -34,7 +34,7 @@ from .algebra import (
     reverse,
 )
 from .diffops import DiffMode, EXACT, box4, div4, grad4
-from .fields import Field, LeftMulField, LinearMap, PullbackField, RightMulField
+from .fields import Field, LinearMap
 
 __all__ = [
     "NotOrthogonal",
@@ -87,7 +87,7 @@ def div_left_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravecto
     """div4 A at X, and div4'[Gamma A(Gamma^-1 X')] at X' = Gamma X."""
     g = case.gamma
     xp = act_left(g, case.X)
-    moved = LeftMulField(g, PullbackField(LinearMap.left_action(inverse(g)), case.f))
+    moved = case.f.pullback(LinearMap.left_action(inverse(g))).left_mul(g)
     return div4(case.f, case.X, case.mode), div4(moved, xp, case.mode)
 
 
@@ -96,7 +96,7 @@ def grad_left_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravect
     multiplies after the operator is applied."""
     g = case.gamma
     xp = act_left(g, case.X)
-    moved = PullbackField(LinearMap.left_action(inverse(g)), case.f)
+    moved = case.f.pullback(LinearMap.left_action(inverse(g)))
     return grad4(case.f, case.X, case.mode), mul(reverse(g), grad4(moved, xp, case.mode))
 
 
@@ -104,7 +104,7 @@ def div_right_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravect
     """div4 A at X, and Gamma * div4'[A(X' Gamma^-1)] at X' = X Gamma."""
     g = case.gamma
     xp = act_right(case.X, g)
-    moved = PullbackField(LinearMap.right_action(inverse(g)), case.f)
+    moved = case.f.pullback(LinearMap.right_action(inverse(g)))
     return div4(case.f, case.X, case.mode), mul(g, div4(moved, xp, case.mode))
 
 
@@ -112,9 +112,7 @@ def grad_right_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravec
     """grad4 A at X, and grad4'[Gamma~ A(X' Gamma^-1)] at X' = X Gamma."""
     g = case.gamma
     xp = act_right(case.X, g)
-    moved = LeftMulField(
-        reverse(g), PullbackField(LinearMap.right_action(inverse(g)), case.f)
-    )
+    moved = case.f.pullback(LinearMap.right_action(inverse(g))).left_mul(reverse(g))
     return grad4(case.f, case.X, case.mode), grad4(moved, xp, case.mode)
 
 
@@ -125,7 +123,7 @@ def right_factor_sides(
 
     Needs no inverse, so it holds for singular g as well.
     """
-    shifted = RightMulField(f, g)
+    shifted = f.right_mul(g)
     return ((div4(shifted, X, mode), mul(div4(f, X, mode), g)),
             (grad4(shifted, X, mode), mul(grad4(f, X, mode), g)))
 
@@ -140,9 +138,7 @@ def observer_rotation_sides(
     """
     require_orthogonal(lam)
     rlam = reverse(lam)
-    moved = RightMulField(
-        LeftMulField(lam, PullbackField(LinearMap.conjugation(rlam), f)), rlam
-    )
+    moved = f.pullback(LinearMap.conjugation(rlam)).left_mul(lam).right_mul(rlam)
     lhs = div4(moved, Xp, mode)
     b_val = div4(f, conjugate_rotate(rlam, Xp), mode)
     return lhs, mul(mul(lam, b_val), rlam)
@@ -166,18 +162,18 @@ class InvarianceForm(enum.IntEnum):
 def transformed_wave_field(form: InvarianceForm, f: Field, lam: Paravector) -> Field:
     """The primed-frame field whose box4 the selected form takes.
 
-    Forms 1 and 4 wrap the *same* field object in a pullback (values are
-    untouched); forms 2 and 3 additionally multiply by L~ resp. L.
+    Forms 1 and 4 only pull the field back (values are untouched); forms 2
+    and 3 also multiply its values by L~ resp. L.
     """
     rlam = reverse(lam)
     form = InvarianceForm(form)
     if form is InvarianceForm.FORM1:
-        return PullbackField(LinearMap.right_action(rlam), f)
+        return f.pullback(LinearMap.right_action(rlam))
     if form is InvarianceForm.FORM2:
-        return LeftMulField(rlam, PullbackField(LinearMap.right_action(rlam), f))
+        return f.pullback(LinearMap.right_action(rlam)).left_mul(rlam)
     if form is InvarianceForm.FORM3:
-        return LeftMulField(lam, PullbackField(LinearMap.left_action(rlam), f))
-    return PullbackField(LinearMap.left_action(rlam), f)
+        return f.pullback(LinearMap.left_action(rlam)).left_mul(lam)
+    return f.pullback(LinearMap.left_action(rlam))
 
 
 def wave_invariance_sides(

@@ -44,7 +44,7 @@ from paracalc.electromag import (
     wave_sides,
 )
 from paracalc.fields import (
-    PolynomialField,
+    Field,
     central_difference,
     random_event,
     random_field,
@@ -174,11 +174,11 @@ def test_criterion_3_additivity_and_scalar_product_rule():
         worst = max(worst, max_abs(lhs.data - rhs.data))
     res_ok = worst <= 1e-12
 
-    fw = PolynomialField.monomial((0, 1, 0, 0), Paravector(0.0, (1.0, 0.0, 0.0)))
-    gw = PolynomialField.monomial((0, 0, 1, 0), Paravector(0.0, (0.0, 1.0, 0.0)))
+    fw = Field.monomial((0, 1, 0, 0), Paravector(0.0, (1.0, 0.0, 0.0)))
+    gw = Field.monomial((0, 0, 1, 0), Paravector(0.0, (0.0, 1.0, 0.0)))
     w1 = max_abs(product_rule_failure_witness(fw, gw, Event(0.0, (1.0, 1.0, 1.0))).data)
     w2 = max_abs(scalar_order_gap(
-        PolynomialField.monomial((0, 1, 0, 0), IDENTITY), Paravector(0.0, (0.0, 1.0, 0.0)),
+        Field.monomial((0, 1, 0, 0), IDENTITY), Paravector(0.0, (0.0, 1.0, 0.0)),
         Event(0.0, (1.0, 1.0, 1.0)),
     ).data)
     floors_ok = w1 >= 1.9 and w2 >= 1.9
@@ -330,7 +330,7 @@ def test_criterion_7_maxwell_embedding():
                     coeffs.append(rng.uniform(-1, 1))
         poly = np.zeros((len(exps), 4), np.complex128)
         poly[:, 0] = coeffs
-        pot = PotentialField(PolynomialField(np.array(exps), poly))
+        pot = PotentialField(Field(np.array(exps), poly))
         X = Event(0.0, rng.uniform(-2, 2, size=3))
         src = sources_from_em(em_field_from_potential(pot), X, mode=Numeric(h))
         div_e = 0.0

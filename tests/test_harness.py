@@ -13,8 +13,6 @@ from paracalc.algebra import IDENTITY, Paravector, det, inverse, mul, reverse
 from paracalc.cli import main
 from paracalc.fields import (
     Field,
-    LeftMulField,
-    PolynomialField,
     _random_complexes,
     random_field,
 )
@@ -300,7 +298,7 @@ def test_run_convergence_planewave_ratio_band():
 
 
 def test_run_convergence_constant_field_reports_not_applicable():
-    const = PolynomialField.constant(Paravector(1.0, (1.0, 2.0, 3.0)))
+    const = Field.constant(Paravector(1.0, (1.0, 2.0, 3.0)))
     rows = run_convergence("poly", [1e-3, 5e-4], seed=1, fields=[const])
     assert all(r.max_error == 0.0 for r in rows)
     assert all(r.ratio is None for r in rows)
@@ -329,19 +327,18 @@ def test_convergence_ok_band_check():
     assert not convergence_ok(rows)
 
 
-class _SteepY(Field):
-    """A field whose exact y-partial is 1.5 times too large."""
+class _SteepY:
+    """Values of a field, but an exact y-partial 1.5 times too large."""
 
     def __init__(self, inner):
         self.inner = inner
-        self._init_base(inner.depth + 1)
 
     def _value(self, x):
         return self.inner._value(x)
 
-    def _partial(self, c):
+    def partial(self, c):
         part = self.inner.partial(c)
-        return LeftMulField(Paravector(1.5), part) if c == 2 else part
+        return part.left_mul(Paravector(1.5)) if c == 2 else part
 
 
 def test_convergence_ok_rejects_flat_error():

@@ -32,6 +32,7 @@ from util import (
     lattice_field,
     lattice_paravector,
     pullback,
+    substitute,
     unimodular_paravector,
 )
 
@@ -109,6 +110,21 @@ def test_pullback_group_composition_is_exact():
         once = pullback(f, LinearMap.left_action(inverse(mul(g2, g1))))
         X = lattice_event(rng)
         assert_exact(twice.at(X).data, once.at(X).data)
+
+
+@pytest.mark.parametrize("action", [LinearMap.left_action, LinearMap.right_action])
+def test_pullback_partials_match_the_substituted_polynomial(action):
+    # Field.partial differentiates a pulled-back field through its frame;
+    # the oracle expands f(M X) into monomials of X and differentiates those
+    for rng in draws(10):
+        f, g, X = lattice_field(rng), unimodular_paravector(rng), lattice_event(rng)
+        m = action(inverse(g))
+        moved, expanded = f.pullback(m), substitute(f, m)
+        assert_exact(moved.at(X).data, expanded.at(X).data)
+        for c in range(4):
+            assert_exact(moved.partial(c).at(X).data, expanded.partial(c).at(X).data)
+            assert_exact(moved.partial(c).partial(c).at(X).data,
+                         expanded.partial(c).partial(c).at(X).data)
 
 
 def test_lattice_draws_stay_on_the_lattice():

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from paracalc.algebra import IDENTITY, Event, Paravector, mul
-from paracalc.fields import PolynomialField, PullbackField
+from paracalc.fields import Field
 
 
 def max_abs(x) -> float:
@@ -63,7 +63,7 @@ def lattice_field(rng, width=4):
     first `width` components (width 1 gives a scalar field [rho; 0])."""
     coeffs = np.zeros((len(_LATTICE_EXPS), 4), np.complex128)
     coeffs[:, :width] = lattice_complex(rng, (len(_LATTICE_EXPS), width))
-    return PolynomialField(_LATTICE_EXPS, coeffs)
+    return Field(_LATTICE_EXPS, coeffs)
 
 
 def lattice_event(rng):
@@ -93,7 +93,7 @@ def unimodular_paravector(rng):
 
 def pullback(f, m):
     """The field X -> f(m X) for a LinearMap m."""
-    return PullbackField(m, f)
+    return f.pullback(m)
 
 
 def assert_exact(lhs, rhs):
@@ -103,3 +103,28 @@ def assert_exact(lhs, rhs):
         assert np.all(np.abs(parts) < 2.0 ** 53), "a value left the exact range"
         assert np.array_equal(parts, np.round(parts)), "a value is not a lattice point"
     assert np.array_equal(lhs, rhs)
+
+
+def substitute(f, m):
+    """The polynomial field f(m X), expanded into monomials of X.
+
+    An oracle for pullbacks of polynomial fields: each degree-d part of f is
+    a (4,)*d tensor T (the coefficient at the sorted index tuple of each
+    monomial), each index axis is contracted with m, since
+    (m X)_i = sum_j m[i, j] X_j, and the entries of each monomial's index
+    tuples add up to its coefficient.  It needs no derivative, so it checks
+    Field.partial's treatment of frames from outside.
+    """
+    exps, coeffs, mat = f.exps, f.coeffs, m.matrix
+    out_e, out_c = [], []
+    for d in range(int(exps.sum(axis=1).max()) + 1 if len(exps) else 0):
+        t = np.zeros((4,) + (4,) * d, np.complex128)
+        for e, c in zip(exps, coeffs):
+            if e.sum() == d:
+                t[(slice(None),) + tuple(j for j in range(4) for _ in range(e[j]))] = c
+        for _ in range(d):  # contract the leading index axis, append the new one
+            t = np.tensordot(t, mat, axes=([1], [0]))
+        for tup in itertools.product(range(4), repeat=d):  # Field adds up duplicates
+            out_e.append([tup.count(j) for j in range(4)])
+            out_c.append(t[(slice(None),) + tup])
+    return Field(np.array(out_e).reshape(-1, 4), np.array(out_c).reshape(-1, 4))
