@@ -160,7 +160,7 @@ def additivity_sides(
     f: Field, g: Field, X: Event, mode: DiffMode = EXACT
 ) -> Tuple[Paravector, Paravector]:
     """div4(f + g) and div4(f) + div4(g), equal for analytic additive fields."""
-    both = div4(f + g, X, mode)
+    both = div4(Field.sum(f, g), X, mode)
     return both, Paravector.from_data(div4(f, X, mode).data + div4(g, X, mode).data)
 
 

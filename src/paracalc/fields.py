@@ -234,24 +234,15 @@ class Field:
         return cls._of(_merged([(None, k, np.zeros((1, 4), np.int64),
                                  amplitude.data.reshape(1, 4))]))
 
-    def _rows(self, i: int, empty) -> np.ndarray:
-        parts = [g[i] for g in self._groups]
+    def _rows(self, parts, dtype) -> np.ndarray:
         if len(parts) == 1:
-            return parts[0]
-        return _frozen(np.concatenate(parts) if parts else empty)
+            return _frozen(parts[0])
+        return _frozen(np.concatenate(parts) if parts else np.zeros((0, 4), dtype))
 
-    @property
-    def exps(self) -> np.ndarray:
-        return self._rows(2, np.zeros((0, 4), np.int64))
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self._rows(3, np.zeros((0, 4), np.complex128))
-
-    @property
-    def phases(self) -> np.ndarray:
-        parts = [np.broadcast_to(k, e.shape) for _, k, e, _ in self._groups]
-        return _frozen(np.concatenate(parts) if parts else np.zeros((0, 4), np.complex128))
+    exps = property(lambda self: self._rows([g[2] for g in self._groups], np.int64))
+    coeffs = property(lambda self: self._rows([g[3] for g in self._groups], np.complex128))
+    phases = property(lambda self: self._rows(
+        [np.repeat(g[1][None, :], len(g[2]), axis=0) for g in self._groups], np.complex128))
 
     def at(self, X: Event) -> Paravector:
         return Paravector.from_data(self._value(X.data))
@@ -333,8 +324,7 @@ class Field:
         products = []
         for mr, kr, er, cr in rho._groups:
             for mf, kf, ef, cf in self._groups:
-                if not (mr is mf or (mr is not None and mf is not None
-                                     and np.array_equal(mr, mf))):
+                if _frame_key(mr) != _frame_key(mf):
                     raise ValueError("rho and the field have different frames")
                 products.append((mf, kr + kf, (er[:, None, :] + ef[None, :, :]).reshape(-1, 4),
                                  (cr[:, None, :1] * cf[None, :, :]).reshape(-1, 4)))
@@ -344,11 +334,6 @@ class Field:
     def sum(*fields: "Field") -> "Field":
         """The sum of the fields: their rows concatenated and merged once."""
         return Field._of(_merged([grp for f in fields for grp in f._groups]))
-
-    def __add__(self, other: "Field") -> "Field":
-        if not isinstance(other, Field):
-            return NotImplemented
-        return Field.sum(self, other)
 
 
 _ZERO_PHASE = _frozen(np.zeros(4, np.complex128))
@@ -398,6 +383,10 @@ def _nonzero(m, k, exps, coeffs):
     return ((m, k, _frozen(exps), _frozen(coeffs)),)
 
 
+def _frame_key(m) -> bytes:
+    return b"" if m is None else m.tobytes()
+
+
 def _merged(groups):
     """Canonical groups from (frame, phase, exps, coeffs) tuples.
 
@@ -415,16 +404,12 @@ def _merged(groups):
             m = None
         k = _ZERO_PHASE if not k.any() else _frozen(k + 0.0)  # -0.0 joins 0.0
         m = None if m is None else _frozen(m + 0.0)
-        key = (b"" if m is None else m.tobytes(), k.tobytes())
-        _, _, es, cs = joined.setdefault(key, (m, k, [], []))
+        _, _, es, cs = joined.setdefault((_frame_key(m), k.tobytes()), (m, k, [], []))
         es.append(exps)
         cs.append(coeffs)
     out = []
     for m, k, es, cs in joined.values():
-        if len(es) == 1:
-            exps, coeffs = _canonical_terms(es[0], cs[0])
-        else:
-            exps, coeffs = _canonical_terms(np.concatenate(es), np.concatenate(cs))
+        exps, coeffs = _canonical_terms(np.concatenate(es), np.concatenate(cs))
         if len(exps):
             out.append((m, k, exps, coeffs))
     return tuple(out)

@@ -96,7 +96,7 @@ def test_div4_linear_in_field():
     f, g = random_field(rng), random_plane_wave(rng)
     X = random_event(rng)
     alpha = Paravector(0.5 - 1.5j)
-    combo = f.left_mul(alpha) + g
+    combo = Field.sum(f.left_mul(alpha), g)
     lhs = div4(combo, X).data
     rhs = alpha.s * div4(f, X).data + div4(g, X).data
     assert rel_err(lhs, rhs) <= 1e-12

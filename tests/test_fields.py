@@ -45,7 +45,7 @@ def composite_field(seed: int = 0):
     g = random_paravector(rng)
     rho = random_scalar_field(rng, degree=2)
     mapped = poly.pullback(LinearMap.left_action(inverse(g)))
-    return wave.scalar_mul(rho) + mapped.right_mul(g).left_mul(g)
+    return Field.sum(wave.scalar_mul(rho), mapped.right_mul(g).left_mul(g))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -166,7 +166,7 @@ def _stencil_norm(f, x, h):
     lambda: random_field(10),
     lambda: random_plane_wave(11),
     lambda: composite_field(12),
-    lambda: random_field(13) + random_plane_wave(14),
+    lambda: Field.sum(random_field(13), random_plane_wave(14)),
 ])
 def test_exact_vs_numeric_oracle(maker):
     f = maker()
@@ -344,7 +344,7 @@ def test_repeated_operations_stay_one_flat_field():
     f = random_field(70)
     g = f
     for _ in range(100):
-        g = g.left_mul(IDENTITY).right_mul(IDENTITY) + Field.zero()
+        g = Field.sum(g.left_mul(IDENTITY).right_mul(IDENTITY), Field.zero())
     assert same_bytes(g.exps, f.exps) and same_bytes(g.coeffs, f.coeffs)
     m = LinearMap.left_action(random_paravector(71))
     h = f
