@@ -179,9 +179,10 @@ def _canonical_terms(exps, coeffs):
 class Field:
     """sum_j P_j(M_j X) exp(k_j . X), with paravector-valued polynomials P_j.
 
-    ``Field(exps, coeffs)`` is the polynomial sum_i coeffs[i] X^exps[i], and
-    ``Field(exps, coeffs, phases)`` multiplies row i by exp(phases[i] . X).
-    The frame M_j is the identity until a pullback composes it with a map.
+    ``Field(exps, coeffs)`` is the polynomial sum_i coeffs[i] X^exps[i] and
+    ``Field.plane_wave(k, amplitude)`` a plane wave; the closure operations
+    build the rest.  The frame M_j is the identity until a pullback composes
+    it with a map.
     A scalar field rho is [rho; 0]: its vector coefficients are all zero, and
     div4 of it is (d rho) = [drho/dt; grad rho].  ``exps``, ``coeffs`` and
     ``phases`` read back the canonical rows: grouped by frame and phase in
@@ -191,18 +192,8 @@ class Field:
 
     __slots__ = ("_groups", "_pcache")
 
-    def __init__(self, exps, coeffs, phases=None):
-        exps = np.asarray(exps, dtype=np.int64).reshape(-1, 4)
-        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 4)
-        if phases is None:
-            groups = [(None, _ZERO_PHASE, exps, coeffs)]
-        else:
-            phases = np.asarray(phases, dtype=np.complex128).reshape(-1, 4)
-            if phases.shape[0] != exps.shape[0]:
-                raise ValueError("phase and exponent counts differ")
-            groups = [(None, phases[i], exps[i:i + 1], coeffs[i:i + 1])
-                      for i in range(len(phases))]
-        self._groups = _merged(groups)
+    def __init__(self, exps, coeffs):
+        self._groups = _merged([(None, _ZERO_PHASE, exps, coeffs)])
         self._pcache = {}
 
     @classmethod
