@@ -29,7 +29,6 @@ every field is holomorphic per coordinate).
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -242,12 +241,12 @@ class Field:
         out = None
         for m, k, exps, coeffs in self._groups:
             if k is _ZERO_PHASE:
-                v = kernels.poly_eval(exps, coeffs, x if m is None else m @ x)
-            elif len(exps) == 1 and not exps.any():  # a plane wave
+                v = kernels.poly_eval(exps, coeffs, x if m is None else (m * x).sum(axis=1))
+            elif exps is _CONSTANT:  # a plane wave
                 v = kernels.plane_wave_eval(k, coeffs[0], x)
             else:
                 v = kernels.plane_wave_eval(
-                    k, kernels.poly_eval(exps, coeffs, x if m is None else m @ x), x)
+                    k, kernels.poly_eval(exps, coeffs, x if m is None else (m * x).sum(axis=1)), x)
             out = v if out is None else out + v
         return np.zeros(4, np.complex128) if out is None else out
 
@@ -261,22 +260,23 @@ class Field:
             return f
 
     def _partial(self, c: int) -> "Field":
-        # d_c [P(M X) e^{k.X}] = [sum_j M[j, c] (d_j P)(M X) + k_c P(M X)] e^{k.X}
-        groups = []
+        groups = ()
         for m, k, exps, coeffs in self._groups:
+            # d_c [P(M X) e^{k.X}] = [sum_j M[j, c] (d_j P)(M X) + k_c P(M X)] e^{k.X}
             if m is None:
-                de, dc = _lowered(exps, coeffs, c)
+                parts = [_lowered(exps, coeffs, c)]
             else:
-                de, weights = _gradient_table(exps.tobytes())
-                dc = np.tensordot(m[:, c], weights, axes=1) @ coeffs
-            if k[c] != 0 and len(de):
-                groups += _merged([(m, k, np.concatenate([de, exps]),
-                                    np.concatenate([dc, k[c] * coeffs]))])
-            elif k[c] != 0:  # a constant P: only the phase term
-                groups += _nonzero(m, k, exps, k[c] * coeffs)
-            else:  # d_c P alone has distinct sorted rows: no merge needed
-                groups += _nonzero(m, k, de, dc)
-        return Field._of(tuple(groups))
+                parts = [(e, m[j, c] * d) for j in range(4) if m[j, c] != 0
+                         for e, d in [_lowered(exps, coeffs, j)]]
+            if k[c] != 0:
+                parts.append((exps, k[c] * coeffs))
+            parts = [p for p in parts if len(p[0])]
+            if len(parts) == 1:  # lowered or scaled canonical rows stay canonical
+                groups += _nonzero(m, k, *parts[0])
+            elif parts:
+                groups += _merged([(m, k, np.concatenate([p[0] for p in parts]),
+                                    np.concatenate([p[1] for p in parts]))])
+        return Field._of(groups)
 
     # -- closure operations ------------------------------------------------
 
@@ -299,9 +299,9 @@ class Field:
 
     def _times(self, action: LinearMap) -> "Field":
         # a constant factor multiplies every coefficient row by its matrix
-        t = action.matrix.T
+        a = action.matrix
         return Field._of(tuple(grp for m, k, exps, coeffs in self._groups
-                               for grp in _nonzero(m, k, exps, coeffs @ t)))
+                               for grp in _nonzero(m, k, exps, (coeffs[:, None, :] * a).sum(axis=2))))
 
     def scalar_mul(self, rho: "Field") -> "Field":
         """X -> rho(X) f(X) for a scalar field rho (zero vector part).
@@ -328,6 +328,7 @@ class Field:
 
 
 _ZERO_PHASE = _frozen(np.zeros(4, np.complex128))
+_CONSTANT = _frozen(np.zeros((1, 4), np.int64))
 
 
 def _lowered(exps, coeffs, j: int):
@@ -341,36 +342,17 @@ def _lowered(exps, coeffs, j: int):
     return _frozen(de), _frozen(dc)
 
 
-@functools.lru_cache(maxsize=64)
-def _gradient_table(exps_bytes: bytes):
-    """The rows of every first partial of a polynomial with these exponents.
-
-    Returns the exponent rows U of d_0 P, ..., d_3 P together, distinct and
-    sorted, and weights W of shape (4, len(U), len(exps)) with
-    d_j P = W[j] @ coeffs on the rows U.
-    """
-    exps = np.frombuffer(exps_bytes, np.int64).reshape(-1, 4)
-    rows = [np.flatnonzero(exps[:, j] > 0) for j in range(4)]
-    lowered = np.concatenate([exps[r] - np.eye(4, dtype=np.int64)[j] for j, r in enumerate(rows)])
-    u, where = np.unique(lowered, axis=0, return_inverse=True)
-    weights = np.zeros((4, len(u), len(exps)))
-    start = 0
-    for j, r in enumerate(rows):
-        weights[j, where.ravel()[start:start + len(r)], r] = exps[r, j]
-        start += len(r)
-    return _frozen(u), _frozen(weights)
-
-
 def _nonzero(m, k, exps, coeffs):
     """The group of these distinct sorted rows without its zero rows, as a
-    0- or 1-tuple; a constant polynomial needs no frame."""
+    0- or 1-tuple.  A constant polynomial needs no frame, and its exponent
+    row is _CONSTANT, which marks a plane wave for _value."""
     keep = (coeffs != 0).any(axis=1)
     if not keep.all():
         exps, coeffs = exps[keep], coeffs[keep]
     if not len(exps):
         return ()
-    if m is not None and not exps.any():
-        m = None
+    if len(exps) == 1 and not exps.any():
+        m, exps = None, _CONSTANT
     return ((m, k, _frozen(exps), _frozen(coeffs)),)
 
 
@@ -398,12 +380,12 @@ def _merged(groups):
         _, _, es, cs = joined.setdefault((_frame_key(m), k.tobytes()), (m, k, [], []))
         es.append(exps)
         cs.append(coeffs)
-    out = []
+    out = ()
     for m, k, es, cs in joined.values():
-        exps, coeffs = _canonical_terms(np.concatenate(es), np.concatenate(cs))
-        if len(exps):
-            out.append((m, k, exps, coeffs))
-    return tuple(out)
+        if len(es) > 1:
+            es, cs = [np.concatenate(es)], [np.concatenate(cs)]
+        out += _nonzero(m, k, *_canonical_terms(es[0], cs[0]))
+    return out
 
 
 def PolynomialField(exps, coeffs) -> Field:
