@@ -299,9 +299,10 @@ class Field:
 
     def _times(self, action: LinearMap) -> "Field":
         # a constant factor multiplies every coefficient row by its matrix
-        a = action.matrix
-        return Field._of(tuple(grp for m, k, exps, coeffs in self._groups
-                               for grp in _nonzero(m, k, exps, (coeffs[:, None, :] * a).sum(axis=2))))
+        groups = ()
+        for m, k, exps, coeffs in self._groups:
+            groups += _nonzero(m, k, exps, (coeffs[:, None, :] * action.matrix).sum(axis=2))
+        return Field._of(groups)
 
     def scalar_mul(self, rho: "Field") -> "Field":
         """X -> rho(X) f(X) for a scalar field rho (zero vector part).
