@@ -149,6 +149,8 @@ def _canonical_terms(exps, coeffs):
         # Not sorted or not distinct.  A dense table over all keys lists them
         # in order; numpy applies repeated fancy-index writes in order, so
         # writing the rows backwards leaves each key's first occurrence.
+        # np.add.at, unbuffered, then adds the other occurrences onto it one
+        # at a time in order of appearance.
         rows = np.arange(len(keys))
         first = np.full(_KEY_COUNT, -1, np.intp)
         first[keys[::-1]] = rows[::-1]
@@ -157,12 +159,7 @@ def _canonical_terms(exps, coeffs):
         slot[keys[lead]] = np.arange(len(lead))
         merged = coeffs[lead]
         rest = rows[first[keys] != rows]
-        while rest.size:  # one pass per further occurrence of a key
-            k = keys[rest]
-            first[k[::-1]] = rest[::-1]
-            now = first[k] == rest
-            merged[slot[k[now]]] += coeffs[rest[now]]
-            rest = rest[~now]
+        np.add.at(merged, slot[keys[rest]], coeffs[rest])
         exps, coeffs = exps[lead], merged
     nonzero = (coeffs != 0).any(axis=1)
     out_e, out_c = exps[nonzero], coeffs[nonzero]
@@ -264,18 +261,16 @@ class Field:
         for m, k, exps, coeffs in self._groups:
             # d_c [P(M X) e^{k.X}] = [sum_j M[j, c] (d_j P)(M X) + k_c P(M X)] e^{k.X}
             if m is None:
-                parts = [_lowered(exps, coeffs, c)]
-            else:
-                parts = [(e, m[j, c] * d) for j in range(4) if m[j, c] != 0
-                         for e, d in [_lowered(exps, coeffs, j)]]
+                de, dc = _lowered(exps, coeffs, c)
+            else:  # every d_j P at once; equal rows add up in the merge below
+                i, j = np.nonzero(exps)
+                de, dc = exps[i] - _UNITS[j], (m[j, c] * exps[i, j])[:, None] * coeffs[i]
             if k[c] != 0:
-                parts.append((exps, k[c] * coeffs))
-            parts = [p for p in parts if len(p[0])]
-            if len(parts) == 1:  # lowered or scaled canonical rows stay canonical
-                groups += _nonzero(m, k, *parts[0])
-            elif parts:
-                groups += _merged([(m, k, np.concatenate([p[0] for p in parts]),
-                                    np.concatenate([p[1] for p in parts]))])
+                de, dc = np.concatenate([de, exps]), np.concatenate([dc, k[c] * coeffs])
+            if m is None and (k[c] == 0 or exps is _CONSTANT):
+                groups += _nonzero(m, k, de, dc)  # distinct sorted rows: no merge needed
+            else:
+                groups += _merged([(m, k, de, dc)])
         return Field._of(groups)
 
     # -- closure operations ------------------------------------------------
@@ -330,6 +325,7 @@ class Field:
 
 _ZERO_PHASE = _frozen(np.zeros(4, np.complex128))
 _CONSTANT = _frozen(np.zeros((1, 4), np.int64))
+_UNITS = _frozen(np.eye(4, dtype=np.int64))
 
 
 def _lowered(exps, coeffs, j: int):
@@ -371,13 +367,14 @@ def _merged(groups):
     """
     joined = {}
     for m, k, exps, coeffs in groups:
-        if not (np.all(np.isfinite(k)) and (m is None or np.all(np.isfinite(m)))):
-            raise ValueError("phases and frames must be finite")
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, 4)
-        if m is not None and not exps.any():
-            m = None
-        k = _ZERO_PHASE if not k.any() else _frozen(k + 0.0)  # -0.0 joins 0.0
-        m = None if m is None else _frozen(m + 0.0)
+        if k is not _ZERO_PHASE:
+            if not np.isfinite(k).all():
+                raise ValueError("phase coefficients must be finite")
+            k = _frozen(k + 0.0) if k.any() else _ZERO_PHASE  # -0.0 joins 0.0
+        if m is not None and not np.isfinite(m).all():
+            raise ValueError("frame entries must be finite")
+        m = None if m is None or not exps.any() else _frozen(m + 0.0)
         _, _, es, cs = joined.setdefault((_frame_key(m), k.tobytes()), (m, k, [], []))
         es.append(exps)
         cs.append(coeffs)
