@@ -122,7 +122,6 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 
 _KEY_BASE = DEGREE_CAP + 1
-_KEY_COUNT = _KEY_BASE ** 4
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -146,16 +145,16 @@ def _canonical_terms(exps, coeffs):
     b = _KEY_BASE
     keys = ((exps[:, 0] * b + exps[:, 1]) * b + exps[:, 2]) * b + exps[:, 3]
     if not (keys[1:] > keys[:-1]).all():
-        # Not sorted or not distinct.  A dense table over all keys lists them
+        # Not sorted or not distinct.  A dense table over the keys lists them
         # in order; numpy applies repeated fancy-index writes in order, so
         # writing the rows backwards leaves each key's first occurrence.
         # np.add.at, unbuffered, then adds the other occurrences onto it one
         # at a time in order of appearance.
         rows = np.arange(len(keys))
-        first = np.full(_KEY_COUNT, -1, np.intp)
+        first = np.full(keys.max() + 1, -1, np.intp)
         first[keys[::-1]] = rows[::-1]
         lead = first[first >= 0]
-        slot = np.empty(_KEY_COUNT, np.intp)
+        slot = np.empty(len(first), np.intp)
         slot[keys[lead]] = np.arange(len(lead))
         merged = coeffs[lead]
         rest = rows[first[keys] != rows]
