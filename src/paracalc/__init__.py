@@ -24,11 +24,13 @@ from .algebra import (
     det,
     event_as_paravector,
     inverse,
+    left_matrix,
     mul,
     norm_sq,
     normalize_orthogonal,
     paravector_as_event,
     reverse,
+    right_matrix,
     scale,
 )
 from .diffops import (
@@ -63,7 +65,6 @@ from .electromag import (
 )
 from .fields import (
     Field,
-    LinearMap,
     PolynomialField,
     null_plane_wave,
     random_event,

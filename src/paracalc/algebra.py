@@ -33,6 +33,8 @@ __all__ = [
     "act_left",
     "act_right",
     "conjugate_rotate",
+    "left_matrix",
+    "right_matrix",
     "IDENTITY",
     "BASIS",
 ]
@@ -297,3 +299,20 @@ BASIS = (
     Paravector(0.0, (0.0, 1.0, 0.0)),
     Paravector(0.0, (0.0, 0.0, 1.0)),
 )
+
+#: The product on the basis, T[:, j, l] = BASIS[j] * BASIS[l], so that
+#: (a b)_i = sum_jl a_j b_l T[i, j, l].  Each product of two basis
+#: paravectors is one basis paravector times +-1 or +-i.
+_T = np.array([[kernels.pv_mul(a.data, b.data) for b in BASIS] for a in BASIS])
+_T = np.ascontiguousarray(_T.transpose(2, 0, 1))
+_T.flags.writeable = False
+
+
+def left_matrix(g: Paravector) -> np.ndarray:
+    """The 4x4 matrix of X -> g X; column j is g E_j."""
+    return (g.data[None, :, None] * _T).sum(axis=1)
+
+
+def right_matrix(g: Paravector) -> np.ndarray:
+    """The 4x4 matrix of X -> X g; column j is E_j g."""
+    return (_T * g.data[None, None, :]).sum(axis=2)

@@ -50,13 +50,13 @@ class Exact:
 
 @dataclass(frozen=True)
 class Numeric:
-    """Differentiate by central differences with step h > 0."""
+    """Differentiate by central differences with a finite step h > 0."""
 
     h: float
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step h must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError("step h must be positive and finite")
 
 
 DiffMode = Union[Exact, Numeric]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import Event, Paravector
 from .diffops import DiffMode, EXACT, box4, div4, div4_field, grad4, grad4_field
-from .fields import Field, LinearMap, as_rng, random_scalar_field
+from .fields import Field, as_rng, random_scalar_field
 
 __all__ = [
     "PhysConstants",
@@ -51,8 +51,8 @@ class PhysConstants:
     eps0: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0 or self.eps0 <= 0:
-            raise ValueError("physical constants must be positive")
+        if not (0 < self.c < np.inf and 0 < self.eps0 < np.inf):
+            raise ValueError("physical constants must be positive and finite")
 
 
 class NonTransverse(ValueError):
@@ -85,12 +85,6 @@ class SourceValue:
     rho_over_eps: complex
     j_term: np.ndarray
 
-    def rho(self, k: PhysConstants) -> complex:
-        return self.rho_over_eps * k.eps0
-
-    def current(self, k: PhysConstants) -> np.ndarray:
-        return -self.j_term * (k.c * k.eps0)
-
 
 def _tau_event(X: Event, c: float) -> Event:
     if c == 1.0:
@@ -103,7 +97,7 @@ def _tau_event(X: Event, c: float) -> Event:
 def _time_scaled(f: Field, c: float) -> Field:
     if c == 1.0:
         return f
-    return f.pullback(LinearMap.diagonal((1.0 / c, 1.0, 1.0, 1.0)))
+    return f.pullback(np.diag((1.0 / c, 1.0, 1.0, 1.0)))
 
 
 def em_from_potential(
@@ -160,8 +154,8 @@ def plane_wave_potential(
 
     w = c sqrt(kvec.kvec) (principal branch), so the rescaled phase is null and
     the Lorenz gauge holds by transversality.  Raises NonTransverse when
-    pol . kvec != 0 (bilinear dot, checked to 1e-12) and ZeroWaveVector when
-    kvec vanishes.
+    |pol . kvec| (bilinear dot) exceeds 1e-12 |kvec| |pol|, which bounds it,
+    and ZeroWaveVector when kvec vanishes.
     """
     kv = np.asarray(kvec, dtype=np.complex128)
     pv = np.asarray(pol, dtype=np.complex128)
@@ -169,7 +163,7 @@ def plane_wave_potential(
         raise ValueError("kvec and pol must have 3 components")
     if np.all(kv == 0):
         raise ZeroWaveVector("wave vector must be nonzero")
-    if abs(kv @ pv) > 1e-12:
+    if abs(kv @ pv) > 1e-12 * np.linalg.norm(kv) * np.linalg.norm(pv):
         raise NonTransverse(f"pol . kvec = {kv @ pv!r} is not zero")
     omega = k.c * np.sqrt(np.complex128(kv @ kv))
     amplitude = Paravector(0.0, -k.c * np.complex128(amp) * pv)

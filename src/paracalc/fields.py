@@ -30,17 +30,17 @@ every field is holomorphic per coordinate).
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
 from . import kernels
-from .algebra import BASIS, Event, Paravector, det_rows, normalize_orthogonal, reverse
+from .algebra import Event, Paravector, det_rows, left_matrix, normalize_orthogonal, right_matrix
 
 __all__ = [
     "DEGREE_CAP",
     "MAX_TERMS",
     "coord_index",
-    "LinearMap",
     "Field",
     "PolynomialField",
     "random_paravector",
@@ -60,61 +60,24 @@ _COORD_NAMES = {"t": 0, "x": 1, "y": 2, "z": 3}
 
 
 def coord_index(coord) -> int:
-    """Accept 0..3 or 't'/'x'/'y'/'z' and return the coordinate index."""
+    """Accept an integer 0..3 or 't'/'x'/'y'/'z' and return the coordinate index.
+
+    Bools and non-integers such as 1.7 are refused rather than truncated.
+    """
     if isinstance(coord, str):
         try:
             return _COORD_NAMES[coord]
         except KeyError:
             raise ValueError(f"unknown coordinate {coord!r}") from None
-    c = int(coord)
+    try:
+        if isinstance(coord, bool):  # an int to Python, but never a coordinate
+            raise TypeError
+        c = operator.index(coord)
+    except TypeError:
+        raise ValueError(f"coordinate must be an integer, got {coord!r}") from None
     if not 0 <= c <= 3:
         raise ValueError(f"coordinate index out of range: {coord!r}")
     return c
-
-
-class LinearMap:
-    """Invertible linear coordinate map, stored as its 4x4 complex matrix.
-
-    Constructors cover the three paravector actions (the matrices are the
-    coordinate expansions of gX, Xg and gXg~) plus a diagonal rescaling used
-    for c-scaled operators.  ``Field.pullback`` composes the matrix into the
-    frame of each of a field's polynomials and maps its phases by the
-    transpose.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = np.ascontiguousarray(matrix, dtype=np.complex128)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        if m.flags.writeable:
-            m = m.copy()
-            m.flags.writeable = False
-        self.matrix = m
-
-    @classmethod
-    def left_action(cls, g: Paravector) -> "LinearMap":
-        # column j is g E_j, so the matrix applied to X is the product g X
-        return cls(np.column_stack([kernels.pv_mul(g.data, e.data) for e in BASIS]))
-
-    @classmethod
-    def right_action(cls, g: Paravector) -> "LinearMap":
-        return cls(np.column_stack([kernels.pv_mul(e.data, g.data) for e in BASIS]))
-
-    @classmethod
-    def conjugation(cls, c: Paravector) -> "LinearMap":
-        # Y -> (c Y) c~, composed left-to-right.
-        return cls(cls.right_action(reverse(c)).matrix @ cls.left_action(c).matrix)
-
-    @classmethod
-    def diagonal(cls, factors) -> "LinearMap":
-        f = np.asarray(factors, dtype=np.complex128)
-        if f.shape != (4,):
-            raise ValueError("diagonal map needs 4 factors")
-        return cls(np.diag(f))
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +237,16 @@ class Field:
 
     # -- closure operations ------------------------------------------------
 
-    def pullback(self, m: LinearMap) -> "Field":
-        """X -> f(M X): P_j(M_j X) e^{k_j.X} becomes P_j(M_j M X) e^{(M^T k_j).X}."""
-        mat = m.matrix
+    def pullback(self, m) -> "Field":
+        """X -> f(M X) for a 4x4 matrix M, such as left_matrix(g) for X -> f(g X).
+
+        P_j(M_j X) e^{k_j.X} becomes P_j(M_j M X) e^{(M^T k_j).X}.
+        """
+        mat = np.asarray(m, dtype=np.complex128)
+        if mat.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         return Field._of(_merged([
             (mat if frame is None else frame @ mat,
              k if k is _ZERO_PHASE else k @ mat, exps, coeffs)
@@ -285,17 +255,17 @@ class Field:
 
     def left_mul(self, g: Paravector) -> "Field":
         """X -> g f(X) for a constant paravector g."""
-        return self._times(LinearMap.left_action(g))
+        return self._times(left_matrix(g))
 
     def right_mul(self, g: Paravector) -> "Field":
         """X -> f(X) g for a constant paravector g."""
-        return self._times(LinearMap.right_action(g))
+        return self._times(right_matrix(g))
 
-    def _times(self, action: LinearMap) -> "Field":
+    def _times(self, matrix: np.ndarray) -> "Field":
         # a constant factor multiplies every coefficient row by its matrix
         groups = ()
         for m, k, exps, coeffs in self._groups:
-            groups += _nonzero(m, k, exps, (coeffs[:, None, :] * action.matrix).sum(axis=2))
+            groups += _nonzero(m, k, exps, (coeffs[:, None, :] * matrix).sum(axis=2))
         return Field._of(groups)
 
     def scalar_mul(self, rho: "Field") -> "Field":

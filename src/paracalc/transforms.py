@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .algebra import (
     Event,
@@ -30,11 +30,13 @@ from .algebra import (
     conjugate_rotate,
     det,
     inverse,
+    left_matrix,
     mul,
     reverse,
+    right_matrix,
 )
 from .diffops import DiffMode, EXACT, box4, div4, grad4
-from .fields import Field, LinearMap
+from .fields import Field
 
 __all__ = [
     "NotOrthogonal",
@@ -48,6 +50,9 @@ __all__ = [
     "right_factor_sides",
     "observer_rotation_sides",
     "InvarianceForm",
+    "FORM_ACTIONS",
+    "form_point",
+    "form_value",
     "transformed_wave_field",
     "wave_invariance_sides",
     "TransformedValues",
@@ -87,7 +92,7 @@ def div_left_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravecto
     """div4 A at X, and div4'[Gamma A(Gamma^-1 X')] at X' = Gamma X."""
     g = case.gamma
     xp = act_left(g, case.X)
-    moved = case.f.pullback(LinearMap.left_action(inverse(g))).left_mul(g)
+    moved = case.f.pullback(left_matrix(inverse(g))).left_mul(g)
     return div4(case.f, case.X, case.mode), div4(moved, xp, case.mode)
 
 
@@ -96,7 +101,7 @@ def grad_left_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravect
     multiplies after the operator is applied."""
     g = case.gamma
     xp = act_left(g, case.X)
-    moved = case.f.pullback(LinearMap.left_action(inverse(g)))
+    moved = case.f.pullback(left_matrix(inverse(g)))
     return grad4(case.f, case.X, case.mode), mul(reverse(g), grad4(moved, xp, case.mode))
 
 
@@ -104,7 +109,7 @@ def div_right_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravect
     """div4 A at X, and Gamma * div4'[A(X' Gamma^-1)] at X' = X Gamma."""
     g = case.gamma
     xp = act_right(case.X, g)
-    moved = case.f.pullback(LinearMap.right_action(inverse(g)))
+    moved = case.f.pullback(right_matrix(inverse(g)))
     return div4(case.f, case.X, case.mode), mul(g, div4(moved, xp, case.mode))
 
 
@@ -112,7 +117,7 @@ def grad_right_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravec
     """grad4 A at X, and grad4'[Gamma~ A(X' Gamma^-1)] at X' = X Gamma."""
     g = case.gamma
     xp = act_right(case.X, g)
-    moved = case.f.pullback(LinearMap.right_action(inverse(g))).left_mul(reverse(g))
+    moved = case.f.pullback(right_matrix(inverse(g))).left_mul(reverse(g))
     return grad4(case.f, case.X, case.mode), grad4(moved, xp, case.mode)
 
 
@@ -138,7 +143,8 @@ def observer_rotation_sides(
     """
     require_orthogonal(lam)
     rlam = reverse(lam)
-    moved = f.pullback(LinearMap.conjugation(rlam)).left_mul(lam).right_mul(rlam)
+    # X -> L~ X L, the pre-image of X'
+    moved = f.pullback(right_matrix(lam) @ left_matrix(rlam)).left_mul(lam).right_mul(rlam)
     lhs = div4(moved, Xp, mode)
     b_val = div4(f, conjugate_rotate(rlam, Xp), mode)
     return lhs, mul(mul(lam, b_val), rlam)
@@ -159,21 +165,43 @@ class InvarianceForm(enum.IntEnum):
     FORM4 = 4
 
 
-def transformed_wave_field(form: InvarianceForm, f: Field, lam: Paravector) -> Field:
-    """The primed-frame field whose box4 the selected form takes.
+#: form -> (whether it maps on the right, X' = X L rather than X' = L X;
+#: the factor that multiplies its values on the left, or None)
+FORM_ACTIONS = {
+    InvarianceForm.FORM1: (True, None),
+    InvarianceForm.FORM2: (True, "L~"),
+    InvarianceForm.FORM3: (False, "L"),
+    InvarianceForm.FORM4: (False, None),
+}
 
-    Forms 1 and 4 only pull the field back (values are untouched); forms 2
-    and 3 also multiply its values by L~ resp. L.
+
+def form_point(form: InvarianceForm, g: Paravector, X: Event) -> Event:
+    """X g for forms 1 and 2, g X for forms 3 and 4.
+
+    With g = L it maps X to X'; with g = L~ it maps X' back to X.
     """
-    rlam = reverse(lam)
+    return act_right(X, g) if FORM_ACTIONS[form][0] else act_left(g, X)
+
+
+def _factor(form: InvarianceForm, lam: Paravector) -> Optional[Paravector]:
+    factor = FORM_ACTIONS[form][1]
+    return None if factor is None else lam if factor == "L" else reverse(lam)
+
+
+def form_value(form: InvarianceForm, lam: Paravector, value: Paravector) -> Paravector:
+    """The form's value law: L~ value for form 2, L value for form 3, else value."""
+    factor = _factor(form, lam)
+    return value if factor is None else mul(factor, value)
+
+
+def transformed_wave_field(form: InvarianceForm, f: Field, lam: Paravector) -> Field:
+    """The primed-frame field whose box4 the selected form takes: f pulled
+    back to the pre-image of X', its values times the form's factor."""
     form = InvarianceForm(form)
-    if form is InvarianceForm.FORM1:
-        return f.pullback(LinearMap.right_action(rlam))
-    if form is InvarianceForm.FORM2:
-        return f.pullback(LinearMap.right_action(rlam)).left_mul(rlam)
-    if form is InvarianceForm.FORM3:
-        return f.pullback(LinearMap.left_action(rlam)).left_mul(lam)
-    return f.pullback(LinearMap.left_action(rlam))
+    to_pre = right_matrix if FORM_ACTIONS[form][0] else left_matrix
+    moved = f.pullback(to_pre(reverse(lam)))
+    factor = _factor(form, lam)
+    return moved if factor is None else moved.left_mul(factor)
 
 
 def wave_invariance_sides(
@@ -189,21 +217,9 @@ def wave_invariance_sides(
     B is box4 of the original field, evaluated at the pre-image of X'.
     """
     require_orthogonal(lam)
-    rlam = reverse(lam)
-    form = InvarianceForm(form)
     moved = transformed_wave_field(form, f, lam)
-    if form in (InvarianceForm.FORM1, InvarianceForm.FORM2):
-        pre = act_right(Xp, rlam)
-    else:
-        pre = act_left(rlam, Xp)
-    b_val = box4(f, pre, mode)
-    if form is InvarianceForm.FORM2:
-        rhs = mul(rlam, b_val)
-    elif form is InvarianceForm.FORM3:
-        rhs = mul(lam, b_val)
-    else:
-        rhs = b_val
-    return box4(moved, Xp, mode), rhs
+    b_val = box4(f, form_point(form, reverse(lam), Xp), mode)
+    return box4(moved, Xp, mode), form_value(form, lam, b_val)
 
 
 @dataclass(frozen=True)
@@ -224,10 +240,10 @@ def transformed_field_values(f: Field, lam: Paravector, Xp: Event) -> Transforme
     """
     require_orthogonal(lam)
     rlam = reverse(lam)
-    left_pre = f.at(act_left(rlam, Xp))
-    right_pre = f.at(act_right(Xp, rlam))
+    left_pre = f.at(form_point(InvarianceForm.FORM4, rlam, Xp))
+    right_pre = f.at(form_point(InvarianceForm.FORM2, rlam, Xp))
     return TransformedValues(
         invariant=left_pre,
-        covariant=mul(lam, left_pre),
-        contravariant=mul(rlam, right_pre),
+        covariant=form_value(InvarianceForm.FORM3, lam, left_pre),
+        contravariant=form_value(InvarianceForm.FORM2, lam, right_pre),
     )

@@ -58,6 +58,7 @@ from paracalc.transforms import (
     TransformCase,
     div_left_transport_sides,
     div_right_transport_sides,
+    form_point,
     grad_left_transport_sides,
     grad_right_transport_sides,
     observer_rotation_sides,
@@ -253,11 +254,7 @@ def test_criterion_6_wave_invariance():
         f = random_field(rng)
         X = random_event(rng)
         for form in InvarianceForm:
-            Xp = (
-                act_right(X, lam)
-                if form in (InvarianceForm.FORM1, InvarianceForm.FORM2)
-                else act_left(lam, X)
-            )
+            Xp = form_point(form, lam, X)
             worst = max(worst, max_abs(
                 gap(wave_invariance_sides(form, f, lam, Xp))
             ))

@@ -217,3 +217,9 @@ def test_numeric_mode_validation():
         Numeric(0.0)
     with pytest.raises(ValueError):
         Numeric(-1e-5)
+
+
+def test_numeric_mode_refuses_non_finite_steps():
+    for h in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Numeric(h)

@@ -7,7 +7,6 @@ from paracalc.electromag import (
     NonTransverse,
     PhysConstants,
     PotentialField,
-    SourceValue,
     ZeroWaveVector,
     em_field_from_potential,
     em_from_potential,
@@ -35,6 +34,14 @@ def test_phys_constants_validation():
         PhysConstants(c=0.0)
     with pytest.raises(ValueError):
         PhysConstants(eps0=-1.0)
+
+
+def test_phys_constants_refuse_non_finite_values():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            PhysConstants(c=bad)
+        with pytest.raises(ValueError, match="finite"):
+            PhysConstants(eps0=bad)
 
 
 def test_static_scalar_potential_gives_negative_gradient():
@@ -91,6 +98,19 @@ def test_plane_wave_validation():
         plane_wave_potential((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
     with pytest.raises(ZeroWaveVector):
         plane_wave_potential((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+
+def test_transversality_is_checked_relative_to_scale():
+    # large pairs made transverse by exact projection pass ...
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        kvec = 5e4 * rng.uniform(-1, 1, size=3)
+        raw = 1e4 * rng.uniform(-1, 1, size=3)
+        pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
+        plane_wave_potential(kvec, pol)
+    # ... and small ones 45 degrees apart do not
+    with pytest.raises(NonTransverse):
+        plane_wave_potential((1e-7, 0.0, 0.0), (1e-7, 1e-7, 0.0))
 
 
 def test_vacuum_wave_residual():
@@ -155,13 +175,6 @@ def test_gauss_law_slice_numeric():
             xm[c] -= h
             div_e += (e_comp(xp, c) - e_comp(xm, c)) / (2 * h)
         assert abs(src.rho_over_eps.real - div_e) <= 1e-6
-
-
-def test_source_value_accessors():
-    k = PhysConstants(c=2.0, eps0=3.0)
-    src = SourceValue(rho_over_eps=2.0 + 0j, j_term=np.array([1.0, 0.0, 0.0j]))
-    assert src.rho(k) == 6.0
-    np.testing.assert_array_equal(src.current(k), [-6.0, 0.0, 0.0])
 
 
 def test_omega_adapts_to_c():

@@ -12,14 +12,16 @@ from paracalc.algebra import (
     conjugate_rotate,
     det,
     inverse,
+    left_matrix,
     mul,
     normalize_orthogonal,
+    reverse,
+    right_matrix,
 )
 from paracalc.diffops import Numeric, bundle
 from paracalc.fields import (
     DEGREE_CAP,
     Field,
-    LinearMap,
     PolynomialField,
     _canonical_terms,
     central_difference,
@@ -44,7 +46,7 @@ def composite_field(seed: int = 0):
     wave = random_plane_wave(rng)
     g = random_paravector(rng)
     rho = random_scalar_field(rng, degree=2)
-    mapped = poly.pullback(LinearMap.left_action(inverse(g)))
+    mapped = poly.pullback(left_matrix(inverse(g)))
     return Field.sum(wave.scalar_mul(rho), mapped.right_mul(g).left_mul(g))
 
 
@@ -101,18 +103,18 @@ def test_rows_group_by_phase_in_order_of_first_appearance():
 
 def test_pullback_of_a_plane_wave_maps_its_phase():
     f = random_plane_wave(4)
-    m = LinearMap.left_action(random_paravector(5))
+    m = left_matrix(random_paravector(5))
     p = f.pullback(m)
     np.testing.assert_array_equal(p.exps, f.exps)  # still one constant row
-    np.testing.assert_allclose(p.phases[0], f.phases[0] @ m.matrix, rtol=1e-15)
+    np.testing.assert_allclose(p.phases[0], f.phases[0] @ m, rtol=1e-15)
     x = random_event(6)
-    assert rel_err(p.at(x).data, f._value(m.matrix @ x.data)) <= 1e-13
+    assert rel_err(p.at(x).data, f._value(m @ x.data)) <= 1e-13
 
 
 def test_scalar_mul_needs_a_common_frame():
     f = random_field(7)
     rho = random_scalar_field(8)
-    m = LinearMap.left_action(random_paravector(9))
+    m = left_matrix(random_paravector(9))
     x = random_event(10)
     moved = f.scalar_mul(rho).pullback(m)
     both_moved = f.pullback(m).scalar_mul(rho.pullback(m))
@@ -207,18 +209,21 @@ def test_central_difference_rejects_bad_step():
         bundle(f, Event(2.0), Numeric(1e-300))
 
 
-# -- linear maps ----------------------------------------------------------------
+# -- action matrices ------------------------------------------------------------
+#
+# The matrices come from the product table in algebra; these compare them with the
+# actions on events, which multiply through kernels.pv_mul directly.
 
 def test_left_action_matrix_matches_event_action():
     rng = np.random.default_rng(21)
     for _ in range(10):
         g, x = random_paravector(rng), random_event(rng)
         np.testing.assert_allclose(
-            LinearMap.left_action(g).matrix @ x.data, act_left(g, x).data,
+            left_matrix(g) @ x.data, act_left(g, x).data,
             rtol=0, atol=1e-13,
         )
         np.testing.assert_allclose(
-            LinearMap.right_action(g).matrix @ x.data, act_right(x, g).data,
+            right_matrix(g) @ x.data, act_right(x, g).data,
             rtol=0, atol=1e-13,
         )
 
@@ -228,22 +233,17 @@ def test_conjugation_matrix_matches_rotation():
     for _ in range(10):
         lam, x = random_paravector(rng), random_event(rng)
         np.testing.assert_allclose(
-            LinearMap.conjugation(lam).matrix @ x.data,
+            right_matrix(reverse(lam)) @ left_matrix(lam) @ x.data,
             conjugate_rotate(lam, x).data,
             rtol=0, atol=1e-13,
         )
-
-
-def test_diagonal_map():
-    m = LinearMap.diagonal((0.5, 1.0, 1.0, 1.0))
-    np.testing.assert_array_equal(m.matrix @ Event(2.0, (1.0, 2.0, 3.0)).data, [1, 1, 2, 3])
 
 
 # -- pullbacks ------------------------------------------------------------------
 
 def test_pullback_identity_map():
     f = random_field(30)
-    p = f.pullback(LinearMap.left_action(Paravector(1.0)))
+    p = f.pullback(left_matrix(Paravector(1.0)))
     x = random_event(31)
     np.testing.assert_array_equal(p.at(x).data, f.at(x).data)
 
@@ -255,7 +255,7 @@ def test_pullback_evaluates_at_mapped_point():
         g = random_paravector(rng)
         X = random_event(rng)
         # field Y -> f(g^-1 Y), evaluated at gX, recovers f(X)
-        p = f.pullback(LinearMap.left_action(inverse(g)))
+        p = f.pullback(left_matrix(inverse(g)))
         assert rel_err(p.at(act_left(g, X)).data, f.at(X).data) <= 1e-12
 
 
@@ -263,11 +263,28 @@ def test_pullback_round_trip():
     rng = np.random.default_rng(33)
     f = random_field(rng)
     g = random_paravector(rng)
-    there = f.pullback(LinearMap.left_action(g))
-    p = there.pullback(LinearMap.left_action(inverse(g)))
+    there = f.pullback(left_matrix(g))
+    p = there.pullback(left_matrix(inverse(g)))
     for _ in range(100):
         x = random_event(rng)
         assert rel_err(p.at(x).data, f.at(x).data) <= 1e-12
+
+
+def test_pullback_takes_a_finite_4x4_matrix_and_keeps_no_reference():
+    f = Field.sum(random_field(34), random_plane_wave(35))
+    with pytest.raises(ValueError, match="4x4"):
+        f.pullback(np.eye(3))
+    nan = np.eye(4, dtype=np.complex128)
+    nan[1, 2] = np.nan
+    for g in (f, Field.zero()):
+        with pytest.raises(ValueError, match="finite"):
+            g.pullback(nan)
+    m = left_matrix(random_paravector(36))
+    p = f.pullback(m)
+    x = random_event(37)
+    before = p.at(x)
+    m[:] = 0.0  # the caller's array, changed after the pullback
+    assert p.at(x) == before
 
 
 # -- pointwise constructions ----------------------------------------------------
@@ -347,7 +364,7 @@ def test_repeated_operations_stay_one_flat_field():
     for _ in range(100):
         g = Field.sum(g.left_mul(IDENTITY).right_mul(IDENTITY), Field.zero())
     assert same_bytes(g.exps, f.exps) and same_bytes(g.coeffs, f.coeffs)
-    m = LinearMap.left_action(random_paravector(71))
+    m = left_matrix(random_paravector(71))
     h = f
     for _ in range(100):
         h = h.pullback(m)
@@ -362,6 +379,16 @@ def test_coord_index():
         coord_index("w")
     with pytest.raises(ValueError):
         coord_index(4)
+
+
+def test_coord_index_refuses_bools_and_non_integers():
+    assert coord_index(np.int64(3)) == 3
+    assert coord_index(np.uint8(1)) == 1
+    for bad in (1.7, 1.0, np.float64(2.0), True, np.bool_(False), None):
+        with pytest.raises(ValueError, match="integer"):
+            coord_index(bad)
+    with pytest.raises(ValueError):
+        random_field(0).partial(1.7)  # used to be the x partial
 
 
 # -- random families ---------------------------------------------------------------

@@ -11,14 +11,14 @@ for |S| = 121 and d <= 6 is at most 5% per draw; the draws are independent.
 import numpy as np
 import pytest
 
-from paracalc.algebra import act_left, act_right, conjugate_rotate, inverse, mul
+from paracalc.algebra import conjugate_rotate, inverse, left_matrix, mul, right_matrix
 from paracalc.diffops import additivity_sides, box4, div4_field, grad4, leibniz_sides
-from paracalc.fields import LinearMap
 from paracalc.transforms import (
     InvarianceForm,
     TransformCase,
     div_left_transport_sides,
     div_right_transport_sides,
+    form_point,
     grad_left_transport_sides,
     grad_right_transport_sides,
     observer_rotation_sides,
@@ -31,7 +31,6 @@ from util import (
     lattice_event,
     lattice_field,
     lattice_paravector,
-    pullback,
     substitute,
     unimodular_paravector,
 )
@@ -73,9 +72,7 @@ def test_right_factor_is_exact():
 def test_wave_forms_are_exact(form):
     for rng in draws(3):
         lam, f, X = unimodular_paravector(rng), lattice_field(rng), lattice_event(rng)
-        right = form in (InvarianceForm.FORM1, InvarianceForm.FORM2)
-        Xp = act_right(X, lam) if right else act_left(lam, X)
-        assert_sides(wave_invariance_sides(form, f, lam, Xp))
+        assert_sides(wave_invariance_sides(form, f, lam, form_point(form, lam, X)))
 
 
 def test_observer_rotation_is_exact():
@@ -105,14 +102,14 @@ def test_additivity_is_exact():
 def test_pullback_group_composition_is_exact():
     for rng in draws(8):
         g1, g2, f = unimodular_paravector(rng), unimodular_paravector(rng), lattice_field(rng)
-        twice = pullback(pullback(f, LinearMap.left_action(inverse(g1))),
-                         LinearMap.left_action(inverse(g2)))
-        once = pullback(f, LinearMap.left_action(inverse(mul(g2, g1))))
+        twice = f.pullback(left_matrix(inverse(g1))).pullback(left_matrix(inverse(g2)))
+        once = f.pullback(left_matrix(inverse(mul(g2, g1))))
         X = lattice_event(rng)
         assert_exact(twice.at(X).data, once.at(X).data)
 
 
-@pytest.mark.parametrize("action", [LinearMap.left_action, LinearMap.right_action])
+@pytest.mark.parametrize("action", [left_matrix, right_matrix],
+                         ids=["left_action", "right_action"])
 def test_pullback_partials_match_the_substituted_polynomial(action):
     # Field.partial differentiates a pulled-back field through its frame;
     # the oracle expands f(M X) into monomials of X and differentiates those

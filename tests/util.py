@@ -91,11 +91,6 @@ def unimodular_paravector(rng):
     return g
 
 
-def pullback(f, m):
-    """The field X -> f(m X) for a LinearMap m."""
-    return f.pullback(m)
-
-
 def assert_exact(lhs, rhs):
     """Both sides are Gaussian integers below 2^53 in every part, and equal."""
     for side in (lhs, rhs):
@@ -106,7 +101,7 @@ def assert_exact(lhs, rhs):
 
 
 def substitute(f, m):
-    """The polynomial field f(m X), expanded into monomials of X.
+    """The polynomial field f(m X) for a 4x4 matrix m, expanded into monomials of X.
 
     An oracle for pullbacks of polynomial fields: each degree-d part of f is
     a (4,)*d tensor T (the coefficient at the sorted index tuple of each
@@ -115,7 +110,7 @@ def substitute(f, m):
     tuples add up to its coefficient.  It needs no derivative, so it checks
     Field.partial's treatment of frames from outside.
     """
-    exps, coeffs, mat = f.exps, f.coeffs, m.matrix
+    exps, coeffs, mat = f.exps, f.coeffs, m
     out_e, out_c = [], []
     for d in range(int(exps.sum(axis=1).max()) + 1 if len(exps) else 0):
         t = np.zeros((4,) + (4,) * d, np.complex128)
