@@ -197,17 +197,26 @@ class Field:
         return Paravector.from_data(self._value(X.data))
 
     def _value(self, x: np.ndarray) -> np.ndarray:
+        """The value at one point x (4,), or at each row of a stack x (n, 4).
+
+        A stack takes the kernels' ``_rows`` twins, so each of its rows
+        equals the value at that one point bit for bit.
+        """
+        if x.ndim == 1:
+            poly, wave, xr = kernels.poly_eval, kernels.plane_wave_eval, x
+        else:
+            poly, wave, xr = kernels.poly_eval_rows, kernels.plane_wave_eval_rows, x[:, None, :]
         out = None
         for m, k, exps, coeffs in self._groups:
+            y = x if m is None else (m * xr).sum(axis=-1)  # M X, xr broadcast along M's rows
             if k is _ZERO_PHASE:
-                v = kernels.poly_eval(exps, coeffs, x if m is None else (m * x).sum(axis=1))
+                v = poly(exps, coeffs, y)
             elif exps is _CONSTANT:  # a plane wave
-                v = kernels.plane_wave_eval(k, coeffs[0], x)
+                v = wave(k, coeffs[0], x)
             else:
-                v = kernels.plane_wave_eval(
-                    k, kernels.poly_eval(exps, coeffs, x if m is None else (m * x).sum(axis=1)), x)
+                v = wave(k, poly(exps, coeffs, y), x)
             out = v if out is None else out + v
-        return np.zeros(4, np.complex128) if out is None else out
+        return np.zeros(x.shape, np.complex128) if out is None else out
 
     def partial(self, coord) -> "Field":
         c = coord_index(coord)

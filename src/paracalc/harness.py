@@ -51,6 +51,7 @@ from .diffops import (
     grad4,
     grad4_field,
     leibniz_sides,
+    max_partial_errors,
     product_rule_failure_witness,
     scalar_order_gap,
 )
@@ -394,23 +395,6 @@ def _sample_field(rng, index: int, degree: int = 3, scale: float = 1.0):
     return random_plane_wave(rng, scale=scale)
 
 
-def _max_partial_errors(fields, points, steps) -> List[float]:
-    """Per step h, max |central difference - exact partial| over fields x points x coordinates.
-
-    The exact partials do not depend on h, so each is evaluated once.  NaN
-    propagates, so an overflowing step cannot read as a zero error.
-    """
-    exact = [(f, x, c, f.partial(c)._value(x)) for f in fields for x in points for c in range(4)]
-    errors = []
-    for h in steps:
-        worst = 0.0
-        for f, x, c, value in exact:
-            num = central_difference(f._value, x, c, h)
-            worst = float(np.maximum(worst, np.max(np.abs(num - value))))
-        errors.append(worst)
-    return errors
-
-
 def _stencil_norm(f, x, h: float) -> float:
     """Max component magnitude of f over the +-h stencil points."""
     m = 0.0
@@ -495,7 +479,7 @@ def _diffop_cases() -> List[Case]:
     def convergence_band(rng, i, cfg):
         f = _sample_field(rng, i)
         pts = [random_event(rng).data for _ in range(10)]
-        errs = _max_partial_errors([f], pts, (1e-3, 5e-4))
+        errs = max_partial_errors([f], pts, (1e-3, 5e-4))
         if errs[1] < NOISE_FLOOR:
             return []
         ratio = errs[0] / errs[1]
@@ -847,13 +831,15 @@ def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List
         a <= b for a, b in zip(steps, steps[1:])
     ):
         raise ConfigError("steps must be finite, positive and strictly decreasing")
+    if seed < 0:
+        raise ConfigError("seed must be a natural number")
     rng = case_rng(seed, "convergence", 0)
     if fields is None:
         draw = random_field if field_kind == "poly" else random_plane_wave
         fields = [draw(rng) for _ in range(3)]
     points = [random_event(rng).data for _ in range(20)]
     try:
-        errors = _max_partial_errors(fields, points, steps)
+        errors = max_partial_errors(fields, points, steps)
     except ValueError as exc:  # a step that does not move the stencil
         raise ConfigError(str(exc)) from None
     rows = []

@@ -1,8 +1,8 @@
 """Hot numeric kernels: paravector product, monomial and plane-wave evaluation.
 
 Plain numpy on length-4 complex arrays ``[s, v1, v2, v3]`` (paravectors) and
-``[t, x, y, z]`` (events); ``pv_mul_rows`` multiplies stacks of them, row by
-row, and rounds every row exactly as ``pv_mul`` does.
+``[t, x, y, z]`` (events).  Each ``*_rows`` twin works on ``(n, 4)`` stacks of
+them, row by row, and rounds every row exactly as its one-row kernel does.
 """
 
 import numpy as np
@@ -51,6 +51,28 @@ def poly_eval(exps, coeffs, x):
     return monos @ coeffs
 
 
+def poly_eval_rows(exps, coeffs, xs):
+    """poly_eval at each row of an (n, 4) stack of points, bit for bit as poly_eval."""
+    if exps.shape[0] == 0:
+        return np.zeros((len(xs), 4), _C128)
+    powers = xs[:, :, None] ** np.arange(exps.max() + 1)  # x[c] ** e per point
+    monos = powers[:, 0, exps[:, 0]]
+    for c in (1, 2, 3):  # left to right, as np.prod multiplies one row
+        monos = cmul(monos, powers[:, c, exps[:, c]])
+    # one vector-matrix product per row, as in poly_eval (not one matrix product)
+    return np.matmul(monos[:, None, :], coeffs)[:, 0]
+
+
 def plane_wave_eval(k4, amp, x):
     s = k4[0] * x[0] + k4[1] * x[1] + k4[2] * x[2] + k4[3] * x[3]
     return amp * np.exp(s)
+
+
+def plane_wave_eval_rows(k4, amps, xs):
+    """plane_wave_eval at each row of an (n, 4) stack of points, bit for bit.
+
+    ``amps`` is one amplitude (4,) or one per row (n, 4).
+    """
+    s = (cmul(k4[0], xs[:, 0]) + cmul(k4[1], xs[:, 1])
+         + cmul(k4[2], xs[:, 2]) + cmul(k4[3], xs[:, 3]))
+    return amps * np.exp(s)[:, None]

@@ -36,7 +36,7 @@ from paracalc.fields import (
     random_scalar_field,
 )
 
-from util import max_abs, rel_err
+from util import max_abs, random_rows, rel_err
 
 
 def composite_field(seed: int = 0):
@@ -73,6 +73,31 @@ def test_eval_plane_wave_closed_form():
         (0.3 + 0.1j) * 0.5 + 0.2 * 1.0 - 0.4 * 2.0 + 1.0j * -0.5
     )
     np.testing.assert_allclose(f.at(x).data, expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", [
+    "plain", "framed", "plane-wave", "polynomial-times-phase", "partial", "zero",
+])
+def test_value_on_a_stack_matches_each_point_bit_for_bit(kind):
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        poly, wave = random_field(rng, degree=4), random_plane_wave(rng)
+        rho = random_scalar_field(rng, degree=2)
+        frame = left_matrix(random_paravector(rng)) @ right_matrix(random_paravector(rng))
+        f = {
+            "plain": poly,
+            "framed": Field.sum(poly, wave.scalar_mul(rho)).pullback(frame),
+            "plane-wave": wave,
+            "polynomial-times-phase": wave.scalar_mul(rho),
+            "partial": composite_field(int(rng.integers(100))).partial(2),
+            "zero": Field.zero(),
+        }[kind]
+        xs = random_rows(rng, 20)  # spread rows, then exact and signed-zero rows
+        with np.errstate(all="ignore"):  # the spread rows reach exp overflow
+            got = f._value(xs)
+            assert got.shape == xs.shape
+            for i, x in enumerate(xs):
+                assert got[i].tobytes() == f._value(x).tobytes(), i
 
 
 def test_polynomial_field_is_the_zero_phase_field():

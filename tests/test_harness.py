@@ -11,10 +11,14 @@ from hypothesis import given, settings, strategies as st
 from paracalc import harness
 from paracalc.algebra import IDENTITY, Paravector, det, inverse, mul, reverse
 from paracalc.cli import main
+from paracalc.diffops import central_differences, max_partial_errors
 from paracalc.fields import (
     Field,
     _random_complexes,
+    central_difference,
+    random_event,
     random_field,
+    random_plane_wave,
 )
 from paracalc.harness import (
     ConfigError,
@@ -28,6 +32,8 @@ from paracalc.harness import (
     run_convergence,
     run_suite,
 )
+
+from util import random_rows
 
 
 def small_cfg(suite, **kw):
@@ -316,6 +322,8 @@ def test_run_convergence_validation():
         run_convergence("poly", [1e-3, 0.0])
     with pytest.raises(ConfigError):
         run_convergence("poly", [math.inf, 1e-3])
+    with pytest.raises(ConfigError, match="seed must be a natural number"):
+        run_convergence("poly", [1e-3, 5e-4], seed=-1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -354,6 +362,102 @@ def test_convergence_ok_rejects_flat_error():
     for cur, nxt in zip(rows, rows[1:]):
         assert 0.8 * (cur.h / nxt.h) ** 2 <= cur.ratio <= 1.2 * (cur.h / nxt.h) ** 2
     assert not convergence_ok(rows)
+
+
+@pytest.mark.parametrize("value_fn", [
+    Field.sum(random_field(np.random.default_rng(1)),
+              random_plane_wave(np.random.default_rng(2)))._value,
+    # the sign bits of the points: a -0.0 that a shift turned into +0.0 shows
+    lambda x: np.signbit(x.real) + 2j * np.signbit(x.imag),
+])
+def test_stacked_central_differences_match_central_difference_bit_for_bit(value_fn):
+    rng = np.random.default_rng(9)
+    xs = random_rows(rng, 20)  # spread rows, then exact and signed-zero rows
+    for h in (0.5, 1e-3, 1e-5):
+        with np.errstate(all="ignore"):  # the spread rows reach exp overflow
+            got = central_differences(value_fn, xs, h)
+            assert got.shape == (4 * len(xs), 4)
+            for p, x in enumerate(xs):
+                for c in range(4):
+                    want = central_difference(value_fn, x, c, h)
+                    assert got[4 * p + c].tobytes() == want.tobytes(), (h, p, c)
+
+
+def _max_partial_errors_per_point(fields, points, steps):
+    """The per-point loop that diffops.max_partial_errors stacks: the reference."""
+    exact = [(f, x, c, f.partial(c)._value(x)) for f in fields for x in points for c in range(4)]
+    errors = []
+    for h in steps:
+        worst = 0.0
+        for f, x, c, value in exact:
+            num = central_difference(f._value, x, c, h)
+            worst = float(np.maximum(worst, np.max(np.abs(num - value))))
+        errors.append(worst)
+    return errors
+
+
+def _convergence_draws(kind, seed):
+    """The fields and points run_convergence draws."""
+    rng = case_rng(seed, "convergence", 0)
+    draw = random_field if kind == "poly" else random_plane_wave
+    fields = [draw(rng) for _ in range(3)]
+    return fields, [random_event(rng).data for _ in range(20)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind, steps", [
+    ("poly", [1e-3, 5e-4]),
+    ("planewave", [1e-3, 5e-4]),
+    ("poly", [0.1, 0.0962, 0.0925444, 0.089]),
+    ("planewave", [0.0755911, 0.0729079, 0.0703188, 0.00102491]),
+    ("poly", [1e200, 1e100]),  # overflows: the errors read nan
+    ("planewave", [400.0, 300.0]),  # exp overflows
+    ("steep-y", [0.1, 0.0962, 0.0925444, 0.089]),
+])
+def test_stacked_partial_errors_match_the_per_point_loop(kind, steps):
+    for seed in (42, 3, 5):
+        fields, points = _convergence_draws("poly" if kind == "steep-y" else kind, seed)
+        if kind == "steep-y":
+            fields = [_SteepY(f) for f in fields]
+        got = max_partial_errors(fields, points, steps)
+        ref = _max_partial_errors_per_point(fields, points, steps)
+        assert [e.hex() for e in got] == [e.hex() for e in ref]
+    if steps[0] == 1e200:
+        assert math.isnan(got[0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_partial_errors_name_the_point_that_does_not_move():
+    fields, points = _convergence_draws("poly", 7)
+    points = [x.copy() for x in points[:3]]
+    points[1][2] = 1e300 + 0.5j  # only coordinate 2 of point 1 stays put under h = 1.0
+    with pytest.raises(ValueError) as ref:
+        _max_partial_errors_per_point(fields, points, [1.0])
+    with pytest.raises(ValueError) as got:
+        max_partial_errors(fields, points, [1.0])
+    assert str(got.value) == str(ref.value)
+    assert str(got.value) == "step 1.0 does not move coordinate 2 from (1e+300+0.5j)"
+    points[2][0] = -1e300  # a later point stays put too: the loop names the first
+    with pytest.raises(ValueError) as got:
+        max_partial_errors(fields, points, [1.0])
+    assert str(got.value) == str(ref.value)
+
+
+def test_convergence_peak_memory_does_not_grow_with_steps():
+    def peak(count):
+        steps = list(0.05 * 0.99 ** np.arange(count))
+        tracemalloc.start()
+        try:
+            run_convergence("poly", steps, seed=42)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-use allocations
+    short, long = peak(12), peak(600)
+    # stacking every step at once would take about 10 MB at 600 steps
+    assert long - short <= 128 * 1024
+    assert long < 1024 * 1024
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -461,6 +565,13 @@ def test_cli_convergence_step_that_does_not_move_exit_code(capsys):
     assert main(["convergence", "--field", "poly", "--steps", "1e-300,1e-301"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: step 1e-300 does not move")
+
+
+def test_cli_convergence_refuses_a_negative_seed(capsys):
+    assert main(["convergence", "--field", "poly", "--steps", "1e-3,5e-4", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a natural number\n"
 
 
 def test_assembly_oracle_catches_a_wrong_assembly(monkeypatch):

@@ -65,3 +65,61 @@ def test_pv_mul_rows_matches_pv_mul_bit_for_bit():
     assert got.shape == a.shape
     for i in range(len(a)):
         assert got[i].tobytes() == kernels.pv_mul(a[i], b[i]).tobytes(), i
+
+
+def _assert_rows_bit_for_bit(got, one_row, n):
+    assert got.shape == (n, 4)
+    for i in range(n):
+        assert got[i].tobytes() == one_row(i).tobytes(), i
+
+
+def test_poly_eval_rows_matches_poly_eval_bit_for_bit():
+    from paracalc.fields import _degree_exponents
+
+    rng = np.random.default_rng(4)
+    for degree in range(9):
+        exps = _degree_exponents(degree)
+        coeffs = random_rows(rng, len(exps))[rng.permutation(2 * len(exps))[:len(exps)]]
+        for sub in (exps, exps[rng.random(len(exps)) < 0.5]):  # dense, then sparse
+            c = coeffs[:len(sub)]
+            xs = random_rows(rng, 40)  # spread rows, then exact and signed-zero rows
+            got = kernels.poly_eval_rows(sub, c, xs)
+            _assert_rows_bit_for_bit(got, lambda i: kernels.poly_eval(sub, c, xs[i]), len(xs))
+
+
+def test_poly_eval_rows_overflows_where_poly_eval_does():
+    from paracalc.fields import _degree_exponents
+
+    rng = np.random.default_rng(5)
+    exps = _degree_exponents(6)
+    coeffs = random_rows(rng, len(exps))[:len(exps)]
+    xs = random_rows(rng, 40) * 10.0 ** rng.integers(0, 60, size=(80, 4))
+    with np.errstate(all="ignore"):
+        got = kernels.poly_eval_rows(exps, coeffs, xs)
+        ref = np.array([kernels.poly_eval(exps, coeffs, x) for x in xs])
+    finite = np.isfinite(ref).all(axis=1)
+    assert finite.any() and not finite.all()  # some rows overflow, others do not
+    assert got.tobytes() == ref.tobytes()  # inf and NaN in the same places
+
+
+def test_poly_eval_rows_of_the_empty_polynomial_are_zero():
+    exps = np.zeros((0, 4), np.int64)
+    xs = np.ones((3, 4), np.complex128)
+    got = kernels.poly_eval_rows(exps, np.zeros((0, 4), np.complex128), xs)
+    np.testing.assert_array_equal(got, np.zeros((3, 4)))
+
+
+def test_plane_wave_eval_rows_matches_plane_wave_eval_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        k4, amp = _random_quad(rng), _random_quad(rng)
+        xs = random_rows(rng, 40)
+        amps = random_rows(rng, 40)
+        with np.errstate(all="ignore"):  # the spread rows reach exp overflow
+            one = kernels.plane_wave_eval_rows(k4, amp, xs)
+            per_row = kernels.plane_wave_eval_rows(k4, amps, xs)
+            _assert_rows_bit_for_bit(one, lambda i: kernels.plane_wave_eval(k4, amp, xs[i]),
+                                     len(xs))
+            _assert_rows_bit_for_bit(per_row,
+                                     lambda i: kernels.plane_wave_eval(k4, amps[i], xs[i]),
+                                     len(xs))
