@@ -10,9 +10,11 @@ Each operator runs in exact mode (closed-form partials of the field) or
 numeric mode (central differences with a caller-chosen step).  The module also
 provides the two sides of additivity and of the scalar product rule,
 and the two documented failure witnesses of the product rule.
-``central_differences`` differences a stack of points along every coordinate
-at once, and ``max_partial_errors`` measures those numeric partials against
-the exact ones, step by step (the convergence tables).
+``central_differences`` is the one numeric stencil, the independent oracle for
+the closed-form partials: it differences a stack of points along every
+coordinate at once, and a single point as a stack of one.
+``max_partial_errors`` measures those numeric partials against the exact
+ones, step by step (the convergence tables).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .algebra import BASIS, Event, Paravector
-from .fields import Field, central_difference
+from .fields import Field
 
 __all__ = [
     "Exact",
@@ -43,6 +45,8 @@ __all__ = [
     "leibniz_sides",
     "product_rule_failure_witness",
     "scalar_order_gap",
+    "central_differences",
+    "max_partial_errors",
 ]
 
 
@@ -72,14 +76,12 @@ def bundle(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
 
     Rows are (phi, Phi_x, Phi_y, Phi_z); columns are (t, x, y, z).
     """
-    d = np.empty((4, 4), np.complex128)
     x = X.data
-    if isinstance(mode, Exact):
-        for c in range(4):
-            d[:, c] = f.partial(c)._value(x)
-    else:
-        for c in range(4):
-            d[:, c] = central_difference(f._value, x, c, mode.h)
+    if isinstance(mode, Numeric):
+        return central_differences(f._value, x[None], mode.h).T
+    d = np.empty((4, 4), np.complex128)
+    for c in range(4):
+        d[:, c] = f.partial(c)._value(x)
     return d
 
 
@@ -114,19 +116,25 @@ def grad4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
 
 
 def _second_partials(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
-    """d2[component, coordinate]: repeated partial along each coordinate."""
-    d2 = np.empty((4, 4), np.complex128)
-    x = X.data
-    if isinstance(mode, Exact):
-        for c in range(4):
-            d2[:, c] = f.partial(c).partial(c)._value(x)
-    else:
-        h = mode.h
-        for c in range(4):
-            def once(xd, _c=c):
-                return central_difference(f._value, xd, _c, h)
+    """d2[component, coordinate]: repeated partial along each coordinate.
 
-            d2[:, c] = central_difference(once, x, c, h)
+    Numeric mode checks that the step moves each coordinate of X before it
+    checks the inner stencils, so a step that fails both names the former.
+    """
+    x = X.data
+    if isinstance(mode, Numeric):
+        h = mode.h
+
+        def firsts(xs):
+            # row r of the outer stencil moves coordinate r % 4: keep the
+            # inner difference along that coordinate (its row 4 r + r % 4)
+            r = np.arange(len(xs))
+            return central_differences(f._value, xs, h).reshape(-1, 4, 4)[r, r % 4]
+
+        return central_differences(firsts, x[None], h).T
+    d2 = np.empty((4, 4), np.complex128)
+    for c in range(4):
+        d2[:, c] = f.partial(c).partial(c)._value(x)
     return d2
 
 
@@ -214,15 +222,16 @@ def scalar_order_gap(rho: Field, a: Paravector, X: Event) -> Paravector:
 
 
 def central_differences(value_fn, xs: np.ndarray, h: float) -> np.ndarray:
-    """central_difference at each point of an (n, 4) stack along each coordinate.
+    """(value(x + h e_c) - value(x - h e_c)) / 2h at each point x of an (n, 4) stack.
 
-    Row 4 p + c is central_difference(value_fn, xs[p], c, h), bit for bit.
-    value_fn is called once, on a stack of 8 n rows: each point with one
-    coordinate moved by +h, then the same with -h.  The copies are shifted in
-    that coordinate only, as central_difference shifts them, so no -0.0 in
-    another coordinate turns into +0.0.  Raises ValueError as
-    central_difference does, for the first point and coordinate, in that
-    order, that the step does not move.
+    Row 4 p + c differences xs[p] along the real axis of coordinate c, which
+    recovers the complex partial because every field is holomorphic per
+    coordinate.  value_fn is called once, on a stack of 8 n rows: each point
+    with one coordinate moved by +h, then the same with -h.  The copies are
+    shifted in that coordinate only, so no -0.0 in another coordinate turns
+    into +0.0.  Raises ValueError for the first point and coordinate, in that
+    order, where x[c] +- h rounds back to x[c]: such a stencil differences
+    nothing and would read every derivative as zero.
     """
     c = np.arange(4)  # copy c of a point moves its coordinate c
     stencil = np.broadcast_to(xs[:, None, :], (2, len(xs), 4, 4)).copy()

@@ -22,9 +22,9 @@ package needs:
 Pullbacks keep a frame rather than expanding P(M X) into monomials of X: for
 the strongly non-unitary maps the suites draw, that expansion cancels away
 most of its significant digits when evaluated (see the README).
-``central_difference`` is the independent oracle (stepping along the real
-axis of a complex coordinate, which recovers the complex partial because
-every field is holomorphic per coordinate).
+The independent oracle for the closed-form partials is numeric:
+``diffops.central_differences``, which evaluates its whole stencil as one
+stack, since ``_value`` takes one point or a stack of points.
 """
 
 from __future__ import annotations
@@ -367,25 +367,6 @@ def _merged(groups):
 def PolynomialField(exps, coeffs) -> Field:
     """The polynomial field sum_i coeffs[i] X^exps[i]; the same as Field(exps, coeffs)."""
     return Field(exps, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Operation surface
-# ---------------------------------------------------------------------------
-
-def central_difference(value_fn, x: np.ndarray, c: int, h: float) -> np.ndarray:
-    """(value(x + h e_c) - value(x - h e_c)) / 2h along the real axis of coord c.
-
-    Raises ValueError when x[c] +- h rounds back to x[c]: such a stencil
-    differences nothing and would read every derivative as zero.
-    """
-    xp = x.copy()
-    xp[c] += h
-    xm = x.copy()
-    xm[c] -= h
-    if xp[c] == x[c] or xm[c] == x[c]:
-        raise ValueError(f"step {h!r} does not move coordinate {c} from {complex(x[c])!r}")
-    return (value_fn(xp) - value_fn(xm)) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .diffops import (
     additivity_sides,
     box4,
     bundle,
+    central_differences,
     div4,
     div4_field,
     grad4,
@@ -68,7 +69,6 @@ from .electromag import (
 )
 from .fields import (
     Field,
-    central_difference,
     null_plane_wave,
     random_event,
     random_field,
@@ -395,15 +395,9 @@ def _sample_field(rng, index: int, degree: int = 3, scale: float = 1.0):
     return random_plane_wave(rng, scale=scale)
 
 
-def _stencil_norm(f, x, h: float) -> float:
-    """Max component magnitude of f over the +-h stencil points."""
-    m = 0.0
-    for c in range(4):
-        for sgn in (1.0, -1.0):
-            xs = x.copy()
-            xs[c] += sgn * h
-            m = max(m, float(np.max(np.abs(f._value(xs)))))
-    return m
+def _each_row(point_fn):
+    """A value function for central_differences from one that takes one point."""
+    return lambda xs: np.array([point_fn(x) for x in xs])
 
 
 def _diffop_cases() -> List[Case]:
@@ -418,9 +412,18 @@ def _diffop_cases() -> List[Case]:
     def numeric_agreement(rng, i, cfg):
         f = _sample_field(rng, i)
         X = random_event(rng)
-        loc = _stencil_norm(f, X.data, cfg.h)
-        err = (bundle(f, X, Numeric(cfg.h)) - bundle(f, X, EXACT)) / (1.0 + loc)
-        return list(err.T)  # one difference per coordinate
+        stencil = []  # the values differenced, kept to scale the residual
+
+        def value_fn(xs):
+            stencil.append(f._value(xs))
+            return stencil[0]
+
+        num = central_differences(value_fn, X.data[None], cfg.h)
+        # the largest component magnitude over the stencil points; Python's
+        # max passes over a point whose values include a NaN
+        loc = max(0.0, *map(float, np.abs(stencil[0]).max(axis=1)))
+        err = (num - bundle(f, X, EXACT).T) / (1.0 + loc)
+        return list(err)  # one difference per coordinate
 
     def factorization_exact(rng, i, cfg):
         f = _sample_field(rng, i)
@@ -439,12 +442,10 @@ def _diffop_cases() -> List[Case]:
         X = random_event(rng)
         b = box4(f, X, Numeric(h)).data
 
-        def div_fn(xd):
-            return div4(f, Event.from_data(xd), Numeric(h)).data
+        def div_fn(xs):
+            return np.array([div4(f, Event.from_data(x), Numeric(h)).data for x in xs])
 
-        dgrad = np.empty((4, 4), np.complex128)
-        for c in range(4):
-            dgrad[:, c] = central_difference(div_fn, X.data, c, h)
+        dgrad = central_differences(div_fn, X.data[None], h).T
         return [_rel(assemble_grad(dgrad), b)]
 
     def null_wave_box(rng, i, cfg):
@@ -700,9 +701,10 @@ def _maxwell_cases() -> List[Case]:
             # only numerics in the oracle are the three differences below
             return em_from_potential(pot, Event.from_data(xd), k1).F.real
 
+        d = central_differences(_each_row(e_field), X.data[None], cfg.h)  # d[c, k] = dE_k/dx_c
         div_e = 0.0
         for c in (1, 2, 3):
-            div_e += central_difference(e_field, X.data, c, cfg.h)[c - 1]
+            div_e += d[c, c - 1]
         return [[src.rho_over_eps.real - div_e]]
 
     def static_gradient(rng, i, cfg):

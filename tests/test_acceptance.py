@@ -45,7 +45,6 @@ from paracalc.electromag import (
 )
 from paracalc.fields import (
     Field,
-    central_difference,
     random_event,
     random_field,
     random_orthogonal,
@@ -67,7 +66,7 @@ from paracalc.transforms import (
     wave_invariance_sides,
 )
 
-from util import gap, max_abs, rel_err
+from util import central_difference, gap, max_abs, rel_err
 
 SEED = 42
 

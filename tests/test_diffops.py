@@ -27,7 +27,7 @@ from paracalc.fields import (
     random_scalar_field,
 )
 
-from util import gap, max_abs, rel_err
+from util import central_difference, gap, max_abs, rel_err
 
 
 def radial_field():
@@ -113,8 +113,6 @@ def test_operator_factorization_exact():
 
 
 def test_operator_factorization_numeric():
-    from paracalc.fields import central_difference
-
     rng = np.random.default_rng(9)
     h = 1e-4
     for i in range(4):

@@ -18,13 +18,12 @@ from paracalc.algebra import (
     reverse,
     right_matrix,
 )
-from paracalc.diffops import Numeric, bundle
+from paracalc.diffops import Numeric, box4, bundle, central_differences
 from paracalc.fields import (
     DEGREE_CAP,
     Field,
     PolynomialField,
     _canonical_terms,
-    central_difference,
     coord_index,
     null_plane_wave,
     random_event,
@@ -36,7 +35,7 @@ from paracalc.fields import (
     random_scalar_field,
 )
 
-from util import max_abs, random_rows, rel_err
+from util import central_difference, max_abs, random_rows, rel_err
 
 
 def composite_field(seed: int = 0):
@@ -75,23 +74,29 @@ def test_eval_plane_wave_closed_form():
     np.testing.assert_allclose(f.at(x).data, expected, rtol=1e-15)
 
 
-@pytest.mark.parametrize("kind", [
-    "plain", "framed", "plane-wave", "polynomial-times-phase", "partial", "zero",
-])
+FIELD_KINDS = ["plain", "framed", "plane-wave", "polynomial-times-phase", "partial", "zero"]
+
+
+def field_of_kind(kind, rng):
+    """One draw of a field of the given kind from rng."""
+    poly, wave = random_field(rng, degree=4), random_plane_wave(rng)
+    rho = random_scalar_field(rng, degree=2)
+    frame = left_matrix(random_paravector(rng)) @ right_matrix(random_paravector(rng))
+    return {
+        "plain": poly,
+        "framed": Field.sum(poly, wave.scalar_mul(rho)).pullback(frame),
+        "plane-wave": wave,
+        "polynomial-times-phase": wave.scalar_mul(rho),
+        "partial": composite_field(int(rng.integers(100))).partial(2),
+        "zero": Field.zero(),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_value_on_a_stack_matches_each_point_bit_for_bit(kind):
     rng = np.random.default_rng(8)
     for _ in range(10):
-        poly, wave = random_field(rng, degree=4), random_plane_wave(rng)
-        rho = random_scalar_field(rng, degree=2)
-        frame = left_matrix(random_paravector(rng)) @ right_matrix(random_paravector(rng))
-        f = {
-            "plain": poly,
-            "framed": Field.sum(poly, wave.scalar_mul(rho)).pullback(frame),
-            "plane-wave": wave,
-            "polynomial-times-phase": wave.scalar_mul(rho),
-            "partial": composite_field(int(rng.integers(100))).partial(2),
-            "zero": Field.zero(),
-        }[kind]
+        f = field_of_kind(kind, rng)
         xs = random_rows(rng, 20)  # spread rows, then exact and signed-zero rows
         with np.errstate(all="ignore"):  # the spread rows reach exp overflow
             got = f._value(xs)
@@ -211,8 +216,8 @@ def test_exact_vs_numeric_oracle(maker):
 
 def test_central_difference_t_squared():
     f = Field.monomial((2, 0, 0, 0), Paravector(1.0))
-    got = central_difference(f._value, Event(1.0).data, coord_index("t"), 1e-5)
-    assert abs(got[0] - 2.0) <= 1e-9
+    got = central_differences(f._value, Event(1.0).data[None], 1e-5)
+    assert abs(got[coord_index("t"), 0] - 2.0) <= 1e-9
 
 
 def test_central_difference_convergence_order():
@@ -227,11 +232,65 @@ def test_central_difference_convergence_order():
 def test_central_difference_rejects_bad_step():
     f = random_field(0)
     with pytest.raises(ValueError, match="does not move"):
-        central_difference(f._value, random_event(0).data, 0, 0.0)
+        central_differences(f._value, random_event(0).data[None], 0.0)
     with pytest.raises(ValueError, match="positive"):
         bundle(f, random_event(0), Numeric(0.0))
     with pytest.raises(ValueError, match="does not move"):  # 2 + 1e-300 == 2
         bundle(f, Event(2.0), Numeric(1e-300))
+
+
+def _outcome(fn):
+    """The bytes of fn(), or the message of the ValueError it raises."""
+    try:
+        return fn().tobytes()
+    except ValueError as e:
+        return str(e)
+
+
+def _bundle_per_point(f, X, h):
+    return np.stack([central_difference(f._value, X.data, c, h) for c in range(4)], axis=1)
+
+
+def _box4_per_point(f, X, h):
+    d2 = np.empty((4, 4), np.complex128)
+    for c in range(4):
+        def once(xd, c=c):
+            return central_difference(f._value, xd, c, h)
+
+        d2[:, c] = central_difference(once, X.data, c, h)
+    return Paravector.from_data(d2[:, 0] - d2[:, 1] - d2[:, 2] - d2[:, 3]).data
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_numeric_bundle_and_box4_match_the_per_point_stencil_bit_for_bit(kind):
+    rng = np.random.default_rng(21)
+    named = set()
+    for _ in range(2):
+        f = field_of_kind(kind, rng)
+        for x in random_rows(rng, 10):  # spread rows, then exact and signed-zero rows
+            X = Event.from_data(x)
+            # 1e-300 moves only zero coordinates: the error names the first other one
+            for h in (0.5, 1e-3, 1e-300):
+                with np.errstate(all="ignore"):  # the spread rows reach exp overflow
+                    pairs = [(lambda: bundle(f, X, Numeric(h)), lambda: _bundle_per_point(f, X, h)),
+                             (lambda: box4(f, X, Numeric(h)).data, lambda: _box4_per_point(f, X, h))]
+                    for ours, ref in pairs:
+                        want = _outcome(ref)
+                        assert _outcome(ours) == want, (h, x)
+                        if isinstance(want, str) and "does not move" in want:
+                            named.add(want.split(" from ")[0])
+    assert len(named) > 1, named  # errors named more than one coordinate
+
+
+def test_numeric_box4_names_an_unmoved_coordinate_of_the_point_first():
+    f, h = random_field(1), 1.5 * 2.0 ** -53
+    # h moves x[0] to 2.0, and the inner stencil's h does not move 2.0
+    x = np.array([2 - 2.0 ** -52, 1.0, 0.0, 0.0], np.complex128)
+    with pytest.raises(ValueError, match=r"coordinate 0 from \(2\+0j\)"):
+        box4(f, Event.from_data(x), Numeric(h))
+    x[1] = 1e300  # nor 1e300, a coordinate of the point itself
+    with pytest.raises(ValueError, match=r"coordinate 1 from \(1e\+300\+0j\)"):
+        box4(f, Event.from_data(x), Numeric(h))
 
 
 # -- action matrices ------------------------------------------------------------

@@ -33,6 +33,18 @@ def random_rows(rng, n):
     return np.concatenate([spread, exact])
 
 
+def central_difference(value_fn, x, c, h):
+    """(value(x + h e_c) - value(x - h e_c)) / 2h at one point: the per-point
+    reference for diffops.central_differences, which must match it bit for bit."""
+    xp = x.copy()
+    xp[c] += h
+    xm = x.copy()
+    xm[c] -= h
+    if xp[c] == x[c] or xm[c] == x[c]:
+        raise ValueError(f"step {h!r} does not move coordinate {c} from {complex(x[c])!r}")
+    return (value_fn(xp) - value_fn(xm)) / (2.0 * h)
+
+
 def gap(sides):
     """lhs - rhs of a (lhs, rhs) pair of paravectors, as an array."""
     lhs, rhs = sides
