@@ -49,11 +49,9 @@ from .diffops import (
     scalar_order_gap,
 )
 from .electromag import (
-    EMValue,
     NonTransverse,
     PhysConstants,
     PotentialField,
-    SourceValue,
     ZeroWaveVector,
     em_field_from_potential,
     em_from_potential,
@@ -77,15 +75,11 @@ from .fields import (
 from .transforms import (
     InvarianceForm,
     NotOrthogonal,
-    TransformCase,
     TransformedValues,
-    div_left_transport_sides,
-    div_right_transport_sides,
-    grad_left_transport_sides,
-    grad_right_transport_sides,
     right_factor_sides,
     transformed_field_values,
     transformed_wave_field,
+    transport_sides,
     wave_invariance_sides,
 )
 

@@ -5,7 +5,10 @@ With the c-scaled operators (time derivative divided by c):
     (0; E + icB)        = [d/c dt; -grad] (phi; -cA)
     (1/eps0)(rho; -j/c) = [d/c dt;  grad] (0; E + icB)
 
-and chaining the two gives the c-scaled wave system for the potential.
+and chaining the two gives the c-scaled wave system for the potential.  The
+point values are the operators' own paravectors: em_from_potential returns
+(gauge; E + icB), whose scalar part is the Lorenz-gauge diagnostic (0 in that
+gauge), and sources_from_em returns (rho/eps0; -j/(c eps0)).
 
 The c-scaling reuses the generic operators on a time-rescaled pullback: with
 tau = c t, a field g(tau, r) = f(tau/c, r) satisfies d g/d tau = (1/c) df/dt,
@@ -31,8 +34,6 @@ __all__ = [
     "NonTransverse",
     "ZeroWaveVector",
     "PotentialField",
-    "EMValue",
-    "SourceValue",
     "em_from_potential",
     "em_field_from_potential",
     "sources_from_em",
@@ -70,22 +71,6 @@ class PotentialField:
     f: Field
 
 
-@dataclass(frozen=True)
-class EMValue:
-    """Gauge diagnostic (should be ~0 in Lorenz gauge) and F = E + icB."""
-
-    scalar: complex
-    F: np.ndarray
-
-
-@dataclass(frozen=True)
-class SourceValue:
-    """rho/eps0 and -j/(c eps0), as produced by the c-scaled 4-divergence."""
-
-    rho_over_eps: complex
-    j_term: np.ndarray
-
-
 def _tau_event(X: Event, c: float) -> Event:
     if c == 1.0:
         return X
@@ -102,14 +87,13 @@ def _time_scaled(f: Field, c: float) -> Field:
 
 def em_from_potential(
     pot: PotentialField, X: Event, k: PhysConstants = PhysConstants(), mode: DiffMode = EXACT
-) -> EMValue:
-    """c-scaled 4-gradient of the potential value at X.
+) -> Paravector:
+    """c-scaled 4-gradient of the potential at X.
 
-    The scalar part is the Lorenz-gauge diagnostic (reported, never raised);
-    the vector part is E + icB.
+    Its scalar part is the Lorenz-gauge diagnostic (about 0 in Lorenz gauge;
+    reported, never raised), and its vector part is F = E + icB.
     """
-    g = grad4(_time_scaled(pot.f, k.c), _tau_event(X, k.c), mode)
-    return EMValue(scalar=g.s, F=g.v)
+    return grad4(_time_scaled(pot.f, k.c), _tau_event(X, k.c), mode)
 
 
 def em_field_from_potential(pot: PotentialField, k: PhysConstants = PhysConstants()) -> Field:
@@ -119,10 +103,9 @@ def em_field_from_potential(pot: PotentialField, k: PhysConstants = PhysConstant
 
 def sources_from_em(
     emf: Field, X: Event, k: PhysConstants = PhysConstants(), mode: DiffMode = EXACT
-) -> SourceValue:
-    """c-scaled 4-divergence of a (0; E+icB)-valued field at the physical X."""
-    d = div4(emf, _tau_event(X, k.c), mode)
-    return SourceValue(rho_over_eps=d.s, j_term=d.v)
+) -> Paravector:
+    """Sources (rho/eps0; -j/(c eps0)): c-scaled div4 of a (0; E+icB) field at X."""
+    return div4(emf, _tau_event(X, k.c), mode)
 
 
 def source_field_from_em(emf: Field) -> Field:

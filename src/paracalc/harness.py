@@ -80,17 +80,13 @@ from .fields import (
 )
 from .transforms import (
     InvarianceForm,
-    TransformCase,
-    div_left_transport_sides,
-    div_right_transport_sides,
     form_point,
     form_value,
-    grad_left_transport_sides,
-    grad_right_transport_sides,
     observer_rotation_sides,
     right_factor_sides,
     transformed_field_values,
     transformed_wave_field,
+    transport_sides,
     wave_invariance_sides,
 )
 
@@ -389,10 +385,10 @@ def _algebra_cases() -> List[Case]:
 # diffop suite
 # ---------------------------------------------------------------------------
 
-def _sample_field(rng, index: int, degree: int = 3, scale: float = 1.0):
+def _sample_field(rng, index: int):
     if index % 2 == 0:
-        return random_field(rng, degree=degree, scale=scale)
-    return random_plane_wave(rng, scale=scale)
+        return random_field(rng, degree=3, scale=1.0)
+    return random_plane_wave(rng, scale=1.0)
 
 
 def _each_row(point_fn):
@@ -513,12 +509,12 @@ def _singular_paravector(rng) -> Paravector:
     return Paravector(s, (s, 0.0, 0.0))
 
 
-def _transport_case(sides_fn, mode_of):
+def _transport_case(op, right: bool, mode_of):
     def sample(rng, i, cfg):
         g = random_paravector(rng)
         f = _sample_field(rng, i)
         X = random_event(rng)
-        lhs, rhs = sides_fn(TransformCase(g, f, X, mode_of(cfg)))
+        lhs, rhs = transport_sides(op, right, g, f, X, mode_of(cfg))
         return [_rel(lhs.data, rhs.data)]
 
     return _sampled(_times(1), sample)
@@ -558,13 +554,13 @@ def _transforms_cases() -> List[Case]:
 
     return [
         Case("div-left-transport-exact", "exact", 1e-10,
-             _transport_case(div_left_transport_sides, exact)),
+             _transport_case(div4, False, exact)),
         Case("grad-left-transport-exact", "exact", 1e-10,
-             _transport_case(grad_left_transport_sides, exact)),
+             _transport_case(grad4, False, exact)),
         Case("div-right-transport-exact", "exact", 1e-10,
-             _transport_case(div_right_transport_sides, exact)),
+             _transport_case(div4, True, exact)),
         Case("grad-right-transport-exact", "exact", 1e-10,
-             _transport_case(grad_right_transport_sides, exact)),
+             _transport_case(grad4, True, exact)),
         Case("right-factor-exact", "exact", 1e-10, _right_factor_case(exact, False)),
         Case("right-factor-singular-exact", "exact", 1e-10,
              _right_factor_case(exact, True)),
@@ -572,13 +568,13 @@ def _transforms_cases() -> List[Case]:
         Case("pullback-group-composition", "exact", 1e-10,
              _sampled(_times(1), group_composition)),
         Case("div-left-transport-numeric", "numeric", 1e-5,
-             _transport_case(div_left_transport_sides, numeric), substream=0),
+             _transport_case(div4, False, numeric), substream=0),
         Case("grad-left-transport-numeric", "numeric", 1e-5,
-             _transport_case(grad_left_transport_sides, numeric), substream=1),
+             _transport_case(grad4, False, numeric), substream=1),
         Case("div-right-transport-numeric", "numeric", 1e-5,
-             _transport_case(div_right_transport_sides, numeric), substream=2),
+             _transport_case(div4, True, numeric), substream=2),
         Case("grad-right-transport-numeric", "numeric", 1e-5,
-             _transport_case(grad_right_transport_sides, numeric), substream=3),
+             _transport_case(grad4, True, numeric), substream=3),
         Case("right-factor-numeric", "numeric", 1e-5,
              _right_factor_case(numeric, False), substream=4),
     ]
@@ -665,10 +661,10 @@ def _plane_wave_case(constants: PhysConstants, field: str):
         pot = _random_wave_potential(rng, constants)
         X = _maxwell_event(rng)
         if field == "gauge":
-            return [[em_from_potential(pot, X, constants).scalar]]
+            return [[em_from_potential(pot, X, constants).s]]
         emf = em_field_from_potential(pot, constants)
         src = sources_from_em(emf, X, constants)
-        return [np.concatenate([[src.rho_over_eps], src.j_term])]
+        return [src.data]
 
     return _sampled(_times(2), sample)
 
@@ -680,7 +676,7 @@ def _maxwell_cases() -> List[Case]:
     def polynomial_gauge(rng, i, cfg):
         pot = lorenz_gauge_potential(rng)
         X = _maxwell_event(rng)
-        return [[em_from_potential(pot, X, k1).scalar]]
+        return [[em_from_potential(pot, X, k1).s]]
 
     def factorization_chain(rng, i, cfg):
         pot = lorenz_gauge_potential(rng)
@@ -699,18 +695,18 @@ def _maxwell_cases() -> List[Case]:
         def e_field(xd):
             # exact E values routed through the point operator, so the
             # only numerics in the oracle are the three differences below
-            return em_from_potential(pot, Event.from_data(xd), k1).F.real
+            return em_from_potential(pot, Event.from_data(xd), k1).v.real
 
         d = central_differences(_each_row(e_field), X.data[None], cfg.h)  # d[c, k] = dE_k/dx_c
         div_e = 0.0
         for c in (1, 2, 3):
             div_e += d[c, c - 1]
-        return [[src.rho_over_eps.real - div_e]]
+        return [[src.s.real - div_e]]
 
     def static_gradient(rng, i, cfg):
         pot = PotentialField(Field.monomial((0, 1, 0, 0), Paravector(1.0)))
         val = em_from_potential(pot, Event(0.3, (0.7, -1.1, 0.4)), k1)
-        return [np.concatenate([[val.scalar], val.F - np.array([-1.0, 0.0, 0.0])])]
+        return [val.data - np.array([0.0, -1.0, 0.0, 0.0])]
 
     return [
         Case("plane-wave-gauge-scalar", "exact", 1e-12, _plane_wave_case(k1, "gauge")),
@@ -748,8 +744,9 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         for idx, case in enumerate(_SUITE_BUILDERS[sname]()):
             sub = idx if case.substream is None else case.substream
             name = f"{sname}/{case.name}"
-            try:
-                worst = case.run(case_rng(cfg.seed, sname, sub), cfg)
+            try:  # overflow reads as a non-finite residual, which fails the case
+                with np.errstate(all="ignore"):
+                    worst = case.run(case_rng(cfg.seed, sname, sub), cfg)
                 residual, components = worst.value, worst.components
             except Exception as exc:  # a crashed case fails; the rest still run
                 print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -840,8 +837,9 @@ def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List
         draw = random_field if field_kind == "poly" else random_plane_wave
         fields = [draw(rng) for _ in range(3)]
     points = [random_event(rng).data for _ in range(20)]
-    try:
-        errors = max_partial_errors(fields, points, steps)
+    try:  # overflow reads as a NaN error, which fails the table
+        with np.errstate(all="ignore"):
+            errors = max_partial_errors(fields, points, steps)
     except ValueError as exc:  # a step that does not move the stencil
         raise ConfigError(str(exc)) from None
     rows = []

@@ -4,10 +4,13 @@ Each evaluator computes the two sides of one identity at corresponding points
 X and X' (X drawn, X' derived) and returns them as a pair of field values.
 Identities covered:
 
-* left map X' = g X:    div4 A|X  = div4' [g A(g^-1 X')]
-                        grad4 A|X = g~ * grad4' [A(g^-1 X')]
-* right map X' = X g:   div4 A|X  = g * div4' [A(X' g^-1)]
-                        grad4 A|X = grad4' [g~ A(X' g^-1)]
+* transport (transport_sides), one rule for div4 with the factor g and grad4
+  with the factor g~, which multiplies the moved field's values for div4 on a
+  left map and for grad4 on a right map, and the operator's value otherwise:
+    left map X' = g X:    div4 A|X  = div4' [g A(g^-1 X')]
+                          grad4 A|X = g~ * grad4' [A(g^-1 X')]
+    right map X' = X g:   div4 A|X  = g * div4' [A(X' g^-1)]
+                          grad4 A|X = grad4' [g~ A(X' g^-1)]
 * constant right factor: div4[A g] = [div4 A] g (and the grad4 twin), valid
   for every g including singular ones;
 * observer rotation X' = L X L~ for orthogonal L (det = 1);
@@ -42,11 +45,7 @@ __all__ = [
     "NotOrthogonal",
     "ORTHOGONALITY_TOL",
     "require_orthogonal",
-    "TransformCase",
-    "div_left_transport_sides",
-    "grad_left_transport_sides",
-    "div_right_transport_sides",
-    "grad_right_transport_sides",
+    "transport_sides",
     "right_factor_sides",
     "observer_rotation_sides",
     "InvarianceForm",
@@ -72,53 +71,29 @@ def require_orthogonal(lam: Paravector, tol: float = ORTHOGONALITY_TOL) -> None:
         raise NotOrthogonal(f"|det - 1| = {gap:.3e} exceeds {tol:.1e}")
 
 
-@dataclass(frozen=True)
-class TransformCase:
-    """One transport-identity check: transformation, field, base point, mode."""
+def transport_sides(
+    op, right: bool, g: Paravector, f: Field, X: Event, mode: DiffMode = EXACT
+) -> Tuple[Paravector, Paravector]:
+    """op A at X, and op' at X' = X g (``right``) or X' = g X of A moved there.
 
-    gamma: Paravector
-    f: Field
-    X: Event
-    mode: DiffMode = EXACT
-
-    def __post_init__(self):
-        if abs(det(self.gamma)) < 0.1:
-            raise SingularParavector(
-                "transport cases require |det| >= 0.1 for well-conditioned inverses"
-            )
-
-
-def div_left_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravector]:
-    """div4 A at X, and div4'[Gamma A(Gamma^-1 X')] at X' = Gamma X."""
-    g = case.gamma
-    xp = act_left(g, case.X)
-    moved = case.f.pullback(left_matrix(inverse(g))).left_mul(g)
-    return div4(case.f, case.X, case.mode), div4(moved, xp, case.mode)
-
-
-def grad_left_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravector]:
-    """grad4 A at X, and Gamma~ * grad4'[A(Gamma^-1 X')]; the reversed factor
-    multiplies after the operator is applied."""
-    g = case.gamma
-    xp = act_left(g, case.X)
-    moved = case.f.pullback(left_matrix(inverse(g)))
-    return grad4(case.f, case.X, case.mode), mul(reverse(g), grad4(moved, xp, case.mode))
-
-
-def div_right_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravector]:
-    """div4 A at X, and Gamma * div4'[A(X' Gamma^-1)] at X' = X Gamma."""
-    g = case.gamma
-    xp = act_right(case.X, g)
-    moved = case.f.pullback(right_matrix(inverse(g)))
-    return div4(case.f, case.X, case.mode), mul(g, div4(moved, xp, case.mode))
-
-
-def grad_right_transport_sides(case: TransformCase) -> Tuple[Paravector, Paravector]:
-    """grad4 A at X, and grad4'[Gamma~ A(X' Gamma^-1)] at X' = X Gamma."""
-    g = case.gamma
-    xp = act_right(case.X, g)
-    moved = case.f.pullback(right_matrix(inverse(g))).left_mul(reverse(g))
-    return grad4(case.f, case.X, case.mode), grad4(moved, xp, case.mode)
+    ``op`` is div4, with the factor g, or grad4, with the factor g~; the
+    module docstring says where the factor goes.  g needs |det g| >= 0.1, so
+    that its inverse is well conditioned.
+    """
+    if op is not div4 and op is not grad4:
+        raise ValueError("transport_sides takes div4 or grad4")
+    if abs(det(g)) < 0.1:
+        raise SingularParavector(
+            "transport cases require |det| >= 0.1 for well-conditioned inverses"
+        )
+    factor = g if op is div4 else reverse(g)
+    inside = (op is div4) != right  # the factor multiplies the moved values
+    xp = act_right(X, g) if right else act_left(g, X)
+    moved = f.pullback((right_matrix if right else left_matrix)(inverse(g)))
+    if inside:
+        moved = moved.left_mul(factor)
+    lhs, rhs = op(f, X, mode), op(moved, xp, mode)
+    return lhs, rhs if inside else mul(factor, rhs)
 
 
 def right_factor_sides(

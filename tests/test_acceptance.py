@@ -54,19 +54,15 @@ from paracalc.fields import (
 )
 from paracalc.transforms import (
     InvarianceForm,
-    TransformCase,
-    div_left_transport_sides,
-    div_right_transport_sides,
     form_point,
-    grad_left_transport_sides,
-    grad_right_transport_sides,
     observer_rotation_sides,
     right_factor_sides,
     transformed_field_values,
+    transport_sides,
     wave_invariance_sides,
 )
 
-from util import central_difference, gap, max_abs, rel_err
+from util import TRANSPORTS, central_difference, gap, max_abs, rel_err
 
 SEED = 42
 
@@ -192,23 +188,17 @@ def test_criterion_3_additivity_and_scalar_product_rule():
 
 def test_criterion_4_transport_identities():
     rng = np.random.default_rng(SEED + 3)
-    residual_fns = {
-        "div-left": div_left_transport_sides,
-        "grad-left": grad_left_transport_sides,
-        "div-right": div_right_transport_sides,
-        "grad-right": grad_right_transport_sides,
-    }
     worst_exact = 0.0
     worst_numeric = 0.0
-    for name, fn in residual_fns.items():
+    for op, right in TRANSPORTS.values():
         for i in range(50):
             g = random_paravector(rng)
             f = mixed_field(rng, i)
             X = random_event(rng)
-            worst_exact = max(worst_exact, max_abs(gap(fn(TransformCase(g, f, X)))))
+            worst_exact = max(worst_exact, max_abs(gap(transport_sides(op, right, g, f, X))))
             worst_numeric = max(
                 worst_numeric,
-                max_abs(gap(fn(TransformCase(g, f, X, Numeric(1e-5))))),
+                max_abs(gap(transport_sides(op, right, g, f, X, Numeric(1e-5)))),
             )
     for i in range(50):
         # every tenth factor is exactly singular; the identity needs no inverse
@@ -299,9 +289,9 @@ def test_criterion_7_maxwell_embedding():
             pot = plane_wave_potential(kvec, pol, amp, k)
             emf = em_field_from_potential(pot, k)
             X = complex_time_event()
-            gauge = max(gauge, abs(em_from_potential(pot, X, k).scalar))
+            gauge = max(gauge, abs(em_from_potential(pot, X, k).s))
             src = sources_from_em(emf, X, k)
-            sources = max(sources, abs(src.rho_over_eps), max_abs(src.j_term))
+            sources = max(sources, abs(src.s), max_abs(src.v))
         return gauge, sources
 
     g1, s1 = wave_checks(PhysConstants())
@@ -335,10 +325,10 @@ def test_criterion_7_maxwell_embedding():
             xp[c] += h
             xm = X.data.copy()
             xm[c] -= h
-            ep = em_from_potential(pot, Event.from_data(xp)).F[c - 1].real
-            em = em_from_potential(pot, Event.from_data(xm)).F[c - 1].real
+            ep = em_from_potential(pot, Event.from_data(xp)).v[c - 1].real
+            em = em_from_potential(pot, Event.from_data(xm)).v[c - 1].real
             div_e += (ep - em) / (2 * h)
-        gauss = max(gauss, abs(src.rho_over_eps.real - div_e))
+        gauss = max(gauss, abs(src.s.real - div_e))
     gauss_ok = gauss <= 1e-6
 
     report(

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -325,7 +326,6 @@ def test_run_convergence_validation():
         run_convergence("poly", [1e-3, 5e-4], seed=-1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_convergence_ok_band_check():
     rows = [ConvergenceRow(1e-3, 1e-6, 9.0), ConvergenceRow(5e-4, 1.1e-7, None)]
     assert not convergence_ok(rows)  # 9.0 is far from the predicted 4.0
@@ -498,7 +498,6 @@ def test_cli_non_finite_step_exit_code(capsys):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_overflowing_step_fails_with_strict_json(capsys):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -509,6 +508,24 @@ def test_cli_overflowing_step_fails_with_strict_json(capsys):
     assert case["pass"] is False and case["residual"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "diffop", "--step", "1e300", "--samples", "10", "--json", "--verbose"],
+    ["convergence", "--field", "planewave", "--steps", "1e300,1e299"],
+], ids=["check-diffop", "convergence"])
+def test_cli_overflow_raises_no_numpy_warning(capsys, argv):
+    # overflow reads as a failed case or table; numpy warnings would print
+    # source paths on stderr, so they are silenced, and none is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = main(argv), capsys.readouterr().out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == quiet and code == 1
+    assert captured.err == ""
+
+
 def test_cli_tolerance_overflow_exit_code(capsys):
     assert main(["check", "algebra", "--tol-exact", "1e308", "--samples", "2"]) == 2
     assert main(["check", "algebra", "--tol-numeric", "1e308", "--samples", "2"]) == 2
@@ -516,7 +533,6 @@ def test_cli_tolerance_overflow_exit_code(capsys):
     assert err.count("error:") == 2 and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_crashed_case_fails_and_the_rest_run(capsys):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")

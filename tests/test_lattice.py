@@ -15,18 +15,15 @@ from paracalc.algebra import conjugate_rotate, inverse, left_matrix, mul, right_
 from paracalc.diffops import additivity_sides, box4, div4_field, grad4, leibniz_sides
 from paracalc.transforms import (
     InvarianceForm,
-    TransformCase,
-    div_left_transport_sides,
-    div_right_transport_sides,
     form_point,
-    grad_left_transport_sides,
-    grad_right_transport_sides,
     observer_rotation_sides,
     right_factor_sides,
+    transport_sides,
     wave_invariance_sides,
 )
 
 from util import (
+    TRANSPORTS,
     assert_exact,
     lattice_event,
     lattice_field,
@@ -49,16 +46,12 @@ def assert_sides(sides):
     assert_exact(lhs.data, rhs.data)
 
 
-@pytest.mark.parametrize("sides_fn", [
-    div_left_transport_sides,
-    grad_left_transport_sides,
-    div_right_transport_sides,
-    grad_right_transport_sides,
-])
-def test_transports_are_exact(sides_fn):
+@pytest.mark.parametrize("op, right", TRANSPORTS.values(),
+                         ids=[f"{name}_transport_sides" for name in TRANSPORTS])
+def test_transports_are_exact(op, right):
     for rng in draws(1):
-        case = TransformCase(unimodular_paravector(rng), lattice_field(rng), lattice_event(rng))
-        assert_sides(sides_fn(case))
+        g, f, X = unimodular_paravector(rng), lattice_field(rng), lattice_event(rng)
+        assert_sides(transport_sides(op, right, g, f, X))
 
 
 def test_right_factor_is_exact():

@@ -17,7 +17,7 @@ from paracalc.algebra import (
     right_matrix,
     scale,
 )
-from paracalc.diffops import Numeric, div4
+from paracalc.diffops import Numeric, box4, div4
 from paracalc.fields import (
     random_event,
     random_field,
@@ -28,28 +28,17 @@ from paracalc.fields import (
 from paracalc.transforms import (
     InvarianceForm,
     NotOrthogonal,
-    TransformCase,
-    div_left_transport_sides,
-    div_right_transport_sides,
     form_point,
-    grad_left_transport_sides,
-    grad_right_transport_sides,
     observer_rotation_sides,
     require_orthogonal,
     right_factor_sides,
     transformed_field_values,
     transformed_wave_field,
+    transport_sides,
     wave_invariance_sides,
 )
 
-from util import gap, max_abs, rel_err
-
-ALL_TRANSPORTS = (
-    div_left_transport_sides,
-    grad_left_transport_sides,
-    div_right_transport_sides,
-    grad_right_transport_sides,
-)
+from util import TRANSPORTS, gap, max_abs, rel_err
 
 
 def sample(rng, i):
@@ -59,35 +48,33 @@ def sample(rng, i):
 def test_identity_transformation_gives_exact_zero():
     rng = np.random.default_rng(0)
     f, X = random_field(rng), random_event(rng)
-    case = TransformCase(IDENTITY, f, X)
-    for res in ALL_TRANSPORTS:
-        assert max_abs(gap(res(case))) == 0.0
+    for op, right in TRANSPORTS.values():
+        assert max_abs(gap(transport_sides(op, right, IDENTITY, f, X))) == 0.0
 
 
 def test_transport_identities_exact():
     rng = np.random.default_rng(1)
     for i in range(20):
-        case = TransformCase(random_paravector(rng), sample(rng, i), random_event(rng))
-        for res in ALL_TRANSPORTS:
-            assert max_abs(gap(res(case))) <= 1e-10
+        g, f, X = random_paravector(rng), sample(rng, i), random_event(rng)
+        for op, right in TRANSPORTS.values():
+            assert max_abs(gap(transport_sides(op, right, g, f, X))) <= 1e-10
 
 
 def test_transport_identities_numeric():
     rng = np.random.default_rng(2)
     for i in range(10):
-        case = TransformCase(
-            random_paravector(rng), sample(rng, i), random_event(rng), Numeric(1e-5)
-        )
-        for res in ALL_TRANSPORTS:
-            assert max_abs(gap(res(case))) <= 1e-5
+        g, f, X = random_paravector(rng), sample(rng, i), random_event(rng)
+        for op, right in TRANSPORTS.values():
+            assert max_abs(gap(transport_sides(op, right, g, f, X, Numeric(1e-5)))) <= 1e-5
 
 
 def test_negated_transformation_keeps_residual_zero():
     # both the inverse and the reversion flip sign, so nothing changes
     rng = np.random.default_rng(3)
     g = random_paravector(rng)
-    case = TransformCase(scale(-1.0, g), random_field(rng), random_event(rng))
-    assert max_abs(gap(grad_left_transport_sides(case))) <= 1e-10
+    f, X = random_field(rng), random_event(rng)
+    for op, right in TRANSPORTS.values():
+        assert max_abs(gap(transport_sides(op, right, scale(-1.0, g), f, X))) <= 1e-10
 
 
 def test_scalar_transformation_left_right_paths_agree():
@@ -105,8 +92,17 @@ def test_scalar_transformation_left_right_paths_agree():
 
 
 def test_transform_case_rejects_near_singular():
-    with pytest.raises(SingularParavector):
-        TransformCase(Paravector(1.0, (1.0, 0.0, 0.0)), random_field(0), random_event(0))
+    g = Paravector(1.0, (1.0, 0.0, 0.0))
+    for op, right in TRANSPORTS.values():
+        with pytest.raises(SingularParavector, match=r"require \|det\| >= 0\.1"):
+            transport_sides(op, right, g, random_field(0), random_event(0))
+
+
+@pytest.mark.parametrize("op", [box4, lambda f, X, mode: div4(f, X, mode)],
+                         ids=["box4", "div4-wrapper"])
+def test_transport_sides_refuses_other_operators(op):
+    with pytest.raises(ValueError, match="takes div4 or grad4"):
+        transport_sides(op, False, IDENTITY, random_field(0), random_event(0))
 
 
 # -- constant right factor ------------------------------------------------------

@@ -5,7 +5,16 @@ import itertools
 import numpy as np
 
 from paracalc.algebra import IDENTITY, Event, Paravector, mul
+from paracalc.diffops import div4, grad4
 from paracalc.fields import Field
+
+#: the four transport identities, as transforms.transport_sides's (op, right)
+TRANSPORTS = {
+    "div_left": (div4, False),
+    "grad_left": (grad4, False),
+    "div_right": (div4, True),
+    "grad_right": (grad4, True),
+}
 
 
 def max_abs(x) -> float:
