@@ -308,11 +308,18 @@ _T = np.ascontiguousarray(_T.transpose(2, 0, 1))
 _T.flags.writeable = False
 
 
-def left_matrix(g: Paravector) -> np.ndarray:
-    """The 4x4 matrix of X -> g X; column j is g E_j."""
-    return (g.data[None, :, None] * _T).sum(axis=1)
+def left_matrix(g) -> np.ndarray:
+    """The 4x4 matrix of X -> g X; column j is g E_j.
+
+    g is a Paravector, or an (n, 4) stack of paravector rows for an (n, 4, 4)
+    stack of matrices.  Each entry is one component of g times +-1 or +-i,
+    so the matrices are exact.
+    """
+    g = g.data if isinstance(g, Paravector) else g
+    return (g[..., None, :, None] * _T).sum(axis=-2)
 
 
-def right_matrix(g: Paravector) -> np.ndarray:
-    """The 4x4 matrix of X -> X g; column j is E_j g."""
-    return (_T * g.data[None, None, :]).sum(axis=2)
+def right_matrix(g) -> np.ndarray:
+    """The 4x4 matrix of X -> X g; column j is E_j g.  g as for left_matrix."""
+    g = g.data if isinstance(g, Paravector) else g
+    return (_T * g[..., None, None, :]).sum(axis=-1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .algebra import BASIS, Event, Paravector
-from .fields import Field
+from .fields import Field, _degree_exponents, _random_complexes, as_rng
 
 __all__ = [
     "Exact",
@@ -41,6 +41,12 @@ __all__ = [
     "box4",
     "div4_field",
     "grad4_field",
+    "BLOCK_EXPONENTS",
+    "field_row",
+    "block_jets",
+    "block_bundle",
+    "block_pullback",
+    "block_times",
     "additivity_sides",
     "leibniz_sides",
     "product_rule_failure_witness",
@@ -79,30 +85,43 @@ def bundle(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
     x = X.data
     if isinstance(mode, Numeric):
         return central_differences(f._value, x[None], mode.h).T
-    d = np.empty((4, 4), np.complex128)
-    for c in range(4):
-        d[:, c] = f.partial(c)._value(x)
-    return d
+    return _jets(f, x[None], 1)[1][0]
+
+
+def _jets(f: Field, xs: np.ndarray, order: int) -> list:
+    """kernels.jets of each of f's groups at the (n, 4) points, summed over the groups."""
+    total = None
+    for m, k, exps, coeffs in f._groups:
+        parts = kernels.jets(xs, m, k if k.any() else None, exps, coeffs, order)
+        total = parts if total is None else [a + b for a, b in zip(total, parts)]
+    if total is None:  # the zero field
+        return [np.zeros((len(xs), 4), np.complex128)] + [np.zeros((len(xs), 4, 4), np.complex128)] * order
+    return total
 
 
 def assemble_div(d: np.ndarray) -> np.ndarray:
-    """Combine a bundle into the 4-divergence value: [dt phi + div ; ...]."""
-    out = np.empty(4, np.complex128)
-    out[0] = d[0, 0] + d[1, 1] + d[2, 2] + d[3, 3]
-    out[1] = d[1, 0] + d[0, 1] + 1j * (d[3, 2] - d[2, 3])
-    out[2] = d[2, 0] + d[0, 2] + 1j * (d[1, 3] - d[3, 1])
-    out[3] = d[3, 0] + d[0, 3] + 1j * (d[2, 1] - d[1, 2])
+    """Combine a bundle (..., 4, 4) into the 4-divergence value: [dt phi + div ; ...]."""
+    out = np.empty(d.shape[:-1], np.complex128)
+    out[..., 0] = d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2] + d[..., 3, 3]
+    out[..., 1] = d[..., 1, 0] + d[..., 0, 1] + 1j * (d[..., 3, 2] - d[..., 2, 3])
+    out[..., 2] = d[..., 2, 0] + d[..., 0, 2] + 1j * (d[..., 1, 3] - d[..., 3, 1])
+    out[..., 3] = d[..., 3, 0] + d[..., 0, 3] + 1j * (d[..., 2, 1] - d[..., 1, 2])
     return out
 
 
 def assemble_grad(d: np.ndarray) -> np.ndarray:
-    """Combine a bundle into the 4-gradient value (nabla terms negated)."""
-    out = np.empty(4, np.complex128)
-    out[0] = d[0, 0] - (d[1, 1] + d[2, 2] + d[3, 3])
-    out[1] = d[1, 0] - d[0, 1] - 1j * (d[3, 2] - d[2, 3])
-    out[2] = d[2, 0] - d[0, 2] - 1j * (d[1, 3] - d[3, 1])
-    out[3] = d[3, 0] - d[0, 3] - 1j * (d[2, 1] - d[1, 2])
+    """Combine a bundle (..., 4, 4) into the 4-gradient value (nabla terms negated)."""
+    out = np.empty(d.shape[:-1], np.complex128)
+    out[..., 0] = d[..., 0, 0] - (d[..., 1, 1] + d[..., 2, 2] + d[..., 3, 3])
+    out[..., 1] = d[..., 1, 0] - d[..., 0, 1] - 1j * (d[..., 3, 2] - d[..., 2, 3])
+    out[..., 2] = d[..., 2, 0] - d[..., 0, 2] - 1j * (d[..., 1, 3] - d[..., 3, 1])
+    out[..., 3] = d[..., 3, 0] - d[..., 0, 3] - 1j * (d[..., 2, 1] - d[..., 1, 2])
     return out
+
+
+def assemble_box(d2: np.ndarray) -> np.ndarray:
+    """Combine repeated second partials (..., 4, 4) into the wave operator's value."""
+    return d2[..., 0] - d2[..., 1] - d2[..., 2] - d2[..., 3]
 
 
 def div4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
@@ -132,16 +151,88 @@ def _second_partials(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
             return central_differences(f._value, xs, h).reshape(-1, 4, 4)[r, r % 4]
 
         return central_differences(firsts, x[None], h).T
-    d2 = np.empty((4, 4), np.complex128)
-    for c in range(4):
-        d2[:, c] = f.partial(c).partial(c)._value(x)
-    return d2
+    return _jets(f, x[None], 2)[2][0]
 
 
 def box4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
     """Componentwise wave operator; numeric mode nests the same-step differences."""
-    d2 = _second_partials(f, X, mode)
-    return Paravector.from_data(d2[:, 0] - d2[:, 1] - d2[:, 2] - d2[:, 3])
+    return Paravector.from_data(assemble_box(_second_partials(f, X, mode)))
+
+
+# -- blocks: one field per row ------------------------------------------------
+#
+# A block holds n fields G P(M X) e^{k.X}, one per row, as arrays over one
+# exponent table, every monomial of degree <= 3: (m, k, c, g) with frames
+# m (n, 4, 4), phases k (n, 4), coefficients c (n, 35, 4) and factors
+# g (n, 4, 4), a constant matrix on the values such as left_matrix(h) for
+# h A.  None stands for identity frames and factors and for no phase.  A
+# dense polynomial fills c; a plane wave is the constant row of c (row 0)
+# with its phase.
+
+BLOCK_EXPONENTS = _degree_exponents(3)
+
+
+def field_row(seed, plane_wave: bool = False):
+    """random_field(seed), or random_plane_wave(seed), as a block row: its
+    coefficients on BLOCK_EXPONENTS and its phase, from the same doubles in
+    the same order, without building the Field."""
+    rng = as_rng(seed)
+    if not plane_wave:
+        return _random_complexes(rng, 1.0, 4 * len(BLOCK_EXPONENTS)).reshape(-1, 4), np.zeros(4, complex)
+    z = _random_complexes(rng, 1.0, 8)  # amplitude, then phase
+    coeffs = np.zeros((len(BLOCK_EXPONENTS), 4), np.complex128)
+    coeffs[0] = z[:4]
+    return coeffs, z[4:]
+
+
+def block_jets(f, xs: np.ndarray, order: int) -> list:
+    """kernels.jets of row p's field at xs[p], for every row of the block f."""
+    m, k, c, g = f
+    out = kernels.jets(xs, m, k, BLOCK_EXPONENTS, c, order)
+    if g is None:
+        return out
+    return [kernels.cdot("...ij,...j->...i", g, out[0])] + [
+        kernels.cdot("...ij,...jc->...ic", g, d) for d in out[1:]]
+
+
+def block_bundle(blocks, points, mode: DiffMode = EXACT) -> list:
+    """Per block, the first partials d[p, component, coordinate] of row p's
+    field at points[p]: each block with its own (n, 4) points.
+
+    Numeric mode differences the stencils of all the blocks in one
+    ``central_differences`` call, so a step that does not move it names the
+    first block's first point.
+    """
+    if not isinstance(mode, Numeric):
+        return [block_jets(f, xs, 1)[1] for f, xs in zip(blocks, points)]
+    xs = np.concatenate(points)
+    ends = np.cumsum([len(p) for p in points])
+
+    def value_fn(pts):  # stencil rows (sign, p, c): row p's field at its 8 points
+        pts = pts.reshape(2, len(xs), 4, 4)
+        out = np.empty(pts.shape, np.complex128)
+        for f, hi, n in zip(blocks, ends, map(len, points)):
+            lo = hi - n
+            rows = pts[:, lo:hi].swapaxes(0, 1).reshape(n, 8, 4)
+            per_row = tuple(None if a is None else a[:, None] for a in f)
+            out[:, lo:hi] = block_jets(per_row, rows, 0)[0].reshape(n, 2, 4, 4).swapaxes(0, 1)
+        return out.reshape(-1, 4)
+
+    d = central_differences(value_fn, xs, mode.h).reshape(-1, 4, 4).swapaxes(1, 2)
+    return np.split(d, ends[:-1])
+
+
+def block_pullback(f, maps: np.ndarray):
+    """Row p's field pulled back along maps[p] (n, 4, 4): frame m A, phase A^T k."""
+    m, k, c, g = f
+    return (maps if m is None else kernels.cdot("...ij,...jk->...ik", m, maps),
+            None if k is None else kernels.cdot("...i,...ij->...j", k, maps), c, g)
+
+
+def block_times(f, matrices: np.ndarray):
+    """Row p's values times matrices[p] (n, 4, 4), such as left_matrix(h) for h A."""
+    m, k, c, g = f
+    return m, k, c, matrices if g is None else kernels.cdot("...ij,...jk->...ik", matrices, g)
 
 
 # -- operators as field constructions ----------------------------------------
@@ -203,11 +294,10 @@ def product_rule_failure_witness(f: Field, g: Field, X: Event) -> Paravector:
     x = X.data
     fv = f._value(x)
     gv = g._value(x)
+    df, dg = bundle(f, X, EXACT), bundle(g, X, EXACT)
     d = np.empty((4, 4), np.complex128)
     for c in range(4):
-        dfc = f.partial(c)._value(x)
-        dgc = g.partial(c)._value(x)
-        d[:, c] = kernels.pv_mul(dfc, gv) + kernels.pv_mul(fv, dgc)
+        d[:, c] = kernels.pv_mul(df[:, c], gv) + kernels.pv_mul(fv, dg[:, c])
     lhs = assemble_div(d)
     rhs = kernels.pv_mul(div4(f, X).data, gv) + kernels.pv_mul(fv, div4(g, X).data)
     return Paravector.from_data(lhs - rhs)
@@ -256,8 +346,7 @@ def max_partial_errors(fields, points, steps) -> list[float]:
     """
     pts = np.array(points, dtype=np.complex128).reshape(-1, 4)
     # rows in central_differences' order: point, then coordinate
-    exact = [np.stack([f.partial(c)._value(pts) for c in range(4)], axis=1).reshape(-1, 4)
-             for f in fields]
+    exact = [np.swapaxes(_jets(f, pts, 1)[1], 1, 2).reshape(-1, 4) for f in fields]
     errors = []
     for h in steps:
         worst = 0.0

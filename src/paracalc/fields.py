@@ -104,9 +104,7 @@ def _canonical_terms(exps, coeffs):
         raise ValueError("exponent and coefficient counts differ")
     if exps.size and (exps.min() < 0 or exps.max() > DEGREE_CAP):
         raise ValueError(f"exponents must lie in [0, {DEGREE_CAP}]")
-    # base-(DEGREE_CAP + 1) digits, so keys order like the exponent tuples
-    b = _KEY_BASE
-    keys = ((exps[:, 0] * b + exps[:, 1]) * b + exps[:, 2]) * b + exps[:, 3]
+    keys = _keys(exps)
     if not (keys[1:] > keys[:-1]).all():
         # Not sorted or not distinct.  A dense table over the keys lists them
         # in order; numpy applies repeated fancy-index writes in order, so
@@ -286,14 +284,21 @@ class Field:
         """
         if any(c[:, 1:].any() for _, _, _, c in rho._groups):
             raise ValueError("rho must be a scalar field: its vector coefficients must be zero")
-        products = []
+        joined = {}  # the pairs of groups whose products share a frame and a phase
         for mr, kr, er, cr in rho._groups:
             for mf, kf, ef, cf in self._groups:
                 if _frame_key(mr) != _frame_key(mf):
                     raise ValueError("rho and the field have different frames")
-                products.append((mf, kr + kf, (er[:, None, :] + ef[None, :, :]).reshape(-1, 4),
-                                 (cr[:, None, :1] * cf[None, :, :]).reshape(-1, 4)))
-        return Field._of(_merged(products))
+                m, k, key = _group_key(mf, kr + kf, er.any() or ef.any())
+                joined.setdefault(key, (m, k, []))[2].append((er, cr, ef, cf))
+        groups = []
+        for m, k, pairs in joined.values():
+            if any((er.max(axis=0) + ef.max(axis=0) > DEGREE_CAP).any() for er, _, ef, _ in pairs):
+                raise ValueError(f"exponents must lie in [0, {DEGREE_CAP}]")
+            keys, coeffs = kernels.product_sums([(_keys(er), cr, _keys(ef), cf)
+                                                 for er, cr, ef, cf in pairs])
+            groups.append((m, k, keys[:, None] // _KEY_BASE ** np.arange(3, -1, -1) % _KEY_BASE, coeffs))
+        return Field._of(_merged(groups))
 
     @staticmethod
     def sum(*fields: "Field") -> "Field":
@@ -335,25 +340,39 @@ def _frame_key(m) -> bytes:
     return b"" if m is None else m.tobytes()
 
 
+def _group_key(m, k, has_exponents: bool):
+    """The frame and phase a group joins under, and their key.
+
+    A constant polynomial needs no frame, and the identity frame is None.
+    """
+    if k is not _ZERO_PHASE:
+        if not np.isfinite(k).all():
+            raise ValueError("phase coefficients must be finite")
+        k = _frozen(k + 0.0) if k.any() else _ZERO_PHASE  # -0.0 joins 0.0
+    if m is not None and not np.isfinite(m).all():
+        raise ValueError("frame entries must be finite")
+    m = None if m is None or not has_exponents else _frozen(m + 0.0)
+    return m, k, (_frame_key(m), k.tobytes())
+
+
+def _keys(exps):
+    """Base-(DEGREE_CAP + 1) digits, so keys order like the exponent tuples."""
+    b = _KEY_BASE
+    return ((exps[:, 0] * b + exps[:, 1]) * b + exps[:, 2]) * b + exps[:, 3]
+
+
 def _merged(groups):
     """Canonical groups from (frame, phase, exps, coeffs) tuples.
 
     Tuples with equal frames and phases join in order of first appearance,
     their rows merge as in _canonical_terms, and groups left without rows are
-    dropped.  A constant polynomial needs no frame, and the identity frame is
-    None.
+    dropped.
     """
     joined = {}
     for m, k, exps, coeffs in groups:
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, 4)
-        if k is not _ZERO_PHASE:
-            if not np.isfinite(k).all():
-                raise ValueError("phase coefficients must be finite")
-            k = _frozen(k + 0.0) if k.any() else _ZERO_PHASE  # -0.0 joins 0.0
-        if m is not None and not np.isfinite(m).all():
-            raise ValueError("frame entries must be finite")
-        m = None if m is None or not exps.any() else _frozen(m + 0.0)
-        _, _, es, cs = joined.setdefault((_frame_key(m), k.tobytes()), (m, k, [], []))
+        m, k, key = _group_key(m, k, exps.any())
+        _, _, es, cs = joined.setdefault(key, (m, k, [], []))
         es.append(exps)
         cs.append(coeffs)
     out = ()

@@ -32,9 +32,7 @@ from .algebra import (
     act_right,
     conjugate_rotate,
     det_rows,
-    inverse,
     inverse_rows,
-    left_matrix,
     mul,
     reverse,
     reverse_rows,
@@ -46,6 +44,7 @@ from .diffops import (
     additivity_sides,
     box4,
     bundle,
+    field_row,
     central_differences,
     div4,
     div4_field,
@@ -81,11 +80,11 @@ from .fields import (
 from .transforms import (
     InvarianceForm,
     form_point,
-    form_value,
+    form_value_sides,
     observer_rotation_sides,
+    pullback_composition_sides,
     right_factor_sides,
     transformed_field_values,
-    transformed_wave_field,
     transport_sides,
     wave_invariance_sides,
 )
@@ -265,18 +264,24 @@ BLOCK = 256
 def _blocked(count, block):
     """A case run that draws samples 0..count(cfg)-1 in blocks of ``BLOCK``.
 
-    ``block(rng, n)`` draws the next ``n`` samples as stacked arrays and
-    returns their differences as one stack, rows in the order ``_sampled``
-    would offer them; the draws take the stream in sample order.
+    ``block(rng, start, n, cfg)`` draws samples ``start``..``start + n - 1``
+    as stacked arrays and returns their differences as one stack, rows in the
+    order ``_sampled`` would offer them; the draws take the stream in sample
+    order.
     """
     def run(rng, cfg):
         w = Worst()
         total = count(cfg)
         for start in range(0, total, BLOCK):
-            w.offer(block(rng, min(BLOCK, total - start)))
+            w.offer(block(rng, start, min(BLOCK, total - start), cfg))
         return w
 
     return run
+
+
+def _stack(samples):
+    """Per-sample tuples of arrays, stacked entry by entry: one (n, ...) array each."""
+    return [np.array(column) for column in zip(*samples)]
 
 
 def _floor(witness, floor: float):
@@ -314,22 +319,22 @@ def _algebra_cases() -> List[Case]:
         """k paravectors per sample, as k (n, 4) stacks."""
         return random_paravectors(rng, k * n).reshape(n, k, 4).transpose(1, 0, 2)
 
-    def associativity(rng, n):
+    def associativity(rng, start, n, cfg):
         a, b, c = draws(rng, n, 3)
         return _rel(pv_mul_rows(pv_mul_rows(a, b), c), pv_mul_rows(a, pv_mul_rows(b, c)))
 
-    def reversion(rng, n):
+    def reversion(rng, start, n, cfg):
         a, b = draws(rng, n, 2)
         return _rel(reverse_rows(pv_mul_rows(a, b)),
                     pv_mul_rows(reverse_rows(b), reverse_rows(a)))
 
-    def det_mult(rng, n):
+    def det_mult(rng, start, n, cfg):
         a, b = draws(rng, n, 2)
         # det(a) * det(b) is a product of Python complexes
         return _rel(det_rows(pv_mul_rows(a, b))[:, None],
                     cmul(det_rows(a), det_rows(b))[:, None])
 
-    def inverse_identity(rng, n):
+    def inverse_identity(rng, start, n, cfg):
         (a,) = draws(rng, n, 1)
         inv = inverse_rows(a)
         both = np.stack([pv_mul_rows(a, inv), pv_mul_rows(inv, a)], axis=1)
@@ -503,54 +508,51 @@ def _diffop_cases() -> List[Case]:
 # transforms suite
 # ---------------------------------------------------------------------------
 
-def _singular_paravector(rng) -> Paravector:
-    # [s; s*u] with u.u = 1 has det = 0 exactly.
-    s = 1.0 + 0.5j
-    return Paravector(s, (s, 0.0, 0.0))
+#: [s; s*u] with u.u = 1 has det = 0 exactly.
+_SINGULAR = np.array([1.0 + 0.5j, 1.0 + 0.5j, 0.0, 0.0])
+
+
+def _draws(rng, start: int, n: int, draw_g):
+    """Samples start..start+n-1 of a transforms case, drawn one after another
+    as the per-sample loop drew them: g (``draw_g(rng)``), the field that
+    _sample_field draws, then the event.  Returns g, the field block and X."""
+    g, c, k, x = _stack((draw_g(rng), *field_row(rng, i % 2 == 1), random_event(rng).data)
+                        for i in range(start, start + n))
+    return g, (None, k, c, None), x
 
 
 def _transport_case(op, right: bool, mode_of):
-    def sample(rng, i, cfg):
-        g = random_paravector(rng)
-        f = _sample_field(rng, i)
-        X = random_event(rng)
-        lhs, rhs = transport_sides(op, right, g, f, X, mode_of(cfg))
-        return [_rel(lhs.data, rhs.data)]
+    def block(rng, start, n, cfg):
+        g, f, x = _draws(rng, start, n, lambda rng: random_paravector(rng).data)
+        return _rel(*transport_sides(op, right, g, f, x, mode_of(cfg)))
 
-    return _sampled(_times(1), sample)
+    return _blocked(_times(1), block)
 
 
 def _right_factor_case(mode_of, singular: bool):
-    def sample(rng, i, cfg):
-        g = _singular_paravector(rng) if singular else random_paravector(rng)
-        f = _sample_field(rng, i)
-        X = random_event(rng)
-        sides = right_factor_sides(f, g, X, mode_of(cfg))
-        return [_rel(lhs.data, rhs.data) for lhs, rhs in sides]
+    def block(rng, start, n, cfg):
+        if singular:
+            g, f, x = _draws(rng, start, n, lambda rng: _SINGULAR)
+        else:
+            g, f, x = _draws(rng, start, n, lambda rng: random_paravector(rng).data)
+        sides = right_factor_sides(f, g, x, mode_of(cfg))
+        return np.stack([_rel(*pair) for pair in sides], axis=1).reshape(-1, 4)
 
-    return _sampled(_fifth if singular else _times(1), sample)
+    return _blocked(_fifth if singular else _times(1), block)
 
 
 def _transforms_cases() -> List[Case]:
     exact = lambda cfg: EXACT
     numeric = lambda cfg: Numeric(cfg.h)
 
-    def rotation(rng, i, cfg):
-        lam = random_orthogonal(rng)
-        f = _sample_field(rng, i)
-        Xp = conjugate_rotate(lam, random_event(rng))
-        lhs, rhs = observer_rotation_sides(f, lam, Xp)
-        return [_rel(lhs.data, rhs.data)]
+    def rotation(rng, start, n, cfg):
+        lam, f, x = _draws(rng, start, n, lambda rng: random_orthogonal(rng).data)
+        xp = pv_mul_rows(pv_mul_rows(lam, x), reverse_rows(lam))  # L X L~
+        return _rel(*observer_rotation_sides(f, lam, xp))
 
-    def group_composition(rng, i, cfg):
-        g1 = random_paravector(rng)
-        g2 = random_paravector(rng)
-        f = _sample_field(rng, i)
-        inner = f.pullback(left_matrix(inverse(g1)))
-        twice = inner.pullback(left_matrix(inverse(g2)))
-        once = f.pullback(left_matrix(inverse(mul(g2, g1))))
-        X = random_event(rng)
-        return [_rel(twice._value(X.data), once._value(X.data))]
+    def group_composition(rng, start, n, cfg):
+        g12, f, x = _draws(rng, start, n, lambda rng: random_paravectors(rng, 2))
+        return _rel(*pullback_composition_sides(g12[:, 0], g12[:, 1], f, x))
 
     return [
         Case("div-left-transport-exact", "exact", 1e-10,
@@ -564,9 +566,9 @@ def _transforms_cases() -> List[Case]:
         Case("right-factor-exact", "exact", 1e-10, _right_factor_case(exact, False)),
         Case("right-factor-singular-exact", "exact", 1e-10,
              _right_factor_case(exact, True)),
-        Case("observer-rotation-exact", "exact", 1e-10, _sampled(_times(1), rotation)),
+        Case("observer-rotation-exact", "exact", 1e-10, _blocked(_times(1), rotation)),
         Case("pullback-group-composition", "exact", 1e-10,
-             _sampled(_times(1), group_composition)),
+             _blocked(_times(1), group_composition)),
         Case("div-left-transport-numeric", "numeric", 1e-5,
              _transport_case(div4, False, numeric), substream=0),
         Case("grad-left-transport-numeric", "numeric", 1e-5,
@@ -585,14 +587,12 @@ def _transforms_cases() -> List[Case]:
 # ---------------------------------------------------------------------------
 
 def _wave_form_case(form: InvarianceForm):
-    def sample(rng, i, cfg):
-        lam = random_orthogonal(rng)
-        f = random_field(rng)
-        Xp = form_point(form, lam, random_event(rng))
-        lhs, rhs = wave_invariance_sides(form, f, lam, Xp)
-        return [_rel(lhs.data, rhs.data)]
+    def block(rng, start, n, cfg):
+        lam, c, x = _stack((random_orthogonal(rng).data, field_row(rng)[0], random_event(rng).data)
+                           for _ in range(n))
+        return _rel(*wave_invariance_sides(form, (None, None, c, None), lam, form_point(form, lam, x)))
 
-    return _sampled(_times(1), sample)
+    return _blocked(_times(1), block)
 
 
 def _wave_cases() -> List[Case]:
@@ -603,10 +603,9 @@ def _wave_cases() -> List[Case]:
             lam = random_orthogonal(rng)
             if float(np.max(np.abs(lam.v))) < 0.1:
                 continue  # scalar-like draws do not witness the split
-            f = random_field(rng)
-            Xp = random_event(rng)
-            vals = transformed_field_values(f, lam, Xp)
-            gap = vals.covariant.data - vals.contravariant.data
+            f, Xp = (None, None, field_row(rng)[0][None], None), random_event(rng).data[None]
+            vals = transformed_field_values(f, lam.data[None], Xp)
+            gap = (vals.covariant - vals.contravariant)[0]
             m = float(np.max(np.abs(gap)))
             if m > best:
                 best, best_gap = m, gap
@@ -614,13 +613,9 @@ def _wave_cases() -> List[Case]:
 
     def value_laws(rng, i, cfg):
         # each form's moved field at X' against its value law at the pre-image
-        lam = random_orthogonal(rng)
-        f = random_field(rng)
-        Xp = random_event(rng)
-        rlam = reverse(lam)
-        return [_rel(transformed_wave_field(form, f, lam).at(Xp).data,
-                     form_value(form, lam, f.at(form_point(form, rlam, Xp))).data)
-                for form in InvarianceForm]
+        lam = random_orthogonal(rng).data[None]
+        f, Xp = (None, None, field_row(rng)[0][None], None), random_event(rng).data[None]
+        return [_rel(*form_value_sides(form, f, lam, Xp)) for form in InvarianceForm]
 
     return [
         Case("form1-right-invariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM1)),

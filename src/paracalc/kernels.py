@@ -76,3 +76,168 @@ def plane_wave_eval_rows(k4, amps, xs):
     s = (cmul(k4[0], xs[:, 0]) + cmul(k4[1], xs[:, 1])
          + cmul(k4[2], xs[:, 2]) + cmul(k4[3], xs[:, 3]))
     return amps * np.exp(s)[:, None]
+
+
+
+
+def product_sums(pairs, rows: int = 8):
+    """Products of scalar rows with field rows, summed per key, in order.
+
+    ``pairs`` holds (keys_r (R,), cr (R, 4), keys_f (F,), cf (F, 4)); the
+    product of rows r and f is cr[r, 0] * cf[f] under the key keys_r[r] +
+    keys_f[f].  Returns the distinct keys, sorted, and per key the sum of its
+    products added onto the first in order of appearance (the pairs in
+    order, then r, then f), as a merge of the table of all products would
+    add them.  The table is never built: ``rows`` rows of cr at a time.
+    """
+    keys = [(kr[:, None] + kf[None, :]).ravel() for kr, _, kf, _ in pairs]
+    distinct, first = np.unique(np.concatenate(keys), return_index=True)
+    is_first = np.zeros(sum(len(k) for k in keys), bool)
+    is_first[first] = True
+    sums = np.empty((len(distinct), 4), _C128)
+    at = 0
+    for (kr, cr, kf, cf), k in zip(pairs, keys):
+        slots = np.searchsorted(distinct, k)
+        for lo in range(0, len(kr) * len(kf), rows * len(kf)):
+            product = (cr[lo // len(kf):lo // len(kf) + rows, None, :1] * cf[None, :, :]).reshape(-1, 4)
+            at_slots, new = slots[lo:lo + len(product)], is_first[at + lo:at + lo + len(product)]
+            sums[at_slots[new]] = product[new]
+            np.add.at(sums, at_slots[~new], product[~new])
+        at += len(k)
+    return distinct, sums
+
+
+# -- forward-mode jets --------------------------------------------------------
+#
+# The derivatives are propagated with the values (Griewank & Walther,
+# *Evaluating Derivatives*, SIAM 2008), never built as expressions.  Slot q of
+# a jet table is one partial of every monomial: 0 the monomial itself, 1-4
+# d_j, 5-8 d_j d_j, 9-14 d_j d_l for j < l.
+_LOWER = np.array([[0] * 4] + np.eye(4, dtype=int).tolist() + (2 * np.eye(4, dtype=int)).tolist()
+                  + [[int(i in (j, l)) for i in range(4)] for j in range(4) for l in range(j + 1, 4)])
+# the pairs (j, l) of slots 5-14, and the factor 2 of a mixed pair in
+# sum_jl m[j, c] m[l, c] d_j d_l
+_PAIRS = np.array([[j, j] for j in range(4)] + [[j, l] for j in range(4) for l in range(j + 1, 4)]).T
+_TWICE = np.array([1.0] * 4 + [2.0] * 6)
+_JET_TABLES: dict = {}
+_BUDGET = 2048  # monomial slots per pass of _poly_slots: about 64 KB of temporaries
+
+
+def _jet_table(exps, slots: int):
+    """The monomials the first ``slots`` slots need, and per slot and term an
+    index into them and an integer weight.
+
+    d_j d_l x^e = e_j (e_l - [j = l]) x^(e - u_j - u_l); a weight of 0 marks
+    an exponent that drops below 0, whose index is clipped to 0.
+    """
+    key = (exps.tobytes(), slots)
+    table = _JET_TABLES.get(key)
+    if table is None:
+        low = _LOWER[:slots, None, :]
+        e = exps[None, :, :]
+        weight = (np.where(low > 0, e, 1) * np.where(low > 1, e - 1, 1)).prod(axis=-1)
+        monos, index = np.unique(np.maximum(e - low, 0).reshape(-1, 4), axis=0,
+                                 return_inverse=True)
+        table = (monos, index.reshape(slots, -1), weight.astype(np.float64))
+        if len(_JET_TABLES) < 64:  # the suites use a handful of tables
+            _JET_TABLES[key] = table
+    return table
+
+
+def cdot(spec: str, x, y):
+    """The complex einsum ``spec`` ("...ab,...bc->...ac" style) of x and y.
+
+    One real einsum over the real and imaginary parts of both, which sums
+    over the contracted axes in an order that depends only on their lengths.
+    """
+    ins, out = spec.split("->")
+    left, right = ins.split(",")
+    r = np.einsum(f"X{left},Y{right}->XY{out}", np.stack([x.real, x.imag]), np.stack([y.real, y.imag]))
+    z = np.empty(r.shape[2:], _C128)
+    z.real = r[0, 0] - r[1, 1]
+    z.imag = r[0, 1] + r[1, 0]
+    return z
+
+
+def _poly_slots(y, exps, coeffs, slots: int):
+    """s[n, ..., q, i]: slot q of component i of P = sum_t coeffs[t] y^exps[t].
+
+    The monomials and the sums run in long double, so each slot is close to
+    the correctly rounded value of the polynomial (on x86-64, to about one
+    rounding in double), whatever the cancellation among its terms.
+    """
+    step = max(1, _BUDGET // (int(np.prod(y.shape[1:-1])) * slots * len(exps)))
+    if len(y) > step:  # a pass at a time: rows are independent
+        return np.concatenate([_poly_slots(y[i:i + step], exps,
+                                           coeffs if coeffs.ndim == 2 else coeffs[i:i + step], slots)
+                               for i in range(0, len(y), step)])
+    monos, index, weight = _jet_table(exps, slots)
+    d = exps.max() + 1
+    y = y.astype(np.clongdouble)
+    powers = (y[..., :, None] ** np.arange(d)).reshape(y.shape[:-1] + (4 * d,))  # y_c ** p
+    factors = monos + d * np.arange(4)
+    mono = np.take(powers, factors[:, 0], axis=-1)
+    for c in (1, 2, 3):
+        mono = mono * np.take(powers, factors[:, c], axis=-1)
+    # both parts of both sides in one real contraction over t:
+    # a[..., part q, t] and b[..., part i, t], contiguous along t
+    a = np.take(np.stack([mono.real, mono.imag], axis=-2), index, axis=-1)
+    a *= weight
+    a = a.reshape(a.shape[:-3] + (-1, len(exps)))
+    c = np.swapaxes(coeffs, -1, -2)
+    b = np.stack([c.real, c.imag], axis=-3).reshape(c.shape[:-2] + (8, -1)).astype(np.longdouble)
+    r = np.einsum("...at,...bt->...ab", a, b).reshape(a.shape[:-2] + (2, slots, 2, 4))
+    s = np.empty(r.shape[:-4] + (slots, 4), _C128)
+    s.real = r[..., 0, :, 0, :] - r[..., 1, :, 1, :]
+    s.imag = r[..., 0, :, 1, :] + r[..., 1, :, 0, :]
+    return s
+
+
+def jets(xs, m, k, exps, coeffs, order: int = 1):
+    """Value and partials of f(x) = P(M x) e^{k.x} at each point of an (n, ..., 4) stack.
+
+    P is sum_t coeffs[t] y^exps[t] with paravector coefficients.  ``m`` is a
+    frame, (4, 4) or one per row (n, ..., 4, 4), or None for the identity;
+    ``k`` a phase (4,) or (n, ..., 4), or None for none; ``coeffs`` (T, 4) or
+    (n, ..., T, 4).  A per-row argument broadcasts against the points.
+
+    Returns [value (n, ..., 4)], then for order >= 1 the first partials
+    d[..., component, coordinate], and for order 2 the repeated second
+    partials in the same layout.  The chain rule runs through M and k:
+    d_c f = [sum_j M[j, c] (d_j P)(M x) + k_c P(M x)] e^{k.x}.
+
+    Every operation is elementwise or a sum over fixed-length axes, so a
+    row's result does not depend on the other rows of the stack.
+    """
+    framed = m is not None
+    out = []
+    if exps.any():
+        y = cdot("...ij,...j->...i", m, xs) if framed else xs
+        s = _poly_slots(y, exps, coeffs, (1, 5, 15 if framed else 9)[order])
+        out.append(s[..., 0, :])
+        if order and framed:  # sum_j m[j, c] (d_j P)_i
+            out.append(cdot("...jc,...ji->...ic", m, s[..., 1:5, :]))
+        elif order:
+            out.append(np.swapaxes(s[..., 1:5, :], -1, -2))
+        if order == 2 and framed:  # sum_jl m[j, c] m[l, c] (d_j d_l P)_i
+            j, l = _PAIRS
+            mm = m[..., j, :] * m[..., l, :] * _TWICE[:, None]
+            out.append(cdot("...qc,...qi->...ic", mm, s[..., 5:15, :]))
+        elif order == 2:
+            out.append(np.swapaxes(s[..., 5:9, :], -1, -2))
+    else:  # a constant: P has no partials
+        shape = np.broadcast_shapes(xs.shape, coeffs.shape[:-2] + (4,))
+        out = [np.broadcast_to(coeffs[..., 0, :], shape)]
+        out += [np.zeros(shape + (4,), _C128)] * order
+    if k is None:
+        return out
+    kx = cmul(k, xs)  # the phase rounds as plane_wave_eval rounds it
+    e = np.exp(kx[..., 0] + kx[..., 1] + kx[..., 2] + kx[..., 3])[..., None]
+    kc = k[..., None, :]  # the phase factor of d_c
+    kp = kc * out[0][..., :, None]
+    if order == 2:
+        out[2] = (out[2] + 2.0 * kc * out[1] + kc * kp) * e[..., None]
+    if order:
+        out[1] = (out[1] + kp) * e[..., None]
+    out[0] = out[0] * e
+    return out

@@ -1,8 +1,11 @@
-"""Residual evaluators for the operator transport identities.
+"""Residual evaluators for the operator transport identities, on blocks.
 
-Each evaluator computes the two sides of one identity at corresponding points
-X and X' (X drawn, X' derived) and returns them as a pair of field values.
-Identities covered:
+Each evaluator takes a block of samples and returns the two sides of one
+identity as (n, 4) rows: row p at the drawn point X_p and at its derived
+point X'_p.  Paravectors and events are (n, 4) rows, fields a block of
+``diffops`` (one field per row over the degree-3 exponent table), and one
+sample is a block of one.  Both sides of a block are evaluated in one
+stacked call, the left side's rows first.  Identities covered:
 
 * transport (transport_sides), one rule for div4 with the factor g and grad4
   with the factor g~, which multiplies the moved field's values for div4 on a
@@ -24,22 +27,30 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .algebra import (
-    Event,
-    Paravector,
     SingularParavector,
-    act_left,
-    act_right,
-    conjugate_rotate,
-    det,
-    inverse,
+    det_rows,
+    inverse_rows,
     left_matrix,
-    mul,
-    reverse,
+    reverse_rows,
     right_matrix,
 )
-from .diffops import DiffMode, EXACT, box4, div4, grad4
-from .fields import Field
+from .diffops import (
+    EXACT,
+    DiffMode,
+    assemble_box,
+    assemble_div,
+    assemble_grad,
+    block_bundle,
+    block_jets,
+    block_pullback,
+    block_times,
+    div4,
+    grad4,
+)
+from .kernels import cdot, pv_mul_rows
 
 __all__ = [
     "NotOrthogonal",
@@ -48,11 +59,13 @@ __all__ = [
     "transport_sides",
     "right_factor_sides",
     "observer_rotation_sides",
+    "pullback_composition_sides",
     "InvarianceForm",
     "FORM_ACTIONS",
     "form_point",
     "form_value",
     "transformed_wave_field",
+    "form_value_sides",
     "wave_invariance_sides",
     "TransformedValues",
     "transformed_field_values",
@@ -60,20 +73,30 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-10
 
+Rows = np.ndarray
+
 
 class NotOrthogonal(ValueError):
     """The transformation paravector does not satisfy det = 1."""
 
 
-def require_orthogonal(lam: Paravector, tol: float = ORTHOGONALITY_TOL) -> None:
-    gap = abs(det(lam) - 1.0)
-    if gap > tol:
-        raise NotOrthogonal(f"|det - 1| = {gap:.3e} exceeds {tol:.1e}")
+def require_orthogonal(lam: Rows, tol: float = ORTHOGONALITY_TOL) -> None:
+    """Refuse a block whose paravectors do not all have det = 1 to within tol."""
+    gap = np.abs(det_rows(lam) - 1.0)
+    if (gap > tol).any():
+        raise NotOrthogonal(f"|det - 1| = {gap[gap > tol][0]:.3e} exceeds {tol:.1e}")
+
+
+def _finite(values: Rows) -> Rows:
+    """Operator values, refused as a Paravector refuses them when not finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("components must be finite")
+    return values
 
 
 def transport_sides(
-    op, right: bool, g: Paravector, f: Field, X: Event, mode: DiffMode = EXACT
-) -> Tuple[Paravector, Paravector]:
+    op, right: bool, g: Rows, f, xs: Rows, mode: DiffMode = EXACT
+) -> Tuple[Rows, Rows]:
     """op A at X, and op' at X' = X g (``right``) or X' = g X of A moved there.
 
     ``op`` is div4, with the factor g, or grad4, with the factor g~; the
@@ -82,47 +105,58 @@ def transport_sides(
     """
     if op is not div4 and op is not grad4:
         raise ValueError("transport_sides takes div4 or grad4")
-    if abs(det(g)) < 0.1:
+    d = det_rows(g)
+    if (np.hypot(d.real, d.imag) < 0.1).any():  # hypot is abs() of a complex
         raise SingularParavector(
             "transport cases require |det| >= 0.1 for well-conditioned inverses"
         )
-    factor = g if op is div4 else reverse(g)
+    factor = g if op is div4 else reverse_rows(g)
     inside = (op is div4) != right  # the factor multiplies the moved values
-    xp = act_right(X, g) if right else act_left(g, X)
-    moved = f.pullback((right_matrix if right else left_matrix)(inverse(g)))
+    xp = pv_mul_rows(xs, g) if right else pv_mul_rows(g, xs)
+    moved = block_pullback(f, (right_matrix if right else left_matrix)(inverse_rows(g)))
     if inside:
-        moved = moved.left_mul(factor)
-    lhs, rhs = op(f, X, mode), op(moved, xp, mode)
-    return lhs, rhs if inside else mul(factor, rhs)
+        moved = block_times(moved, left_matrix(factor))
+    assemble = assemble_div if op is div4 else assemble_grad
+    lhs, rhs = (_finite(assemble(d)) for d in block_bundle([f, moved], [xs, xp], mode))
+    return lhs, rhs if inside else pv_mul_rows(factor, rhs)
 
 
 def right_factor_sides(
-    f: Field, g: Paravector, X: Event, mode: DiffMode = EXACT
-) -> Tuple[Tuple[Paravector, Paravector], Tuple[Paravector, Paravector]]:
+    f, g: Rows, xs: Rows, mode: DiffMode = EXACT
+) -> Tuple[Tuple[Rows, Rows], Tuple[Rows, Rows]]:
     """(div4[A g], [div4 A] g) and (grad4[A g], [grad4 A] g).
 
     Needs no inverse, so it holds for singular g as well.
     """
-    shifted = f.right_mul(g)
-    return ((div4(shifted, X, mode), mul(div4(f, X, mode), g)),
-            (grad4(shifted, X, mode), mul(grad4(f, X, mode), g)))
+    d = block_bundle([block_times(f, right_matrix(g)), f], [xs, xs], mode)
+    return tuple((_finite(assemble(d[0])), pv_mul_rows(_finite(assemble(d[1])), g))
+                 for assemble in (assemble_div, assemble_grad))
 
 
 def observer_rotation_sides(
-    f: Field, lam: Paravector, Xp: Event, mode: DiffMode = EXACT
-) -> Tuple[Paravector, Paravector]:
+    f, lam: Rows, xps: Rows, mode: DiffMode = EXACT
+) -> Tuple[Rows, Rows]:
     """div4'[L A(L~ X' L) L~] at X', and L [B(L~ X' L)] L~ with B = div4 A.
 
     X' is the rotated-frame point (X' = L X L~ for the drawn X); the pre-image
     L~ X' L recovers X because det L = 1.
     """
     require_orthogonal(lam)
-    rlam = reverse(lam)
-    # X -> L~ X L, the pre-image of X'
-    moved = f.pullback(right_matrix(lam) @ left_matrix(rlam)).left_mul(lam).right_mul(rlam)
-    lhs = div4(moved, Xp, mode)
-    b_val = div4(f, conjugate_rotate(rlam, Xp), mode)
-    return lhs, mul(mul(lam, b_val), rlam)
+    rlam = reverse_rows(lam)
+    to_pre = cdot("...ij,...jk->...ik", right_matrix(lam), left_matrix(rlam))  # X -> L~ X L
+    moved = block_times(block_times(block_pullback(f, to_pre), left_matrix(lam)), right_matrix(rlam))
+    pre = pv_mul_rows(pv_mul_rows(rlam, xps), lam)
+    lhs, b = (_finite(assemble_div(d)) for d in block_bundle([moved, f], [xps, pre], mode))
+    return lhs, pv_mul_rows(pv_mul_rows(lam, b), rlam)
+
+
+def pullback_composition_sides(g1: Rows, g2: Rows, f, xs: Rows) -> Tuple[Rows, Rows]:
+    """A pulled back along X -> g1^-1 X, then along X -> g2^-1 X, and A pulled
+    back once along X -> (g2 g1)^-1 X, both at X."""
+    twice = block_pullback(block_pullback(f, left_matrix(inverse_rows(g1))),
+                           left_matrix(inverse_rows(g2)))
+    once = block_pullback(f, left_matrix(inverse_rows(pv_mul_rows(g2, g1))))
+    return block_jets(twice, xs, 0)[0], block_jets(once, xs, 0)[0]
 
 
 class InvarianceForm(enum.IntEnum):
@@ -150,63 +184,64 @@ FORM_ACTIONS = {
 }
 
 
-def form_point(form: InvarianceForm, g: Paravector, X: Event) -> Event:
-    """X g for forms 1 and 2, g X for forms 3 and 4.
+def form_point(form: InvarianceForm, g: Rows, xs: Rows) -> Rows:
+    """X g for forms 1 and 2, g X for forms 3 and 4, row by row.
 
     With g = L it maps X to X'; with g = L~ it maps X' back to X.
     """
-    return act_right(X, g) if FORM_ACTIONS[form][0] else act_left(g, X)
+    return pv_mul_rows(xs, g) if FORM_ACTIONS[form][0] else pv_mul_rows(g, xs)
 
 
-def _factor(form: InvarianceForm, lam: Paravector) -> Optional[Paravector]:
+def _factor(form: InvarianceForm, lam: Rows) -> Optional[Rows]:
     factor = FORM_ACTIONS[form][1]
-    return None if factor is None else lam if factor == "L" else reverse(lam)
+    return None if factor is None else lam if factor == "L" else reverse_rows(lam)
 
 
-def form_value(form: InvarianceForm, lam: Paravector, value: Paravector) -> Paravector:
+def form_value(form: InvarianceForm, lam: Rows, values: Rows) -> Rows:
     """The form's value law: L~ value for form 2, L value for form 3, else value."""
     factor = _factor(form, lam)
-    return value if factor is None else mul(factor, value)
+    return values if factor is None else pv_mul_rows(factor, values)
 
 
-def transformed_wave_field(form: InvarianceForm, f: Field, lam: Paravector) -> Field:
-    """The primed-frame field whose box4 the selected form takes: f pulled
-    back to the pre-image of X', its values times the form's factor."""
+def transformed_wave_field(form: InvarianceForm, f, lam: Rows):
+    """The primed-frame fields whose box4 the selected form takes: each row
+    pulled back to the pre-image of X', its values times the form's factor."""
     form = InvarianceForm(form)
     to_pre = right_matrix if FORM_ACTIONS[form][0] else left_matrix
-    moved = f.pullback(to_pre(reverse(lam)))
+    moved = block_pullback(f, to_pre(reverse_rows(lam)))
     factor = _factor(form, lam)
-    return moved if factor is None else moved.left_mul(factor)
+    return moved if factor is None else block_times(moved, left_matrix(factor))
 
 
-def wave_invariance_sides(
-    form: InvarianceForm,
-    f: Field,
-    lam: Paravector,
-    Xp: Event,
-    mode: DiffMode = EXACT,
-) -> Tuple[Paravector, Paravector]:
-    """The two sides of the selected invariance form at the primed point X'.
+def form_value_sides(form: InvarianceForm, f, lam: Rows, xps: Rows) -> Tuple[Rows, Rows]:
+    """The form's moved fields at X', and its value law at the pre-image of X'."""
+    pre = form_point(form, reverse_rows(lam), xps)
+    return (block_jets(transformed_wave_field(form, f, lam), xps, 0)[0],
+            form_value(form, lam, block_jets(f, pre, 0)[0]))
+
+
+def wave_invariance_sides(form: InvarianceForm, f, lam: Rows, xps: Rows) -> Tuple[Rows, Rows]:
+    """The two sides of the selected invariance form at the primed points X'.
 
     Forms 1/2 correspond to X' = X L (right map), forms 3/4 to X' = L X.
     B is box4 of the original field, evaluated at the pre-image of X'.
     """
     require_orthogonal(lam)
-    moved = transformed_wave_field(form, f, lam)
-    b_val = box4(f, form_point(form, reverse(lam), Xp), mode)
-    return box4(moved, Xp, mode), form_value(form, lam, b_val)
+    lhs = _finite(assemble_box(block_jets(transformed_wave_field(form, f, lam), xps, 2)[2]))
+    b = _finite(assemble_box(block_jets(f, form_point(form, reverse_rows(lam), xps), 2)[2]))
+    return lhs, form_value(form, lam, b)
 
 
 @dataclass(frozen=True)
 class TransformedValues:
-    """The three candidate value-transformation laws at the pre-image point."""
+    """The three candidate value-transformation laws at the pre-image points, as rows."""
 
-    invariant: Paravector
-    covariant: Paravector
-    contravariant: Paravector
+    invariant: Rows
+    covariant: Rows
+    contravariant: Rows
 
 
-def transformed_field_values(f: Field, lam: Paravector, Xp: Event) -> TransformedValues:
+def transformed_field_values(f, lam: Rows, xps: Rows) -> TransformedValues:
     """A' = A, A' = L A and A' = L~ A at the pre-image of X'.
 
     The invariant and covariant laws read the field at the left-map pre-image
@@ -214,9 +249,9 @@ def transformed_field_values(f: Field, lam: Paravector, Xp: Event) -> Transforme
     pre-image X' L~ (form 2).
     """
     require_orthogonal(lam)
-    rlam = reverse(lam)
-    left_pre = f.at(form_point(InvarianceForm.FORM4, rlam, Xp))
-    right_pre = f.at(form_point(InvarianceForm.FORM2, rlam, Xp))
+    rlam = reverse_rows(lam)
+    left_pre = block_jets(f, form_point(InvarianceForm.FORM4, rlam, xps), 0)[0]
+    right_pre = block_jets(f, form_point(InvarianceForm.FORM2, rlam, xps), 0)[0]
     return TransformedValues(
         invariant=left_pre,
         covariant=form_value(InvarianceForm.FORM3, lam, left_pre),

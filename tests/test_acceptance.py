@@ -62,7 +62,7 @@ from paracalc.transforms import (
     wave_invariance_sides,
 )
 
-from util import TRANSPORTS, central_difference, gap, max_abs, rel_err
+from util import TRANSPORTS, block_of, central_difference, gap, max_abs, rel_err, rows
 
 SEED = 42
 
@@ -191,28 +191,32 @@ def test_criterion_4_transport_identities():
     worst_exact = 0.0
     worst_numeric = 0.0
     for op, right in TRANSPORTS.values():
+        g, f, X = [], [], []
         for i in range(50):
-            g = random_paravector(rng)
-            f = mixed_field(rng, i)
-            X = random_event(rng)
-            worst_exact = max(worst_exact, max_abs(gap(transport_sides(op, right, g, f, X))))
-            worst_numeric = max(
-                worst_numeric,
-                max_abs(gap(transport_sides(op, right, g, f, X, Numeric(1e-5)))),
-            )
+            g.append(random_paravector(rng))
+            f.append(mixed_field(rng, i))
+            X.append(random_event(rng))
+        g, f, X = rows(*g), block_of(*f), rows(*X)
+        worst_exact = max(worst_exact, max_abs(gap(transport_sides(op, right, g, f, X))))
+        worst_numeric = max(
+            worst_numeric,
+            max_abs(gap(transport_sides(op, right, g, f, X, Numeric(1e-5)))),
+        )
+    g, f, X = [], [], []
     for i in range(50):
         # every tenth factor is exactly singular; the identity needs no inverse
         if i % 10 == 0:
             s = 1.0 + 0.5j
-            g = Paravector(s, (s, 0.0, 0.0))
+            g.append(Paravector(s, (s, 0.0, 0.0)))
         else:
-            g = random_paravector(rng)
-        f = mixed_field(rng, i)
-        X = random_event(rng)
-        d, gr = right_factor_sides(f, g, X)
-        worst_exact = max(worst_exact, max_abs(gap(d)), max_abs(gap(gr)))
-        dn, grn = right_factor_sides(f, g, X, Numeric(1e-5))
-        worst_numeric = max(worst_numeric, max_abs(gap(dn)), max_abs(gap(grn)))
+            g.append(random_paravector(rng))
+        f.append(mixed_field(rng, i))
+        X.append(random_event(rng))
+    g, f, X = rows(*g), block_of(*f), rows(*X)
+    d, gr = right_factor_sides(f, g, X)
+    worst_exact = max(worst_exact, max_abs(gap(d)), max_abs(gap(gr)))
+    dn, grn = right_factor_sides(f, g, X, Numeric(1e-5))
+    worst_numeric = max(worst_numeric, max_abs(gap(dn)), max_abs(gap(grn)))
     ok = worst_exact <= 1e-10 and worst_numeric <= 1e-5
     report(
         4,
@@ -224,13 +228,12 @@ def test_criterion_4_transport_identities():
 
 def test_criterion_5_observer_rotation():
     rng = np.random.default_rng(SEED + 4)
-    worst = 0.0
+    lam, f, Xp = [], [], []
     for i in range(50):
-        lam = random_orthogonal(rng)
-        f = mixed_field(rng, i)
-        Xp = conjugate_rotate(lam, random_event(rng))
-        lhs, rhs = observer_rotation_sides(f, lam, Xp)
-        worst = max(worst, max_abs(lhs.data - rhs.data))
+        lam.append(random_orthogonal(rng))
+        f.append(mixed_field(rng, i))
+        Xp.append(conjugate_rotate(lam[-1], random_event(rng)))
+    worst = max_abs(gap(observer_rotation_sides(block_of(*f), rows(*lam), rows(*Xp))))
     report(5, worst <= 1e-10,
            f"observer rotation over 50 orthogonal draws: {worst:.3e} (<= 1e-10)")
 
@@ -238,15 +241,17 @@ def test_criterion_5_observer_rotation():
 def test_criterion_6_wave_invariance():
     rng = np.random.default_rng(SEED + 5)
     worst = 0.0
+    lam, f, X = [], [], []
     for _ in range(50):
-        lam = random_orthogonal(rng)
-        f = random_field(rng)
-        X = random_event(rng)
-        for form in InvarianceForm:
-            Xp = form_point(form, lam, X)
-            worst = max(worst, max_abs(
-                gap(wave_invariance_sides(form, f, lam, Xp))
-            ))
+        lam.append(random_orthogonal(rng))
+        f.append(random_field(rng))
+        X.append(random_event(rng))
+    lam, f, X = rows(*lam), block_of(*f), rows(*X)
+    for form in InvarianceForm:
+        Xp = form_point(form, lam, X)
+        worst = max(worst, max_abs(
+            gap(wave_invariance_sides(form, f, lam, Xp))
+        ))
     forms_ok = worst <= 1e-9
 
     split = 0.0
@@ -254,8 +259,9 @@ def test_criterion_6_wave_invariance():
         lam = random_orthogonal(rng)
         if max_abs(lam.v) < 0.1:
             continue
-        vals = transformed_field_values(random_field(rng), lam, random_event(rng))
-        split = max(split, max_abs(vals.covariant.data - vals.contravariant.data))
+        vals = transformed_field_values(block_of(random_field(rng)), rows(lam),
+                                        rows(random_event(rng)))
+        split = max(split, max_abs(vals.covariant - vals.contravariant))
     split_ok = split >= 1e-3
     report(
         6,

@@ -18,12 +18,14 @@ from paracalc.algebra import (
     reverse,
     right_matrix,
 )
-from paracalc.diffops import Numeric, box4, bundle, central_differences
+from paracalc.diffops import Numeric, _jets, box4, bundle, central_differences
 from paracalc.fields import (
     DEGREE_CAP,
     Field,
     PolynomialField,
     _canonical_terms,
+    _merged,
+    _random_complexes,
     coord_index,
     null_plane_wave,
     random_event,
@@ -681,3 +683,75 @@ def test_partials_are_canonical_without_a_merge():
             q = Field(p.exps, p.coeffs)
             assert same_bytes(p.exps, q.exps) and same_bytes(p.coeffs, q.coeffs)
             assert not p.exps.flags.writeable and not p.coeffs.flags.writeable
+
+
+def _gap(got, want):
+    """|got - want| relative to max(1, |want|), per row, over the finite rows of want."""
+    finite = np.isfinite(want).all(axis=tuple(range(1, want.ndim)))
+    scale = np.maximum(1.0, np.abs(want[finite]).max(axis=tuple(range(1, want.ndim)), initial=0.0))
+    diff = np.abs(got[finite] - want[finite]).max(axis=tuple(range(1, want.ndim)), initial=0.0)
+    return float((diff / scale).max(initial=0.0))
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_jets_match_the_lowered_rows(kind):
+    # the jets kernel and the partial fields Field.partial builds are two
+    # independent derivative codes: value, first and repeated second partials
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        f = field_of_kind(kind, rng)
+        xs = random_rows(rng, 20)  # spread rows, then exact and signed-zero rows
+        with np.errstate(all="ignore"):  # the spread rows reach exp overflow
+            value, d1, d2 = _jets(f, xs, 2)
+            assert _gap(value, f._value(xs)) <= 1e-13
+            for c in range(4):
+                assert _gap(d1[:, :, c], f.partial(c)._value(xs)) <= 1e-13
+                assert _gap(d2[:, :, c], f.partial(c).partial(c)._value(xs)) <= 1e-13
+
+
+def _scalar_mul_table(f, rho):
+    """X -> rho(X) f(X) as the table of every product row, merged at once:
+    the reference for Field.scalar_mul, which merges without the table."""
+    products = []
+    for mr, kr, er, cr in rho._groups:
+        for mf, kf, ef, cf in f._groups:
+            products.append((mf, kr + kf, (er[:, None, :] + ef[None, :, :]).reshape(-1, 4),
+                             (cr[:, None, :1] * cf[None, :, :]).reshape(-1, 4)))
+    return Field._of(_merged(products))
+
+
+def _same_groups(a, b):
+    assert len(a._groups) == len(b._groups)
+    for (ma, ka, ea, ca), (mb, kb, eb, cb) in zip(a._groups, b._groups):
+        assert (ma is None) == (mb is None)
+        assert ma is None or ma.tobytes() == mb.tobytes()
+        assert ka.tobytes() == kb.tobytes()
+        assert ea.tobytes() == eb.tobytes() and ca.tobytes() == cb.tobytes()
+
+
+def test_scalar_mul_matches_the_merged_product_table_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for trial in range(30):
+        k1, k3 = _random_complexes(rng, 1.0, 4), _random_complexes(rng, 1.0, 4)
+        s = Paravector(complex(_random_complexes(rng, 1.0, 1)[0]))
+        dense = random_field(rng, degree=3)
+        if trial % 3 == 1:  # signed zeros: the first product of an exponent keeps its sign
+            c = np.array(dense.coeffs)
+            c[::2, 2] = complex(-0.0, -0.0)
+            dense = Field(dense.exps, c)
+        f = Field.sum(dense, Field.plane_wave(k1, random_paravector(rng)),
+                      Field.plane_wave(k1 + k3, random_paravector(rng)),
+                      Field.plane_wave(k1, random_paravector(rng)).scalar_mul(
+                          random_scalar_field(rng, degree=2)))
+        # rho's phase k3 moves f's k1 groups onto its k1 + k3 group, so
+        # products of different pairs merge into one group
+        rho = Field.sum(random_scalar_field(rng, degree=3), Field.plane_wave(k3, s))
+        if trial % 3 == 2:  # one frame for both (a constant group has none)
+            m = left_matrix(random_paravector(rng))
+            f, rho = dense.pullback(m), random_scalar_field(rng).pullback(m)
+        _same_groups(f.scalar_mul(rho), _scalar_mul_table(f, rho))
+    high = Field.monomial((0, 5, 0, 0), IDENTITY)
+    with pytest.raises(ValueError, match="exponents must lie in"):
+        high.scalar_mul(high)
+    with pytest.raises(ValueError, match="exponents must lie in"):
+        _scalar_mul_table(high, high)

@@ -9,15 +9,19 @@ import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from paracalc import harness
-from paracalc.algebra import IDENTITY, Paravector, det, inverse, mul, reverse
+from paracalc import diffops, harness
+from paracalc.algebra import IDENTITY, Event, Paravector, det, inverse, mul, reverse
 from paracalc.cli import main
-from paracalc.diffops import central_differences, max_partial_errors
+from paracalc.transforms import InvarianceForm, form_point
+from paracalc.algebra import conjugate_rotate
+from paracalc.diffops import EXACT, Numeric, bundle, central_differences, max_partial_errors
 from paracalc.fields import (
     Field,
     _random_complexes,
     random_event,
     random_field,
+    random_orthogonal,
+    random_paravector,
     random_plane_wave,
 )
 from paracalc.harness import (
@@ -33,7 +37,7 @@ from paracalc.harness import (
     run_suite,
 )
 
-from util import central_difference, random_rows
+from util import block_of, central_difference, random_rows, rows
 
 
 def small_cfg(suite, **kw):
@@ -334,25 +338,25 @@ def test_convergence_ok_band_check():
     assert not convergence_ok(rows)
 
 
-class _SteepY:
-    """Values of a field, but an exact y-partial 1.5 times too large."""
+def _steep_y(monkeypatch):
+    """Make every exact y-partial 1.5 times too large; values are untouched."""
+    jets = diffops._jets
 
-    def __init__(self, inner):
-        self.inner = inner
+    def steep(f, xs, order):
+        out = jets(f, xs, order)
+        if order:
+            out[1] = out[1] * np.array([1.0, 1.0, 1.5, 1.0])
+        return out
 
-    def _value(self, x):
-        return self.inner._value(x)
-
-    def partial(self, c):
-        part = self.inner.partial(c)
-        return part.left_mul(Paravector(1.5)) if c == 2 else part
+    monkeypatch.setattr(diffops, "_jets", steep)
 
 
-def test_convergence_ok_rejects_flat_error():
+def test_convergence_ok_rejects_flat_error(monkeypatch):
     steps = [0.1, 0.0962, 0.0925444, 0.089]
     good = run_convergence("poly", steps, seed=42)
     assert convergence_ok(good)
-    broken = [_SteepY(random_field(np.random.default_rng(i))) for i in range(3)]
+    broken = [random_field(np.random.default_rng(i)) for i in range(3)]
+    _steep_y(monkeypatch)
     rows = run_convergence("poly", steps, seed=42, fields=broken)
     errors = [r.max_error for r in rows]
     assert min(errors) > 0.5 * max(errors)  # the error does not fall with h
@@ -384,7 +388,8 @@ def test_stacked_central_differences_match_central_difference_bit_for_bit(value_
 
 def _max_partial_errors_per_point(fields, points, steps):
     """The per-point loop that diffops.max_partial_errors stacks: the reference."""
-    exact = [(f, x, c, f.partial(c)._value(x)) for f in fields for x in points for c in range(4)]
+    exact = [(f, x, c, bundle(f, Event.from_data(x), EXACT)[:, c])
+             for f in fields for x in points for c in range(4)]
     errors = []
     for h in steps:
         worst = 0.0
@@ -413,11 +418,11 @@ def _convergence_draws(kind, seed):
     ("planewave", [400.0, 300.0]),  # exp overflows
     ("steep-y", [0.1, 0.0962, 0.0925444, 0.089]),
 ])
-def test_stacked_partial_errors_match_the_per_point_loop(kind, steps):
+def test_stacked_partial_errors_match_the_per_point_loop(kind, steps, monkeypatch):
+    if kind == "steep-y":
+        _steep_y(monkeypatch)
     for seed in (42, 3, 5):
         fields, points = _convergence_draws("poly" if kind == "steep-y" else kind, seed)
-        if kind == "steep-y":
-            fields = [_SteepY(f) for f in fields]
         got = max_partial_errors(fields, points, steps)
         ref = _max_partial_errors_per_point(fields, points, steps)
         assert [e.hex() for e in got] == [e.hex() for e in ref]
@@ -658,3 +663,115 @@ def test_numeric_transform_cases_share_exact_substreams():
                        "right-factor"):
         numeric = by_name[f"{exact_name}-numeric"]
         assert numeric.substream == order.index(f"{exact_name}-exact")
+
+
+# -- block draws -----------------------------------------------------------------
+
+def _per_sample_draws(name, rng, count):
+    """The draws of a transforms or wave case, one sample at a time, as the
+    per-sample loop took them: the reference for the block draws.  Each
+    sample is the tuple of what the case's block evaluator receives."""
+    singular = Paravector(1.0 + 0.5j, (1.0 + 0.5j, 0.0, 0.0))
+    out = []
+    for i in range(count):
+        if name.startswith("form"):
+            lam, f, X = random_orthogonal(rng), random_field(rng), random_event(rng)
+            form = InvarianceForm(int(name[4]))
+            out.append((lam.data, block_of(f), form_point(form, rows(lam), rows(X))[0]))
+        elif name == "observer-rotation-exact":
+            lam, f = random_orthogonal(rng), harness._sample_field(rng, i)
+            out.append((lam.data, block_of(f), conjugate_rotate(lam, random_event(rng)).data))
+        elif name == "pullback-group-composition":
+            g1, g2 = random_paravector(rng), random_paravector(rng)
+            f = harness._sample_field(rng, i)
+            out.append((g1.data, g2.data, block_of(f), random_event(rng).data))
+        else:
+            g = singular if "singular" in name else random_paravector(rng)
+            f = harness._sample_field(rng, i)
+            out.append((g.data, block_of(f), random_event(rng).data))
+    return out
+
+
+def _record_block_draws(monkeypatch, seen):
+    """Replace the block evaluators the harness calls by ones that record
+    their inputs, in the per-sample layout, and return zero sides."""
+    def zeros(x):
+        return np.zeros((len(x), 4), np.complex128)
+
+    def transport(op, right, g, f, x, mode=EXACT):
+        seen.append((g, f, x))
+        return zeros(x), zeros(x)
+
+    def right_factor(f, g, x, mode=EXACT):
+        seen.append((g, f, x))
+        return (zeros(x), zeros(x)), (zeros(x), zeros(x))
+
+    def rotation(f, lam, xp, mode=EXACT):
+        seen.append((lam, f, xp))
+        return zeros(xp), zeros(xp)
+
+    def composition(g1, g2, f, x):
+        seen.append((g1, g2, f, x))
+        return zeros(x), zeros(x)
+
+    def wave(form, f, lam, xp):
+        seen.append((lam, f, xp))
+        return zeros(xp), zeros(xp)
+
+    for name, fn in [("transport_sides", transport), ("right_factor_sides", right_factor),
+                     ("observer_rotation_sides", rotation),
+                     ("pullback_composition_sides", composition),
+                     ("wave_invariance_sides", wave)]:
+        monkeypatch.setattr(harness, name, fn)
+
+
+def _arrays(draw):
+    """A draw's arrays in order: a field block as its coefficients and phases."""
+    out = []
+    for value in draw:
+        if isinstance(value, tuple):
+            m, k, c, g = value
+            assert m is None and g is None
+            out += [c, np.zeros((len(c), 4), np.complex128) if k is None else k]
+        else:
+            out.append(np.atleast_2d(value))
+    return out
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+def test_block_draws_take_the_per_sample_draws(monkeypatch, seed):
+    # 300 samples end the second block mid-way; right-factor-singular takes a fifth
+    cfg = small_cfg("transforms", samples=300, seed=seed)
+    for suite in ("transforms", "wave"):
+        cases = harness._SUITE_BUILDERS[suite]()
+        for index, case in enumerate(cases):
+            if suite == "wave" and not case.name[4].isdigit():  # the four wave forms
+                continue
+            sub = index if case.substream is None else case.substream
+            seen = []
+            with monkeypatch.context() as m:
+                _record_block_draws(m, seen)
+                case.run(case_rng(seed, suite, sub), cfg)
+            count = 60 if "singular" in case.name else 300
+            want = _per_sample_draws(case.name, case_rng(seed, suite, sub), count)
+            got = [np.concatenate(arrays) for arrays in zip(*map(_arrays, seen))]
+            ref = [np.concatenate(arrays) for arrays in zip(*map(_arrays, want))]
+            assert len(got) == len(ref) and len(got[0]) == count, case.name
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes(), case.name
+
+
+@pytest.mark.parametrize("suite", ["transforms", "wave"])
+def test_block_suites_peak_memory_does_not_grow_past_a_block(suite):
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            run_suite(small_cfg(suite, samples=samples))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-use allocations
+    # past BLOCK samples, every case that takes one sample per --samples
+    # evaluates full blocks; drawing all samples at once would grow with them
+    assert peak(600) - peak(300) < 128 * 1024

@@ -123,3 +123,29 @@ def test_plane_wave_eval_rows_matches_plane_wave_eval_bit_for_bit():
             _assert_rows_bit_for_bit(per_row,
                                      lambda i: kernels.plane_wave_eval(k4, amps[i], xs[i]),
                                      len(xs))
+
+
+def test_jets_rows_do_not_depend_on_the_stack():
+    # each row of a stack equals the same row evaluated alone or among 7,
+    # bit for bit, whether the frame, phase and coefficients are per row or shared
+    rng = np.random.default_rng(12)
+    exps = np.array([e for e in np.ndindex(4, 4, 4, 4) if sum(e) <= 3])
+    n = 256
+    xs = random_rows(rng, n // 2)
+
+    def cx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    per_row = (cx(n, 4, 4), cx(n, 4), cx(n, len(exps), 4))
+    shared = (cx(4, 4), cx(4), cx(len(exps), 4))
+    with np.errstate(all="ignore"):  # the spread rows reach exp overflow
+        for m, k, c in [per_row, shared, (None, None, per_row[2]), (per_row[0], None, shared[2])]:
+            for order in (0, 1, 2):
+                whole = kernels.jets(xs, m, k, exps, c, order)
+                for lo, hi in [(0, 1), (7, 8), (n - 1, n), (0, 7), (100, 107)]:
+                    def part(a, ndim):
+                        return a if a is None or a.ndim == ndim else a[lo:hi]
+
+                    some = kernels.jets(xs[lo:hi], part(m, 2), part(k, 1), exps, part(c, 2), order)
+                    for got, want in zip(some, whole):
+                        assert got.tobytes() == want[lo:hi].tobytes(), (order, lo, hi)

@@ -11,8 +11,24 @@ for |S| = 121 and d <= 6 is at most 5% per draw; the draws are independent.
 import numpy as np
 import pytest
 
-from paracalc.algebra import conjugate_rotate, inverse, left_matrix, mul, right_matrix
-from paracalc.diffops import additivity_sides, box4, div4_field, grad4, leibniz_sides
+from paracalc.algebra import (
+    conjugate_rotate,
+    inverse,
+    inverse_rows,
+    left_matrix,
+    mul,
+    right_matrix,
+)
+from paracalc.diffops import (
+    additivity_sides,
+    block_jets,
+    block_pullback,
+    box4,
+    div4_field,
+    grad4,
+    leibniz_sides,
+)
+from paracalc.kernels import pv_mul_rows
 from paracalc.transforms import (
     InvarianceForm,
     form_point,
@@ -25,9 +41,11 @@ from paracalc.transforms import (
 from util import (
     TRANSPORTS,
     assert_exact,
+    block_of,
     lattice_event,
     lattice_field,
     lattice_paravector,
+    rows,
     substitute,
     unimodular_paravector,
 )
@@ -41,37 +59,49 @@ def draws(seed):
         yield rng
 
 
+#: The block path takes the draws in blocks of these sizes, DRAWS in all.
+BLOCK_SIZES = (1, 7, DRAWS - 8)
+
+
+def blocks(seed, *draw):
+    """DRAWS samples, each drawing one value per function in ``draw``, taken
+    as blocks: per block, one list of values per function."""
+    samples = [[d(rng) for d in draw] for rng in draws(seed)]
+    start = 0
+    for size in BLOCK_SIZES:
+        yield [list(column) for column in zip(*samples[start:start + size])]
+        start += size
+
+
 def assert_sides(sides):
     lhs, rhs = sides
-    assert_exact(lhs.data, rhs.data)
+    assert_exact(getattr(lhs, "data", lhs), getattr(rhs, "data", rhs))
 
 
 @pytest.mark.parametrize("op, right", TRANSPORTS.values(),
                          ids=[f"{name}_transport_sides" for name in TRANSPORTS])
 def test_transports_are_exact(op, right):
-    for rng in draws(1):
-        g, f, X = unimodular_paravector(rng), lattice_field(rng), lattice_event(rng)
-        assert_sides(transport_sides(op, right, g, f, X))
+    for g, f, X in blocks(1, unimodular_paravector, lattice_field, lattice_event):
+        assert_sides(transport_sides(op, right, rows(*g), block_of(*f), rows(*X)))
 
 
 def test_right_factor_is_exact():
-    for rng in draws(2):
-        f, g, X = lattice_field(rng), lattice_paravector(rng), lattice_event(rng)
-        for sides in right_factor_sides(f, g, X):
+    for f, g, X in blocks(2, lattice_field, lattice_paravector, lattice_event):
+        for sides in right_factor_sides(block_of(*f), rows(*g), rows(*X)):
             assert_sides(sides)
 
 
 @pytest.mark.parametrize("form", list(InvarianceForm))
 def test_wave_forms_are_exact(form):
-    for rng in draws(3):
-        lam, f, X = unimodular_paravector(rng), lattice_field(rng), lattice_event(rng)
-        assert_sides(wave_invariance_sides(form, f, lam, form_point(form, lam, X)))
+    for lam, f, X in blocks(3, unimodular_paravector, lattice_field, lattice_event):
+        lam = rows(*lam)
+        assert_sides(wave_invariance_sides(form, block_of(*f), lam, form_point(form, lam, rows(*X))))
 
 
 def test_observer_rotation_is_exact():
-    for rng in draws(4):
-        lam, f, X = unimodular_paravector(rng), lattice_field(rng), lattice_event(rng)
-        assert_sides(observer_rotation_sides(f, lam, conjugate_rotate(lam, X)))
+    for lam, f, X in blocks(4, unimodular_paravector, lattice_field, lattice_event):
+        Xp = [conjugate_rotate(a, x) for a, x in zip(lam, X)]
+        assert_sides(observer_rotation_sides(block_of(*f), rows(*lam), rows(*Xp)))
 
 
 def test_factorization_is_exact():
@@ -93,12 +123,13 @@ def test_additivity_is_exact():
 
 
 def test_pullback_group_composition_is_exact():
-    for rng in draws(8):
-        g1, g2, f = unimodular_paravector(rng), unimodular_paravector(rng), lattice_field(rng)
-        twice = f.pullback(left_matrix(inverse(g1))).pullback(left_matrix(inverse(g2)))
-        once = f.pullback(left_matrix(inverse(mul(g2, g1))))
-        X = lattice_event(rng)
-        assert_exact(twice.at(X).data, once.at(X).data)
+    for g1, g2, f, X in blocks(8, unimodular_paravector, unimodular_paravector, lattice_field,
+                               lattice_event):
+        g1, g2, f, X = rows(*g1), rows(*g2), block_of(*f), rows(*X)
+        twice = block_pullback(block_pullback(f, left_matrix(inverse_rows(g1))),
+                               left_matrix(inverse_rows(g2)))
+        once = block_pullback(f, left_matrix(inverse_rows(pv_mul_rows(g2, g1))))
+        assert_exact(block_jets(twice, X, 0)[0], block_jets(once, X, 0)[0])
 
 
 @pytest.mark.parametrize("action", [left_matrix, right_matrix],
@@ -126,3 +157,19 @@ def test_lattice_draws_stay_on_the_lattice():
         assert_exact(np.array([2.0 ** 53]), np.array([2.0 ** 53]))
     with pytest.raises(AssertionError):
         assert_exact(np.array([0.5j]), np.array([0.5j]))
+
+
+@pytest.mark.parametrize("action", [left_matrix, right_matrix],
+                         ids=["left_action", "right_action"])
+def test_block_jets_match_the_substituted_polynomial(action):
+    # the jets of pulled-back fields, a block at a time, against Field.partial
+    # of the expanded polynomial: values, first and repeated second partials
+    for g, f, X in blocks(11, unimodular_paravector, lattice_field, lattice_event):
+        maps = action(inverse_rows(rows(*g)))
+        value, d1, d2 = block_jets(block_pullback(block_of(*f), maps), rows(*X), 2)
+        for p, (field, m, x) in enumerate(zip(f, maps, X)):
+            expanded = substitute(field, m)
+            assert_exact(value[p], expanded.at(x).data)
+            for c in range(4):
+                assert_exact(d1[p, :, c], expanded.partial(c).at(x).data)
+                assert_exact(d2[p, :, c], expanded.partial(c).partial(c).at(x).data)

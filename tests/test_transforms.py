@@ -17,7 +17,9 @@ from paracalc.algebra import (
     right_matrix,
     scale,
 )
-from paracalc.diffops import Numeric, box4, div4
+from paracalc.algebra import det_rows, reverse_rows
+from paracalc.diffops import EXACT, Numeric, block_jets, box4, div4, grad4
+from paracalc.harness import BLOCK
 from paracalc.fields import (
     random_event,
     random_field,
@@ -29,7 +31,9 @@ from paracalc.transforms import (
     InvarianceForm,
     NotOrthogonal,
     form_point,
+    form_value_sides,
     observer_rotation_sides,
+    pullback_composition_sides,
     require_orthogonal,
     right_factor_sides,
     transformed_field_values,
@@ -38,43 +42,50 @@ from paracalc.transforms import (
     wave_invariance_sides,
 )
 
-from util import TRANSPORTS, gap, max_abs, rel_err
+from util import TRANSPORTS, block_of, gap, max_abs, rel_err, rows
 
 
 def sample(rng, i):
     return random_field(rng) if i % 2 == 0 else random_plane_wave(rng)
 
 
+def draws(seed, n):
+    """n transport draws (g, field, X) as one block, fields alternating as the suites do."""
+    rng = np.random.default_rng(seed)
+    g, f, X = [], [], []
+    for i in range(n):
+        g.append(random_paravector(rng))
+        f.append(sample(rng, i))
+        X.append(random_event(rng))
+    return rows(*g), block_of(*f), rows(*X)
+
+
 def test_identity_transformation_gives_exact_zero():
     rng = np.random.default_rng(0)
     f, X = random_field(rng), random_event(rng)
     for op, right in TRANSPORTS.values():
-        assert max_abs(gap(transport_sides(op, right, IDENTITY, f, X))) == 0.0
+        assert max_abs(gap(transport_sides(op, right, rows(IDENTITY), block_of(f), rows(X)))) == 0.0
 
 
 def test_transport_identities_exact():
-    rng = np.random.default_rng(1)
-    for i in range(20):
-        g, f, X = random_paravector(rng), sample(rng, i), random_event(rng)
-        for op, right in TRANSPORTS.values():
-            assert max_abs(gap(transport_sides(op, right, g, f, X))) <= 1e-10
+    g, f, X = draws(1, 20)
+    for op, right in TRANSPORTS.values():
+        assert max_abs(gap(transport_sides(op, right, g, f, X))) <= 1e-10
 
 
 def test_transport_identities_numeric():
-    rng = np.random.default_rng(2)
-    for i in range(10):
-        g, f, X = random_paravector(rng), sample(rng, i), random_event(rng)
-        for op, right in TRANSPORTS.values():
-            assert max_abs(gap(transport_sides(op, right, g, f, X, Numeric(1e-5)))) <= 1e-5
+    g, f, X = draws(2, 10)
+    for op, right in TRANSPORTS.values():
+        assert max_abs(gap(transport_sides(op, right, g, f, X, Numeric(1e-5)))) <= 1e-5
 
 
 def test_negated_transformation_keeps_residual_zero():
     # both the inverse and the reversion flip sign, so nothing changes
     rng = np.random.default_rng(3)
     g = random_paravector(rng)
-    f, X = random_field(rng), random_event(rng)
+    f, X = block_of(random_field(rng)), rows(random_event(rng))
     for op, right in TRANSPORTS.values():
-        assert max_abs(gap(transport_sides(op, right, scale(-1.0, g), f, X))) <= 1e-10
+        assert max_abs(gap(transport_sides(op, right, rows(scale(-1.0, g)), f, X))) <= 1e-10
 
 
 def test_scalar_transformation_left_right_paths_agree():
@@ -95,56 +106,56 @@ def test_transform_case_rejects_near_singular():
     g = Paravector(1.0, (1.0, 0.0, 0.0))
     for op, right in TRANSPORTS.values():
         with pytest.raises(SingularParavector, match=r"require \|det\| >= 0\.1"):
-            transport_sides(op, right, g, random_field(0), random_event(0))
+            transport_sides(op, right, rows(IDENTITY, g), block_of(random_field(0), random_field(1)),
+                            rows(random_event(0), random_event(1)))
 
 
 @pytest.mark.parametrize("op", [box4, lambda f, X, mode: div4(f, X, mode)],
                          ids=["box4", "div4-wrapper"])
 def test_transport_sides_refuses_other_operators(op):
     with pytest.raises(ValueError, match="takes div4 or grad4"):
-        transport_sides(op, False, IDENTITY, random_field(0), random_event(0))
+        transport_sides(op, False, rows(IDENTITY), block_of(random_field(0)), rows(random_event(0)))
 
 
 # -- constant right factor ------------------------------------------------------
 
 def test_right_factor_identity():
-    f, X = random_field(5), random_event(5)
-    d, g = right_factor_sides(f, IDENTITY, X)
+    f, X = block_of(random_field(5)), rows(random_event(5))
+    d, g = right_factor_sides(f, rows(IDENTITY), X)
     assert max_abs(gap(d)) == 0.0 and max_abs(gap(g)) == 0.0
 
 
 def test_right_factor_holds_for_singular_factor():
-    f, X = random_field(6), random_event(6)
+    f, X = block_of(random_field(6)), rows(random_event(6))
     singular = Paravector(1.0, (1.0, 0.0, 0.0))
     assert abs(det(singular)) == 0.0
-    d, g = right_factor_sides(f, singular, X)
+    d, g = right_factor_sides(f, rows(singular), X)
     assert max_abs(gap(d)) <= 1e-10 and max_abs(gap(g)) <= 1e-10
 
 
 def test_right_factor_random_and_plane_wave():
     rng = np.random.default_rng(7)
-    for i in range(20):
-        f = sample(rng, i)
-        d, g = right_factor_sides(f, random_paravector(rng), random_event(rng))
-        assert max_abs(gap(d)) <= 1e-10 and max_abs(gap(g)) <= 1e-10
+    f = [sample(rng, i) for i in range(20)]
+    g = [random_paravector(rng) for _ in range(20)]
+    d, gr = right_factor_sides(block_of(*f), rows(*g), rows(*(random_event(rng) for _ in range(20))))
+    assert max_abs(gap(d)) <= 1e-10 and max_abs(gap(gr)) <= 1e-10
 
 
 # -- observer rotation ------------------------------------------------------------
 
 def test_rotation_identity_lambda():
-    f, X = random_field(8), random_event(8)
-    lhs, rhs = observer_rotation_sides(f, IDENTITY, X)
-    assert max_abs(lhs.data - rhs.data) == 0.0
+    f, X = block_of(random_field(8)), rows(random_event(8))
+    assert max_abs(gap(observer_rotation_sides(f, rows(IDENTITY), X))) == 0.0
 
 
 def test_rotation_residual_random():
     rng = np.random.default_rng(9)
+    lam, f, Xp = [], [], []
     for i in range(20):
-        lam = random_orthogonal(rng)
-        f = sample(rng, i)
-        Xp = conjugate_rotate(lam, random_event(rng))
-        lhs, rhs = observer_rotation_sides(f, lam, Xp)
-        assert max_abs(lhs.data - rhs.data) <= 1e-10
+        lam.append(random_orthogonal(rng))
+        f.append(sample(rng, i))
+        Xp.append(conjugate_rotate(lam[-1], random_event(rng)))
+    assert max_abs(gap(observer_rotation_sides(block_of(*f), rows(*lam), rows(*Xp)))) <= 1e-10
 
 
 def test_rotation_transformed_value_definition():
@@ -157,52 +168,55 @@ def test_rotation_transformed_value_definition():
     b = div4(f, conjugate_rotate(rlam, Xp))
     expected_rhs = mul(mul(lam, b), rlam)
     moved = f.pullback(right_matrix(lam) @ left_matrix(rlam)).left_mul(lam).right_mul(rlam)
-    lhs, rhs = observer_rotation_sides(f, lam, Xp)
-    np.testing.assert_allclose(
-        lhs.data - rhs.data, div4(moved, Xp).data - expected_rhs.data, atol=1e-14
-    )
+    lhs, rhs = observer_rotation_sides(block_of(f), rows(lam), rows(Xp))
+    np.testing.assert_allclose(lhs[0], div4(moved, Xp).data, rtol=1e-13)
+    np.testing.assert_allclose(rhs[0], expected_rhs.data, rtol=1e-13)
 
 
 def test_require_orthogonal():
-    require_orthogonal(IDENTITY, 1e-12)
-    require_orthogonal(normalize_orthogonal(Paravector(2.0, (1.0, 0.0, 0.0))), 1e-12)
+    require_orthogonal(rows(IDENTITY), 1e-12)
+    unit = normalize_orthogonal(Paravector(2.0, (1.0, 0.0, 0.0)))
+    require_orthogonal(rows(unit, IDENTITY), 1e-12)
     with pytest.raises(NotOrthogonal):
-        require_orthogonal(Paravector(2.0, (1.0, 0.0, 0.0)), 1e-12)
+        require_orthogonal(rows(unit, Paravector(2.0, (1.0, 0.0, 0.0))), 1e-12)
 
 
 def test_rotation_requires_orthogonality():
     with pytest.raises(NotOrthogonal):
         observer_rotation_sides(
-            random_field(11), Paravector(2.0, (1.0, 0.0, 0.0)), random_event(11)
+            block_of(random_field(11)), rows(Paravector(2.0, (1.0, 0.0, 0.0))),
+            rows(random_event(11))
         )
 
 
 # -- wave invariance ---------------------------------------------------------------
 
 def test_wave_forms_identity_lambda():
-    f, X = random_field(12), random_event(12)
+    f, X = block_of(random_field(12)), rows(random_event(12))
     for form in InvarianceForm:
-        assert max_abs(gap(wave_invariance_sides(form, f, IDENTITY, X))) == 0.0
+        assert max_abs(gap(wave_invariance_sides(form, f, rows(IDENTITY), X))) == 0.0
 
 
 def test_wave_forms_random():
     rng = np.random.default_rng(13)
+    lam, f, X = [], [], []
     for _ in range(10):
-        lam = random_orthogonal(rng)
-        f = random_field(rng)
-        X = random_event(rng)
-        for form in InvarianceForm:
-            Xp = form_point(form, lam, X)
-            assert max_abs(gap(wave_invariance_sides(form, f, lam, Xp))) <= 1e-9
+        lam.append(random_orthogonal(rng))
+        f.append(random_field(rng))
+        X.append(random_event(rng))
+    lam, f, X = rows(*lam), block_of(*f), rows(*X)
+    for form in InvarianceForm:
+        Xp = form_point(form, lam, X)
+        assert max_abs(gap(wave_invariance_sides(form, f, lam, Xp))) <= 1e-9
 
 
 def test_wave_forms_require_orthogonality():
     with pytest.raises(NotOrthogonal):
         wave_invariance_sides(
             InvarianceForm.FORM1,
-            random_field(14),
-            Paravector(2.0, (1.0, 0.0, 0.0)),
-            random_event(14),
+            block_of(random_field(14)),
+            rows(Paravector(2.0, (1.0, 0.0, 0.0))),
+            rows(random_event(14)),
         )
 
 
@@ -217,8 +231,9 @@ def test_form_structure_matches_value_laws():
         left = f.at(act_left(rlam, Xp))
         laws = (right, mul(rlam, right), mul(lam, left), left)
         for form, law in zip(InvarianceForm, laws):
-            moved = transformed_wave_field(form, f, lam)
-            assert rel_err(moved.at(Xp).data, law.data) <= 1e-12
+            moved = transformed_wave_field(form, block_of(f), rows(lam))
+            value = block_jets(moved, rows(Xp), 0)[0][0]
+            assert rel_err(value, law.data) <= 1e-12
 
 
 def test_covariant_and_contravariant_values_differ():
@@ -227,37 +242,40 @@ def test_covariant_and_contravariant_values_differ():
     assert max_abs(lam.v) > 0.1  # non-scalar
     f = random_field(rng)
     Xp = random_event(rng)
+    lam, f, Xp = rows(lam), block_of(f), rows(Xp)
     vals = transformed_field_values(f, lam, Xp)
     both_zero = []
     for form in (InvarianceForm.FORM2, InvarianceForm.FORM3):
-        X = form_point(form, reverse(lam), Xp)
+        X = form_point(form, reverse_rows(lam), Xp)
         # re-derive the primed point so the residual is evaluated consistently
         Xp_form = form_point(form, lam, X)
         both_zero.append(
             max_abs(gap(wave_invariance_sides(form, f, lam, Xp_form)))
         )
     assert max(both_zero) <= 1e-9
-    assert max_abs(vals.covariant.data - vals.contravariant.data) >= 1e-3
+    assert max_abs(vals.covariant - vals.contravariant) >= 1e-3
 
 
 def test_transformed_values_identity_lambda():
-    f, Xp = random_field(17), random_event(17)
-    vals = transformed_field_values(f, IDENTITY, Xp)
-    assert vals.invariant == vals.covariant == vals.contravariant
+    f, Xp = block_of(random_field(17)), rows(random_event(17))
+    vals = transformed_field_values(f, rows(IDENTITY), Xp)
+    assert np.array_equal(vals.invariant, vals.covariant)
+    assert np.array_equal(vals.invariant, vals.contravariant)
 
 
 def test_covariant_value_preserves_det():
     rng = np.random.default_rng(18)
     lam = random_orthogonal(rng)
     f, Xp = random_field(rng), random_event(rng)
-    vals = transformed_field_values(f, lam, Xp)
-    assert rel_err([det(vals.covariant)], [det(vals.invariant)]) <= 1e-12
+    vals = transformed_field_values(block_of(f), rows(lam), rows(Xp))
+    assert rel_err(det_rows(vals.covariant), det_rows(vals.invariant)) <= 1e-12
 
 
 def test_transformed_values_require_orthogonality():
     with pytest.raises(NotOrthogonal):
         transformed_field_values(
-            random_field(19), Paravector(2.0, (1.0, 0.0, 0.0)), random_event(19)
+            block_of(random_field(19)), rows(Paravector(2.0, (1.0, 0.0, 0.0))),
+            rows(random_event(19))
         )
 
 
@@ -274,3 +292,91 @@ def test_composed_pullbacks_match_composed_transformation():
         for _ in range(10):
             x = random_event(rng)
             assert rel_err(twice.at(x).data, once.at(x).data) <= 1e-10
+
+
+# -- blocks -----------------------------------------------------------------------
+
+def _rotation_draws(seed, n):
+    rng = np.random.default_rng(seed)
+    lam, f, X = [], [], []
+    for i in range(n):
+        lam.append(random_orthogonal(rng))
+        f.append(sample(rng, i))
+        X.append(random_event(rng))
+    return rows(*lam), block_of(*f), rows(*X)
+
+
+def _sides_of_every_identity(g, f, X, lam):
+    """Every block evaluator once, as a flat list of (n, 4) rows."""
+    out = []
+    for op, right in TRANSPORTS.values():
+        for mode in (EXACT, Numeric(1e-5)):
+            out += transport_sides(op, right, g, f, X, mode)
+    for mode in (EXACT, Numeric(1e-5)):
+        for pair in right_factor_sides(f, g, X, mode):
+            out += pair
+    out += observer_rotation_sides(f, lam, X)
+    out += pullback_composition_sides(g, reverse_rows(g), f, X)
+    dense = (None, None, f[2], None)
+    for form in InvarianceForm:
+        out += wave_invariance_sides(form, dense, lam, X)
+        out += form_value_sides(form, dense, lam, X)
+    vals = transformed_field_values(f, lam, X)
+    return out + [vals.invariant, vals.covariant, vals.contravariant]
+
+
+def test_each_row_of_a_block_equals_a_block_of_one_bit_for_bit():
+    # a row's result must not depend on the block it sits in: what a replay
+    # of one sample relies on
+    n = BLOCK
+    g, f, X = draws(30, n)
+    lam = _rotation_draws(31, n)[0]
+    whole = _sides_of_every_identity(g, f, X, lam)
+
+    def part(a, lo, hi):
+        return None if a is None else a[lo:hi]
+
+    for lo, hi in [(0, 1), (5, 6), (n - 1, n), (3, 10), (n - 7, n)]:
+        some = _sides_of_every_identity(g[lo:hi], tuple(part(a, lo, hi) for a in f), X[lo:hi],
+                                        lam[lo:hi])
+        for got, want in zip(some, whole):
+            assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi)
+
+
+def test_block_sides_match_the_per_sample_fields():
+    # the block evaluators against the per-sample forms on Field objects
+    rng = np.random.default_rng(32)
+    for i in range(12):
+        g, f, X = random_paravector(rng), sample(rng, i), random_event(rng)
+        lam = random_orthogonal(rng)
+        for (op, right), ref in zip(TRANSPORTS.values(), (
+                lambda: (div4(f, X), div4(f.pullback(left_matrix(inverse(g))).left_mul(g),
+                                          act_left(g, X))),
+                lambda: (grad4(f, X), mul(reverse(g), grad4(f.pullback(left_matrix(inverse(g))),
+                                                            act_left(g, X)))),
+                lambda: (div4(f, X), mul(g, div4(f.pullback(right_matrix(inverse(g))),
+                                                 act_right(X, g)))),
+                lambda: (grad4(f, X), grad4(f.pullback(right_matrix(inverse(g))).left_mul(
+                    reverse(g)), act_right(X, g))))):
+            lhs, rhs = transport_sides(op, right, rows(g), block_of(f), rows(X))
+            want_lhs, want_rhs = ref()
+            assert rel_err(lhs[0], want_lhs.data) <= 1e-13
+            assert rel_err(rhs[0], want_rhs.data) <= 1e-12
+        if i % 2 == 0:  # the wave forms take dense fields
+            for form in InvarianceForm:
+                rlam = reverse(lam)
+                moved = f.pullback((right_matrix if form <= 2 else left_matrix)(rlam))
+                if form in (InvarianceForm.FORM2, InvarianceForm.FORM3):
+                    moved = moved.left_mul(rlam if form == InvarianceForm.FORM2 else lam)
+                lhs, _ = wave_invariance_sides(form, block_of(f), rows(lam), rows(X))
+                assert rel_err(lhs[0], box4(moved, X).data) <= 1e-12
+
+
+def test_block_numeric_step_names_the_first_rows_point():
+    g, f, X = draws(33, 3)
+    X = X.copy()
+    X[0, 2] = 1e300  # 1e300 +- 1.0 rounds back: the first row's coordinate 2
+    X[1, 0] = 1e300  # a later row's coordinate 0 must not be named first
+    for op, right in TRANSPORTS.values():
+        with pytest.raises(ValueError, match=r"does not move coordinate 2 from \(1e\+300"):
+            transport_sides(op, right, g, f, X, Numeric(1.0))

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from paracalc.algebra import IDENTITY, Event, Paravector, mul
-from paracalc.diffops import div4, grad4
+from paracalc.diffops import BLOCK_EXPONENTS, div4, grad4
 from paracalc.fields import Field
 
 #: the four transport identities, as transforms.transport_sides's (op, right)
@@ -55,9 +55,32 @@ def central_difference(value_fn, x, c, h):
 
 
 def gap(sides):
-    """lhs - rhs of a (lhs, rhs) pair of paravectors, as an array."""
+    """lhs - rhs of a (lhs, rhs) pair of paravectors or of (n, 4) rows, as an array."""
     lhs, rhs = sides
-    return lhs.data - rhs.data
+    return np.asarray(getattr(lhs, "data", lhs)) - np.asarray(getattr(rhs, "data", rhs))
+
+
+def rows(*values):
+    """Paravectors or events as the (n, 4) rows the block evaluators take."""
+    return np.array([v.data for v in values])
+
+
+_TABLE = {tuple(e): t for t, e in enumerate(BLOCK_EXPONENTS.tolist())}
+
+
+def block_of(*fields):
+    """Fields as one block (diffops): polynomials of degree <= 3 times one
+    phase (plane waves among them), each in the identity frame."""
+    c = np.zeros((len(fields), len(BLOCK_EXPONENTS), 4), np.complex128)
+    k = np.zeros((len(fields), 4), np.complex128)
+    for p, f in enumerate(fields):
+        assert len({g[1].tobytes() for g in f._groups}) <= 1, "a block field has one phase"
+        for m, phase, exps, coeffs in f._groups:
+            assert m is None, "a block field has the identity frame"
+            k[p] = phase
+            for e, coeff in zip(exps.tolist(), coeffs):
+                c[p, _TABLE[tuple(e)]] += coeff
+    return None, k, c, None
 
 
 # -- Gaussian-integer lattice draws ---------------------------------------------
