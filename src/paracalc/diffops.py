@@ -95,7 +95,8 @@ def _jets(f: Field, xs: np.ndarray, order: int) -> list:
         parts = kernels.jets(xs, m, k if k.any() else None, exps, coeffs, order)
         total = parts if total is None else [a + b for a, b in zip(total, parts)]
     if total is None:  # the zero field
-        return [np.zeros((len(xs), 4), np.complex128)] + [np.zeros((len(xs), 4, 4), np.complex128)] * order
+        return [np.zeros((len(xs), 4), np.complex128)] + [
+            np.zeros((len(xs), 4, 4), np.complex128)] * order
     return total
 
 
@@ -178,7 +179,8 @@ def field_row(seed, plane_wave: bool = False):
     the same order, without building the Field."""
     rng = as_rng(seed)
     if not plane_wave:
-        return _random_complexes(rng, 1.0, 4 * len(BLOCK_EXPONENTS)).reshape(-1, 4), np.zeros(4, complex)
+        coeffs = _random_complexes(rng, 1.0, 4 * len(BLOCK_EXPONENTS)).reshape(-1, 4)
+        return coeffs, np.zeros(4, np.complex128)
     z = _random_complexes(rng, 1.0, 8)  # amplitude, then phase
     coeffs = np.zeros((len(BLOCK_EXPONENTS), 4), np.complex128)
     coeffs[0] = z[:4]

@@ -297,7 +297,8 @@ class Field:
                 raise ValueError(f"exponents must lie in [0, {DEGREE_CAP}]")
             keys, coeffs = kernels.product_sums([(_keys(er), cr, _keys(ef), cf)
                                                  for er, cr, ef, cf in pairs])
-            groups.append((m, k, keys[:, None] // _KEY_BASE ** np.arange(3, -1, -1) % _KEY_BASE, coeffs))
+            exps = keys[:, None] // _KEY_BASE ** np.arange(3, -1, -1) % _KEY_BASE
+            groups.append((m, k, exps, coeffs))
         return Field._of(_merged(groups))
 
     @staticmethod

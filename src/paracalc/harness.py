@@ -588,9 +588,10 @@ def _transforms_cases() -> List[Case]:
 
 def _wave_form_case(form: InvarianceForm):
     def block(rng, start, n, cfg):
-        lam, c, x = _stack((random_orthogonal(rng).data, field_row(rng)[0], random_event(rng).data)
-                           for _ in range(n))
-        return _rel(*wave_invariance_sides(form, (None, None, c, None), lam, form_point(form, lam, x)))
+        lam, c, x = _stack((random_orthogonal(rng).data, field_row(rng)[0],
+                            random_event(rng).data) for _ in range(n))
+        f = (None, None, c, None)
+        return _rel(*wave_invariance_sides(form, f, lam, form_point(form, lam, x)))
 
     return _blocked(_times(1), block)
 

@@ -1,8 +1,12 @@
-"""Hot numeric kernels: paravector product, monomial and plane-wave evaluation.
+"""Hot numeric kernels: paravector product, monomial and plane-wave evaluation,
+and the jets of exact derivatives.
 
 Plain numpy on length-4 complex arrays ``[s, v1, v2, v3]`` (paravectors) and
 ``[t, x, y, z]`` (events).  Each ``*_rows`` twin works on ``(n, 4)`` stacks of
 them, row by row, and rounds every row exactly as its one-row kernel does.
+``jets`` evaluates a field group's value and exact partials on a stack of
+points, each row on its own; ``product_sums`` merges the products of a scalar
+field with a field.
 """
 
 import numpy as np
@@ -80,7 +84,10 @@ def plane_wave_eval_rows(k4, amps, xs):
 
 
 
-def product_sums(pairs, rows: int = 8):
+_PRODUCT_ROWS = 8  # rows of the scalar side multiplied at a time
+
+
+def product_sums(pairs):
     """Products of scalar rows with field rows, summed per key, in order.
 
     ``pairs`` holds (keys_r (R,), cr (R, 4), keys_f (F,), cf (F, 4)); the
@@ -88,21 +95,22 @@ def product_sums(pairs, rows: int = 8):
     keys_f[f].  Returns the distinct keys, sorted, and per key the sum of its
     products added onto the first in order of appearance (the pairs in
     order, then r, then f), as a merge of the table of all products would
-    add them.  The table is never built: ``rows`` rows of cr at a time.
+    add them.  That table is never built, only a few rows of it at a time.
     """
     keys = [(kr[:, None] + kf[None, :]).ravel() for kr, _, kf, _ in pairs]
     distinct, first = np.unique(np.concatenate(keys), return_index=True)
-    is_first = np.zeros(sum(len(k) for k in keys), bool)
+    is_first = np.zeros(sum(map(len, keys)), bool)
     is_first[first] = True
     sums = np.empty((len(distinct), 4), _C128)
-    at = 0
+    at = 0  # the products of the pairs before this one
     for (kr, cr, kf, cf), k in zip(pairs, keys):
         slots = np.searchsorted(distinct, k)
-        for lo in range(0, len(kr) * len(kf), rows * len(kf)):
-            product = (cr[lo // len(kf):lo // len(kf) + rows, None, :1] * cf[None, :, :]).reshape(-1, 4)
-            at_slots, new = slots[lo:lo + len(product)], is_first[at + lo:at + lo + len(product)]
-            sums[at_slots[new]] = product[new]
-            np.add.at(sums, at_slots[~new], product[~new])
+        for r in range(0, len(kr), _PRODUCT_ROWS):
+            product = (cr[r:r + _PRODUCT_ROWS, None, :1] * cf[None, :, :]).reshape(-1, 4)
+            rows = slice(r * len(kf), r * len(kf) + len(product))
+            new = is_first[at:][rows]
+            sums[slots[rows][new]] = product[new]
+            np.add.at(sums, slots[rows][~new], product[~new])
         at += len(k)
     return distinct, sums
 
@@ -113,22 +121,23 @@ def product_sums(pairs, rows: int = 8):
 # *Evaluating Derivatives*, SIAM 2008), never built as expressions.  Slot q of
 # a jet table is one partial of every monomial: 0 the monomial itself, 1-4
 # d_j, 5-8 d_j d_j, 9-14 d_j d_l for j < l.
+_MIXED = [(j, l) for j in range(4) for l in range(j + 1, 4)]
 _LOWER = np.array([[0] * 4] + np.eye(4, dtype=int).tolist() + (2 * np.eye(4, dtype=int)).tolist()
-                  + [[int(i in (j, l)) for i in range(4)] for j in range(4) for l in range(j + 1, 4)])
+                  + [[int(i in pair) for i in range(4)] for pair in _MIXED])
 # the pairs (j, l) of slots 5-14, and the factor 2 of a mixed pair in
 # sum_jl m[j, c] m[l, c] d_j d_l
-_PAIRS = np.array([[j, j] for j in range(4)] + [[j, l] for j in range(4) for l in range(j + 1, 4)]).T
-_TWICE = np.array([1.0] * 4 + [2.0] * 6)
+_PAIRS = np.array([(j, j) for j in range(4)] + _MIXED).T
+_TWICE = np.array([1.0] * 4 + [2.0] * 6, _C128)
 _JET_TABLES: dict = {}
-_BUDGET = 2048  # monomial slots per pass of _poly_slots: about 64 KB of temporaries
+_BUDGET = 1024  # monomial slots per pass of _poly_slots: about 32 KB per temporary
 
 
 def _jet_table(exps, slots: int):
-    """The monomials the first ``slots`` slots need, and per slot and term an
-    index into them and an integer weight.
+    """Per slot and term: where the four factors of the lowered monomial sit
+    in the flat table of powers y_c ** p, and its integer weight.
 
     d_j d_l x^e = e_j (e_l - [j = l]) x^(e - u_j - u_l); a weight of 0 marks
-    an exponent that drops below 0, whose index is clipped to 0.
+    an exponent that drops below 0, whose power is clipped to 0.
     """
     key = (exps.tobytes(), slots)
     table = _JET_TABLES.get(key)
@@ -136,9 +145,8 @@ def _jet_table(exps, slots: int):
         low = _LOWER[:slots, None, :]
         e = exps[None, :, :]
         weight = (np.where(low > 0, e, 1) * np.where(low > 1, e - 1, 1)).prod(axis=-1)
-        monos, index = np.unique(np.maximum(e - low, 0).reshape(-1, 4), axis=0,
-                                 return_inverse=True)
-        table = (monos, index.reshape(slots, -1), weight.astype(np.float64))
+        factors = np.maximum(e - low, 0) + (exps.max() + 1) * np.arange(4)
+        table = (factors, weight.astype(np.longdouble))
         if len(_JET_TABLES) < 64:  # the suites use a handful of tables
             _JET_TABLES[key] = table
     return table
@@ -152,7 +160,8 @@ def cdot(spec: str, x, y):
     """
     ins, out = spec.split("->")
     left, right = ins.split(",")
-    r = np.einsum(f"X{left},Y{right}->XY{out}", np.stack([x.real, x.imag]), np.stack([y.real, y.imag]))
+    r = np.einsum(f"X{left},Y{right}->XY{out}",
+                  np.stack([x.real, x.imag]), np.stack([y.real, y.imag]))
     z = np.empty(r.shape[2:], _C128)
     z.real = r[0, 0] - r[1, 1]
     z.imag = r[0, 1] + r[1, 0]
@@ -168,28 +177,29 @@ def _poly_slots(y, exps, coeffs, slots: int):
     """
     step = max(1, _BUDGET // (int(np.prod(y.shape[1:-1])) * slots * len(exps)))
     if len(y) > step:  # a pass at a time: rows are independent
-        return np.concatenate([_poly_slots(y[i:i + step], exps,
-                                           coeffs if coeffs.ndim == 2 else coeffs[i:i + step], slots)
-                               for i in range(0, len(y), step)])
-    monos, index, weight = _jet_table(exps, slots)
-    d = exps.max() + 1
+        return np.concatenate([
+            _poly_slots(y[i:i + step], exps, coeffs if coeffs.ndim == 2 else coeffs[i:i + step],
+                        slots) for i in range(0, len(y), step)])
+    factors, weight = _jet_table(exps, slots)
     y = y.astype(np.clongdouble)
-    powers = (y[..., :, None] ** np.arange(d)).reshape(y.shape[:-1] + (4 * d,))  # y_c ** p
-    factors = monos + d * np.arange(4)
-    mono = np.take(powers, factors[:, 0], axis=-1)
+    powers = np.empty(y.shape + (exps.max() + 1,), np.clongdouble)  # y_c ** p
+    powers[..., 0] = 1.0
+    for p in range(1, powers.shape[-1]):
+        powers[..., p] = powers[..., p - 1] * y
+    powers = powers.reshape(y.shape[:-1] + (-1,))
+    mono = np.take(powers, factors[..., 0], axis=-1)
     for c in (1, 2, 3):
-        mono = mono * np.take(powers, factors[:, c], axis=-1)
+        mono = mono * np.take(powers, factors[..., c], axis=-1)
     # both parts of both sides in one real contraction over t:
     # a[..., part q, t] and b[..., part i, t], contiguous along t
-    a = np.take(np.stack([mono.real, mono.imag], axis=-2), index, axis=-1)
-    a *= weight
-    a = a.reshape(a.shape[:-3] + (-1, len(exps)))
+    a = np.stack([mono.real, mono.imag], axis=-3) * weight
+    a = a.reshape(mono.shape[:-2] + (-1, len(exps)))
     c = np.swapaxes(coeffs, -1, -2)
     b = np.stack([c.real, c.imag], axis=-3).reshape(c.shape[:-2] + (8, -1)).astype(np.longdouble)
     r = np.einsum("...at,...bt->...ab", a, b).reshape(a.shape[:-2] + (2, slots, 2, 4))
     s = np.empty(r.shape[:-4] + (slots, 4), _C128)
-    s.real = r[..., 0, :, 0, :] - r[..., 1, :, 1, :]
-    s.imag = r[..., 0, :, 1, :] + r[..., 1, :, 0, :]
+    s.real = (r[..., 0, :, 0, :] - r[..., 1, :, 1, :]).astype(np.float64)
+    s.imag = (r[..., 0, :, 1, :] + r[..., 1, :, 0, :]).astype(np.float64)
     return s
 
 

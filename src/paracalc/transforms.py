@@ -144,7 +144,8 @@ def observer_rotation_sides(
     require_orthogonal(lam)
     rlam = reverse_rows(lam)
     to_pre = cdot("...ij,...jk->...ik", right_matrix(lam), left_matrix(rlam))  # X -> L~ X L
-    moved = block_times(block_times(block_pullback(f, to_pre), left_matrix(lam)), right_matrix(rlam))
+    moved = block_times(block_pullback(f, to_pre), left_matrix(lam))
+    moved = block_times(moved, right_matrix(rlam))
     pre = pv_mul_rows(pv_mul_rows(rlam, xps), lam)
     lhs, b = (_finite(assemble_div(d)) for d in block_bundle([moved, f], [xps, pre], mode))
     return lhs, pv_mul_rows(pv_mul_rows(lam, b), rlam)

@@ -95,7 +95,8 @@ def test_right_factor_is_exact():
 def test_wave_forms_are_exact(form):
     for lam, f, X in blocks(3, unimodular_paravector, lattice_field, lattice_event):
         lam = rows(*lam)
-        assert_sides(wave_invariance_sides(form, block_of(*f), lam, form_point(form, lam, rows(*X))))
+        Xp = form_point(form, lam, rows(*X))
+        assert_sides(wave_invariance_sides(form, block_of(*f), lam, Xp))
 
 
 def test_observer_rotation_is_exact():

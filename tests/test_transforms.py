@@ -106,7 +106,8 @@ def test_transform_case_rejects_near_singular():
     g = Paravector(1.0, (1.0, 0.0, 0.0))
     for op, right in TRANSPORTS.values():
         with pytest.raises(SingularParavector, match=r"require \|det\| >= 0\.1"):
-            transport_sides(op, right, rows(IDENTITY, g), block_of(random_field(0), random_field(1)),
+            transport_sides(op, right, rows(IDENTITY, g),
+                            block_of(random_field(0), random_field(1)),
                             rows(random_event(0), random_event(1)))
 
 
@@ -137,7 +138,8 @@ def test_right_factor_random_and_plane_wave():
     rng = np.random.default_rng(7)
     f = [sample(rng, i) for i in range(20)]
     g = [random_paravector(rng) for _ in range(20)]
-    d, gr = right_factor_sides(block_of(*f), rows(*g), rows(*(random_event(rng) for _ in range(20))))
+    X = rows(*(random_event(rng) for _ in range(20)))
+    d, gr = right_factor_sides(block_of(*f), rows(*g), X)
     assert max_abs(gap(d)) <= 1e-10 and max_abs(gap(gr)) <= 1e-10
 
 
