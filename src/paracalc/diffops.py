@@ -41,7 +41,6 @@ __all__ = [
     "box4",
     "div4_field",
     "grad4_field",
-    "BLOCK_EXPONENTS",
     "field_row",
     "block_jets",
     "block_bundle",
@@ -168,21 +167,19 @@ def box4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
 # g (n, 4, 4), a constant matrix on the values such as left_matrix(h) for
 # h A.  None stands for identity frames and factors and for no phase.  A
 # dense polynomial fills c; a plane wave is the constant row of c (row 0)
-# with its phase.
-
-BLOCK_EXPONENTS = _degree_exponents(3)
+# with its phase.  The table is fields._degree_exponents(3).
 
 
 def field_row(seed, plane_wave: bool = False):
     """random_field(seed), or random_plane_wave(seed), as a block row: its
-    coefficients on BLOCK_EXPONENTS and its phase, from the same doubles in
+    coefficients on the degree-3 table and its phase, from the same doubles in
     the same order, without building the Field."""
     rng = as_rng(seed)
     if not plane_wave:
-        coeffs = _random_complexes(rng, 1.0, 4 * len(BLOCK_EXPONENTS)).reshape(-1, 4)
+        coeffs = _random_complexes(rng, 1.0, 4 * len(_degree_exponents(3))).reshape(-1, 4)
         return coeffs, np.zeros(4, np.complex128)
     z = _random_complexes(rng, 1.0, 8)  # amplitude, then phase
-    coeffs = np.zeros((len(BLOCK_EXPONENTS), 4), np.complex128)
+    coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
     coeffs[0] = z[:4]
     return coeffs, z[4:]
 
@@ -190,7 +187,7 @@ def field_row(seed, plane_wave: bool = False):
 def block_jets(f, xs: np.ndarray, order: int) -> list:
     """kernels.jets of row p's field at xs[p], for every row of the block f."""
     m, k, c, g = f
-    out = kernels.jets(xs, m, k, BLOCK_EXPONENTS, c, order)
+    out = kernels.jets(xs, m, k, _degree_exponents(3), c, order)
     if g is None:
         return out
     return [kernels.cdot("...ij,...j->...i", g, out[0])] + [

@@ -104,7 +104,9 @@ def _canonical_terms(exps, coeffs):
         raise ValueError("exponent and coefficient counts differ")
     if exps.size and (exps.min() < 0 or exps.max() > DEGREE_CAP):
         raise ValueError(f"exponents must lie in [0, {DEGREE_CAP}]")
-    keys = _keys(exps)
+    # base-(DEGREE_CAP + 1) digits, so keys order like the exponent tuples
+    b = _KEY_BASE
+    keys = ((exps[:, 0] * b + exps[:, 1]) * b + exps[:, 2]) * b + exps[:, 3]
     if not (keys[1:] > keys[:-1]).all():
         # Not sorted or not distinct.  A dense table over the keys lists them
         # in order; numpy applies repeated fancy-index writes in order, so
@@ -291,15 +293,8 @@ class Field:
                     raise ValueError("rho and the field have different frames")
                 m, k, key = _group_key(mf, kr + kf, er.any() or ef.any())
                 joined.setdefault(key, (m, k, []))[2].append((er, cr, ef, cf))
-        groups = []
-        for m, k, pairs in joined.values():
-            if any((er.max(axis=0) + ef.max(axis=0) > DEGREE_CAP).any() for er, _, ef, _ in pairs):
-                raise ValueError(f"exponents must lie in [0, {DEGREE_CAP}]")
-            keys, coeffs = kernels.product_sums([(_keys(er), cr, _keys(ef), cf)
-                                                 for er, cr, ef, cf in pairs])
-            exps = keys[:, None] // _KEY_BASE ** np.arange(3, -1, -1) % _KEY_BASE
-            groups.append((m, k, exps, coeffs))
-        return Field._of(_merged(groups))
+        return Field._of(_merged([(m, k, *kernels.product_sums(pairs, DEGREE_CAP))
+                                  for m, k, pairs in joined.values()]))
 
     @staticmethod
     def sum(*fields: "Field") -> "Field":
@@ -354,12 +349,6 @@ def _group_key(m, k, has_exponents: bool):
         raise ValueError("frame entries must be finite")
     m = None if m is None or not has_exponents else _frozen(m + 0.0)
     return m, k, (_frame_key(m), k.tobytes())
-
-
-def _keys(exps):
-    """Base-(DEGREE_CAP + 1) digits, so keys order like the exponent tuples."""
-    b = _KEY_BASE
-    return ((exps[:, 0] * b + exps[:, 1]) * b + exps[:, 2]) * b + exps[:, 3]
 
 
 def _merged(groups):

@@ -9,6 +9,8 @@ points, each row on its own; ``product_sums`` merges the products of a scalar
 field with a field.
 """
 
+import math
+
 import numpy as np
 
 _C128 = np.complex128
@@ -87,32 +89,41 @@ def plane_wave_eval_rows(k4, amps, xs):
 _PRODUCT_ROWS = 8  # rows of the scalar side multiplied at a time
 
 
-def product_sums(pairs):
-    """Products of scalar rows with field rows, summed per key, in order.
+def product_sums(pairs, cap: int):
+    """The rows of products of scalar rows with field rows, merged.
 
-    ``pairs`` holds (keys_r (R,), cr (R, 4), keys_f (F,), cf (F, 4)); the
-    product of rows r and f is cr[r, 0] * cf[f] under the key keys_r[r] +
-    keys_f[f].  Returns the distinct keys, sorted, and per key the sum of its
-    products added onto the first in order of appearance (the pairs in
-    order, then r, then f), as a merge of the table of all products would
-    add them.  That table is never built, only a few rows of it at a time.
+    ``pairs`` holds (er, cr, ef, cf): exponent and coefficient rows of a
+    scalar polynomial and of a field polynomial; the product of rows r and f
+    is cr[r, 0] * cf[f] with exponents er[r] + ef[f], each at most ``cap``.
+    Returns the distinct exponent rows, in lexicographic order, and per row
+    the sum of its products added onto the first in order of appearance
+    (the pairs in order, then r, then f), as a merge of the table of all
+    products would add them.  That table is never built, only a few rows of
+    it at a time.
     """
-    keys = [(kr[:, None] + kf[None, :]).ravel() for kr, _, kf, _ in pairs]
-    distinct, first = np.unique(np.concatenate(keys), return_index=True)
-    is_first = np.zeros(sum(map(len, keys)), bool)
-    is_first[first] = True
+    if any((er.max(axis=0) + ef.max(axis=0) > cap).any() for er, _, ef, _ in pairs):
+        raise ValueError(f"exponents must lie in [0, {cap}]")
+    digits = (cap + 1) ** np.arange(3, -1, -1)  # keys order like the exponent rows
+    keys = np.concatenate([((er @ digits)[:, None] + ef @ digits).ravel() for er, _, ef, _ in pairs])
+    # a table over the keys lists them in order; numpy applies repeated
+    # fancy-index writes in order, so writing backwards leaves the first
+    order = np.arange(len(keys))
+    first = np.full(keys.max() + 1, -1, np.intp)
+    first[keys[::-1]] = order[::-1]
+    distinct = np.flatnonzero(first >= 0)
+    slot = np.cumsum(first >= 0) - 1  # the key's row among the distinct keys
+    is_first = first[keys] == order
     sums = np.empty((len(distinct), 4), _C128)
     at = 0  # the products of the pairs before this one
-    for (kr, cr, kf, cf), k in zip(pairs, keys):
-        slots = np.searchsorted(distinct, k)
-        for r in range(0, len(kr), _PRODUCT_ROWS):
+    for er, cr, ef, cf in pairs:
+        for r in range(0, len(er), _PRODUCT_ROWS):
             product = (cr[r:r + _PRODUCT_ROWS, None, :1] * cf[None, :, :]).reshape(-1, 4)
-            rows = slice(r * len(kf), r * len(kf) + len(product))
-            new = is_first[at:][rows]
-            sums[slots[rows][new]] = product[new]
-            np.add.at(sums, slots[rows][~new], product[~new])
-        at += len(k)
-    return distinct, sums
+            rows = slice(at, at + len(product))
+            to, new = slot[keys[rows]], is_first[rows]
+            sums[to[new]] = product[new]
+            np.add.at(sums, to[~new], product[~new])
+            at += len(product)
+    return distinct[:, None] // digits % (cap + 1), sums
 
 
 # -- forward-mode jets --------------------------------------------------------
@@ -121,20 +132,18 @@ def product_sums(pairs):
 # *Evaluating Derivatives*, SIAM 2008), never built as expressions.  Slot q of
 # a jet table is one partial of every monomial: 0 the monomial itself, 1-4
 # d_j, 5-8 d_j d_j, 9-14 d_j d_l for j < l.
+_DIAGONAL = [(j, j) for j in range(4)]
 _MIXED = [(j, l) for j in range(4) for l in range(j + 1, 4)]
-_LOWER = np.array([[0] * 4] + np.eye(4, dtype=int).tolist() + (2 * np.eye(4, dtype=int)).tolist()
-                  + [[int(i in pair) for i in range(4)] for pair in _MIXED])
-# the pairs (j, l) of slots 5-14, and the factor 2 of a mixed pair in
-# sum_jl m[j, c] m[l, c] d_j d_l
-_PAIRS = np.array([(j, j) for j in range(4)] + _MIXED).T
-_TWICE = np.array([1.0] * 4 + [2.0] * 6, _C128)
+_LOWER = ([[0] * 4] + [[int(i == j) for i in range(4)] for j in range(4)]
+          + [[2 * int(i == j) for i in range(4)] for j in range(4)]
+          + [[int(i in pair) for i in range(4)] for pair in _MIXED])
 _JET_TABLES: dict = {}
-_BUDGET = 1024  # monomial slots per pass of _poly_slots: about 32 KB per temporary
+_BUDGET = 768  # monomial slots per pass of _poly_slots: at most 96 KB per temporary
 
 
 def _jet_table(exps, slots: int):
-    """Per slot and term: where the four factors of the lowered monomial sit
-    in the flat table of powers y_c ** p, and its integer weight.
+    """The powers p of a table of y_c ** p, and per slot and term where the
+    four factors of the lowered monomial sit in it and its integer weight.
 
     d_j d_l x^e = e_j (e_l - [j = l]) x^(e - u_j - u_l); a weight of 0 marks
     an exponent that drops below 0, whose power is clipped to 0.
@@ -142,11 +151,12 @@ def _jet_table(exps, slots: int):
     key = (exps.tobytes(), slots)
     table = _JET_TABLES.get(key)
     if table is None:
-        low = _LOWER[:slots, None, :]
+        low = np.array(_LOWER[:slots])[:, None, :]
         e = exps[None, :, :]
         weight = (np.where(low > 0, e, 1) * np.where(low > 1, e - 1, 1)).prod(axis=-1)
-        factors = np.maximum(e - low, 0) + (exps.max() + 1) * np.arange(4)
-        table = (factors, weight.astype(np.longdouble))
+        powers = np.arange(exps.max() + 1).astype(np.clongdouble)
+        factors = np.maximum(e - low, 0) + len(powers) * np.arange(4)
+        table = (powers, factors, weight.astype(np.longdouble))
         if len(_JET_TABLES) < 64:  # the suites use a handful of tables
             _JET_TABLES[key] = table
     return table
@@ -175,21 +185,14 @@ def _poly_slots(y, exps, coeffs, slots: int):
     the correctly rounded value of the polynomial (on x86-64, to about one
     rounding in double), whatever the cancellation among its terms.
     """
-    step = max(1, _BUDGET // (int(np.prod(y.shape[1:-1])) * slots * len(exps)))
+    step = max(1, _BUDGET // (math.prod(y.shape[1:-1]) * slots * len(exps)))
     if len(y) > step:  # a pass at a time: rows are independent
         return np.concatenate([
             _poly_slots(y[i:i + step], exps, coeffs if coeffs.ndim == 2 else coeffs[i:i + step],
                         slots) for i in range(0, len(y), step)])
-    factors, weight = _jet_table(exps, slots)
-    y = y.astype(np.clongdouble)
-    powers = np.empty(y.shape + (exps.max() + 1,), np.clongdouble)  # y_c ** p
-    powers[..., 0] = 1.0
-    for p in range(1, powers.shape[-1]):
-        powers[..., p] = powers[..., p - 1] * y
-    powers = powers.reshape(y.shape[:-1] + (-1,))
-    mono = np.take(powers, factors[..., 0], axis=-1)
-    for c in (1, 2, 3):
-        mono = mono * np.take(powers, factors[..., c], axis=-1)
+    powers, factors, weight = _jet_table(exps, slots)
+    powers = y.astype(np.clongdouble)[..., :, None] ** powers  # y_c ** p
+    mono = np.take(powers.reshape(y.shape[:-1] + (-1,)), factors, axis=-1).prod(axis=-1)
     # both parts of both sides in one real contraction over t:
     # a[..., part q, t] and b[..., part i, t], contiguous along t
     a = np.stack([mono.real, mono.imag], axis=-3) * weight
@@ -230,8 +233,9 @@ def jets(xs, m, k, exps, coeffs, order: int = 1):
         elif order:
             out.append(np.swapaxes(s[..., 1:5, :], -1, -2))
         if order == 2 and framed:  # sum_jl m[j, c] m[l, c] (d_j d_l P)_i
-            j, l = _PAIRS
-            mm = m[..., j, :] * m[..., l, :] * _TWICE[:, None]
+            j, l = zip(*(_DIAGONAL + _MIXED))
+            mm = m[..., j, :] * m[..., l, :]
+            mm[..., 4:, :] *= 2.0  # d_j d_l and d_l d_j
             out.append(cdot("...qc,...qi->...ic", mm, s[..., 5:15, :]))
         elif order == 2:
             out.append(np.swapaxes(s[..., 5:9, :], -1, -2))

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 
 from paracalc.algebra import IDENTITY, Event, Paravector, mul
-from paracalc.diffops import BLOCK_EXPONENTS, div4, grad4
-from paracalc.fields import Field
+from paracalc.diffops import div4, grad4
+from paracalc.fields import Field, _degree_exponents
 
 #: the four transport identities, as transforms.transport_sides's (op, right)
 TRANSPORTS = {
@@ -65,13 +65,13 @@ def rows(*values):
     return np.array([v.data for v in values])
 
 
-_TABLE = {tuple(e): t for t, e in enumerate(BLOCK_EXPONENTS.tolist())}
+_TABLE = {tuple(e): t for t, e in enumerate(_degree_exponents(3).tolist())}
 
 
 def block_of(*fields):
     """Fields as one block (diffops): polynomials of degree <= 3 times one
     phase (plane waves among them), each in the identity frame."""
-    c = np.zeros((len(fields), len(BLOCK_EXPONENTS), 4), np.complex128)
+    c = np.zeros((len(fields), len(_TABLE), 4), np.complex128)
     k = np.zeros((len(fields), 4), np.complex128)
     for p, f in enumerate(fields):
         assert len({g[1].tobytes() for g in f._groups}) <= 1, "a block field has one phase"
