@@ -34,7 +34,6 @@ __all__ = [
     "DiffMode",
     "EXACT",
     "bundle",
-    "field_jets",
     "assemble_div",
     "assemble_grad",
     "div4",
@@ -85,12 +84,11 @@ def bundle(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
     x = X.data
     if isinstance(mode, Numeric):
         return central_differences(f._value, x[None], mode.h).T
-    return field_jets(f, x[None], 1)[1][0]
+    return _jets(f, x[None], 1)[1][0]
 
 
-def field_jets(f: Field, xs: np.ndarray, order: int) -> list:
-    """kernels.jets of each of f's groups at the (n, 4) points, summed over the groups:
-    the value, then the exact first and repeated second partials, per row."""
+def _jets(f: Field, xs: np.ndarray, order: int) -> list:
+    """kernels.jets of each of f's groups at the (n, 4) points, summed over the groups."""
     total = None
     for m, k, exps, coeffs in f._groups:
         parts = kernels.jets(xs, m, k if k.any() else None, exps, coeffs, order)
@@ -153,7 +151,7 @@ def _second_partials(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
             return central_differences(f._value, xs, h).reshape(-1, 4, 4)[r, r % 4]
 
         return central_differences(firsts, x[None], h).T
-    return field_jets(f, x[None], 2)[2][0]
+    return _jets(f, x[None], 2)[2][0]
 
 
 def box4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
@@ -347,7 +345,7 @@ def max_partial_errors(fields, points, steps) -> list[float]:
     """
     pts = np.array(points, dtype=np.complex128).reshape(-1, 4)
     # rows in central_differences' order: point, then coordinate
-    exact = [np.swapaxes(field_jets(f, pts, 1)[1], 1, 2).reshape(-1, 4) for f in fields]
+    exact = [np.swapaxes(_jets(f, pts, 1)[1], 1, 2).reshape(-1, 4) for f in fields]
     errors = []
     for h in steps:
         worst = 0.0

@@ -18,7 +18,7 @@ from paracalc.algebra import (
     reverse,
     right_matrix,
 )
-from paracalc.diffops import Numeric, box4, bundle, central_differences, field_jets
+from paracalc.diffops import Numeric, _jets, box4, bundle, central_differences
 from paracalc.fields import (
     DEGREE_CAP,
     Field,
@@ -702,7 +702,7 @@ def test_jets_match_the_lowered_rows(kind):
         f = field_of_kind(kind, rng)
         xs = random_rows(rng, 20)  # spread rows, then exact and signed-zero rows
         with np.errstate(all="ignore"):  # the spread rows reach exp overflow
-            value, d1, d2 = field_jets(f, xs, 2)
+            value, d1, d2 = _jets(f, xs, 2)
             assert _gap(value, f._value(xs)) <= 1e-13
             for c in range(4):
                 assert _gap(d1[:, :, c], f.partial(c)._value(xs)) <= 1e-13

@@ -340,7 +340,7 @@ def test_convergence_ok_band_check():
 
 def _steep_y(monkeypatch):
     """Make every exact y-partial 1.5 times too large; values are untouched."""
-    jets = diffops.field_jets
+    jets = diffops._jets
 
     def steep(f, xs, order):
         out = jets(f, xs, order)
@@ -348,7 +348,7 @@ def _steep_y(monkeypatch):
             out[1] = out[1] * np.array([1.0, 1.0, 1.5, 1.0])
         return out
 
-    monkeypatch.setattr(diffops, "field_jets", steep)
+    monkeypatch.setattr(diffops, "_jets", steep)
 
 
 def test_convergence_ok_rejects_flat_error(monkeypatch):
