@@ -14,7 +14,7 @@ from paracalc.algebra import IDENTITY, Event, Paravector, det, inverse, mul, rev
 from paracalc.cli import main
 from paracalc.transforms import InvarianceForm, form_point
 from paracalc.algebra import conjugate_rotate
-from paracalc.diffops import EXACT, Numeric, bundle, central_differences, max_partial_errors
+from paracalc.diffops import EXACT, bundle, central_differences, max_partial_errors
 from paracalc.fields import (
     Field,
     _random_complexes,
