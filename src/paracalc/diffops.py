@@ -25,7 +25,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from . import kernels
-from .algebra import BASIS, Event, Paravector
+from .algebra import BASIS, Event, Paravector, left_matrix
 from .fields import Field, _degree_exponents, _random_complexes, as_rng
 
 __all__ = [
@@ -42,10 +42,16 @@ __all__ = [
     "div4_field",
     "grad4_field",
     "field_row",
+    "null_wave_row",
+    "scalar_row",
     "block_jets",
     "block_bundle",
     "block_pullback",
     "block_times",
+    "block_partial",
+    "block_div4_field",
+    "block_grad4_field",
+    "block_scalar_mul",
     "additivity_sides",
     "leibniz_sides",
     "product_rule_failure_witness",
@@ -184,10 +190,29 @@ def field_row(seed, plane_wave: bool = False):
     return coeffs, z[4:]
 
 
+#: rows of a block's coefficients -> the degree of its exponent table: 3, or
+#: 6 for the products of two degree-3 rows (block_scalar_mul)
+_DEGREE = {35: 3, 210: 6}
+
+
+def null_wave_row(seed):
+    """null_plane_wave(seed) as a block row (its coefficients and phase), from
+    the same doubles in the same order, without building the Field."""
+    z = _random_complexes(as_rng(seed), 1.0, 7)  # amplitude, then kappa
+    coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
+    coeffs[0] = z[:4]
+    return coeffs, np.concatenate([[np.sqrt(np.complex128(z[4:] @ z[4:]))], z[4:]])
+
+
+def scalar_row(seed) -> np.ndarray:
+    """random_scalar_field(seed)'s scalar coefficients on the degree-3 table (35,)."""
+    return _random_complexes(as_rng(seed), 1.0, len(_degree_exponents(3)))
+
+
 def block_jets(f, xs: np.ndarray, order: int) -> list:
     """kernels.jets of row p's field at xs[p], for every row of the block f."""
     m, k, c, g = f
-    out = kernels.jets(xs, m, k, _degree_exponents(3), c, order)
+    out = kernels.jets(xs, m, k, _degree_exponents(_DEGREE[c.shape[-2]]), c, order)
     if g is None:
         return out
     return [kernels.cdot("...ij,...j->...i", g, out[0])] + [
@@ -211,14 +236,20 @@ def block_bundle(blocks, points, mode: DiffMode = EXACT) -> list:
         pts = pts.reshape(2, len(xs), 4, 4)
         out = np.empty(pts.shape, np.complex128)
         for f, hi, n in zip(blocks, ends, map(len, points)):
-            lo = hi - n
-            rows = pts[:, lo:hi].swapaxes(0, 1).reshape(n, 8, 4)
-            per_row = tuple(None if a is None else a[:, None] for a in f)
-            out[:, lo:hi] = block_jets(per_row, rows, 0)[0].reshape(n, 2, 4, 4).swapaxes(0, 1)
+            out[:, hi - n:hi] = _at_rows(f, pts[:, hi - n:hi])[0]
         return out.reshape(-1, 4)
 
     d = central_differences(value_fn, xs, mode.h).reshape(-1, 4, 4).swapaxes(1, 2)
     return np.split(d, ends[:-1])
+
+
+def _at_rows(f, pts: np.ndarray, order: int = 0) -> list:
+    """block_jets of row p's field at every point pts[a, p, b] of an (A, n, B, 4)
+    stack, the layout of a stencil's rows (sign, point, coordinate)."""
+    a, n, b = pts.shape[:3]
+    per_row = tuple(None if x is None else x[:, None] for x in f)
+    out = block_jets(per_row, pts.swapaxes(0, 1).reshape(n, a * b, 4), order)
+    return [d.reshape((n, a, b) + d.shape[2:]).swapaxes(0, 1) for d in out]
 
 
 def block_pullback(f, maps: np.ndarray):
@@ -232,6 +263,97 @@ def block_times(f, matrices: np.ndarray):
     """Row p's values times matrices[p] (n, 4, 4), such as left_matrix(h) for h A."""
     m, k, c, g = f
     return m, k, c, matrices if g is None else kernels.cdot("...ij,...jk->...ik", matrices, g)
+
+
+_TABLES: dict = {}  # index tables on the exponent tables, built on first use
+
+
+def _rows_of(degree: int, exps: np.ndarray) -> np.ndarray:
+    """The rows of the degree-d exponent table that hold the exponent rows exps."""
+    digits = 9 ** np.arange(3, -1, -1)  # the table is lexicographic: its keys increase
+    return np.searchsorted(_degree_exponents(degree) @ digits, exps @ digits)
+
+
+def _lowering(rows: int, j: int):
+    """On the exponent table of ``rows`` rows: the rows whose exponent j is
+    positive, the rows that lowering it by one gives, and that exponent as
+    an (r, 1) column."""
+    if (rows, j) not in _TABLES:
+        exps = _degree_exponents(_DEGREE[rows])
+        src = np.flatnonzero(exps[:, j])
+        low = exps[src] - np.eye(4, dtype=np.int64)[j]
+        _TABLES[rows, j] = src, _rows_of(_DEGREE[rows], low), exps[src, j, None]
+    return _TABLES[rows, j]
+
+
+def block_partial(f, c: int):
+    """The partial along coordinate c of every row of the block f, on its table.
+
+    Field._partial's rule on the table's rows: each coefficient times its
+    exponent j moves to the row lowered along j, and a phase adds k_c times
+    the row.  An unframed row lowers along c; a frame M takes
+    sum_j M[j, c] d_j P (M X), so the frame stays.  The factor g stays too.
+    """
+    m, k, coeffs, g = f
+    out = np.zeros_like(coeffs) if k is None else k[:, c, None, None] * coeffs
+    for j in (c,) if m is None else range(4):
+        src, dst, e = _lowering(coeffs.shape[-2], j)
+        low = coeffs[:, src] * e
+        out[:, dst] += low if m is None else m[:, j, c, None, None] * low
+    return m, k, out, g
+
+
+def _operator_field(f, signs):
+    """sum_c E_c (d_c A) on a block, E_c the unit paravectors times signs[c].
+
+    Component i of E_c A is one component of A times +-1 or +-i, so each
+    term is exact, and the terms add in the order of c, as Field.sum adds
+    the four partial fields.
+    """
+    m, k, coeffs, g = f
+    if g is not None:  # the factor on the values moves into the coefficients
+        f = m, k, kernels.cdot("...ij,...tj->...ti", g, coeffs), None
+    units = left_matrix(np.diag(np.array(signs, np.complex128)))  # column j is E_c e_j
+    source = np.abs(units).argmax(axis=-1)  # [c, i]: the component of A in (E_c A)_i
+    out = np.zeros_like(coeffs)
+    for c in range(4):
+        d = block_partial(f, c)[2]
+        for i, j in enumerate(source[c]):
+            out[..., i] += units[c, i, j] * d[..., j]
+    return m, k, out, None
+
+
+def block_div4_field(f):
+    """div4 of every row of the block f as a block: sum_c E_c d_c A from
+    block_partial, the lowered rows, never from jets."""
+    return _operator_field(f, (1, 1, 1, 1))
+
+
+def block_grad4_field(f):
+    """grad4 of every row of the block f as a block (the nabla terms negated)."""
+    return _operator_field(f, (1, -1, -1, -1))
+
+
+
+def block_scalar_mul(rho: np.ndarray, f):
+    """rho f for the scalars rho (n, 35) and the unframed block f, on the
+    degree-6 table: row p's product P_rho P_f, with f's phase and factor.
+
+    Term i of rho times term t of f lands on the row of e_i + e_t, a fixed
+    table built on first use.  For each i those rows are distinct, so the
+    products add onto each row in order of rho's terms, as Field.scalar_mul
+    adds them, and every operation is elementwise.
+    """
+    m, k, coeffs, g = f
+    if m is not None:
+        raise ValueError("block_scalar_mul takes unframed rows")
+    if "products" not in _TABLES:
+        low = _degree_exponents(3)
+        _TABLES["products"] = _rows_of(6, low[:, None] + low[None, :])
+    out = np.zeros((len(coeffs), len(_degree_exponents(6)), 4), np.complex128)
+    for i, to in enumerate(_TABLES["products"]):
+        out[:, to] += rho[:, i, None, None] * coeffs
+    return None, k, out, g
 
 
 # -- operators as field constructions ----------------------------------------

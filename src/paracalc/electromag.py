@@ -26,8 +26,27 @@ from typing import Tuple
 import numpy as np
 
 from .algebra import Event, Paravector
-from .diffops import DiffMode, EXACT, box4, div4, div4_field, grad4, grad4_field
-from .fields import Field, as_rng, random_scalar_field
+from .diffops import (
+    DiffMode,
+    EXACT,
+    _at_rows,
+    _lowering,
+    assemble_box,
+    assemble_div,
+    assemble_grad,
+    block_div4_field,
+    block_grad4_field,
+    block_jets,
+    block_partial,
+    block_pullback,
+    box4,
+    central_differences,
+    div4,
+    div4_field,
+    grad4,
+    grad4_field,
+)
+from .fields import Field, _degree_exponents, as_rng, random_scalar_field
 
 __all__ = [
     "PhysConstants",
@@ -40,7 +59,14 @@ __all__ = [
     "source_field_from_em",
     "wave_sides",
     "plane_wave_potential",
+    "plane_wave_row",
+    "random_wave_row",
     "lorenz_gauge_potential",
+    "block_lorenz_potential",
+    "block_em_from_potential",
+    "block_sources",
+    "block_wave_sides",
+    "block_gauss_law_sides",
 ]
 
 
@@ -140,6 +166,34 @@ def plane_wave_potential(
     |pol . kvec| (bilinear dot) exceeds 1e-12 |kvec| |pol|, which bounds it,
     and ZeroWaveVector when kvec vanishes.
     """
+    amplitude, phase = plane_wave_row(kvec, pol, amp, k)
+    return PotentialField(Field.plane_wave(phase, Paravector.from_data(amplitude)))
+
+
+def random_wave_row(seed, k: PhysConstants = PhysConstants()):
+    """A random vacuum plane-wave potential as a block row (see diffops): its
+    coefficients on the degree-3 table and its phase.  The wave vector has
+    norm >= 0.3 and the polarization, projected orthogonal to it, norm
+    >= 0.2, each redrawn until it does; then a complex amplitude."""
+    rng = as_rng(seed)
+    kvec = rng.uniform(-1.0, 1.0, size=3)
+    while np.linalg.norm(kvec) < 0.3:
+        kvec = rng.uniform(-1.0, 1.0, size=3)
+    raw = rng.uniform(-1.0, 1.0, size=3)
+    pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
+    while np.linalg.norm(pol) < 0.2:
+        raw = rng.uniform(-1.0, 1.0, size=3)
+        pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
+    amp = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    amplitude, phase = plane_wave_row(kvec, pol, amp, k)
+    coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
+    coeffs[0] = amplitude  # a plane wave is the constant row
+    return coeffs, phase
+
+
+def plane_wave_row(kvec, pol, amp=1.0, k: PhysConstants = PhysConstants()):
+    """plane_wave_potential's amplitude (0; -c amp pol) and phase
+    (i omega, -i kvec), each (4,), checked as that function checks them."""
     kv = np.asarray(kvec, dtype=np.complex128)
     pv = np.asarray(pol, dtype=np.complex128)
     if kv.shape != (3,) or pv.shape != (3,):
@@ -149,8 +203,8 @@ def plane_wave_potential(
     if abs(kv @ pv) > 1e-12 * np.linalg.norm(kv) * np.linalg.norm(pv):
         raise NonTransverse(f"pol . kvec = {kv @ pv!r} is not zero")
     omega = k.c * np.sqrt(np.complex128(kv @ kv))
-    amplitude = Paravector(0.0, -k.c * np.complex128(amp) * pv)
-    return PotentialField(Field.plane_wave(np.concatenate([[1j * omega], -1j * kv]), amplitude))
+    return (np.concatenate([[0.0], -k.c * np.complex128(amp) * pv]),
+            np.concatenate([[1j * omega], -1j * kv]))
 
 
 def lorenz_gauge_potential(
@@ -176,3 +230,70 @@ def lorenz_gauge_potential(
         np.concatenate([p.exps for p in comps]),
         np.concatenate([np.roll(p.coeffs, i, axis=1) for i, p in enumerate(comps)]),
     ))
+
+
+# -- blocks: one potential per row (see diffops) ------------------------------
+
+def block_lorenz_potential(w: np.ndarray, k: PhysConstants = PhysConstants()):
+    """lorenz_gauge_potential as a block row per draw: w (n, 35, 3) holds the
+    three scalar polynomials of W = -cA on the degree-3 table, and
+    phi = c int (div W) dt is raised along t on the same table (div W has
+    degree <= 2), with the rows of lorenz_gauge_potential's coefficients."""
+    c = np.zeros(w.shape[:2] + (4,), np.complex128)
+    c[..., 1:] = w
+    div_w = sum(block_partial((None, None, c, None), i)[2][..., i] for i in (1, 2, 3))
+    src, dst, e = _lowering(c.shape[1], 0)  # t-antiderivative: t^e / e from t^(e-1)
+    c[:, src, 0] = k.c * div_w[:, dst] / e[:, 0]
+    return None, None, c, None
+
+
+def _scaled(pot, xs: np.ndarray, c: float):
+    """The block pulled back to the rescaled time tau = c t, and the points as (tau, r)."""
+    if c == 1.0:
+        return pot, xs
+    tau = xs.copy()
+    tau[:, 0] *= c
+    return block_pullback(pot, np.broadcast_to(np.diag((1.0 / c, 1.0, 1.0, 1.0)),
+                                               (len(xs), 4, 4))), tau
+
+
+def block_em_from_potential(pot, xs: np.ndarray, k: PhysConstants = PhysConstants()):
+    """em_from_potential of row p's potential at xs[p]: (gauge; E + icB) rows."""
+    f, tau = _scaled(pot, xs, k.c)
+    return assemble_grad(block_jets(f, tau, 1)[1])
+
+
+def block_sources(pot, xs: np.ndarray, k: PhysConstants = PhysConstants()):
+    """sources_from_em of row p's field (em_field_from_potential, from the
+    lowered rows) at xs[p]: (rho/eps0; -j/(c eps0)) rows."""
+    f, tau = _scaled(pot, xs, k.c)
+    return assemble_div(block_jets(block_grad4_field(f), tau, 1)[1])
+
+
+def block_wave_sides(pot, xs: np.ndarray, k: PhysConstants = PhysConstants()):
+    """wave_sides of row p's potential at xs[p], the source field built from
+    the lowered rows: box4 of the potential (jets), and the source's value."""
+    f, tau = _scaled(pot, xs, k.c)
+    src = block_div4_field(block_grad4_field(f))
+    return assemble_box(block_jets(f, tau, 2)[2]), block_jets(src, tau, 0)[0]
+
+
+def block_gauss_law_sides(pot, xs: np.ndarray, h: float, k: PhysConstants = PhysConstants()):
+    """Numeric rho/eps0 of row p's field at xs[p], and the numeric div E of its
+    exact E (jets of the potential), both real and at step h.
+
+    Both difference one stencil: its value function returns, per point, the
+    field's value (from the lowered rows) beside the potential's c-scaled
+    4-gradient.
+    """
+    f, tau = _scaled(pot, xs, k.c)
+    emf, n = block_grad4_field(f), len(xs)
+
+    def value_fn(pts):
+        pts = pts.reshape(2, n, 4, 4)
+        both = [_at_rows(emf, pts)[0], assemble_grad(_at_rows(f, pts, 1)[1])]
+        return np.concatenate(both, axis=-1).reshape(-1, 8)
+
+    d = central_differences(value_fn, tau, h).reshape(n, 4, 8)  # [p, coordinate, column]
+    src = assemble_div(d[..., :4].swapaxes(1, 2))[:, 0]
+    return src.real, d[:, 1, 5].real + d[:, 2, 6].real + d[:, 3, 7].real

@@ -190,13 +190,24 @@ def _poly_slots(y, exps, coeffs, slots: int):
         return np.concatenate([
             _poly_slots(y[i:i + step], exps, coeffs if coeffs.ndim == 2 else coeffs[i:i + step],
                         slots) for i in range(0, len(y), step)])
+    step = max(1, _BUDGET // (slots * len(exps)))
+    if y.ndim == 3 and y.shape[1] > step:  # one row (1, k, 4) past the budget: its points
+        shared = coeffs.ndim == 2 or coeffs.shape[1] == 1
+        return np.concatenate([
+            _poly_slots(y[:, j:j + step], exps, coeffs if shared else coeffs[:, j:j + step],
+                        slots) for j in range(0, y.shape[1], step)], axis=1)
     powers, factors, weight = _jet_table(exps, slots)
     powers = y.astype(np.clongdouble)[..., :, None] ** powers  # y_c ** p
-    mono = np.take(powers.reshape(y.shape[:-1] + (-1,)), factors, axis=-1).prod(axis=-1)
+    powers = powers.reshape(y.shape[:-1] + (-1,))
+    mono = np.take(powers, factors[..., 0], axis=-1)
+    for c in (1, 2, 3):  # left to right, as prod over the four factors multiplies
+        mono *= np.take(powers, factors[..., c], axis=-1)
     # both parts of both sides in one real contraction over t:
     # a[..., part q, t] and b[..., part i, t], contiguous along t
-    a = np.stack([mono.real, mono.imag], axis=-3) * weight
+    a = np.stack([mono.real, mono.imag], axis=-3)
+    a *= weight
     a = a.reshape(mono.shape[:-2] + (-1, len(exps)))
+    del mono  # the largest temporary of a pass
     c = np.swapaxes(coeffs, -1, -2)
     b = np.stack([c.real, c.imag], axis=-3).reshape(c.shape[:-2] + (8, -1)).astype(np.longdouble)
     r = np.einsum("...at,...bt->...ab", a, b).reshape(a.shape[:-2] + (2, slots, 2, 4))
@@ -247,8 +258,9 @@ def jets(xs, m, k, exps, coeffs, order: int = 1):
         return out
     kx = cmul(k, xs)  # the phase rounds as plane_wave_eval rounds it
     e = np.exp(kx[..., 0] + kx[..., 1] + kx[..., 2] + kx[..., 3])[..., None]
-    kc = k[..., None, :]  # the phase factor of d_c
-    kp = kc * out[0][..., :, None]
+    if order:
+        kc = k[..., None, :]  # the phase factor of d_c
+        kp = kc * out[0][..., :, None]
     if order == 2:
         out[2] = (out[2] + 2.0 * kc * out[1] + kc * kp) * e[..., None]
     if order:

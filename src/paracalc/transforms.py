@@ -1,4 +1,4 @@
-"""Residual evaluators for the operator transport identities, on blocks.
+"""Residual evaluators for the operator identities, on blocks.
 
 Each evaluator takes a block of samples and returns the two sides of one
 identity as (n, 4) rows: row p at the drawn point X_p and at its derived
@@ -6,6 +6,13 @@ point X'_p.  Paravectors and events are (n, 4) rows, fields a block of
 ``diffops`` (one field per row over the degree-3 exponent table), and one
 sample is a block of one.  Both sides of a block are evaluated in one
 stacked call, the left side's rows first.  Identities covered:
+
+* the operators' own identities (the diffop suite): div4 and grad4 against
+  sum_k E_k d_k A, the factorization box4 = grad4 div4 = div4 grad4 (exact
+  and numeric), additivity and the scalar product rule.  The oracle fields
+  (diffops.block_div4_field, block_grad4_field) come from the lowered rows
+  and are only evaluated, so each exact-mode pair sets them against the
+  jets: two independent derivative codes;
 
 * transport (transport_sides), one rule for div4 with the factor g and grad4
   with the factor g~, which multiplies the moved field's values for div4 on a
@@ -40,19 +47,30 @@ from .algebra import (
 from .diffops import (
     EXACT,
     DiffMode,
+    _at_rows,
     assemble_box,
     assemble_div,
     assemble_grad,
     block_bundle,
+    block_div4_field,
+    block_grad4_field,
     block_jets,
     block_pullback,
+    block_scalar_mul,
     block_times,
+    central_differences,
     div4,
     grad4,
 )
 from .kernels import cdot, pv_mul_rows
 
 __all__ = [
+    "block_assembly_sides",
+    "block_factorization_sides",
+    "block_factorization_numeric_sides",
+    "block_additivity_sides",
+    "block_leibniz_sides",
+    "block_numeric_partials",
     "NotOrthogonal",
     "ORTHOGONALITY_TOL",
     "require_orthogonal",
@@ -93,6 +111,87 @@ def _finite(values: Rows) -> Rows:
         raise ValueError("components must be finite")
     return values
 
+
+# -- the operators' own identities ---------------------------------------------
+
+def block_assembly_sides(f, xs: np.ndarray):
+    """(div4 A, the value of sum_k E_k d_k A) and the same pair for grad4."""
+    d = block_jets(f, xs, 1)[1]
+    return ((assemble_div(d), block_jets(block_div4_field(f), xs, 0)[0]),
+            (assemble_grad(d), block_jets(block_grad4_field(f), xs, 0)[0]))
+
+
+def block_factorization_sides(f, xs: np.ndarray):
+    """box4 A, and the values of grad4 div4 A and of div4 grad4 A built from
+    the lowered rows: the wave operator factors both ways."""
+    return (assemble_box(block_jets(f, xs, 2)[2]),
+            block_jets(block_grad4_field(block_div4_field(f)), xs, 0)[0],
+            block_jets(block_div4_field(block_grad4_field(f)), xs, 0)[0])
+
+
+def block_factorization_numeric_sides(f, xs: np.ndarray, h: float):
+    """grad4 of numeric div4 A, and numeric box4 A, both at step h.
+
+    Numeric box4 and the numeric div4 that grad4 differences nest the same
+    two stencils, so one nested stencil gives both: the outer stencil's value
+    function differences the inner one and returns, for its row r, the
+    derivative along coordinate r % 4 (for box4) and div4 (for grad4).
+    """
+    n = len(xs)
+
+    def firsts(pts):  # rows (sign, p, c) of the outer stencil
+        inner = central_differences(
+            lambda q: _at_rows(f, q.reshape(4, n, 16, 4))[0].reshape(-1, 4), pts, h)
+        d = inner.reshape(-1, 4, 4)  # d[r, c, i]: d_c A_i at outer row r
+        r = np.arange(len(d))
+        return np.concatenate([d[r, r % 4], assemble_div(d.swapaxes(1, 2))], axis=1)
+
+    d = central_differences(firsts, xs, h).reshape(n, 4, 8).swapaxes(1, 2)
+    return assemble_grad(d[:, 4:]), assemble_box(d[:, :4])
+
+
+def block_additivity_sides(f, g, xs: np.ndarray):
+    """div4(f + g) and div4 f + div4 g for the unframed blocks f, with no
+    phase, and g.  Where g has no phase the rows add on the table; where it
+    has one, f + g is two groups whose jets add, as in Field.sum."""
+    _, k, cg, _ = g
+    wave = k.any(axis=1)[:, None, None]
+    both = (block_jets((None, None, f[2] + np.where(wave, 0, cg), None), xs, 1)[1]
+            + block_jets((None, k, np.where(wave, cg, 0), None), xs, 1)[1])
+    return assemble_div(both), (assemble_div(block_jets(f, xs, 1)[1])
+                                + assemble_div(block_jets(g, xs, 1)[1]))
+
+
+def block_leibniz_sides(rho: np.ndarray, f, xs: np.ndarray):
+    """div4[rho f] and (d rho) f + rho div4 f for the scalars rho (n, 35) on the
+    degree-3 table and the unframed block f (see leibniz_sides)."""
+    scalar = np.zeros(rho.shape + (4,), np.complex128)
+    scalar[..., 0] = rho
+    rv, drho = block_jets((None, None, scalar, None), xs, 1)
+    fv, df = block_jets(f, xs, 1)
+    lhs = assemble_div(block_jets(block_scalar_mul(rho, f), xs, 1)[1])
+    return lhs, pv_mul_rows(assemble_div(drho), fv) + rv[:, :1] * assemble_div(df)
+
+
+def block_numeric_partials(f, xs: np.ndarray, h: float):
+    """At each point xs[p, j] of an (n, k, 4) stack, row p's numeric partials
+    and its exact ones (jets), both as d[p, j, coordinate, component], and
+    per row the largest component magnitude over the stencil points
+    differenced (a point with a NaN value skipped)."""
+    n, k = xs.shape[:2]
+    values = []
+
+    def value_fn(pts):
+        values.append(_at_rows(f, pts.reshape(2, n, 4 * k, 4))[0])
+        return values[0].reshape(-1, 4)
+
+    num = central_differences(value_fn, xs.reshape(-1, 4), h).reshape(n, k, 4, 4)
+    loc = np.fmax(np.abs(values[0]).max(axis=-1), 0.0).max(axis=(0, 2))
+    exact = block_jets(tuple(None if a is None else a[:, None] for a in f), xs, 1)[1]
+    return num, exact.swapaxes(-1, -2), loc
+
+
+# -- transport, rotation and wave invariance ---------------------------------
 
 def transport_sides(
     op, right: bool, g: Rows, f, xs: Rows, mode: DiffMode = EXACT

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from paracalc.algebra import IDENTITY, Event, Paravector
+from paracalc.algebra import IDENTITY, Event, Paravector, left_matrix
 from paracalc.diffops import (
     EXACT,
     Numeric,
     additivity_sides,
+    block_div4_field,
+    block_grad4_field,
+    block_jets,
+    block_partial,
+    block_pullback,
+    block_scalar_mul,
     assemble_div,
     assemble_grad,
     box4,
@@ -20,14 +26,16 @@ from paracalc.diffops import (
 )
 from paracalc.fields import (
     Field,
+    _degree_exponents,
     null_plane_wave,
     random_event,
     random_field,
+    random_paravectors,
     random_plane_wave,
     random_scalar_field,
 )
 
-from util import central_difference, gap, max_abs, rel_err
+from util import block_of, central_difference, gap, max_abs, rel_err, rows, sample_field
 
 
 def radial_field():
@@ -221,3 +229,50 @@ def test_numeric_mode_refuses_non_finite_steps():
     for h in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite"):
             Numeric(h)
+
+
+# -- blocks: the lowered partial, the operator fields and the scalar product ------
+
+def _mixed(seed, n):
+    """n fields as the suites draw them, dense and plane waves in turn, and their block."""
+    rng = np.random.default_rng(seed)
+    fields = [sample_field(rng, i) for i in range(n)]
+    return rng, fields, block_of(*fields)
+
+
+def test_block_partial_matches_field_partial_on_the_table():
+    # Field._partial's lowered rows, moved onto the table: equal as numbers
+    # (block_of adds onto zeros, so only the sign of a zero could differ)
+    _, fields, f = _mixed(40, 12)
+    for c in range(4):
+        want = block_of(*(g.partial(c) for g in fields))
+        assert np.array_equal(block_partial(f, c)[2], want[2])
+        assert np.array_equal(block_partial(f, c)[1], want[1])
+    assert np.array_equal(block_div4_field(f)[2], block_of(*map(div4_field, fields))[2])
+    assert np.array_equal(block_grad4_field(f)[2], block_of(*map(grad4_field, fields))[2])
+
+
+def test_block_partial_of_a_framed_row_takes_the_chain_rule():
+    rng = np.random.default_rng(41)
+    fields = [random_field(rng) for _ in range(6)] + [random_plane_wave(rng) for _ in range(2)]
+    maps = left_matrix(random_paravectors(rng, len(fields)))
+    moved = block_pullback(block_of(*fields), maps)
+    xs = rows(*(random_event(rng) for _ in fields))
+    for c in range(4):
+        got = block_jets(block_partial(moved, c), xs, 0)[0]
+        for p, (g, m) in enumerate(zip(fields, maps)):
+            assert rel_err(got[p], g.pullback(m).partial(c)._value(xs[p])) <= 1e-12
+
+
+def test_block_scalar_mul_matches_field_scalar_mul():
+    rng, fields, f = _mixed(42, 12)
+    rhos = [random_scalar_field(rng) for _ in fields]
+    _, k, c, _ = block_scalar_mul(block_of(*rhos)[2][..., 0], f)
+    table = {tuple(e): t for t, e in enumerate(_degree_exponents(6).tolist())}
+    for p, (rho, g) in enumerate(zip(rhos, fields)):
+        want = np.zeros((len(table), 4), np.complex128)
+        product = g.scalar_mul(rho)
+        for e, coeff in zip(product.exps.tolist(), product.coeffs):
+            want[table[tuple(e)]] = coeff
+        assert np.abs(c[p] - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.array_equal(k[p], f[1][p])

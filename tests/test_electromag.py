@@ -2,23 +2,41 @@ import numpy as np
 import pytest
 
 from paracalc.algebra import Event, Paravector
-from paracalc.diffops import Numeric
+from paracalc.diffops import Numeric, central_differences, scalar_row
 from paracalc.electromag import (
     NonTransverse,
     PhysConstants,
     PotentialField,
     ZeroWaveVector,
+    block_em_from_potential,
+    block_gauss_law_sides,
+    block_lorenz_potential,
+    block_sources,
+    block_wave_sides,
     em_field_from_potential,
     em_from_potential,
     lorenz_gauge_potential,
     plane_wave_potential,
+    plane_wave_row,
+    random_wave_row,
     source_field_from_em,
     sources_from_em,
     wave_sides,
 )
 from paracalc.fields import Field
+from paracalc.harness import BLOCK
 
-from util import gap, max_abs
+from util import (
+    block_of,
+    each_row,
+    gap,
+    gauss_slice_draw,
+    max_abs,
+    maxwell_event,
+    random_wave_potential,
+    rel_err,
+    rows,
+)
 
 
 def complex_time_event(rng):
@@ -183,3 +201,87 @@ def test_omega_adapts_to_c():
     p2 = plane_wave_potential((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0, k2)
     assert p1.f.phases[0, 0] == 1j
     assert p2.f.phases[0, 0] == 2j
+
+
+# -- blocks: one potential per row ------------------------------------------------
+
+def _lorenz_blocks(seed, n, k):
+    """n Lorenz-gauge potentials as block rows and as lorenz_gauge_potential
+    draws them from the same stream, each with a complex-time event."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    w = np.array([np.transpose([scalar_row(rng) for _ in range(3)]) for _ in range(n)])
+    pots = [lorenz_gauge_potential(ref, k=k) for _ in range(n)]
+    return block_lorenz_potential(w, k), pots
+
+
+def _wave_blocks(seed, n, k):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    c, phase = map(np.array, zip(*(random_wave_row(rng, k) for _ in range(n))))
+    return (None, phase, c, None), [random_wave_potential(ref, k) for _ in range(n)]
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_block_potentials_are_the_potential_fields(c):
+    k = PhysConstants(c=c)
+    block, pots = _lorenz_blocks(50, 8, k)
+    assert np.array_equal(block[2], block_of(*(p.f for p in pots))[2])
+    block, pots = _wave_blocks(51, 8, k)
+    want = block_of(*(p.f for p in pots))
+    assert np.array_equal(block[2], want[2]) and np.array_equal(block[1], want[1])
+    amplitude, phase = plane_wave_row((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0, k)
+    assert phase[0] == 1j * c and np.array_equal(amplitude, [0, -c, 0, 0])
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_maxwell_blocks_match_the_per_point_operators(c):
+    k = PhysConstants(c=c)
+    rng = np.random.default_rng(52)
+    for block, pots in (_lorenz_blocks(53, 6, k), _wave_blocks(54, 6, k)):
+        X = [maxwell_event(rng) for _ in pots]
+        xs = rows(*X)
+        em = block_em_from_potential(block, xs, k)
+        src = block_sources(block, xs, k)
+        box, source = block_wave_sides(block, xs, k)
+        for p, (pot, x) in enumerate(zip(pots, X)):
+            emf = em_field_from_potential(pot, k)
+            assert rel_err(em[p], em_from_potential(pot, x, k).data) <= 1e-13
+            assert rel_err(src[p], sources_from_em(emf, x, k).data) <= 1e-13
+            want_box, want_source = wave_sides(pot, source_field_from_em(emf), x, k)
+            assert rel_err(box[p], want_box.data) <= 1e-13
+            assert rel_err(source[p], want_source.data) <= 1e-13
+
+
+def test_block_gauss_law_sides_match_the_per_point_stencil():
+    rng, h = np.random.default_rng(55), 1e-5
+    pots, X = zip(*(gauss_slice_draw(rng) for _ in range(8)))
+    src, div_e = block_gauss_law_sides(block_of(*(p.f for p in pots)), rows(*X), h)
+    for p, (pot, x) in enumerate(zip(pots, X)):
+        want = sources_from_em(em_field_from_potential(pot), x, mode=Numeric(h)).s.real
+        e = each_row(lambda xd: em_from_potential(pot, Event.from_data(xd)).v.real)
+        d = central_differences(e, x.data[None], h)  # d[c, i] = dE_i/dx_c
+        div = d[1, 0] + d[2, 1] + d[3, 2]
+        assert abs(src[p] - want) <= 1e-8 and abs(div_e[p] - div) <= 1e-8
+        assert abs(src[p] - div_e[p]) <= 1e-6
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_each_row_of_a_maxwell_block_equals_a_block_of_one_bit_for_bit(size):
+    k2 = PhysConstants(c=2.0)
+    rng = np.random.default_rng(56)
+    lorenz, _ = _lorenz_blocks(57, BLOCK, PhysConstants())
+    wave, _ = _wave_blocks(58, BLOCK, k2)
+    static = (None, None, lorenz[2] * [1, 0, 0, 0], None)
+    xs = rows(*(maxwell_event(rng) for _ in range(BLOCK)))
+
+    def sides(lo, hi):
+        def part(f):
+            return tuple(None if a is None else a[lo:hi] for a in f)
+        x = xs[lo:hi]
+        return [block_em_from_potential(part(lorenz), x), block_sources(part(wave), x, k2),
+                *block_wave_sides(part(lorenz), x), *block_wave_sides(part(wave), x, k2),
+                *block_gauss_law_sides(part(static), x, 1e-5), block_em_from_potential(part(wave), x, k2)]
+
+    whole = sides(0, BLOCK)
+    for lo in (0, 5, BLOCK - size):
+        for got, want in zip(sides(lo, lo + size), whole):
+            assert got.tobytes() == want[lo:lo + size].tobytes(), (lo, size)

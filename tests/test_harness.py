@@ -15,14 +15,17 @@ from paracalc.cli import main
 from paracalc.transforms import InvarianceForm, form_point
 from paracalc.algebra import conjugate_rotate
 from paracalc.diffops import EXACT, bundle, central_differences, max_partial_errors
+from paracalc.electromag import PhysConstants, lorenz_gauge_potential
 from paracalc.fields import (
     Field,
     _random_complexes,
+    null_plane_wave,
     random_event,
     random_field,
     random_orthogonal,
     random_paravector,
     random_plane_wave,
+    random_scalar_field,
 )
 from paracalc.harness import (
     ConfigError,
@@ -37,7 +40,16 @@ from paracalc.harness import (
     run_suite,
 )
 
-from util import block_of, central_difference, random_rows, rows
+from util import (
+    block_of,
+    central_difference,
+    gauss_slice_draw,
+    maxwell_event,
+    random_rows,
+    random_wave_potential,
+    rows,
+    sample_field,
+)
 
 
 def small_cfg(suite, **kw):
@@ -602,16 +614,19 @@ def test_cli_convergence_refuses_a_negative_seed(capsys):
 
 
 def test_assembly_oracle_catches_a_wrong_assembly(monkeypatch):
-    from paracalc import diffops
+    from paracalc import diffops, transforms
 
     right = diffops.assemble_div
 
     def flipped_curl(d):
         out = right(d)
-        out[1] = d[1, 0] + d[0, 1] - 1j * (d[3, 2] - d[2, 3])
+        out[..., 1] = d[..., 1, 0] + d[..., 0, 1] - 1j * (d[..., 3, 2] - d[..., 2, 3])
         return out
 
-    monkeypatch.setattr(diffops, "assemble_div", flipped_curl)
+    # the case assembles in transforms.block_assembly_sides, which binds
+    # diffops.assemble_div at import: a wrong formula there reaches both
+    for module in (diffops, transforms):
+        monkeypatch.setattr(module, "assemble_div", flipped_curl)
     rep = run_suite(small_cfg("diffop"))
     case = next(c for c in rep.cases if c.name == "diffop/assembly-matches-oracle")
     assert not case.passed
@@ -668,10 +683,11 @@ def test_numeric_transform_cases_share_exact_substreams():
 # -- block draws -----------------------------------------------------------------
 
 def _per_sample_draws(name, rng, count):
-    """The draws of a transforms or wave case, one sample at a time, as the
-    per-sample loop took them: the reference for the block draws.  Each
-    sample is the tuple of what the case's block evaluator receives."""
+    """The draws of a block case, one sample at a time, as the per-sample loop
+    took them: the reference for the block draws.  Each sample is the tuple
+    of what the case's block evaluator receives."""
     singular = Paravector(1.0 + 0.5j, (1.0 + 0.5j, 0.0, 0.0))
+    k2 = PhysConstants(c=2.0) if name.startswith("c2-") else PhysConstants()
     out = []
     for i in range(count):
         if name.startswith("form"):
@@ -679,16 +695,36 @@ def _per_sample_draws(name, rng, count):
             form = InvarianceForm(int(name[4]))
             out.append((lam.data, block_of(f), form_point(form, rows(lam), rows(X))[0]))
         elif name == "observer-rotation-exact":
-            lam, f = random_orthogonal(rng), harness._sample_field(rng, i)
+            lam, f = random_orthogonal(rng), sample_field(rng, i)
             out.append((lam.data, block_of(f), conjugate_rotate(lam, random_event(rng)).data))
         elif name == "pullback-group-composition":
             g1, g2 = random_paravector(rng), random_paravector(rng)
-            f = harness._sample_field(rng, i)
+            f = sample_field(rng, i)
             out.append((g1.data, g2.data, block_of(f), random_event(rng).data))
-        else:
+        elif "transport" in name or "right-factor" in name:
             g = singular if "singular" in name else random_paravector(rng)
-            f = harness._sample_field(rng, i)
+            f = sample_field(rng, i)
             out.append((g.data, block_of(f), random_event(rng).data))
+        elif name == "null-plane-wave-box":
+            out.append((block_of(null_plane_wave(rng)), random_event(rng).data))
+        elif name == "additivity":
+            f, g = random_field(rng), sample_field(rng, i)
+            out.append((block_of(f), block_of(g), random_event(rng).data))
+        elif name == "scalar-product-rule":
+            rho, f = random_scalar_field(rng), sample_field(rng, i)
+            out.append((block_of(rho)[2][0, :, 0], block_of(f), random_event(rng).data))
+        elif name == "convergence-band-deficit":
+            f = sample_field(rng, i)
+            out.append((block_of(f), np.array([random_event(rng).data for _ in range(10)])))
+        elif "plane-wave" in name:
+            out.append((block_of(random_wave_potential(rng, k2).f), maxwell_event(rng).data))
+        elif name in ("polynomial-gauge-scalar", "factorization-chain"):
+            out.append((block_of(lorenz_gauge_potential(rng).f), maxwell_event(rng).data))
+        elif name == "gauss-law-slice":
+            pot, X = gauss_slice_draw(rng)
+            out.append((block_of(pot.f), X.data))
+        else:  # the diffop cases of one field and one event
+            out.append((block_of(sample_field(rng, i)), random_event(rng).data))
     return out
 
 
@@ -698,30 +734,33 @@ def _record_block_draws(monkeypatch, seen):
     def zeros(x):
         return np.zeros((len(x), 4), np.complex128)
 
-    def transport(op, right, g, f, x, mode=EXACT):
-        seen.append((g, f, x))
-        return zeros(x), zeros(x)
+    def record(*draws, result):
+        def fn(*args, **kw):
+            seen.append(tuple(args[i] for i in draws))
+            return result(args[draws[-1]])
+        return fn
 
-    def right_factor(f, g, x, mode=EXACT):
-        seen.append((g, f, x))
-        return (zeros(x), zeros(x)), (zeros(x), zeros(x))
-
-    def rotation(f, lam, xp, mode=EXACT):
-        seen.append((lam, f, xp))
-        return zeros(xp), zeros(xp)
-
-    def composition(g1, g2, f, x):
-        seen.append((g1, g2, f, x))
-        return zeros(x), zeros(x)
-
-    def wave(form, f, lam, xp):
-        seen.append((lam, f, xp))
-        return zeros(xp), zeros(xp)
-
-    for name, fn in [("transport_sides", transport), ("right_factor_sides", right_factor),
-                     ("observer_rotation_sides", rotation),
-                     ("pullback_composition_sides", composition),
-                     ("wave_invariance_sides", wave)]:
+    pair = lambda x: (zeros(x), zeros(x))
+    for name, fn in [
+        ("transport_sides", record(2, 3, 4, result=pair)),
+        ("right_factor_sides", lambda f, g, x, mode=EXACT: (
+            seen.append((g, f, x)) or (pair(x), pair(x)))),
+        ("observer_rotation_sides", record(1, 0, 2, result=pair)),
+        ("pullback_composition_sides", record(0, 1, 2, 3, result=pair)),
+        ("wave_invariance_sides", record(2, 1, 3, result=pair)),
+        ("block_assembly_sides", record(0, 1, result=lambda x: (pair(x), pair(x)))),
+        ("block_numeric_partials", record(0, 1, result=lambda x: (
+            np.ones(x.shape + (4,)), np.zeros(x.shape + (4,)), np.zeros(len(x))))),
+        ("block_factorization_sides", record(0, 1, result=lambda x: (*pair(x), zeros(x)))),
+        ("block_factorization_numeric_sides", record(0, 1, result=pair)),
+        ("block_jets", record(0, 1, result=lambda x: [zeros(x), *[np.zeros((len(x), 4, 4))] * 2])),
+        ("block_additivity_sides", record(0, 1, 2, result=pair)),
+        ("block_leibniz_sides", record(0, 1, 2, result=pair)),
+        ("block_em_from_potential", record(0, 1, result=zeros)),
+        ("block_sources", record(0, 1, result=zeros)),
+        ("block_wave_sides", record(0, 1, result=pair)),
+        ("block_gauss_law_sides", record(0, 1, result=lambda x: (np.zeros(len(x)),) * 2)),
+    ]:
         monkeypatch.setattr(harness, name, fn)
 
 
@@ -738,30 +777,47 @@ def _arrays(draw):
     return out
 
 
+def _block_cases():
+    """(suite, substream, case) of every case that runs through _blocked
+    and draws per sample."""
+    for suite in ("diffop", "transforms", "wave", "maxwell"):
+        for index, case in enumerate(harness._SUITE_BUILDERS[suite]()):
+            if (suite == "wave" and not case.name[4].isdigit()  # the four wave forms
+                    or case.kind == "fixed" and case.name != "convergence-band-deficit"):
+                continue
+            yield suite, index if case.substream is None else case.substream, case
+
+
 @pytest.mark.parametrize("seed", [42, 3])
 def test_block_draws_take_the_per_sample_draws(monkeypatch, seed):
-    # 300 samples end the second block mid-way; right-factor-singular takes a fifth
-    cfg = small_cfg("transforms", samples=300, seed=seed)
-    for suite in ("transforms", "wave"):
-        cases = harness._SUITE_BUILDERS[suite]()
-        for index, case in enumerate(cases):
-            if suite == "wave" and not case.name[4].isdigit():  # the four wave forms
-                continue
-            sub = index if case.substream is None else case.substream
-            seen = []
-            with monkeypatch.context() as m:
-                _record_block_draws(m, seen)
-                case.run(case_rng(seed, suite, sub), cfg)
-            count = 60 if "singular" in case.name else 300
-            want = _per_sample_draws(case.name, case_rng(seed, suite, sub), count)
-            got = [np.concatenate(arrays) for arrays in zip(*map(_arrays, seen))]
-            ref = [np.concatenate(arrays) for arrays in zip(*map(_arrays, want))]
-            assert len(got) == len(ref) and len(got[0]) == count, case.name
-            for a, b in zip(got, ref):
-                assert a.tobytes() == b.tobytes(), case.name
+    # 300 samples end the second block mid-way; the _fifth cases take 60,
+    # the _times(2) ones 600, and convergence-band-deficit 6
+    cfg = small_cfg("all", samples=300, seed=seed)
+    names = []
+    for suite, sub, case in _block_cases():
+        seen = []
+        with monkeypatch.context() as m:
+            _record_block_draws(m, seen)
+            case.run(case_rng(seed, suite, sub), cfg)
+        count = 6 if "convergence" in case.name else 60 if case.name in (
+            "right-factor-singular-exact", "factorization-numeric") else 600 if case.name in (
+            "assembly-matches-oracle", "numeric-agreement", "additivity", "scalar-product-rule",
+            "plane-wave-gauge-scalar", "plane-wave-sources", "c2-plane-wave-gauge-scalar",
+            "c2-plane-wave-sources") else 300
+        if "convergence" in case.name:  # one evaluation per step, of the same draws
+            assert all(a is b for a, b in zip(_arrays(seen[0]), _arrays(seen[1])))
+            seen = seen[::2]
+        want = _per_sample_draws(case.name, case_rng(seed, suite, sub), count)
+        got = [np.concatenate(arrays) for arrays in zip(*map(_arrays, seen))]
+        ref = [np.concatenate(arrays) for arrays in zip(*map(_arrays, want))]
+        assert len(got) == len(ref) and len(got[0]) == count, case.name
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes(), case.name
+        names.append(case.name)
+    assert len(names) == 13 + 4 + 8 + 7
 
 
-@pytest.mark.parametrize("suite", ["transforms", "wave"])
+@pytest.mark.parametrize("suite", ["diffop", "transforms", "wave", "maxwell"])
 def test_block_suites_peak_memory_does_not_grow_past_a_block(suite):
     def peak(samples):
         tracemalloc.start()
@@ -775,3 +831,17 @@ def test_block_suites_peak_memory_does_not_grow_past_a_block(suite):
     # past BLOCK samples, every case that takes one sample per --samples
     # evaluates full blocks; drawing all samples at once would grow with them
     assert peak(600) - peak(300) < 128 * 1024
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, capsys, block):
+    # every row is offered in sample order, so the last row at the maximum
+    # wins across block boundaries as within a block
+    def report(suite):
+        assert main(["check", suite, "--samples", "20", "--json", "--verbose"]) == 0
+        return capsys.readouterr().out
+
+    want = {suite: report(suite) for suite in ("diffop", "maxwell")}
+    monkeypatch.setattr(harness, "BLOCK", block)
+    for suite, out in want.items():
+        assert report(suite) == out, suite

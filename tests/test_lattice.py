@@ -22,15 +22,28 @@ from paracalc.algebra import (
 from paracalc.diffops import (
     additivity_sides,
     block_jets,
+    block_partial,
     block_pullback,
+    block_scalar_mul,
     box4,
     div4_field,
     grad4,
     leibniz_sides,
 )
+from paracalc.electromag import (
+    PhysConstants,
+    block_em_from_potential,
+    block_lorenz_potential,
+    block_wave_sides,
+)
+from paracalc.fields import _degree_exponents
 from paracalc.kernels import pv_mul_rows
 from paracalc.transforms import (
     InvarianceForm,
+    block_additivity_sides,
+    block_assembly_sides,
+    block_factorization_sides,
+    block_leibniz_sides,
     form_point,
     observer_rotation_sides,
     right_factor_sides,
@@ -42,6 +55,7 @@ from util import (
     TRANSPORTS,
     assert_exact,
     block_of,
+    lattice_complex,
     lattice_event,
     lattice_field,
     lattice_paravector,
@@ -174,3 +188,47 @@ def test_block_jets_match_the_substituted_polynomial(action):
             for c in range(4):
                 assert_exact(d1[p, :, c], expanded.partial(c).at(x).data)
                 assert_exact(d2[p, :, c], expanded.partial(c).partial(c).at(x).data)
+
+
+# -- the block constructions: lowered partials, products, Lorenz potentials -------
+
+def lattice_scalar(rng):
+    return lattice_field(rng, width=1)
+
+
+def test_block_partial_and_product_are_exact():
+    table = {tuple(e): t for t, e in enumerate(_degree_exponents(6).tolist())}
+    for f, rho in blocks(12, lattice_field, lattice_scalar):
+        b = block_of(*f)
+        for c in range(4):
+            assert_exact(block_partial(b, c)[2], block_of(*(g.partial(c) for g in f))[2])
+        product = block_scalar_mul(block_of(*rho)[2][..., 0], b)[2]
+        for p, (g, r) in enumerate(zip(f, rho)):
+            want = np.zeros((len(table), 4), np.complex128)
+            field = g.scalar_mul(r)
+            for e, coeff in zip(field.exps.tolist(), field.coeffs):
+                want[table[tuple(e)]] = coeff
+            assert_exact(product[p], want)
+
+
+def test_block_operator_identities_are_exact():
+    for f, rho, g, X in blocks(13, lattice_field, lattice_scalar, lattice_field, lattice_event):
+        f, X = block_of(*f), rows(*X)
+        for pair in block_assembly_sides(f, X):
+            assert_sides(pair)
+        box, grad_div, div_grad = block_factorization_sides(f, X)
+        assert_exact(grad_div, box)
+        assert_exact(div_grad, box)
+        assert_sides(block_leibniz_sides(block_of(*rho)[2][..., 0], f, X))
+        assert_sides(block_additivity_sides(block_of(*g), f, X))
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_block_lorenz_potential_is_exact(c):
+    # W scaled by 12, so that the antiderivative's divisions by 1, 2 and 3 are exact
+    k = PhysConstants(c=c)
+    for w, X in blocks(14, lambda rng: 12 * lattice_complex(rng, (35, 3)), lattice_event):
+        pot, X = block_lorenz_potential(np.array(w), k), rows(*X)
+        gauge = block_em_from_potential(pot, X, k)[:, 0]
+        assert_exact(gauge, np.zeros_like(gauge))
+        assert_sides(block_wave_sides(pot, X, k))

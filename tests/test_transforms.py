@@ -18,17 +18,35 @@ from paracalc.algebra import (
     scale,
 )
 from paracalc.algebra import det_rows, reverse_rows
-from paracalc.diffops import EXACT, Numeric, block_jets, box4, div4, grad4
+from paracalc.diffops import (
+    EXACT,
+    Numeric,
+    additivity_sides,
+    block_jets,
+    box4,
+    bundle,
+    div4,
+    div4_field,
+    grad4,
+    grad4_field,
+    leibniz_sides,
+)
 from paracalc.harness import BLOCK
 from paracalc.fields import (
     random_event,
     random_field,
     random_orthogonal,
     random_paravector,
-    random_plane_wave,
+    random_scalar_field,
 )
 from paracalc.transforms import (
     InvarianceForm,
+    block_additivity_sides,
+    block_assembly_sides,
+    block_factorization_numeric_sides,
+    block_factorization_sides,
+    block_leibniz_sides,
+    block_numeric_partials,
     NotOrthogonal,
     form_point,
     form_value_sides,
@@ -42,11 +60,7 @@ from paracalc.transforms import (
     wave_invariance_sides,
 )
 
-from util import TRANSPORTS, block_of, gap, max_abs, rel_err, rows
-
-
-def sample(rng, i):
-    return random_field(rng) if i % 2 == 0 else random_plane_wave(rng)
+from util import TRANSPORTS, block_of, gap, max_abs, rel_err, rows, sample_field as sample
 
 
 def draws(seed, n):
@@ -382,3 +396,70 @@ def test_block_numeric_step_names_the_first_rows_point():
     for op, right in TRANSPORTS.values():
         with pytest.raises(ValueError, match=r"does not move coordinate 2 from \(1e\+300"):
             transport_sides(op, right, g, f, X, Numeric(1.0))
+
+
+# -- the operators' own identities, on blocks -------------------------------------
+
+def _operator_draws(seed, n):
+    """n samples of the diffop block cases: a dense field, a scalar, the
+    alternating field and the event, as Field objects and as blocks."""
+    rng = np.random.default_rng(seed)
+    dense, rho, f, X = zip(*((random_field(rng), random_scalar_field(rng), sample(rng, i),
+                              random_event(rng)) for i in range(n)))
+    return (dense, rho, f, X), (block_of(*dense), block_of(*rho)[2][..., 0], block_of(*f), rows(*X))
+
+
+def _operator_sides(dense, rho, f, X):
+    """Every diffop block evaluator once, as a flat list of arrays."""
+    out = [side for pair in block_assembly_sides(f, X) for side in pair]
+    out += block_factorization_sides(f, X)
+    out += block_factorization_numeric_sides(f, X, 1e-4)
+    out += block_additivity_sides(dense, f, X)
+    out += block_leibniz_sides(rho, f, X)
+    return out + list(block_numeric_partials(f, X[:, None], 1e-5))
+
+
+def test_operator_blocks_match_the_per_sample_fields():
+    # each side against its per-point form on Field objects: the same
+    # identity, rounded differently (long-double jets, lowered rows)
+    (dense, rho, fields, X), (dense_b, rho_b, f, xs) = _operator_draws(34, 12)
+    div, grad = block_assembly_sides(f, xs)
+    box, grad_div, div_grad = block_factorization_sides(f, xs)
+    num_grad, num_box = block_factorization_numeric_sides(f, xs, 1e-4)
+    add = block_additivity_sides(dense_b, f, xs)
+    leib = block_leibniz_sides(rho_b, f, xs)
+    num, exact, loc = block_numeric_partials(f, xs[:, None], 1e-5)
+    for p, (g, x) in enumerate(zip(fields, X)):
+        assert rel_err(div[0][p], div4(g, x).data) <= 1e-13
+        assert rel_err(div[1][p], div4_field(g).at(x).data) <= 1e-13
+        assert rel_err(grad[0][p], grad4(g, x).data) <= 1e-13
+        assert rel_err(grad[1][p], grad4_field(g).at(x).data) <= 1e-13
+        assert rel_err(box[p], box4(g, x).data) <= 1e-13
+        assert rel_err(grad_div[p], grad4_field(div4_field(g)).at(x).data) <= 1e-13
+        assert rel_err(div_grad[p], div4_field(grad4_field(g)).at(x).data) <= 1e-13
+        assert rel_err(num_box[p], box4(g, x, Numeric(1e-4)).data) <= 1e-6
+        assert rel_err(num_grad[p], num_box[p]) <= 1e-4
+        for got, want in zip(add, additivity_sides(dense[p], g, x)):
+            assert rel_err(got[p], want.data) <= 1e-13
+        for got, want in zip(leib, leibniz_sides(rho[p], g, x)):
+            assert rel_err(got[p], want.data) <= 1e-13
+        assert rel_err(num[p, 0], bundle(g, x, Numeric(1e-5)).T) <= 1e-9
+        assert rel_err(exact[p, 0], bundle(g, x, EXACT).T) <= 1e-13
+        assert loc[p] > 0
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_each_row_of_an_operator_block_equals_a_block_of_one_bit_for_bit(size):
+    _, (dense, rho, f, X) = _operator_draws(35, BLOCK)
+    whole = _operator_sides(dense, rho, f, X)
+
+    def part(a, lo, hi):  # rows lo..hi-1 of an array or of a block
+        if isinstance(a, tuple):
+            return tuple(None if b is None else b[lo:hi] for b in a)
+        return a[lo:hi]
+
+    for lo in (0, 5, BLOCK - size):
+        hi = lo + size
+        some = _operator_sides(*(part(a, lo, hi) for a in (dense, rho, f, X)))
+        for got, want in zip(some, whole):
+            assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi)

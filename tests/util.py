@@ -6,7 +6,14 @@ import numpy as np
 
 from paracalc.algebra import IDENTITY, Event, Paravector, mul
 from paracalc.diffops import div4, grad4
-from paracalc.fields import Field, _degree_exponents
+from paracalc.electromag import PotentialField, plane_wave_potential
+from paracalc.fields import (
+    Field,
+    _degree_exponents,
+    random_field,
+    random_plane_wave,
+    random_scalar_field,
+)
 
 #: the four transport identities, as transforms.transport_sides's (op, right)
 TRANSPORTS = {
@@ -52,6 +59,51 @@ def central_difference(value_fn, x, c, h):
     if xp[c] == x[c] or xm[c] == x[c]:
         raise ValueError(f"step {h!r} does not move coordinate {c} from {complex(x[c])!r}")
     return (value_fn(xp) - value_fn(xm)) / (2.0 * h)
+
+
+# -- per-sample draws: the references for the suites' block draw loops ----------
+
+def sample_field(rng, index: int):
+    """Sample ``index``'s field: a dense degree-3 polynomial for an even index,
+    a plane wave for an odd one."""
+    if index % 2 == 0:
+        return random_field(rng, degree=3, scale=1.0)
+    return random_plane_wave(rng, scale=1.0)
+
+
+def each_row(point_fn):
+    """A value function for central_differences from one that takes one point."""
+    return lambda xs: np.array([point_fn(x) for x in xs])
+
+
+def maxwell_event(rng) -> Event:
+    r = rng.uniform(-2.0, 2.0, size=3)
+    t = complex(rng.uniform(-2.0, 2.0), rng.uniform(-0.1, 0.1))
+    return Event(t, r)
+
+
+def random_wave_potential(rng, k):
+    """A vacuum plane-wave potential, its wave vector and polarization drawn
+    by rejection (norms >= 0.3 and >= 0.2), then its complex amplitude."""
+    kvec = rng.uniform(-1.0, 1.0, size=3)
+    while np.linalg.norm(kvec) < 0.3:
+        kvec = rng.uniform(-1.0, 1.0, size=3)
+    raw = rng.uniform(-1.0, 1.0, size=3)
+    pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
+    while np.linalg.norm(pol) < 0.2:
+        raw = rng.uniform(-1.0, 1.0, size=3)
+        pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
+    amp = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    return plane_wave_potential(kvec, pol, amp, k)
+
+
+def gauss_slice_draw(rng):
+    """maxwell/gauss-law-slice's potential, a static scalar one (the real
+    parts of a scalar draw's spatial terms), and its point on t = 0."""
+    phi = random_scalar_field(rng, degree=3, scale=1.0)
+    spatial = phi.exps[:, 0] == 0  # drop time dependence
+    pot = PotentialField(Field(phi.exps[spatial], phi.coeffs[spatial].real))
+    return pot, Event(0.0, rng.uniform(-2.0, 2.0, size=3))
 
 
 def gap(sides):
