@@ -149,3 +149,25 @@ def test_jets_rows_do_not_depend_on_the_stack():
                     some = kernels.jets(xs[lo:hi], part(m, 2), part(k, 1), exps, part(c, 2), order)
                     for got, want in zip(some, whole):
                         assert got.tobytes() == want[lo:hi].tobytes(), (order, lo, hi)
+
+
+def test_jets_points_of_a_row_do_not_depend_on_the_row():
+    # a row with more points than a pass holds is evaluated a pass of points
+    # at a time: each point equals the same point evaluated alone, bit for bit
+    rng = np.random.default_rng(13)
+    exps = np.array([e for e in np.ndindex(4, 4, 4, 4) if sum(e) <= 3])
+    n, k = 3, 64
+    xs = random_rows(rng, n * k // 2).reshape(n, k, 4)
+
+    def cx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    m, ph, c = cx(n, 1, 4, 4), cx(n, 1, 4), cx(n, 1, len(exps), 4)
+    with np.errstate(all="ignore"):  # the spread rows reach exp overflow
+        for order in (0, 1, 2):
+            whole = kernels.jets(xs, m, ph, exps, c, order)
+            for p, j in [(0, 0), (0, 21), (1, 40), (2, k - 1)]:
+                one = kernels.jets(xs[p:p + 1, j:j + 1], m[p:p + 1], ph[p:p + 1], exps,
+                                   c[p:p + 1], order)
+                for got, want in zip(one, whole):
+                    assert got.tobytes() == want[p:p + 1, j:j + 1].tobytes(), (order, p, j)
