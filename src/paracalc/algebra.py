@@ -26,6 +26,7 @@ __all__ = [
     "det_rows",
     "reverse_rows",
     "inverse_rows",
+    "normalize_rows",
     "scale",
     "normalize_orthogonal",
     "event_as_paravector",
@@ -241,25 +242,35 @@ def _reciprocal(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def inverse_rows(rows: np.ndarray) -> np.ndarray:
-    """inverse of each row; raises SingularParavector if any row is singular."""
-    d = det_rows(rows)
+def _check_rows(rows: np.ndarray, d: np.ndarray) -> None:
+    """Raise SingularParavector if any row's |det| d is within singular_eps."""
     sq = rows.real * rows.real + rows.imag * rows.imag
     eps = 1e-12 * np.maximum(1.0, sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
     singular = np.hypot(d.real, d.imag) <= eps  # hypot is abs() of a Python complex
     if singular.any():
         k = int(np.flatnonzero(singular)[0])
         raise SingularParavector(f"determinant {complex(d[k])!r} of row {k} is numerically zero")
+
+
+def inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """inverse of each row; raises SingularParavector if any row is singular."""
+    d = det_rows(rows)
+    _check_rows(rows, d)
     # scale's np.complex128(c) * data, broadcast over the rows
     return _reciprocal(d)[:, None] * reverse_rows(rows)
 
 
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row rescaled so that its det becomes 1, by the principal complex
+    square root; raises SingularParavector if any row is singular."""
+    d = det_rows(rows)
+    _check_rows(rows, d)
+    return (1.0 / np.sqrt(d))[:, None] * rows
+
+
 def normalize_orthogonal(a: Paravector) -> Paravector:
-    """Rescale so det becomes 1, using the principal complex square root."""
-    d = det(a)
-    if abs(d) <= singular_eps(a):
-        raise SingularParavector(f"determinant {d!r} is numerically zero")
-    return scale(1.0 / np.sqrt(np.complex128(d)), a)
+    """Rescale so det becomes 1: normalize_rows of one row."""
+    return Paravector.from_data(normalize_rows(a.data[None])[0])
 
 
 # -- reinterpretation and actions on events ----------------------------------
@@ -274,14 +285,23 @@ def paravector_as_event(p: Paravector) -> Event:
     return Event.from_data(p.data)
 
 
-def act_left(g: Paravector, x: Event) -> Event:
-    """X' = g X: left multiplication of the event by a paravector."""
-    return paravector_as_event(mul(g, event_as_paravector(x)))
+def act_left(g, x):
+    """X' = g X: left multiplication of the event by a paravector.
+
+    g and x are a Paravector and an Event, or two (n, 4) stacks of rows for
+    an (n, 4) stack of events, row by row as the one-value form.
+    """
+    if isinstance(g, Paravector):
+        return paravector_as_event(mul(g, event_as_paravector(x)))
+    return kernels.pv_mul_rows(g, x)
 
 
-def act_right(x: Event, g: Paravector) -> Event:
-    """X' = X g: right multiplication (cross term enters with opposite sign)."""
-    return paravector_as_event(mul(event_as_paravector(x), g))
+def act_right(x, g):
+    """X' = X g: right multiplication (cross term enters with opposite sign).
+    x and g as for act_left."""
+    if isinstance(g, Paravector):
+        return paravector_as_event(mul(event_as_paravector(x), g))
+    return kernels.pv_mul_rows(x, g)
 
 
 def conjugate_rotate(lam: Paravector, x: Event) -> Event:

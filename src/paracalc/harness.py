@@ -3,9 +3,10 @@
 Every case gets its own random substream derived from
 ``SeedSequence([seed, crc32(suite), case_index])``, so adding cases never
 perturbs existing ones and ``check all`` reproduces the per-suite residuals
-bit for bit.  A case is a per-sample draw that one loop (``_sampled``) runs
-in index order, or a draw of a block of samples as stacked arrays, which
-``_blocked`` runs block by block in the same order.  Residuals are max-abs
+bit for bit.  A case draws a block of samples as stacked arrays, taking the
+stream as drawing one sample after another would, and one loop
+(``_blocked``) runs the blocks in sample order; a case that runs once is one
+block of one sample.  Residuals are max-abs
 over the value components; cases that pin a *floor* under a witness instead
 report the deficit ``max(0, floor - value)`` against a zero threshold so that
 ``pass == residual <= threshold`` holds uniformly.
@@ -22,7 +23,6 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import kernels
 from .kernels import cmul, pv_mul_rows
 from .algebra import (
     Event,
@@ -30,11 +30,10 @@ from .algebra import (
     Paravector,
     act_left,
     act_right,
-    conjugate_rotate,
     det_rows,
     inverse_rows,
     mul,
-    reverse,
+    normalize_rows,
     reverse_rows,
 )
 from .diffops import (
@@ -65,6 +64,7 @@ from .electromag import (
 from .fields import (
     Field,
     _degree_exponents,
+    _random_complexes,
     random_event,
     random_field,
     random_orthogonal,
@@ -197,12 +197,17 @@ class Worst:
         the maximum is kept, and a NaN row sticks.
         """
         rows = np.atleast_2d(np.asarray(diff, dtype=np.complex128))
-        best = None
-        for k, m in enumerate(np.abs(rows).max(axis=1).tolist()):
-            if m >= self.value or math.isnan(m):
-                self.value, best = m, k
-        if best is not None:
-            self.components = rows[best].copy()
+        m = np.abs(rows).max(axis=1)
+        if not len(m):
+            return
+        top = float(m.max())  # NaN if any row is NaN
+        if top != top:  # the last NaN row takes over
+            best = np.flatnonzero(m != m)[-1]
+        elif top >= self.value:  # False once a NaN is held
+            best = np.flatnonzero(m == top)[-1]  # the last row at the maximum
+        else:
+            return
+        self.value, self.components = float(m[best]), rows[best].copy()
 
     def floor_deficit(self, value: float, floor: float, components=None) -> None:
         self.offer(np.array([np.maximum(0.0, floor - value)], np.complex128))
@@ -241,22 +246,6 @@ class Case:
         return self.base_threshold
 
 
-def _sampled(count, sample):
-    """A case run that draws samples 0..count(cfg)-1 in order.
-
-    ``sample(rng, i, cfg)`` draws sample ``i`` and returns its difference
-    arrays; each is offered to the case's ``Worst`` in the order returned.
-    """
-    def run(rng, cfg):
-        w = Worst()
-        for i in range(count(cfg)):
-            for diff in sample(rng, i, cfg):
-                w.offer(diff)
-        return w
-
-    return run
-
-
 #: Samples per block of a ``_blocked`` case: small enough that a block's
 #: stacks stay in cache and the peak memory does not grow with --samples.
 BLOCK = 256
@@ -270,9 +259,9 @@ def _blocked(count, block, rows=BLOCK):
     or of ``rows`` if fewer.
 
     ``block(rng, start, n, cfg)`` draws samples ``start``..``start + n - 1``
-    as stacked arrays and returns their differences as one stack, rows in the
-    order ``_sampled`` would offer them; the draws take the stream in sample
-    order.
+    as stacked arrays and returns their differences as one stack, each
+    sample's rows in turn, samples in order; the draws take the stream in
+    sample order.
     """
     def run(rng, cfg):
         w = Worst()
@@ -320,13 +309,31 @@ def _once(cfg) -> int:
     return 1
 
 
-# ---------------------------------------------------------------------------
-# algebra suite
-# ---------------------------------------------------------------------------
+def _paravector_events(rng, n: int):
+    """n (random_paravector, random_event) pairs, as (n, 4) stacks g and x.
+
+    Both draws take groups of four complexes.  A round draws the fewest groups
+    the missing pairs can use and walks them in order: groups until one clears
+    |det| >= 0.1, then the event, so the stream ends where n pairs of calls end.
+    """
+    rows = np.empty((2 * n, 4), np.complex128)  # g0, x0, g1, x1, ...
+    done = 0
+    while done < 2 * n:
+        groups = _random_complexes(rng, 2.0, 4 * (2 * n - done)).reshape(-1, 4)
+        d = det_rows(groups)
+        keep, owed = [], done % 2  # owed: the next group is an event
+        for j, ok in enumerate((np.hypot(d.real, d.imag) >= 0.1).tolist()):
+            if owed or ok:
+                keep.append(j)
+                owed = not owed
+        rows[done:done + len(keep)] = groups[keep]
+        done += len(keep)
+    return rows[0::2], rows[1::2]
+
+
+# -- algebra suite ------------------------------------------------------------
 
 def _algebra_cases() -> List[Case]:
-    # The first four cases draw a block of samples at once: the draws are
-    # rows of stacks, taken from the stream in the per-sample order.
     def draws(rng, n, k):
         """k paravectors per sample, as k (n, 4) stacks."""
         return random_paravectors(rng, k * n).reshape(n, k, 4).transpose(1, 0, 2)
@@ -352,55 +359,55 @@ def _algebra_cases() -> List[Case]:
         both = np.stack([pv_mul_rows(a, inv), pv_mul_rows(inv, a)], axis=1)
         return both.reshape(-1, 4) - IDENTITY.data  # a a^-1, then a^-1 a, per sample
 
-    def orthogonal_unit(rng, i, cfg):
-        lam = random_orthogonal(rng)
-        return [mul(lam, reverse(lam)).data - IDENTITY.data]
+    def orthogonal_unit(rng, start, n, cfg):
+        lam = normalize_rows(random_paravectors(rng, n))  # as n random_orthogonal draws
+        return pv_mul_rows(lam, reverse_rows(lam)) - IDENTITY.data
 
-    def action_consistency(rng, i, cfg):
-        g, x = random_paravector(rng), random_event(rng)
-        return [act_left(g, x).data - kernels.pv_mul(g.data, x.data),
-                act_right(x, g).data - kernels.pv_mul(x.data, g.data)]
+    def action_consistency(rng, start, n, cfg):
+        g, x = _paravector_events(rng, n)
+        both = np.stack([act_left(g, x) - pv_mul_rows(g, x),
+                         act_right(x, g) - pv_mul_rows(x, g)], axis=1)
+        return both.reshape(-1, 4)  # g X, then X g, per sample
 
-    def left_action_expansion(rng, i, cfg):
+    def left_action_expansion(rng, start, n, cfg):
         got = act_left(Paravector(1.0, (0.0, 0.0, 1.0)), Event(0.0, (1.0, 1.0, 0.0)))
         pure_time = act_left(Paravector(2.0 + 1.0j, (0.5j, 1.0, -2.0)), Event(1.0))
-        return [got.data - np.array([0.0, 1.0 - 1.0j, 1.0 + 1.0j, 0.0]),
-                pure_time.data - np.array([2.0 + 1.0j, 0.5j, 1.0, -2.0])]
+        return np.array([got.data - np.array([0.0, 1.0 - 1.0j, 1.0 + 1.0j, 0.0]),
+                         pure_time.data - np.array([2.0 + 1.0j, 0.5j, 1.0, -2.0])])
 
-    def right_action_expansion(rng, i, cfg):
+    def right_action_expansion(rng, start, n, cfg):
         got = act_right(Event(0.0, (1.0, 1.0, 0.0)), Paravector(1.0, (0.0, 0.0, 1.0)))
-        return [got.data - np.array([0.0, 1.0 + 1.0j, 1.0 - 1.0j, 0.0])]
+        return got.data - np.array([0.0, 1.0 + 1.0j, 1.0 - 1.0j, 0.0])
 
     def noncommutativity(rng):
         a = Paravector(1.0, (1.0, 0.0, 0.0))
         b = Paravector(1.0, (0.0, 1.0, 0.0))
         return mul(a, b).data - mul(b, a).data
 
-    def rotation_round_trip(rng, i, cfg):
-        lam = random_orthogonal(rng)
-        x = random_event(rng)
-        back = conjugate_rotate(reverse(lam), conjugate_rotate(lam, x))
-        return [back.data - x.data]
+    def rotation_round_trip(rng, start, n, cfg):
+        g, x = _paravector_events(rng, n)  # as random_orthogonal, random_event
+        lam = normalize_rows(g)
+        rlam = reverse_rows(lam)
+        xp = pv_mul_rows(pv_mul_rows(lam, x), rlam)  # L X L~, then back: L~ X' L
+        return pv_mul_rows(pv_mul_rows(rlam, xp), lam) - x
 
     return [
         Case("associativity", "exact", 1e-12, _blocked(_times(20), associativity)),
         Case("reversion-antiautomorphism", "exact", 1e-12, _blocked(_times(20), reversion)),
         Case("det-multiplicativity", "exact", 1e-12, _blocked(_times(20), det_mult)),
         Case("inverse-identity", "exact", 1e-10, _blocked(_times(20), inverse_identity)),
-        Case("orthogonal-unit", "exact", 1e-10, _sampled(_times(1), orthogonal_unit)),
+        Case("orthogonal-unit", "exact", 1e-10, _blocked(_times(1), orthogonal_unit)),
         Case("action-matches-product", "fixed", 0.0,
-             _sampled(_times(1), action_consistency)),
-        Case("left-action-expansion", "fixed", 0.0, _sampled(_once, left_action_expansion)),
-        Case("right-action-expansion", "fixed", 0.0, _sampled(_once, right_action_expansion)),
+             _blocked(_times(1), action_consistency)),
+        Case("left-action-expansion", "fixed", 0.0, _blocked(_once, left_action_expansion)),
+        Case("right-action-expansion", "fixed", 0.0, _blocked(_once, right_action_expansion)),
         Case("noncommutativity-floor-deficit", "fixed", 0.0,
              _floor(noncommutativity, NONCOMMUTATIVITY_FLOOR)),
-        Case("rotation-round-trip", "exact", 1e-10, _sampled(_times(1), rotation_round_trip)),
+        Case("rotation-round-trip", "exact", 1e-10, _blocked(_times(1), rotation_round_trip)),
     ]
 
 
-# ---------------------------------------------------------------------------
-# diffop suite
-# ---------------------------------------------------------------------------
+# -- diffop suite -------------------------------------------------------------
 
 def _field_draws(rng, start: int, n: int, *draws):
     """Samples start..start+n-1, drawn one after another: first each of
@@ -459,8 +466,8 @@ def _diffop_cases() -> List[Case]:
     def convergence_band(rng, start, n, cfg):
         c, k, x = _stack(((*field_row(rng, i % 2 == 1), [random_event(rng).data for _ in range(10)])
                          for i in range(start, start + n)), n)
-        errs = np.transpose([np.abs(np.subtract(*block_numeric_partials(
-            (None, k, c, None), x, h)[:2])).reshape(n, -1).max(axis=1) for h in (1e-3, 5e-4)])
+        *nums, exact, _ = block_numeric_partials((None, k, c, None), x, 1e-3, 5e-4)
+        errs = np.transpose([np.abs(num - exact).reshape(n, -1).max(axis=1) for num in nums])
         ratio = errs[:, 0] / errs[:, 1]
         deficit = np.max([0.0 * ratio, 3.2 - ratio, ratio - 4.8], axis=0)
         return deficit[~(errs[:, 1] < NOISE_FLOOR)][:, None]
@@ -483,9 +490,7 @@ def _diffop_cases() -> List[Case]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# transforms suite
-# ---------------------------------------------------------------------------
+# -- transforms suite ---------------------------------------------------------
 
 #: [s; s*u] with u.u = 1 has det = 0 exactly.
 _SINGULAR = np.array([1.0 + 0.5j, 1.0 + 0.5j, 0.0, 0.0])
@@ -516,7 +521,8 @@ def _transforms_cases() -> List[Case]:
     numeric = lambda cfg: Numeric(cfg.h)
 
     def rotation(rng, start, n, cfg):
-        lam, f, x = _field_draws(rng, start, n, lambda rng: random_orthogonal(rng).data)
+        g, f, x = _field_draws(rng, start, n, lambda rng: random_paravector(rng).data)
+        lam = normalize_rows(g)  # as random_orthogonal draws
         xp = pv_mul_rows(pv_mul_rows(lam, x), reverse_rows(lam))  # L X L~
         return _rel(*observer_rotation_sides(f, lam, xp))
 
@@ -552,15 +558,13 @@ def _transforms_cases() -> List[Case]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# wave suite
-# ---------------------------------------------------------------------------
+# -- wave suite ---------------------------------------------------------------
 
 def _wave_form_case(form: InvarianceForm):
     def block(rng, start, n, cfg):
-        lam, c, x = _stack(((random_orthogonal(rng).data, field_row(rng)[0],
-                            random_event(rng).data) for _ in range(n)), n)
-        f = (None, None, c, None)
+        g, c, x = _stack(((random_paravector(rng).data, field_row(rng)[0],
+                          random_event(rng).data) for _ in range(n)), n)
+        f, lam = (None, None, c, None), normalize_rows(g)  # as random_orthogonal draws
         return _rel(*wave_invariance_sides(form, f, lam, form_point(form, lam, x)))
 
     return _blocked(_times(1), block)
@@ -582,11 +586,12 @@ def _wave_cases() -> List[Case]:
                 best, best_gap = m, gap
         return best_gap
 
-    def value_laws(rng, i, cfg):
+    def value_laws(rng, start, n, cfg):
         # each form's moved field at X' against its value law at the pre-image
         lam = random_orthogonal(rng).data[None]
         f, Xp = (None, None, field_row(rng)[0][None], None), random_event(rng).data[None]
-        return [_rel(*form_value_sides(form, f, lam, Xp)) for form in InvarianceForm]
+        return np.concatenate([_rel(*form_value_sides(form, f, lam, Xp))
+                               for form in InvarianceForm])
 
     return [
         Case("form1-right-invariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM1)),
@@ -595,13 +600,11 @@ def _wave_cases() -> List[Case]:
         Case("form4-left-invariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM4)),
         Case("covariant-contravariant-split-deficit", "fixed", 0.0,
              _floor(value_split, VALUE_SPLIT_FLOOR)),
-        Case("form-value-structure", "exact", 1e-10, _sampled(_once, value_laws)),
+        Case("form-value-structure", "exact", 1e-10, _blocked(_once, value_laws)),
     ]
 
 
-# ---------------------------------------------------------------------------
-# maxwell suite
-# ---------------------------------------------------------------------------
+# -- maxwell suite ------------------------------------------------------------
 
 def _maxwell_event(rng) -> np.ndarray:
     r = rng.uniform(-2.0, 2.0, size=3)
@@ -648,10 +651,10 @@ def _maxwell_cases() -> List[Case]:
         src, div_e = block_gauss_law_sides((None, None, c, None), x, cfg.h, k1)
         return (src - div_e)[:, None]
 
-    def static_gradient(rng, i, cfg):
+    def static_gradient(rng, start, n, cfg):
         pot = PotentialField(Field.monomial((0, 1, 0, 0), Paravector(1.0)))
         val = em_from_potential(pot, Event(0.3, (0.7, -1.1, 0.4)), k1)
-        return [val.data - np.array([0.0, -1.0, 0.0, 0.0])]
+        return val.data - np.array([0.0, -1.0, 0.0, 0.0])
 
     return [
         Case("plane-wave-gauge-scalar", "exact", 1e-12, _plane_wave_case(k1, "gauge")),
@@ -662,7 +665,7 @@ def _maxwell_cases() -> List[Case]:
         Case("gauss-law-slice", "numeric", 1e-6, _blocked(_times(1), gauss_slice, ROWS)),
         Case("c2-plane-wave-gauge-scalar", "exact", 1e-12, _plane_wave_case(k2, "gauge")),
         Case("c2-plane-wave-sources", "exact", 1e-10, _plane_wave_case(k2, "sources")),
-        Case("static-gradient-value", "fixed", 0.0, _sampled(_once, static_gradient)),
+        Case("static-gradient-value", "fixed", 0.0, _blocked(_once, static_gradient)),
     ]
 
 
@@ -750,9 +753,7 @@ def report_to_json(rep: SuiteReport, verbose: bool = False) -> str:
     return json.dumps(obj, allow_nan=False) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# convergence tables
-# ---------------------------------------------------------------------------
+# -- convergence tables -------------------------------------------------------
 
 @dataclass
 class ConvergenceRow:

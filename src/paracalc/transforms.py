@@ -173,22 +173,22 @@ def block_leibniz_sides(rho: np.ndarray, f, xs: np.ndarray):
     return lhs, pv_mul_rows(assemble_div(drho), fv) + rv[:, :1] * assemble_div(df)
 
 
-def block_numeric_partials(f, xs: np.ndarray, h: float):
+def block_numeric_partials(f, xs: np.ndarray, *steps: float):
     """At each point xs[p, j] of an (n, k, 4) stack, row p's numeric partials
-    and its exact ones (jets), both as d[p, j, coordinate, component], and
-    per row the largest component magnitude over the stencil points
-    differenced (a point with a NaN value skipped)."""
+    for each step, then its exact ones (jets), all as d[p, j, coordinate,
+    component], and per row the largest component magnitude over the stencil
+    points differenced (a point with a NaN value skipped)."""
     n, k = xs.shape[:2]
     values = []
 
     def value_fn(pts):
         values.append(_at_rows(f, pts.reshape(2, n, 4 * k, 4))[0])
-        return values[0].reshape(-1, 4)
+        return values[-1].reshape(-1, 4)
 
-    num = central_differences(value_fn, xs.reshape(-1, 4), h).reshape(n, k, 4, 4)
-    loc = np.fmax(np.abs(values[0]).max(axis=-1), 0.0).max(axis=(0, 2))
+    nums = [central_differences(value_fn, xs.reshape(-1, 4), h).reshape(n, k, 4, 4) for h in steps]
+    loc = np.fmax(np.abs(np.concatenate(values, axis=2)).max(axis=-1), 0.0).max(axis=(0, 2))
     exact = block_jets(tuple(None if a is None else a[:, None] for a in f), xs, 1)[1]
-    return num, exact.swapaxes(-1, -2), loc
+    return (*nums, exact.swapaxes(-1, -2), loc)
 
 
 # -- transport, rotation and wave invariance ---------------------------------

@@ -20,6 +20,7 @@ from paracalc.algebra import (
     mul,
     norm_sq,
     normalize_orthogonal,
+    normalize_rows,
     paravector_as_event,
     reverse,
     reverse_rows,
@@ -27,7 +28,7 @@ from paracalc.algebra import (
 )
 from paracalc.fields import random_event, random_orthogonal, random_paravector
 
-from util import max_abs, random_rows, rel_err
+from util import max_abs, normalize_value, random_rows, rel_err
 
 component = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 complexes = st.builds(complex, component, component)
@@ -273,6 +274,34 @@ def test_stacked_det_reverse_inverse_match_per_value_bit_for_bit():
     inv = inverse_rows(rows[keep])
     for k, (i, want) in enumerate(invertible):
         assert inv[k].tobytes() == want.tobytes(), i
+
+
+def test_normalize_rows_match_the_per_value_normalization_bit_for_bit():
+    rows = random_rows(np.random.default_rng(4), 2000)
+    kept = []
+    for i, row in enumerate(rows):
+        try:
+            kept.append((i, normalize_value(Paravector.from_data(row)).data))
+        except SingularParavector:
+            pass
+    assert 2000 < len(kept) < len(rows)  # every spread row, some exact rows
+    got = normalize_rows(rows[[i for i, _ in kept]])
+    for k, (i, want) in enumerate(kept):
+        assert got[k].tobytes() == want.tobytes(), i
+        assert normalize_orthogonal(Paravector.from_data(rows[i])).data.tobytes() == want.tobytes()
+    singular = [i for i in range(len(rows)) if i not in dict(kept)][0]
+    with pytest.raises(SingularParavector, match="row 1"):
+        normalize_rows(rows[[kept[0][0], singular]])
+
+
+def test_actions_on_stacks_match_the_per_value_actions_bit_for_bit():
+    rng = np.random.default_rng(8)
+    g, x = random_rows(rng, 300), random_rows(rng, 300)
+    left, right = act_left(g, x), act_right(x, g)
+    for i in range(len(g)):
+        p, e = Paravector.from_data(g[i]), Event.from_data(x[i])
+        assert left[i].tobytes() == act_left(p, e).data.tobytes(), i
+        assert right[i].tobytes() == act_right(e, p).data.tobytes(), i
 
 
 def test_stacked_inverse_raises_on_any_singular_row():

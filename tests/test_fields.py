@@ -14,11 +14,13 @@ from paracalc.algebra import (
     inverse,
     left_matrix,
     mul,
-    normalize_orthogonal,
+    normalize_rows,
     reverse,
     right_matrix,
 )
 from paracalc.diffops import Numeric, _jets, box4, bundle, central_differences
+from paracalc import fields, harness
+from paracalc.harness import _paravector_events
 from paracalc.fields import (
     DEGREE_CAP,
     Field,
@@ -37,7 +39,7 @@ from paracalc.fields import (
     random_scalar_field,
 )
 
-from util import central_difference, max_abs, random_rows, rel_err
+from util import central_difference, max_abs, normalize_value, random_rows, rel_err
 
 
 def composite_field(seed: int = 0):
@@ -544,6 +546,11 @@ def ref_paravectors(rng, n, scale=2.0, min_det=0.1):
     return np.array([ref_paravector(rng, scale, min_det)[0].data for _ in range(n)])
 
 
+def ref_paravector_events(rng, n):
+    pairs = [(ref_paravector(rng)[0].data, ref_components(rng, 2.0, 4)) for _ in range(n)]
+    return tuple(np.array(side) for side in zip(*pairs))
+
+
 def ref_plane_wave(rng, null):
     amp = ref_components(rng, 1.0, 4)
     if null:
@@ -586,7 +593,13 @@ def draw_pairs():
         "paravectors-7-min-det-2": (lambda rng: (random_paravectors(rng, 7, 2.0, 2.0),),
                                     lambda rng: (ref_paravectors(rng, 7, 2.0, 2.0),)),
         "orthogonal": (lambda rng: (random_orthogonal(rng).data,),
-                       lambda rng: (normalize_orthogonal(ref_paravector(rng)[0]).data,)),
+                       lambda rng: (normalize_value(ref_paravector(rng)[0]).data,)),
+        "orthogonal-rows-7": (lambda rng: (normalize_rows(random_paravectors(rng, 7)),),
+                              lambda rng: (np.array([normalize_value(ref_paravector(rng)[0]).data
+                                                     for _ in range(7)]),)),
+        # a paravector, redrawn as needed, then an event, per pair
+        "paravector-events-7": (lambda rng: _paravector_events(rng, 7),
+                                lambda rng: ref_paravector_events(rng, 7)),
         "event": (lambda rng: (random_event(rng).data,),
                   lambda rng: (ref_components(rng, 2.0, 4),)),
         "plane-wave": wave(False),
@@ -613,6 +626,31 @@ def test_draws_match_the_scalar_reference_bit_for_bit(name):
         for g, w in zip(got, want):
             assert same_bytes(g, w), (name, seed)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state, (name, seed)
+
+
+def test_paravector_event_draws_take_forced_redraws_as_the_calls_do(monkeypatch):
+    # a group of four complexes whose first real part is below -0.5 becomes
+    # singular: about a third of the paravector draws are redrawn, some several
+    # times in a row, and some rounds end on a paravector that still owes its event
+    draw, forced = fields._random_complexes, []
+
+    def often_singular(rng, scale, n):
+        groups = draw(rng, scale, n).reshape(-1, 4)
+        hit = groups[:, 0].real < -0.5
+        groups[hit] = [1.0 + 0.5j, 1.0 + 0.5j, 0.0, 0.0]  # [s; s e_x] has det 0
+        forced.append(hit.sum())
+        return groups.ravel()
+
+    monkeypatch.setattr(fields, "_random_complexes", often_singular)
+    monkeypatch.setattr(harness, "_random_complexes", often_singular)
+    for seed in range(40):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        g, x = harness._paravector_events(got_rng, 9)
+        for i in range(9):
+            assert same_bytes(g[i], random_paravector(ref_rng).data), (seed, i)
+            assert same_bytes(x[i], random_event(ref_rng).data), (seed, i)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state, seed
+    assert sum(forced) > 100
 
 
 def test_paravector_reference_seeds_exercise_the_rejection_loop():

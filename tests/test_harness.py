@@ -9,8 +9,18 @@ import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from paracalc import diffops, harness
-from paracalc.algebra import IDENTITY, Event, Paravector, det, inverse, mul, reverse
+from paracalc import diffops, harness, kernels
+from paracalc.algebra import (
+    IDENTITY,
+    Event,
+    Paravector,
+    act_left,
+    act_right,
+    det,
+    inverse,
+    mul,
+    reverse,
+)
 from paracalc.cli import main
 from paracalc.transforms import InvarianceForm, form_point
 from paracalc.algebra import conjugate_rotate
@@ -45,6 +55,7 @@ from util import (
     central_difference,
     gauss_slice_draw,
     maxwell_event,
+    normalize_value,
     random_rows,
     random_wave_potential,
     rows,
@@ -120,36 +131,67 @@ def test_worst_keeps_non_finite_samples():
 
 
 class LoopWorst:
-    """Worst.offer as it took one difference at a time: the reference."""
+    """Worst.offer as a loop over the rows of a stack: the reference."""
 
     def __init__(self):
         self.value = 0.0
         self.components = np.zeros(4, np.complex128)
 
     def offer(self, diff):
-        diff = np.atleast_1d(np.asarray(diff, dtype=np.complex128))
-        m = float(np.max(np.abs(diff)))
-        if m >= self.value or math.isnan(m):
-            self.value = m
-            self.components = diff
+        rows = np.atleast_2d(np.asarray(diff, dtype=np.complex128))
+        best = None
+        for k, m in enumerate(np.abs(rows).max(axis=1).tolist()):
+            if m >= self.value or math.isnan(m):
+                self.value, best = m, k
+        if best is not None:
+            self.components = rows[best].copy()
+
+
+def assert_same_worst(got, want):
+    assert got.value == want.value or math.isnan(got.value) and math.isnan(want.value)
+    assert type(got.value) is float
+    assert got.components.tobytes() == want.components.tobytes()
 
 
 def test_worst_offer_of_a_stack_is_its_rows_in_turn():
     rng = np.random.default_rng(6)
-    for _ in range(300):
+    # ties at the maximum, NaN rows, all-zero rows and signed zeros
+    pool = [0.0, -0.0, 0.5, 1.0, -1.0, math.inf, math.nan]
+    for _ in range(600):
         n = int(rng.integers(1, 12))
-        # ties at the maximum, NaN rows, and a last column that tells rows apart
-        rows = rng.choice([0.0, 0.5, 1.0, math.nan], size=(n, 3), p=[0.3, 0.3, 0.35, 0.05])
-        rows = np.column_stack([rows + 0j, 0.01j * np.arange(n)])
-        want = LoopWorst()
+        rows = rng.choice(pool, size=(n, 3), p=[0.3, 0.1, 0.2, 0.2, 0.12, 0.02, 0.06])
+        rows = rows + 1j * rng.choice([0.0, -0.0], size=(n, 3))
+        if rng.random() < 0.5:  # a last column that tells rows apart
+            rows = np.column_stack([rows, 0.01j * np.arange(n)])
+        one, whole, cut = LoopWorst(), LoopWorst(), Worst()
         for row in rows:
-            want.offer(row)
-        got = Worst()
+            one.offer(row)
+        whole.offer(rows)
         cuts = np.sort(rng.integers(0, n + 1, size=2))
         for block in np.split(rows, cuts):  # blocks in turn, empty ones too
-            got.offer(block)
-        assert got.value == want.value or math.isnan(got.value) and math.isnan(want.value)
-        assert got.components.tobytes() == want.components.tobytes()
+            cut.offer(block)
+        assert_same_worst(whole, one)
+        assert_same_worst(cut, one)
+
+
+def test_worst_offer_edge_cases():
+    def offered(*stacks):
+        got, want = Worst(), LoopWorst()
+        for stack in stacks:
+            got.offer(stack)
+            want.offer(stack)
+        assert_same_worst(got, want)
+        return got
+
+    nan, z = math.nan, -0.0
+    assert offered([[1.0, 2.0], [2.0, 1.0], [0.5, 0.5]]).components.tolist() == [2.0, 1.0]
+    assert offered([[0.0, 0.0], [z, 0.0], [0.0, z]]).components.tobytes() == \
+        np.array([0.0, z], np.complex128).tobytes()  # all zero: the last row
+    w = offered([[1.0, 0.0], [nan, 3.0], [2.0, 0.0], [nan, 4.0], [5.0, 0.0]])
+    assert math.isnan(w.value) and w.components[1] == 4.0  # the last NaN row
+    w = offered([[nan, 1.0]], [[9.0, 9.0]], np.zeros((0, 2)), [[7.0, 7.0]])
+    assert math.isnan(w.value) and w.components[1] == 1.0  # a held NaN sticks
+    assert offered([[3.0, 0.0]], [[1.0, 1.0]]).components.tolist() == [3.0, 0.0]
 
 
 def loop_algebra_runs(attempts):
@@ -189,10 +231,28 @@ def loop_algebra_runs(attempts):
         a = draw(rng)
         return [mul(a, inverse(a)).data - IDENTITY.data, mul(inverse(a), a).data - IDENTITY.data]
 
-    def loop(sample):
+    def event(rng):  # random_event
+        return Event.from_data(_random_complexes(rng, 2.0, 4))
+
+    def orthogonal_unit(rng):
+        lam = normalize_value(draw(rng))  # random_orthogonal
+        return [mul(lam, reverse(lam)).data - IDENTITY.data]
+
+    def action_consistency(rng):
+        g, x = draw(rng), event(rng)
+        return [act_left(g, x).data - kernels.pv_mul(g.data, x.data),
+                act_right(x, g).data - kernels.pv_mul(x.data, g.data)]
+
+    def rotation_round_trip(rng):
+        lam = normalize_value(draw(rng))
+        x = event(rng)
+        back = conjugate_rotate(reverse(lam), conjugate_rotate(lam, x))
+        return [back.data - x.data]
+
+    def loop(sample, k=20):
         def run(rng, cfg):
             w = LoopWorst()
-            for _ in range(20 * cfg.samples):
+            for _ in range(k * cfg.samples):
                 for diff in sample(rng):
                     w.offer(diff)
             return w
@@ -201,7 +261,10 @@ def loop_algebra_runs(attempts):
     return {"associativity": loop(associativity),
             "reversion-antiautomorphism": loop(reversion),
             "det-multiplicativity": loop(det_mult),
-            "inverse-identity": loop(inverse_identity)}
+            "inverse-identity": loop(inverse_identity),
+            "orthogonal-unit": loop(orthogonal_unit, 1),
+            "action-matches-product": loop(action_consistency, 1),
+            "rotation-round-trip": loop(rotation_round_trip, 1)}
 
 
 def test_blocked_algebra_cases_match_the_per_sample_loop(monkeypatch):
@@ -214,10 +277,13 @@ def test_blocked_algebra_cases_match_the_per_sample_loop(monkeypatch):
         return [dataclasses.replace(c, run=loop_runs[c.name]) if c.name in loop_runs else c
                 for c in blocked]
 
-    # a case takes 20 * samples samples: 13 and 26 end the last block mid-way
-    for seed, samples in [*((s, 13) for s in range(20)), (20, 26), (21, 1)]:
+    # the four largest cases take 20 * samples samples: 13 and 26 end the last
+    # block mid-way; blocks of 5 end the other three's blocks mid-way too
+    for seed, samples in [*((s, 13) for s in range(20)), (20, 26), (21, 1), (22, 13)]:
         cfg = small_cfg("algebra", samples=samples, seed=seed)
-        got = report_to_json(run_suite(cfg), verbose=True)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "BLOCK", 5 if seed == 22 else harness.BLOCK)
+            got = report_to_json(run_suite(cfg), verbose=True)
         with monkeypatch.context() as m:
             m.setitem(harness._SUITE_BUILDERS, "algebra", loop_cases)
             want = report_to_json(run_suite(cfg), verbose=True)
@@ -749,8 +815,8 @@ def _record_block_draws(monkeypatch, seen):
         ("pullback_composition_sides", record(0, 1, 2, 3, result=pair)),
         ("wave_invariance_sides", record(2, 1, 3, result=pair)),
         ("block_assembly_sides", record(0, 1, result=lambda x: (pair(x), pair(x)))),
-        ("block_numeric_partials", record(0, 1, result=lambda x: (
-            np.ones(x.shape + (4,)), np.zeros(x.shape + (4,)), np.zeros(len(x))))),
+        ("block_numeric_partials", lambda f, x, *steps: seen.append((f, x)) or (
+            *[np.ones(x.shape + (4,))] * len(steps), np.zeros(x.shape + (4,)), np.zeros(len(x)))),
         ("block_factorization_sides", record(0, 1, result=lambda x: (*pair(x), zeros(x)))),
         ("block_factorization_numeric_sides", record(0, 1, result=pair)),
         ("block_jets", record(0, 1, result=lambda x: [zeros(x), *[np.zeros((len(x), 4, 4))] * 2])),
@@ -804,9 +870,6 @@ def test_block_draws_take_the_per_sample_draws(monkeypatch, seed):
             "assembly-matches-oracle", "numeric-agreement", "additivity", "scalar-product-rule",
             "plane-wave-gauge-scalar", "plane-wave-sources", "c2-plane-wave-gauge-scalar",
             "c2-plane-wave-sources") else 300
-        if "convergence" in case.name:  # one evaluation per step, of the same draws
-            assert all(a is b for a, b in zip(_arrays(seen[0]), _arrays(seen[1])))
-            seen = seen[::2]
         want = _per_sample_draws(case.name, case_rng(seed, suite, sub), count)
         got = [np.concatenate(arrays) for arrays in zip(*map(_arrays, seen))]
         ref = [np.concatenate(arrays) for arrays in zip(*map(_arrays, want))]
@@ -841,7 +904,7 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, capsys, block):
         assert main(["check", suite, "--samples", "20", "--json", "--verbose"]) == 0
         return capsys.readouterr().out
 
-    want = {suite: report(suite) for suite in ("diffop", "maxwell")}
+    want = {suite: report(suite) for suite in ("algebra", "diffop", "maxwell")}
     monkeypatch.setattr(harness, "BLOCK", block)
     for suite, out in want.items():
         assert report(suite) == out, suite

@@ -4,7 +4,16 @@ import itertools
 
 import numpy as np
 
-from paracalc.algebra import IDENTITY, Event, Paravector, mul
+from paracalc.algebra import (
+    IDENTITY,
+    Event,
+    Paravector,
+    SingularParavector,
+    det,
+    mul,
+    scale,
+    singular_eps,
+)
 from paracalc.diffops import div4, grad4
 from paracalc.electromag import PotentialField, plane_wave_potential
 from paracalc.fields import (
@@ -36,6 +45,16 @@ def rel_err(a, b) -> float:
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
     return max_abs(a - b) / max(1.0, max_abs(a), max_abs(b))
+
+
+def normalize_value(a: Paravector) -> Paravector:
+    """normalize_orthogonal on one value, as it was written before it became
+    a one-row call of normalize_rows: the reference that both must match bit
+    for bit."""
+    d = det(a)
+    if abs(d) <= singular_eps(a):
+        raise SingularParavector(f"determinant {d!r} is numerically zero")
+    return scale(1.0 / np.sqrt(np.complex128(d)), a)
 
 
 def random_rows(rng, n):
