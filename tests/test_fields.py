@@ -20,7 +20,6 @@ from paracalc.algebra import (
 )
 from paracalc.diffops import Numeric, _jets, box4, bundle, central_differences
 from paracalc import fields, harness
-from paracalc.harness import _paravector_events
 from paracalc.fields import (
     DEGREE_CAP,
     Field,
@@ -598,7 +597,7 @@ def draw_pairs():
                               lambda rng: (np.array([normalize_value(ref_paravector(rng)[0]).data
                                                      for _ in range(7)]),)),
         # a paravector, redrawn as needed, then an event, per pair
-        "paravector-events-7": (lambda rng: _paravector_events(rng, 7),
+        "paravector-events-7": (lambda rng: harness._paravector_events(rng, 7),
                                 lambda rng: ref_paravector_events(rng, 7)),
         "event": (lambda rng: (random_event(rng).data,),
                   lambda rng: (ref_components(rng, 2.0, 4),)),

@@ -163,15 +163,13 @@ def test_worst_offer_of_a_stack_is_its_rows_in_turn():
         rows = rows + 1j * rng.choice([0.0, -0.0], size=(n, 3))
         if rng.random() < 0.5:  # a last column that tells rows apart
             rows = np.column_stack([rows, 0.01j * np.arange(n)])
-        one, whole, cut = LoopWorst(), LoopWorst(), Worst()
+        want, got = LoopWorst(), Worst()
         for row in rows:
-            one.offer(row)
-        whole.offer(rows)
+            want.offer(row)
         cuts = np.sort(rng.integers(0, n + 1, size=2))
         for block in np.split(rows, cuts):  # blocks in turn, empty ones too
-            cut.offer(block)
-        assert_same_worst(whole, one)
-        assert_same_worst(cut, one)
+            got.offer(block)
+        assert_same_worst(got, want)
 
 
 def test_worst_offer_edge_cases():
