@@ -289,18 +289,18 @@ def act_left(g, x):
     """X' = g X: left multiplication of the event by a paravector.
 
     g and x are a Paravector and an Event, or two (n, 4) stacks of rows for
-    an (n, 4) stack of events, row by row as the one-value form.
+    an (n, 4) stack of events; a value is a one-row stack.
     """
-    if isinstance(g, Paravector):
-        return paravector_as_event(mul(g, event_as_paravector(x)))
+    if isinstance(x, Event):
+        return Event.from_data(act_left(g.data[None], x.data[None])[0])
     return kernels.pv_mul_rows(g, x)
 
 
 def act_right(x, g):
     """X' = X g: right multiplication (cross term enters with opposite sign).
     x and g as for act_left."""
-    if isinstance(g, Paravector):
-        return paravector_as_event(mul(event_as_paravector(x), g))
+    if isinstance(x, Event):
+        return Event.from_data(act_right(x.data[None], g.data[None])[0])
     return kernels.pv_mul_rows(x, g)
 
 

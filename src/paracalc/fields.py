@@ -45,6 +45,7 @@ __all__ = [
     "PolynomialField",
     "random_paravector",
     "random_paravectors",
+    "random_paravector_events",
     "random_orthogonal",
     "random_event",
     "random_field",
@@ -421,6 +422,30 @@ def random_paravectors(seed, n: int, scale: float = 2.0, min_det: float = 0.1) -
         rows[done:done + len(kept)] = kept
         done += len(kept)
     return rows
+
+
+def random_paravector_events(seed, n: int, scale: float = 2.0, min_det: float = 0.1):
+    """n pairs drawn as n (random_paravector, random_event) pairs of calls, as
+    (n, 4) stacks g and x.
+
+    Both draws take groups of four complexes.  A round draws the fewest groups
+    the missing pairs can use and walks them in order: groups until one clears
+    min_det, then the event, so the stream ends where the calls end.
+    """
+    rng = as_rng(seed)
+    rows = np.empty((2 * n, 4), np.complex128)  # g0, x0, g1, x1, ...
+    done = 0
+    while done < 2 * n:
+        groups = _random_complexes(rng, scale, 4 * (2 * n - done)).reshape(-1, 4)
+        d = det_rows(groups)
+        keep, owed = [], done % 2  # owed: the next group is an event
+        for j, ok in enumerate((np.hypot(d.real, d.imag) >= min_det).tolist()):
+            if owed or ok:
+                keep.append(j)
+                owed = not owed
+        rows[done:done + len(keep)] = groups[keep]
+        done += len(keep)
+    return rows[0::2], rows[1::2]
 
 
 def random_paravector(seed, scale: float = 2.0, min_det: float = 0.1) -> Paravector:

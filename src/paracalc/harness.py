@@ -5,8 +5,9 @@ Every case gets its own random substream derived from
 perturbs existing ones and ``check all`` reproduces the per-suite residuals
 bit for bit.  A case draws a block of samples as stacked arrays, taking the
 stream as drawing one sample after another would, and one loop
-(``_blocked``) runs the blocks in sample order; a case that runs once is one
-block of one sample.  Residuals are max-abs
+(``_blocked``) runs the blocks in sample order; a value case that runs once
+is one block of one sample.  A floor case (``_floor``) runs its witness once.
+Residuals are max-abs
 over the value components; cases that pin a *floor* under a witness instead
 report the deficit ``max(0, floor - value)`` against a zero threshold so that
 ``pass == residual <= threshold`` holds uniformly.
@@ -23,7 +24,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .kernels import cmul, pv_mul_rows
+from .kernels import cmul, pv_mul, pv_mul_rows
 from .algebra import (
     Event,
     IDENTITY,
@@ -64,11 +65,11 @@ from .electromag import (
 from .fields import (
     Field,
     _degree_exponents,
-    _random_complexes,
     random_event,
     random_field,
     random_orthogonal,
     random_paravector,
+    random_paravector_events,
     random_paravectors,
     random_plane_wave,
 )
@@ -309,28 +310,6 @@ def _once(cfg) -> int:
     return 1
 
 
-def _paravector_events(rng, n: int):
-    """n (random_paravector, random_event) pairs, as (n, 4) stacks g and x.
-
-    Both draws take groups of four complexes.  A round draws the fewest groups
-    the missing pairs can use and walks them in order: groups until one clears
-    |det| >= 0.1, then the event, so the stream ends where n pairs of calls end.
-    """
-    rows = np.empty((2 * n, 4), np.complex128)  # g0, x0, g1, x1, ...
-    done = 0
-    while done < 2 * n:
-        groups = _random_complexes(rng, 2.0, 4 * (2 * n - done)).reshape(-1, 4)
-        d = det_rows(groups)
-        keep, owed = [], done % 2  # owed: the next group is an event
-        for j, ok in enumerate((np.hypot(d.real, d.imag) >= 0.1).tolist()):
-            if owed or ok:
-                keep.append(j)
-                owed = not owed
-        rows[done:done + len(keep)] = groups[keep]
-        done += len(keep)
-    return rows[0::2], rows[1::2]
-
-
 # -- algebra suite ------------------------------------------------------------
 
 def _algebra_cases() -> List[Case]:
@@ -364,9 +343,10 @@ def _algebra_cases() -> List[Case]:
         return pv_mul_rows(lam, reverse_rows(lam)) - IDENTITY.data
 
     def action_consistency(rng, start, n, cfg):
-        g, x = _paravector_events(rng, n)
-        both = np.stack([act_left(g, x) - pv_mul_rows(g, x),
-                         act_right(x, g) - pv_mul_rows(x, g)], axis=1)
+        g, x = random_paravector_events(rng, n)
+        # the actions on stacks against the product as mul takes it, sample by sample
+        gx, xg = (np.array([pv_mul(*ab) for ab in pairs]) for pairs in (zip(g, x), zip(x, g)))
+        both = np.stack([act_left(g, x) - gx, act_right(x, g) - xg], axis=1)
         return both.reshape(-1, 4)  # g X, then X g, per sample
 
     def left_action_expansion(rng, start, n, cfg):
@@ -385,7 +365,7 @@ def _algebra_cases() -> List[Case]:
         return mul(a, b).data - mul(b, a).data
 
     def rotation_round_trip(rng, start, n, cfg):
-        g, x = _paravector_events(rng, n)  # as random_orthogonal, random_event
+        g, x = random_paravector_events(rng, n)  # as random_orthogonal, random_event
         lam = normalize_rows(g)
         rlam = reverse_rows(lam)
         xp = pv_mul_rows(pv_mul_rows(lam, x), rlam)  # L X L~, then back: L~ X' L

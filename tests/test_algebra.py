@@ -294,12 +294,14 @@ def test_normalize_rows_match_the_per_value_normalization_bit_for_bit():
         normalize_rows(rows[[kept[0][0], singular]])
 
 
-def test_actions_on_stacks_match_the_per_value_actions_bit_for_bit():
+def test_actions_on_stacks_are_the_products_row_by_row_bit_for_bit():
     rng = np.random.default_rng(8)
     g, x = random_rows(rng, 300), random_rows(rng, 300)
     left, right = act_left(g, x), act_right(x, g)
     for i in range(len(g)):
         p, e = Paravector.from_data(g[i]), Event.from_data(x[i])
+        assert left[i].tobytes() == mul(p, event_as_paravector(e)).data.tobytes(), i
+        assert right[i].tobytes() == mul(event_as_paravector(e), p).data.tobytes(), i
         assert left[i].tobytes() == act_left(p, e).data.tobytes(), i
         assert right[i].tobytes() == act_right(e, p).data.tobytes(), i
 
