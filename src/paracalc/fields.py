@@ -45,7 +45,6 @@ __all__ = [
     "PolynomialField",
     "random_paravector",
     "random_paravectors",
-    "random_paravector_events",
     "random_orthogonal",
     "random_event",
     "random_field",
@@ -404,7 +403,14 @@ def _random_complexes(rng, scale: float, n: int) -> np.ndarray:
     return z
 
 
-def random_paravectors(seed, n: int, scale: float = 2.0, min_det: float = 0.1) -> np.ndarray:
+#: The disc radius of the paravector and event draws, and the |det| that a
+#: drawn paravector must reach.
+DRAW_SCALE = 2.0
+MIN_DET = 0.1
+
+
+def random_paravectors(seed, n: int, scale: float = DRAW_SCALE,
+                       min_det: float = MIN_DET) -> np.ndarray:
     """n paravectors as the rows of an (n, 4) array, drawn as n random_paravector calls.
 
     Drawing one paravector after another keeps each draw whose |det| clears
@@ -424,41 +430,17 @@ def random_paravectors(seed, n: int, scale: float = 2.0, min_det: float = 0.1) -
     return rows
 
 
-def random_paravector_events(seed, n: int, scale: float = 2.0, min_det: float = 0.1):
-    """n pairs drawn as n (random_paravector, random_event) pairs of calls, as
-    (n, 4) stacks g and x.
-
-    Both draws take groups of four complexes.  A round draws the fewest groups
-    the missing pairs can use and walks them in order: groups until one clears
-    min_det, then the event, so the stream ends where the calls end.
-    """
-    rng = as_rng(seed)
-    rows = np.empty((2 * n, 4), np.complex128)  # g0, x0, g1, x1, ...
-    done = 0
-    while done < 2 * n:
-        groups = _random_complexes(rng, scale, 4 * (2 * n - done)).reshape(-1, 4)
-        d = det_rows(groups)
-        keep, owed = [], done % 2  # owed: the next group is an event
-        for j, ok in enumerate((np.hypot(d.real, d.imag) >= min_det).tolist()):
-            if owed or ok:
-                keep.append(j)
-                owed = not owed
-        rows[done:done + len(keep)] = groups[keep]
-        done += len(keep)
-    return rows[0::2], rows[1::2]
-
-
-def random_paravector(seed, scale: float = 2.0, min_det: float = 0.1) -> Paravector:
+def random_paravector(seed, scale: float = DRAW_SCALE, min_det: float = MIN_DET) -> Paravector:
     """Components uniform on the radius-`scale` disc; redrawn until |det| >= min_det."""
     return Paravector.from_data(random_paravectors(seed, 1, scale, min_det)[0])
 
 
-def random_orthogonal(seed, scale: float = 2.0) -> Paravector:
+def random_orthogonal(seed, scale: float = DRAW_SCALE) -> Paravector:
     """normalize_orthogonal over a rejection-sampled paravector (det ~ 1)."""
     return normalize_orthogonal(random_paravector(seed, scale))
 
 
-def random_event(seed, scale: float = 2.0) -> Event:
+def random_event(seed, scale: float = DRAW_SCALE) -> Event:
     return Event.from_data(_random_complexes(as_rng(seed), scale, 4))
 
 

@@ -63,13 +63,15 @@ from .electromag import (
     random_wave_row,
 )
 from .fields import (
+    DRAW_SCALE,
+    MIN_DET,
     Field,
     _degree_exponents,
+    _random_complexes,
     random_event,
     random_field,
     random_orthogonal,
     random_paravector,
-    random_paravector_events,
     random_paravectors,
     random_plane_wave,
 )
@@ -310,6 +312,28 @@ def _once(cfg) -> int:
     return 1
 
 
+def _paravector_events(rng, n: int):
+    """n (random_paravector, random_event) pairs, as (n, 4) stacks g and x.
+
+    Both draws take groups of four complexes.  A round draws the fewest groups
+    the missing pairs can use and walks them in order: groups until one clears
+    |det| >= MIN_DET, then the event, so the stream ends where n pairs of calls end.
+    """
+    rows = np.empty((2 * n, 4), np.complex128)  # g0, x0, g1, x1, ...
+    done = 0
+    while done < 2 * n:
+        groups = _random_complexes(rng, DRAW_SCALE, 4 * (2 * n - done)).reshape(-1, 4)
+        d = det_rows(groups)
+        keep, owed = [], done % 2  # owed: the next group is an event
+        for j, ok in enumerate((np.hypot(d.real, d.imag) >= MIN_DET).tolist()):
+            if owed or ok:
+                keep.append(j)
+                owed = not owed
+        rows[done:done + len(keep)] = groups[keep]
+        done += len(keep)
+    return rows[0::2], rows[1::2]
+
+
 # -- algebra suite ------------------------------------------------------------
 
 def _algebra_cases() -> List[Case]:
@@ -343,7 +367,7 @@ def _algebra_cases() -> List[Case]:
         return pv_mul_rows(lam, reverse_rows(lam)) - IDENTITY.data
 
     def action_consistency(rng, start, n, cfg):
-        g, x = random_paravector_events(rng, n)
+        g, x = _paravector_events(rng, n)
         # the actions on stacks against the product as mul takes it, sample by sample
         gx, xg = (np.array([pv_mul(*ab) for ab in pairs]) for pairs in (zip(g, x), zip(x, g)))
         both = np.stack([act_left(g, x) - gx, act_right(x, g) - xg], axis=1)
@@ -365,7 +389,7 @@ def _algebra_cases() -> List[Case]:
         return mul(a, b).data - mul(b, a).data
 
     def rotation_round_trip(rng, start, n, cfg):
-        g, x = random_paravector_events(rng, n)  # as random_orthogonal, random_event
+        g, x = _paravector_events(rng, n)  # as random_orthogonal, random_event
         lam = normalize_rows(g)
         rlam = reverse_rows(lam)
         xp = pv_mul_rows(pv_mul_rows(lam, x), rlam)  # L X L~, then back: L~ X' L

@@ -19,7 +19,7 @@ from paracalc.algebra import (
     right_matrix,
 )
 from paracalc.diffops import Numeric, _jets, box4, bundle, central_differences
-from paracalc import fields
+from paracalc import fields, harness
 from paracalc.fields import (
     DEGREE_CAP,
     Field,
@@ -33,7 +33,6 @@ from paracalc.fields import (
     random_field,
     random_orthogonal,
     random_paravector,
-    random_paravector_events,
     random_paravectors,
     random_plane_wave,
     random_scalar_field,
@@ -546,9 +545,8 @@ def ref_paravectors(rng, n, scale=2.0, min_det=0.1):
     return np.array([ref_paravector(rng, scale, min_det)[0].data for _ in range(n)])
 
 
-def ref_paravector_events(rng, n, scale=2.0, min_det=0.1):
-    pairs = [(ref_paravector(rng, scale, min_det)[0].data, ref_components(rng, scale, 4))
-             for _ in range(n)]
+def ref_paravector_events(rng, n):
+    pairs = [(ref_paravector(rng)[0].data, ref_components(rng, 2.0, 4)) for _ in range(n)]
     return tuple(np.array(side) for side in zip(*pairs))
 
 
@@ -599,11 +597,8 @@ def draw_pairs():
                               lambda rng: (np.array([normalize_value(ref_paravector(rng)[0]).data
                                                      for _ in range(7)]),)),
         # a paravector, redrawn as needed, then an event, per pair
-        "paravector-events-7": (lambda rng: random_paravector_events(rng, 7),
+        "paravector-events-7": (lambda rng: harness._paravector_events(rng, 7),
                                 lambda rng: ref_paravector_events(rng, 7)),
-        "paravector-events-7-min-det-2": (
-            lambda rng: random_paravector_events(rng, 7, 2.0, 2.0),
-            lambda rng: ref_paravector_events(rng, 7, 2.0, 2.0)),
         "event": (lambda rng: (random_event(rng).data,),
                   lambda rng: (ref_components(rng, 2.0, 4),)),
         "plane-wave": wave(False),
@@ -646,9 +641,10 @@ def test_paravector_event_draws_take_forced_redraws_as_the_calls_do(monkeypatch)
         return groups.ravel()
 
     monkeypatch.setattr(fields, "_random_complexes", often_singular)
+    monkeypatch.setattr(harness, "_random_complexes", often_singular)
     for seed in range(40):
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        g, x = random_paravector_events(got_rng, 9)
+        g, x = harness._paravector_events(got_rng, 9)
         for i in range(9):
             assert same_bytes(g[i], random_paravector(ref_rng).data), (seed, i)
             assert same_bytes(x[i], random_event(ref_rng).data), (seed, i)
