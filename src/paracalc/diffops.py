@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .algebra import BASIS, Event, Paravector, left_matrix
-from .fields import Field, _degree_exponents, _random_complexes, as_rng
+from .fields import Field, _random_complexes, as_rng
 
 __all__ = [
     "Exact",
@@ -94,10 +94,14 @@ def bundle(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
 
 
 def _jets(f: Field, xs: np.ndarray, order: int) -> list:
-    """kernels.jets of each of f's groups at the (n, 4) points, summed over the groups."""
+    """kernels.jets of each of f's groups, on the exponent table of its degree,
+    at the (n, 4) points, summed over the groups."""
     total = None
     for m, k, exps, coeffs in f._groups:
-        parts = kernels.jets(xs, m, k if k.any() else None, exps, coeffs, order)
+        degree = int(exps.sum(axis=1).max())
+        table = np.zeros((len(kernels._degree_exponents(degree)), 4), np.complex128)
+        table[kernels.table_rows(degree, exps)] = coeffs
+        parts = kernels.jets(xs, m, k if k.any() else None, table, order)
         total = parts if total is None else [a + b for a, b in zip(total, parts)]
     if total is None:  # the zero field
         return [np.zeros((len(xs), 4), np.complex128)] + [
@@ -173,7 +177,7 @@ def box4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
 # g (n, 4, 4), a constant matrix on the values such as left_matrix(h) for
 # h A.  None stands for identity frames and factors and for no phase.  A
 # dense polynomial fills c; a plane wave is the constant row of c (row 0)
-# with its phase.  The table is fields._degree_exponents(3).
+# with its phase.  The table is kernels._degree_exponents(3).
 
 
 def field_row(seed, plane_wave: bool = False):
@@ -182,37 +186,32 @@ def field_row(seed, plane_wave: bool = False):
     the same order, without building the Field."""
     rng = as_rng(seed)
     if not plane_wave:
-        coeffs = _random_complexes(rng, 1.0, 4 * len(_degree_exponents(3))).reshape(-1, 4)
+        coeffs = _random_complexes(rng, 1.0, 4 * len(kernels._degree_exponents(3))).reshape(-1, 4)
         return coeffs, np.zeros(4, np.complex128)
     z = _random_complexes(rng, 1.0, 8)  # amplitude, then phase
-    coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
+    coeffs = np.zeros((len(kernels._degree_exponents(3)), 4), np.complex128)
     coeffs[0] = z[:4]
     return coeffs, z[4:]
-
-
-#: rows of a block's coefficients -> the degree of its exponent table: 3, or
-#: 6 for the products of two degree-3 rows (block_scalar_mul)
-_DEGREE = {35: 3, 210: 6}
 
 
 def null_wave_row(seed):
     """null_plane_wave(seed) as a block row (its coefficients and phase), from
     the same doubles in the same order, without building the Field."""
     z = _random_complexes(as_rng(seed), 1.0, 7)  # amplitude, then kappa
-    coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
+    coeffs = np.zeros((len(kernels._degree_exponents(3)), 4), np.complex128)
     coeffs[0] = z[:4]
     return coeffs, np.concatenate([[np.sqrt(np.complex128(z[4:] @ z[4:]))], z[4:]])
 
 
 def scalar_row(seed) -> np.ndarray:
     """random_scalar_field(seed)'s scalar coefficients on the degree-3 table (35,)."""
-    return _random_complexes(as_rng(seed), 1.0, len(_degree_exponents(3)))
+    return _random_complexes(as_rng(seed), 1.0, len(kernels._degree_exponents(3)))
 
 
 def block_jets(f, xs: np.ndarray, order: int) -> list:
     """kernels.jets of row p's field at xs[p], for every row of the block f."""
     m, k, c, g = f
-    out = kernels.jets(xs, m, k, _degree_exponents(_DEGREE[c.shape[-2]]), c, order)
+    out = kernels.jets(xs, m, k, c, order)
     if g is None:
         return out
     return [kernels.cdot("...ij,...j->...i", g, out[0])] + [
@@ -265,27 +264,6 @@ def block_times(f, matrices: np.ndarray):
     return m, k, c, matrices if g is None else kernels.cdot("...ij,...jk->...ik", matrices, g)
 
 
-_TABLES: dict = {}  # index tables on the exponent tables, built on first use
-
-
-def _rows_of(degree: int, exps: np.ndarray) -> np.ndarray:
-    """The rows of the degree-d exponent table that hold the exponent rows exps."""
-    digits = 9 ** np.arange(3, -1, -1)  # the table is lexicographic: its keys increase
-    return np.searchsorted(_degree_exponents(degree) @ digits, exps @ digits)
-
-
-def _lowering(rows: int, j: int):
-    """On the exponent table of ``rows`` rows: the rows whose exponent j is
-    positive, the rows that lowering it by one gives, and that exponent as
-    an (r, 1) column."""
-    if (rows, j) not in _TABLES:
-        exps = _degree_exponents(_DEGREE[rows])
-        src = np.flatnonzero(exps[:, j])
-        low = exps[src] - np.eye(4, dtype=np.int64)[j]
-        _TABLES[rows, j] = src, _rows_of(_DEGREE[rows], low), exps[src, j, None]
-    return _TABLES[rows, j]
-
-
 def block_partial(f, c: int):
     """The partial along coordinate c of every row of the block f, on its table.
 
@@ -296,10 +274,11 @@ def block_partial(f, c: int):
     """
     m, k, coeffs, g = f
     out = np.zeros_like(coeffs) if k is None else k[:, c, None, None] * coeffs
+    rows, weight = kernels.lowering(kernels.TABLE_DEGREE[coeffs.shape[-2]], 5)
     for j in (c,) if m is None else range(4):
-        src, dst, e = _lowering(coeffs.shape[-2], j)
-        low = coeffs[:, src] * e
-        out[:, dst] += low if m is None else m[:, j, c, None, None] * low
+        src = np.flatnonzero(weight[1 + j])  # slot 1 + j is d_j
+        low = coeffs[:, src] * weight[1 + j, src, None]
+        out[:, rows[1 + j, src]] += low if m is None else m[:, j, c, None, None] * low
     return m, k, out, g
 
 
@@ -347,11 +326,9 @@ def block_scalar_mul(rho: np.ndarray, f):
     m, k, coeffs, g = f
     if m is not None:
         raise ValueError("block_scalar_mul takes unframed rows")
-    if "products" not in _TABLES:
-        low = _degree_exponents(3)
-        _TABLES["products"] = _rows_of(6, low[:, None] + low[None, :])
-    out = np.zeros((len(coeffs), len(_degree_exponents(6)), 4), np.complex128)
-    for i, to in enumerate(_TABLES["products"]):
+    out = np.zeros((len(coeffs), len(kernels._degree_exponents(6)), 4), np.complex128)
+    low = kernels._degree_exponents(3)
+    for i, to in enumerate(kernels.table_rows(6, low[:, None] + low[None, :])):
         out[:, to] += rho[:, i, None, None] * coeffs
     return None, k, out, g
 

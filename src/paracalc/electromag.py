@@ -25,12 +25,12 @@ from typing import Tuple
 
 import numpy as np
 
+from . import kernels
 from .algebra import Event, Paravector
 from .diffops import (
     DiffMode,
     EXACT,
     _at_rows,
-    _lowering,
     assemble_box,
     assemble_div,
     assemble_grad,
@@ -46,7 +46,7 @@ from .diffops import (
     grad4,
     grad4_field,
 )
-from .fields import Field, _degree_exponents, as_rng, random_scalar_field
+from .fields import Field, as_rng, random_scalar_field
 
 __all__ = [
     "PhysConstants",
@@ -186,7 +186,7 @@ def random_wave_row(seed, k: PhysConstants = PhysConstants()):
         pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
     amp = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
     amplitude, phase = plane_wave_row(kvec, pol, amp, k)
-    coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
+    coeffs = np.zeros((len(kernels._degree_exponents(3)), 4), np.complex128)
     coeffs[0] = amplitude  # a plane wave is the constant row
     return coeffs, phase
 
@@ -242,8 +242,9 @@ def block_lorenz_potential(w: np.ndarray, k: PhysConstants = PhysConstants()):
     c = np.zeros(w.shape[:2] + (4,), np.complex128)
     c[..., 1:] = w
     div_w = sum(block_partial((None, None, c, None), i)[2][..., i] for i in (1, 2, 3))
-    src, dst, e = _lowering(c.shape[1], 0)  # t-antiderivative: t^e / e from t^(e-1)
-    c[:, src, 0] = k.c * div_w[:, dst] / e[:, 0]
+    rows, weight = kernels.lowering(3, 2)  # slot 1 lowers t
+    src = np.flatnonzero(weight[1])  # t-antiderivative: t^e / e from t^(e-1)
+    c[:, src, 0] = k.c * div_w[:, rows[1, src]] / weight[1, src]
     return None, None, c, None
 
 

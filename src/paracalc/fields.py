@@ -29,7 +29,6 @@ stack, since ``_value`` takes one point or a stack of points.
 
 from __future__ import annotations
 
-import itertools
 import operator
 
 import numpy as np
@@ -444,27 +443,11 @@ def random_event(seed, scale: float = DRAW_SCALE) -> Event:
     return Event.from_data(_random_complexes(as_rng(seed), scale, 4))
 
 
-_EXPONENTS: dict = {}
-
-
-def _degree_exponents(degree: int) -> np.ndarray:
-    """Read-only exponent rows of total degree <= degree, in lexicographic order."""
-    try:
-        return _EXPONENTS[degree]
-    except KeyError:
-        exps = np.array(
-            [e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) <= degree],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        exps.flags.writeable = False
-        return _EXPONENTS.setdefault(degree, exps)
-
-
 def _random_polynomial(seed, degree: int, scale: float, width: int) -> Field:
     # term by term, the first `width` components; the rest stay zero
     if degree > DEGREE_CAP:
         raise ValueError(f"degree must be <= {DEGREE_CAP}")
-    exps = _degree_exponents(degree)
+    exps = kernels._degree_exponents(degree)
     n = len(exps)
     coeffs = np.zeros((n, 4), np.complex128)
     coeffs[:, :width] = _random_complexes(as_rng(seed), scale, n * width).reshape(n, width)

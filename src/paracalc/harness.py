@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .kernels import cmul, pv_mul, pv_mul_rows
+from .kernels import _degree_exponents, cmul, pv_mul, pv_mul_rows
 from .algebra import (
     Event,
     IDENTITY,
@@ -66,7 +66,6 @@ from .fields import (
     DRAW_SCALE,
     MIN_DET,
     Field,
-    _degree_exponents,
     _random_complexes,
     random_event,
     random_field,

@@ -5,10 +5,13 @@ Plain numpy on length-4 complex arrays ``[s, v1, v2, v3]`` (paravectors) and
 ``[t, x, y, z]`` (events).  Each ``*_rows`` twin works on ``(n, 4)`` stacks of
 them, row by row, and rounds every row exactly as its one-row kernel does.
 ``jets`` evaluates a field group's value and exact partials on a stack of
-points, each row on its own; ``product_sums`` merges the products of a scalar
-field with a field.
+points, each row on its own, from coefficients on the exponent table of a
+degree, whose partials ``lowering`` gives; ``product_sums`` merges the
+products of a scalar field with a field.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -129,37 +132,111 @@ def product_sums(pairs, cap: int):
 # -- forward-mode jets --------------------------------------------------------
 #
 # The derivatives are propagated with the values (Griewank & Walther,
-# *Evaluating Derivatives*, SIAM 2008), never built as expressions.  Slot q of
-# a jet table is one partial of every monomial: 0 the monomial itself, 1-4
-# d_j, 5-8 d_j d_j, 9-14 d_j d_l for j < l.
-_DIAGONAL = [(j, j) for j in range(4)]
+# *Evaluating Derivatives*, SIAM 2008), never built as expressions.  Slot q
+# is one partial of every monomial of an exponent table: 0 the monomial
+# itself, 1-4 d_j, 5-8 d_j d_j, 9-14 d_j d_l for j < l.
 _MIXED = [(j, l) for j in range(4) for l in range(j + 1, 4)]
 _LOWER = ([[0] * 4] + [[int(i == j) for i in range(4)] for j in range(4)]
           + [[2 * int(i == j) for i in range(4)] for j in range(4)]
           + [[int(i in pair) for i in range(4)] for pair in _MIXED])
-_JET_TABLES: dict = {}
-_BUDGET = 768  # monomial slots per pass of _poly_slots: at most 96 KB per temporary
+_BUDGET = 12288  # doubles in the arrays of a pass of _poly_slots: 96 KB
 
 
-def _jet_table(exps, slots: int):
-    """The powers p of a table of y_c ** p, and per slot and term where the
-    four factors of the lowered monomial sit in it and its integer weight.
+@functools.cache
+def _degree_exponents(degree: int) -> np.ndarray:
+    """Read-only exponent rows of total degree <= degree, in lexicographic order."""
+    exps = np.array([e for e in itertools.product(range(degree + 1), repeat=4)
+                     if sum(e) <= degree], np.int64).reshape(-1, 4)
+    exps.flags.writeable = False
+    return exps
 
-    d_j d_l x^e = e_j (e_l - [j = l]) x^(e - u_j - u_l); a weight of 0 marks
-    an exponent that drops below 0, whose power is clipped to 0.
-    """
-    key = (exps.tobytes(), slots)
-    table = _JET_TABLES.get(key)
-    if table is None:
-        low = np.array(_LOWER[:slots])[:, None, :]
-        e = exps[None, :, :]
-        weight = (np.where(low > 0, e, 1) * np.where(low > 1, e - 1, 1)).prod(axis=-1)
-        powers = np.arange(exps.max() + 1).astype(np.clongdouble)
-        factors = np.maximum(e - low, 0) + len(powers) * np.arange(4)
-        table = (powers, factors, weight.astype(np.longdouble))
-        if len(_JET_TABLES) < 64:  # the suites use a handful of tables
-            _JET_TABLES[key] = table
-    return table
+
+TABLE_DEGREE = {math.comb(d + 4, 4): d for d in range(33)}  #: a table's rows -> its degree
+
+
+def table_rows(degree: int, exps: np.ndarray) -> np.ndarray:
+    """The rows of the degree's exponent table that hold the exponent rows exps."""
+    digits = (degree + 1) ** np.arange(3, -1, -1)  # the table is lexicographic: its keys increase
+    return np.searchsorted(_degree_exponents(degree) @ digits, exps @ digits)
+
+
+@functools.cache
+def lowering(degree: int, slots: int):
+    """Per slot q and row t of the degree's exponent table, (slots, T) each, the
+    row and integer weight of d_j d_l x^e = e_j (e_l - [j = l]) x^(e - u_j - u_l);
+    a weight of 0 marks an exponent that drops below 0, and row 0 the monomial 1."""
+    e = _degree_exponents(degree)[None]
+    low = np.array(_LOWER[:slots])[:, None, :]
+    weight = (np.where(low > 0, e, 1) * np.where(low > 1, e - 1, 1)).prod(axis=-1)
+    rows = np.where(weight > 0, table_rows(degree, np.maximum(e - low, 0)), 0)
+    rows.flags.writeable = weight.flags.writeable = False
+    return rows, weight
+
+
+@functools.cache
+def _plan(degree: int, slots: int):
+    """How _poly_slots builds the monomials in graded order: per degree, the span
+    [lo, hi) of its rows, their parents (the row with its last nonzero exponent
+    lowered by one) and that coordinate; and where each slot finds the real,
+    then imaginary, parts of its lowered monomials, (slots, 2T), and weights."""
+    exps = _degree_exponents(degree)
+    d = exps.sum(axis=1)
+    graded = np.concatenate([np.flatnonzero(d == L) for L in range(degree + 1)])
+    at = np.empty_like(graded)  # a table row's graded position
+    at[graded] = np.arange(len(graded))
+    c = 3 - np.argmax(exps[:, ::-1] > 0, axis=1)
+    p = at[table_rows(degree, np.maximum(exps - np.eye(4, dtype=np.int64)[c], 0))]  # parents
+    spans = [(math.comb(L + 3, 4), math.comb(L + 4, 4)) for L in range(1, degree + 1)]
+    levels = [(lo, hi, p[graded[lo:hi]], c[graded[lo:hi]]) for lo, hi in spans]
+    rows, w = lowering(degree, slots)
+    return levels, np.hstack([at[rows], at[rows] + len(exps)]), np.hstack([w, w], dtype=float)
+
+
+def _poly_slots(y, coeffs, plan):
+    """s[n, ..., q, i]: slot q of component i of P = sum_t coeffs[t] y^e_t, for
+    coefficients (..., T, 4) on the exponent table of the _plan's degree.
+
+    Each monomial is evaluated once per point in double, its parent times one
+    coordinate; each slot gathers its lowered monomials times their weights,
+    and one vector-matrix product per point and slot sums their parts against
+    b.  In passes of at most _BUDGET doubles: rows are independent, and so are
+    the points of one row (1, k, 4) past the budget."""
+    levels, index, weight = plan
+    terms = index.shape[-1] // 2
+    point = index.size + 8 * terms  # doubles per point: a, the monomials and a level's parts
+    row = 0 if coeffs.ndim == 2 else 16 * terms  # and per row of its own coefficients: b
+    step = max(1, _BUDGET // (math.prod(y.shape[1:-1]) * point + row))
+    if len(y) > step:
+        return np.concatenate([
+            _poly_slots(y[i:i + step], coeffs if coeffs.ndim == 2 else coeffs[i:i + step], plan)
+            for i in range(0, len(y), step)])
+    step = max(1, (_BUDGET - row) // point)
+    if y.ndim == 3 and y.shape[1] > step:
+        shared = coeffs.ndim == 2 or coeffs.shape[1] == 1
+        return np.concatenate([
+            _poly_slots(y[:, j:j + step], coeffs if shared else coeffs[:, j:j + step], plan)
+            for j in range(0, y.shape[1], step)], axis=1)
+    mono = np.empty(y.shape[:-1] + (2, terms))  # real and imaginary parts, graded
+    mono[..., 0] = 1.0, 0.0
+    y = np.stack([y.real, y.imag], axis=-2)
+    (lo, hi, _, c), *higher = levels
+    mono[..., lo:hi] = np.take(y, c, axis=-1)  # degree 1: the coordinates
+    for lo, hi, parent, c in higher:  # parent times coordinate, rounded as cmul rounds
+        p, x = np.take(mono, parent, axis=-1), np.take(y, c, axis=-1)
+        re, im = p * x[..., :1, :], p * x[..., 1:, :]
+        np.subtract(re[..., 0, :], im[..., 1, :], out=mono[..., 0, lo:hi])
+        np.add(im[..., 0, :], re[..., 1, :], out=mono[..., 1, lo:hi])
+    a = np.take(mono.reshape(mono.shape[:-2] + (-1,)), index, axis=-1)  # the largest temporary
+    a *= weight
+    # b[..., (m, t), (i, part)]: c_t[i].re and .im against part m = 0 (real) of
+    # the monomials, -c_t[i].im and .re against part m = 1 (imaginary)
+    b = np.empty(coeffs.shape[:-2] + (2,) + coeffs.shape[-2:] + (2,))
+    b[..., 0, :, :, 0] = b[..., 1, :, :, 1] = coeffs.real
+    b[..., 0, :, :, 1] = coeffs.imag
+    b[..., 1, :, :, 0] = -coeffs.imag
+    b = b.reshape(b.shape[:-4] + (1, 2 * terms, 8))  # one for the slots
+    # one vector-matrix product per point and slot, each of the same shape
+    return np.matmul(a[..., None, :], b)[..., 0, :].view(_C128)
 
 
 def cdot(spec: str, x, y):
@@ -171,57 +248,18 @@ def cdot(spec: str, x, y):
     ins, out = spec.split("->")
     left, right = ins.split(",")
     r = np.einsum(f"X{left},Y{right}->XY{out}",
-                  np.stack([x.real, x.imag]), np.stack([y.real, y.imag]))
+                  np.array([x.real, x.imag]), np.array([y.real, y.imag]))
     z = np.empty(r.shape[2:], _C128)
     z.real = r[0, 0] - r[1, 1]
     z.imag = r[0, 1] + r[1, 0]
     return z
 
 
-def _poly_slots(y, exps, coeffs, slots: int):
-    """s[n, ..., q, i]: slot q of component i of P = sum_t coeffs[t] y^exps[t].
-
-    The monomials and the sums run in long double, so each slot is close to
-    the correctly rounded value of the polynomial (on x86-64, to about one
-    rounding in double), whatever the cancellation among its terms.
-    """
-    step = max(1, _BUDGET // (math.prod(y.shape[1:-1]) * slots * len(exps)))
-    if len(y) > step:  # a pass at a time: rows are independent
-        return np.concatenate([
-            _poly_slots(y[i:i + step], exps, coeffs if coeffs.ndim == 2 else coeffs[i:i + step],
-                        slots) for i in range(0, len(y), step)])
-    step = max(1, _BUDGET // (slots * len(exps)))
-    if y.ndim == 3 and y.shape[1] > step:  # one row (1, k, 4) past the budget: its points
-        shared = coeffs.ndim == 2 or coeffs.shape[1] == 1
-        return np.concatenate([
-            _poly_slots(y[:, j:j + step], exps, coeffs if shared else coeffs[:, j:j + step],
-                        slots) for j in range(0, y.shape[1], step)], axis=1)
-    powers, factors, weight = _jet_table(exps, slots)
-    powers = y.astype(np.clongdouble)[..., :, None] ** powers  # y_c ** p
-    powers = powers.reshape(y.shape[:-1] + (-1,))
-    mono = np.take(powers, factors[..., 0], axis=-1)
-    for c in (1, 2, 3):  # left to right, as prod over the four factors multiplies
-        mono *= np.take(powers, factors[..., c], axis=-1)
-    # both parts of both sides in one real contraction over t:
-    # a[..., part q, t] and b[..., part i, t], contiguous along t
-    a = np.stack([mono.real, mono.imag], axis=-3)
-    a *= weight
-    a = a.reshape(mono.shape[:-2] + (-1, len(exps)))
-    del mono  # the largest temporary of a pass
-    c = np.swapaxes(coeffs, -1, -2)
-    b = np.stack([c.real, c.imag], axis=-3).reshape(c.shape[:-2] + (8, -1)).astype(np.longdouble)
-    r = np.einsum("...at,...bt->...ab", a, b).reshape(a.shape[:-2] + (2, slots, 2, 4))
-    s = np.empty(r.shape[:-4] + (slots, 4), _C128)
-    s.real = (r[..., 0, :, 0, :] - r[..., 1, :, 1, :]).astype(np.float64)
-    s.imag = (r[..., 0, :, 1, :] + r[..., 1, :, 0, :]).astype(np.float64)
-    return s
-
-
-def jets(xs, m, k, exps, coeffs, order: int = 1):
+def jets(xs, m, k, coeffs, order: int = 1):
     """Value and partials of f(x) = P(M x) e^{k.x} at each point of an (n, ..., 4) stack.
 
-    P is sum_t coeffs[t] y^exps[t] with paravector coefficients.  ``m`` is a
-    frame, (4, 4) or one per row (n, ..., 4, 4), or None for the identity;
+    P is sum_t coeffs[t] y^e_t on the exponent table e of a degree.  ``m`` is
+    a frame, (4, 4) or one per row (n, ..., 4, 4), or None for the identity;
     ``k`` a phase (4,) or (n, ..., 4), or None for none; ``coeffs`` (T, 4) or
     (n, ..., T, 4).  A per-row argument broadcasts against the points.
 
@@ -230,21 +268,23 @@ def jets(xs, m, k, exps, coeffs, order: int = 1):
     partials in the same layout.  The chain rule runs through M and k:
     d_c f = [sum_j M[j, c] (d_j P)(M x) + k_c P(M x)] e^{k.x}.
 
-    Every operation is elementwise or a sum over fixed-length axes, so a
-    row's result does not depend on the other rows of the stack.
+    Every operation is elementwise, a sum over fixed-length axes or a product
+    per point of a shape the table fixes, so a row's result does not depend
+    on the other rows of the stack.
     """
     framed = m is not None
     out = []
-    if exps.any():
+    if coeffs.shape[-2] > 1:  # degree >= 1
         y = cdot("...ij,...j->...i", m, xs) if framed else xs
-        s = _poly_slots(y, exps, coeffs, (1, 5, 15 if framed else 9)[order])
+        slots = (1, 5, 15 if framed else 9)[order]
+        s = _poly_slots(y, coeffs, _plan(TABLE_DEGREE[coeffs.shape[-2]], slots))
         out.append(s[..., 0, :])
         if order and framed:  # sum_j m[j, c] (d_j P)_i
             out.append(cdot("...jc,...ji->...ic", m, s[..., 1:5, :]))
         elif order:
             out.append(np.swapaxes(s[..., 1:5, :], -1, -2))
         if order == 2 and framed:  # sum_jl m[j, c] m[l, c] (d_j d_l P)_i
-            j, l = zip(*(_DIAGONAL + _MIXED))
+            j, l = zip(*([(j, j) for j in range(4)] + _MIXED))
             mm = m[..., j, :] * m[..., l, :]
             mm[..., 4:, :] *= 2.0  # d_j d_l and d_l d_j
             out.append(cdot("...qc,...qi->...ic", mm, s[..., 5:15, :]))

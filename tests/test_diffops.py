@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from paracalc.algebra import IDENTITY, Event, Paravector, left_matrix
+from paracalc import kernels
+from paracalc.kernels import _degree_exponents
 from paracalc.diffops import (
     EXACT,
+    _jets,
     Numeric,
     additivity_sides,
     block_div4_field,
@@ -26,7 +29,6 @@ from paracalc.diffops import (
 )
 from paracalc.fields import (
     Field,
-    _degree_exponents,
     null_plane_wave,
     random_event,
     random_field,
@@ -35,7 +37,8 @@ from paracalc.fields import (
     random_scalar_field,
 )
 
-from util import block_of, central_difference, gap, max_abs, rel_err, rows, sample_field
+from util import (block_of, central_difference, gap, max_abs, random_rows, rel_err, rows,
+                  sample_field)
 
 
 def radial_field():
@@ -250,6 +253,32 @@ def test_block_partial_matches_field_partial_on_the_table():
         assert np.array_equal(block_partial(f, c)[1], want[1])
     assert np.array_equal(block_div4_field(f)[2], block_of(*map(div4_field, fields))[2])
     assert np.array_equal(block_grad4_field(f)[2], block_of(*map(grad4_field, fields))[2])
+
+
+def test_sparse_group_jets_equal_the_group_on_the_full_table():
+    # diffops._jets places a Field group's few rows on the full table of its
+    # degree; the same terms placed on the degree-3 table by hand (block_of)
+    # give the same jets bit for bit, with a phase or a frame too
+    rng = np.random.default_rng(43)
+    exps = _degree_exponents(3)
+    xs = random_rows(rng, 8)
+    for trial in range(12):
+        keep = rng.random(len(exps)) < 0.3
+        keep[-1] = True  # (3, 0, 0, 0): the group has degree 3
+        coeffs = rng.normal(size=(keep.sum(), 4)) + 1j * rng.normal(size=(keep.sum(), 4))
+        f = Field(exps[keep], coeffs)
+        m = k = None
+        if trial % 3 == 1:
+            k = rng.normal(size=4) + 1j * rng.normal(size=4)
+            f = f.scalar_mul(Field.plane_wave(k, IDENTITY))
+        elif trial % 3 == 2:
+            m = left_matrix(random_paravectors(rng, 1)[0])
+            f = f.pullback(m)
+        with np.errstate(all="ignore"):  # the spread rows reach exp overflow
+            for order in (0, 1, 2):
+                want = kernels.jets(xs, m, k, block_of(Field(exps[keep], coeffs))[2][0], order)
+                for got, w in zip(_jets(f, xs, order), want):
+                    assert got.tobytes() == w.tobytes(), (trial, order)
 
 
 def test_block_partial_of_a_framed_row_takes_the_chain_rule():

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from paracalc import kernels
+from paracalc.kernels import _degree_exponents
 
 from util import random_rows
 
@@ -74,8 +76,6 @@ def _assert_rows_bit_for_bit(got, one_row, n):
 
 
 def test_poly_eval_rows_matches_poly_eval_bit_for_bit():
-    from paracalc.fields import _degree_exponents
-
     rng = np.random.default_rng(4)
     for degree in range(9):
         exps = _degree_exponents(degree)
@@ -88,8 +88,6 @@ def test_poly_eval_rows_matches_poly_eval_bit_for_bit():
 
 
 def test_poly_eval_rows_overflows_where_poly_eval_does():
-    from paracalc.fields import _degree_exponents
-
     rng = np.random.default_rng(5)
     exps = _degree_exponents(6)
     coeffs = random_rows(rng, len(exps))[:len(exps)]
@@ -125,28 +123,36 @@ def test_plane_wave_eval_rows_matches_plane_wave_eval_bit_for_bit():
                                      len(xs))
 
 
+def _order_0_pass():
+    """Points in a pass of order 0 on the degree-3 table with shared
+    coefficients, the largest pass (a point takes 10 T of its doubles): a
+    stack of twice as many crosses a pass boundary at every order."""
+    return kernels._BUDGET // (10 * len(_degree_exponents(3)))
+
+
 def test_jets_rows_do_not_depend_on_the_stack():
     # each row of a stack equals the same row evaluated alone or among 7,
     # bit for bit, whether the frame, phase and coefficients are per row or shared
     rng = np.random.default_rng(12)
-    exps = np.array([e for e in np.ndindex(4, 4, 4, 4) if sum(e) <= 3])
-    n = 256
+    terms = len(_degree_exponents(3))
+    step = _order_0_pass()
+    n = 2 * step + 2
     xs = random_rows(rng, n // 2)
 
     def cx(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    per_row = (cx(n, 4, 4), cx(n, 4), cx(n, len(exps), 4))
-    shared = (cx(4, 4), cx(4), cx(len(exps), 4))
+    per_row = (cx(n, 4, 4), cx(n, 4), cx(n, terms, 4))
+    shared = (cx(4, 4), cx(4), cx(terms, 4))
     with np.errstate(all="ignore"):  # the spread rows reach exp overflow
         for m, k, c in [per_row, shared, (None, None, per_row[2]), (per_row[0], None, shared[2])]:
             for order in (0, 1, 2):
-                whole = kernels.jets(xs, m, k, exps, c, order)
-                for lo, hi in [(0, 1), (7, 8), (n - 1, n), (0, 7), (100, 107)]:
+                whole = kernels.jets(xs, m, k, c, order)
+                for lo, hi in [(0, 1), (7, 8), (n - 1, n), (0, 7), (step - 3, step + 4)]:
                     def part(a, ndim):
                         return a if a is None or a.ndim == ndim else a[lo:hi]
 
-                    some = kernels.jets(xs[lo:hi], part(m, 2), part(k, 1), exps, part(c, 2), order)
+                    some = kernels.jets(xs[lo:hi], part(m, 2), part(k, 1), part(c, 2), order)
                     for got, want in zip(some, whole):
                         assert got.tobytes() == want[lo:hi].tobytes(), (order, lo, hi)
 
@@ -155,19 +161,59 @@ def test_jets_points_of_a_row_do_not_depend_on_the_row():
     # a row with more points than a pass holds is evaluated a pass of points
     # at a time: each point equals the same point evaluated alone, bit for bit
     rng = np.random.default_rng(13)
-    exps = np.array([e for e in np.ndindex(4, 4, 4, 4) if sum(e) <= 3])
-    n, k = 3, 64
+    terms = len(_degree_exponents(3))
+    step = _order_0_pass()
+    n, k = 3, 2 * step + 2
     xs = random_rows(rng, n * k // 2).reshape(n, k, 4)
 
     def cx(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    m, ph, c = cx(n, 1, 4, 4), cx(n, 1, 4), cx(n, 1, len(exps), 4)
+    m, ph, c = cx(n, 1, 4, 4), cx(n, 1, 4), cx(n, 1, terms, 4)
     with np.errstate(all="ignore"):  # the spread rows reach exp overflow
         for order in (0, 1, 2):
-            whole = kernels.jets(xs, m, ph, exps, c, order)
-            for p, j in [(0, 0), (0, 21), (1, 40), (2, k - 1)]:
-                one = kernels.jets(xs[p:p + 1, j:j + 1], m[p:p + 1], ph[p:p + 1], exps,
-                                   c[p:p + 1], order)
+            whole = kernels.jets(xs, m, ph, c, order)
+            for p, j in [(0, 0), (0, 21), (1, step - 1), (1, step), (2, k - 1)]:
+                one = kernels.jets(xs[p:p + 1, j:j + 1], m[p:p + 1], ph[p:p + 1], c[p:p + 1],
+                                   order)
                 for got, want in zip(one, whole):
                     assert got.tobytes() == want[p:p + 1, j:j + 1].tobytes(), (order, p, j)
+
+
+@pytest.mark.parametrize("degree", [3, 6])
+def test_lowering_table_follows_the_rule(degree):
+    # slot q of row e: d_j d_l x^e = e_j (e_l - [j = l]) x^(e - u_j - u_l),
+    # worked from the integer exponent rows; weight 0 and row 0 where an
+    # exponent drops below 0
+    exps = _degree_exponents(degree).tolist()
+    pairs = [()] + [(j,) for j in range(4)] + [(j, j) for j in range(4)] + [
+        (j, l) for j in range(4) for l in range(j + 1, 4)]
+    rows, weight = kernels.lowering(degree, 15)
+    assert rows.shape == weight.shape == (15, len(exps))
+    for q, pair in enumerate(pairs):
+        for t, e in enumerate(exps):
+            low, w = list(e), 1
+            for j in pair:
+                w *= low[j]
+                low[j] -= 1
+            if min(low) < 0:
+                assert (weight[q, t], rows[q, t]) == (0, 0), (q, e)
+            else:
+                assert weight[q, t] == w and exps[rows[q, t]] == low, (q, e)
+    for slots in (1, 5, 9):
+        for got, want in zip(kernels.lowering(degree, slots), (rows, weight)):
+            assert np.array_equal(got, want[:slots])
+
+
+@pytest.mark.parametrize("terms", [35, 210])
+def test_point_products_do_not_depend_on_the_stack(terms):
+    # the jets take one matrix product per point; each must equal the same
+    # product taken alone, bit for bit, whether b is shared or one per row
+    rng = np.random.default_rng(15)
+    for q in (1, 5, 9, 15):
+        a = rng.normal(size=(40, q, 2 * terms))
+        for b in (rng.normal(size=(2 * terms, 8)), rng.normal(size=(40, 2 * terms, 8))):
+            whole = a @ b
+            for i in (0, 1, 17, 39):
+                alone = a[i:i + 1] @ (b if b.ndim == 2 else b[i:i + 1])
+                assert alone.tobytes() == whole[i:i + 1].tobytes(), (q, i)

@@ -36,7 +36,7 @@ from paracalc.electromag import (
     block_lorenz_potential,
     block_wave_sides,
 )
-from paracalc.fields import _degree_exponents
+from paracalc.kernels import _degree_exponents
 from paracalc.kernels import pv_mul_rows
 from paracalc.transforms import (
     InvarianceForm,

@@ -16,9 +16,9 @@ from paracalc.algebra import (
 )
 from paracalc.diffops import div4, grad4
 from paracalc.electromag import PotentialField, plane_wave_potential
+from paracalc.kernels import _degree_exponents
 from paracalc.fields import (
     Field,
-    _degree_exponents,
     random_field,
     random_plane_wave,
     random_scalar_field,
