@@ -207,13 +207,14 @@ def test_lowering_table_follows_the_rule(degree):
 
 @pytest.mark.parametrize("terms", [35, 210])
 def test_point_products_do_not_depend_on_the_stack(terms):
-    # the jets take one matrix product per point; each must equal the same
-    # product taken alone, bit for bit, whether b is shared or one per row
+    # the jets take one vector-matrix product per point and slot; each must
+    # equal the same product taken alone, bit for bit, whether the matrix is
+    # shared or one per row
     rng = np.random.default_rng(15)
     for q in (1, 5, 9, 15):
-        a = rng.normal(size=(40, q, 2 * terms))
-        for b in (rng.normal(size=(2 * terms, 8)), rng.normal(size=(40, 2 * terms, 8))):
+        a = rng.normal(size=(40, q, 1, 2 * terms))
+        for b in (rng.normal(size=(2 * terms, 8)), rng.normal(size=(40, 1, 2 * terms, 8))):
             whole = a @ b
-            for i in (0, 1, 17, 39):
-                alone = a[i:i + 1] @ (b if b.ndim == 2 else b[i:i + 1])
-                assert alone.tobytes() == whole[i:i + 1].tobytes(), (q, i)
+            for i, s in [(0, 0), (1, q - 1), (17, q // 2), (39, 0)]:
+                alone = a[i, s] @ (b if b.ndim == 2 else b[i, 0])
+                assert alone.tobytes() == whole[i, s].tobytes(), (q, i, s)
