@@ -26,7 +26,6 @@ from .algebra import (
     inverse,
     left_matrix,
     mul,
-    norm_sq,
     normalize_orthogonal,
     paravector_as_event,
     reverse,
@@ -37,14 +36,12 @@ from .diffops import (
     EXACT,
     Exact,
     Numeric,
-    additivity_sides,
     box4,
     bundle,
     div4,
     div4_field,
     grad4,
     grad4_field,
-    leibniz_sides,
     product_rule_failure_witness,
     scalar_order_gap,
 )
@@ -59,7 +56,6 @@ from .electromag import (
     plane_wave_potential,
     source_field_from_em,
     sources_from_em,
-    wave_sides,
 )
 from .fields import (
     Field,

@@ -20,8 +20,6 @@ __all__ = [
     "mul",
     "reverse",
     "det",
-    "norm_sq",
-    "singular_eps",
     "inverse",
     "det_rows",
     "reverse_rows",
@@ -166,34 +164,17 @@ def mul(a: Paravector, b: Paravector) -> Paravector:
 
 def reverse(a: Paravector) -> Paravector:
     """Negate the vector part.  Anti-automorphism: (ab)~ = b~ a~."""
-    data = a.data.copy()
-    data[1:] = -data[1:]
-    return Paravector.from_data(data)
+    return Paravector.from_data(reverse_rows(a.data[None])[0])
 
 
 def det(a: Paravector) -> complex:
     """s^2 - v.v, the scalar part of a * reverse(a).  Multiplicative."""
-    d = a.data
-    return complex(d[0] * d[0] - (d[1] * d[1] + d[2] * d[2] + d[3] * d[3]))
-
-
-def norm_sq(a) -> float:
-    """Sum of squared component magnitudes (works on Paravector or Event)."""
-    d = a.data
-    return float(np.sum(d.real * d.real + d.imag * d.imag))
-
-
-def singular_eps(a: Paravector) -> float:
-    """Scale-relative singularity threshold: 1e-12 * max(1, |a|^2)."""
-    return 1e-12 * max(1.0, norm_sq(a))
+    return complex(det_rows(a.data[None])[0])
 
 
 def inverse(a: Paravector) -> Paravector:
     """reverse(a)/det(a); raises SingularParavector when |det| is below threshold."""
-    d = det(a)
-    if abs(d) <= singular_eps(a):
-        raise SingularParavector(f"determinant {d!r} is numerically zero")
-    return scale(1.0 / d, reverse(a))
+    return Paravector.from_data(inverse_rows(a.data[None])[0])
 
 
 def scale(c, a: Paravector) -> Paravector:
@@ -203,9 +184,10 @@ def scale(c, a: Paravector) -> Paravector:
 
 # -- stacks: (n, 4) arrays of paravector rows ---------------------------------
 #
-# Each function is its per-value twin applied to every row, and rounds every
-# row exactly as the twin does: it follows the numpy or CPython arithmetic the
-# twin uses, operation for operation.
+# The one implementation of each operation; det, reverse, inverse and
+# normalize_orthogonal are one-row calls.  Every row rounds on its own, as
+# the numpy-scalar or CPython arithmetic of one value would round it,
+# operation for operation: the tests hold each against such a value.
 
 def det_rows(rows: np.ndarray) -> np.ndarray:
     """det of each row, as an (n,) complex array."""
@@ -223,8 +205,8 @@ def reverse_rows(rows: np.ndarray) -> np.ndarray:
 def _reciprocal(d: np.ndarray) -> np.ndarray:
     """1.0/d per element, branch for branch as CPython divides a complex.
 
-    numpy's complex division rounds differently from CPython's, which
-    ``inverse`` uses on the Python complex that ``det`` returns.
+    numpy's complex division rounds differently from CPython's, the division
+    of the Python complex that ``det`` returns.
     """
     out = np.empty(d.shape, np.complex128)
     re, im = d.real, d.imag
@@ -243,7 +225,8 @@ def _reciprocal(d: np.ndarray) -> np.ndarray:
 
 
 def _check_rows(rows: np.ndarray, d: np.ndarray) -> None:
-    """Raise SingularParavector if any row's |det| d is within singular_eps."""
+    """Raise SingularParavector if any row's |det| d is at most
+    1e-12 max(1, |row|^2), the sum of its squared component magnitudes."""
     sq = rows.real * rows.real + rows.imag * rows.imag
     eps = 1e-12 * np.maximum(1.0, sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
     singular = np.hypot(d.real, d.imag) <= eps  # hypot is abs() of a Python complex

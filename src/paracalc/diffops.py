@@ -8,8 +8,7 @@ Acting on a field A = [phi; Phi]:
 
 Each operator runs in exact mode (closed-form partials of the field) or
 numeric mode (central differences with a caller-chosen step).  The module also
-provides the two sides of additivity and of the scalar product rule,
-and the two documented failure witnesses of the product rule.
+provides the two documented failure witnesses of the product rule.
 ``central_differences`` is the one numeric stencil, the independent oracle for
 the closed-form partials: it differences a stack of points along every
 coordinate at once, and a single point as a stack of one.
@@ -20,7 +19,7 @@ ones, step by step (the convergence tables).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -52,8 +51,6 @@ __all__ = [
     "block_div4_field",
     "block_grad4_field",
     "block_scalar_mul",
-    "additivity_sides",
-    "leibniz_sides",
     "product_rule_failure_witness",
     "scalar_order_gap",
     "central_differences",
@@ -354,32 +351,7 @@ def grad4_field(f: Field) -> Field:
     return Field.sum(*(f.partial(c).left_mul(factors[c]) for c in range(4)))
 
 
-# -- identity sides and witnesses -------------------------------------------
-
-def additivity_sides(
-    f: Field, g: Field, X: Event, mode: DiffMode = EXACT
-) -> Tuple[Paravector, Paravector]:
-    """div4(f + g) and div4(f) + div4(g), equal for analytic additive fields."""
-    both = div4(Field.sum(f, g), X, mode)
-    return both, Paravector.from_data(div4(f, X, mode).data + div4(g, X, mode).data)
-
-
-def leibniz_sides(
-    rho: Field, f: Field, X: Event, mode: DiffMode = EXACT
-) -> Tuple[Paravector, Paravector]:
-    """div4[rho f] and (d rho) f + rho div4(f), equal by the scalar product rule.
-
-    rho is a scalar polynomial (zero vector part), so (d rho) = [drho/dt; grad
-    rho] is div4(rho).  The (d rho) factor multiplies on the left, which is
-    the only order for which the rule is valid; see scalar_order_gap.
-    """
-    lhs = div4(f.scalar_mul(rho), X, mode)
-    drho = div4(rho, X, mode)
-    fv = f._value(X.data)
-    rv = rho._value(X.data)[0]
-    rhs = kernels.pv_mul(drho.data, fv) + rv * div4(f, X, mode).data
-    return lhs, Paravector.from_data(rhs)
-
+# -- witnesses ---------------------------------------------------------------
 
 def product_rule_failure_witness(f: Field, g: Field, X: Event) -> Paravector:
     """div4[f g] - (div4 f) g - f (div4 g) with pointwise paravector products.

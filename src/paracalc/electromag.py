@@ -21,7 +21,6 @@ rescaled (tau, r) domain and are evaluated through the same convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .diffops import (
     block_jets,
     block_partial,
     block_pullback,
-    box4,
     central_differences,
     div4,
     div4_field,
@@ -57,7 +55,6 @@ __all__ = [
     "em_field_from_potential",
     "sources_from_em",
     "source_field_from_em",
-    "wave_sides",
     "plane_wave_potential",
     "plane_wave_row",
     "random_wave_row",
@@ -137,23 +134,6 @@ def sources_from_em(
 def source_field_from_em(emf: Field) -> Field:
     """Source paravector (rho/eps0; -j/(c eps0)) as a (tau, r)-domain field."""
     return div4_field(emf)
-
-
-def wave_sides(
-    pot: PotentialField,
-    src: Field,
-    X: Event,
-    k: PhysConstants = PhysConstants(),
-    mode: DiffMode = EXACT,
-) -> Tuple[Paravector, Paravector]:
-    """(d^2/c^2 dt^2 - laplacian)(phi; -cA) and the source value, both at X.
-
-    ``src`` is a (tau, r)-domain field, e.g. the output of
-    source_field_from_em, or the zero field for vacuum configurations.
-    """
-    tau = _tau_event(X, k.c)
-    b = box4(_time_scaled(pot.f, k.c), tau, mode)
-    return b, Paravector.from_data(src._value(tau.data))
 
 
 def plane_wave_potential(
@@ -272,8 +252,9 @@ def block_sources(pot, xs: np.ndarray, k: PhysConstants = PhysConstants()):
 
 
 def block_wave_sides(pot, xs: np.ndarray, k: PhysConstants = PhysConstants()):
-    """wave_sides of row p's potential at xs[p], the source field built from
-    the lowered rows: box4 of the potential (jets), and the source's value."""
+    """(d^2/c^2 dt^2 - laplacian)(phi; -cA) of row p's potential at xs[p]
+    (jets), and the value there of its source field, built from the lowered
+    rows on the rescaled (tau, r) domain."""
     f, tau = _scaled(pot, xs, k.c)
     src = block_div4_field(block_grad4_field(f))
     return assemble_box(block_jets(f, tau, 2)[2]), block_jets(src, tau, 0)[0]

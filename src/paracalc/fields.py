@@ -24,7 +24,8 @@ the strongly non-unitary maps the suites draw, that expansion cancels away
 most of its significant digits when evaluated (see the README).
 The independent oracle for the closed-form partials is numeric:
 ``diffops.central_differences``, which evaluates its whole stencil as one
-stack, since ``_value`` takes one point or a stack of points.
+stack through ``_value``, the one evaluator of a field's value: it takes a
+stack of points, and one point as a stack of one.
 """
 
 from __future__ import annotations
@@ -196,26 +197,21 @@ class Field:
         return Paravector.from_data(self._value(X.data))
 
     def _value(self, x: np.ndarray) -> np.ndarray:
-        """The value at one point x (4,), or at each row of a stack x (n, 4).
-
-        A stack takes the kernels' ``_rows`` twins, so each of its rows
-        equals the value at that one point bit for bit.
-        """
-        if x.ndim == 1:
-            poly, wave, xr = kernels.poly_eval, kernels.plane_wave_eval, x
-        else:
-            poly, wave, xr = kernels.poly_eval_rows, kernels.plane_wave_eval_rows, x[:, None, :]
+        """The value at each row of a stack x (n, 4), or at one point x (4,)
+        as a stack of one.  Each row is evaluated on its own, by the kernels'
+        ``_rows`` forms, so it does not depend on the other rows."""
+        xs = x.reshape(-1, 4)
         out = None
         for m, k, exps, coeffs in self._groups:
-            y = x if m is None else (m * xr).sum(axis=-1)  # M X, xr broadcast along M's rows
+            y = xs if m is None else (m * xs[:, None, :]).sum(axis=-1)  # M X per row
             if k is _ZERO_PHASE:
-                v = poly(exps, coeffs, y)
+                v = kernels.poly_eval_rows(exps, coeffs, y)
             elif exps is _CONSTANT:  # a plane wave
-                v = wave(k, coeffs[0], x)
+                v = kernels.plane_wave_eval_rows(k, coeffs[0], xs)
             else:
-                v = wave(k, poly(exps, coeffs, y), x)
+                v = kernels.plane_wave_eval_rows(k, kernels.poly_eval_rows(exps, coeffs, y), xs)
             out = v if out is None else out + v
-        return np.zeros(x.shape, np.complex128) if out is None else out
+        return (np.zeros(xs.shape, np.complex128) if out is None else out).reshape(x.shape)
 
     def partial(self, coord) -> "Field":
         c = coord_index(coord)

@@ -2,8 +2,9 @@
 and the jets of exact derivatives.
 
 Plain numpy on length-4 complex arrays ``[s, v1, v2, v3]`` (paravectors) and
-``[t, x, y, z]`` (events).  Each ``*_rows`` twin works on ``(n, 4)`` stacks of
-them, row by row, and rounds every row exactly as its one-row kernel does.
+``[t, x, y, z]`` (events).  ``pv_mul`` takes one pair; the ``*_rows`` kernels
+work on ``(n, 4)`` stacks of them, each row on its own, so a row rounds the
+same in any stack and one point is a stack of one.
 ``jets`` evaluates a field group's value and exact partials on a stack of
 points, each row on its own, from coefficients on the exponent table of a
 degree, whose partials ``lowering`` gives; ``product_sums`` merges the
@@ -11,7 +12,6 @@ products of a scalar field with a field.
 """
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -52,41 +52,27 @@ def pv_mul_rows(a, b):
     return out
 
 
-def poly_eval(exps, coeffs, x):
-    """Sum over terms of coeffs[i] * prod_c x[c]**exps[i, c]; coeffs is (n, 4)."""
-    if exps.shape[0] == 0:
-        return np.zeros(4, _C128)
-    monos = np.prod(x[np.newaxis, :] ** exps, axis=1)
-    return monos @ coeffs
-
-
 def poly_eval_rows(exps, coeffs, xs):
-    """poly_eval at each row of an (n, 4) stack of points, bit for bit as poly_eval."""
+    """Sum over terms of coeffs[i] * prod_c x[c]**exps[i, c] at each row x of an
+    (n, 4) stack of points; coeffs is (T, 4)."""
     if exps.shape[0] == 0:
         return np.zeros((len(xs), 4), _C128)
     powers = xs[:, :, None] ** np.arange(exps.max() + 1)  # x[c] ** e per point
     monos = powers[:, 0, exps[:, 0]]
     for c in (1, 2, 3):  # left to right, as np.prod multiplies one row
         monos = cmul(monos, powers[:, c, exps[:, c]])
-    # one vector-matrix product per row, as in poly_eval (not one matrix product)
+    # one vector-matrix product per row (a matrix product may sum by the stack)
     return np.matmul(monos[:, None, :], coeffs)[:, 0]
 
 
-def plane_wave_eval(k4, amp, x):
-    s = k4[0] * x[0] + k4[1] * x[1] + k4[2] * x[2] + k4[3] * x[3]
-    return amp * np.exp(s)
-
-
 def plane_wave_eval_rows(k4, amps, xs):
-    """plane_wave_eval at each row of an (n, 4) stack of points, bit for bit.
+    """amp * exp(k4 . x) at each row x of an (n, 4) stack of points.
 
     ``amps`` is one amplitude (4,) or one per row (n, 4).
     """
     s = (cmul(k4[0], xs[:, 0]) + cmul(k4[1], xs[:, 1])
          + cmul(k4[2], xs[:, 2]) + cmul(k4[3], xs[:, 3]))
     return amps * np.exp(s)[:, None]
-
-
 
 
 _PRODUCT_ROWS = 8  # rows of the scalar side multiplied at a time
@@ -144,9 +130,16 @@ _BUDGET = 12288  # doubles in the arrays of a pass of _poly_slots: 96 KB
 
 @functools.cache
 def _degree_exponents(degree: int) -> np.ndarray:
-    """Read-only exponent rows of total degree <= degree, in lexicographic order."""
-    exps = np.array([e for e in itertools.product(range(degree + 1), repeat=4)
-                     if sum(e) <= degree], np.int64).reshape(-1, 4)
+    """Read-only exponent rows of total degree <= degree, in lexicographic order.
+
+    Built one coordinate at a time, each new one leading: for each of its
+    exponents a, the rows so far whose sum is at most degree - a, in order.
+    """
+    exps = np.arange(degree + 1, dtype=np.int64)[:, None]  # the last coordinate
+    for _ in range(3):
+        total = exps.sum(axis=1)
+        exps = np.concatenate([np.insert(exps[total <= degree - a], 0, a, axis=1)
+                               for a in range(degree + 1)])
     exps.flags.writeable = False
     return exps
 
@@ -296,7 +289,7 @@ def jets(xs, m, k, coeffs, order: int = 1):
         out += [np.zeros(shape + (4,), _C128)] * order
     if k is None:
         return out
-    kx = cmul(k, xs)  # the phase rounds as plane_wave_eval rounds it
+    kx = cmul(k, xs)  # the phase rounds as plane_wave_eval_rows rounds it
     e = np.exp(kx[..., 0] + kx[..., 1] + kx[..., 2] + kx[..., 3])[..., None]
     if order:
         kc = k[..., None, :]  # the phase factor of d_c

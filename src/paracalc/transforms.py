@@ -164,7 +164,11 @@ def block_additivity_sides(f, g, xs: np.ndarray):
 
 def block_leibniz_sides(rho: np.ndarray, f, xs: np.ndarray):
     """div4[rho f] and (d rho) f + rho div4 f for the scalars rho (n, 35) on the
-    degree-3 table and the unframed block f (see leibniz_sides)."""
+    degree-3 table and the unframed block f, equal by the scalar product rule.
+
+    rho is scalar, so (d rho) = [drho/dt; grad rho] is div4 rho.  The (d rho)
+    factor multiplies on the left, the only order for which the rule holds;
+    see diffops.scalar_order_gap."""
     scalar = np.zeros(rho.shape + (4,), np.complex128)
     scalar[..., 0] = rho
     rv, drho = block_jets((None, None, scalar, None), xs, 1)

@@ -23,12 +23,10 @@ from paracalc.algebra import (
 from paracalc.cli import main
 from paracalc.diffops import (
     Numeric,
-    additivity_sides,
     div4,
     div4_field,
     grad4,
     grad4_field,
-    leibniz_sides,
     product_rule_failure_witness,
     scalar_order_gap,
 )
@@ -41,7 +39,6 @@ from paracalc.electromag import (
     plane_wave_potential,
     source_field_from_em,
     sources_from_em,
-    wave_sides,
 )
 from paracalc.fields import (
     Field,
@@ -62,7 +59,8 @@ from paracalc.transforms import (
     wave_invariance_sides,
 )
 
-from util import TRANSPORTS, block_of, central_difference, gap, max_abs, rel_err, rows
+from util import (TRANSPORTS, additivity_sides, block_of, central_difference, gap, leibniz_sides,
+                  max_abs, rel_err, rows, wave_sides)
 
 SEED = 42
 

@@ -18,7 +18,6 @@ from paracalc.algebra import (
     inverse,
     inverse_rows,
     mul,
-    norm_sq,
     normalize_orthogonal,
     normalize_rows,
     paravector_as_event,
@@ -28,7 +27,8 @@ from paracalc.algebra import (
 )
 from paracalc.fields import random_event, random_orthogonal, random_paravector
 
-from util import max_abs, normalize_value, random_rows, rel_err
+from util import (det_value, inverse_value, max_abs, norm_sq, normalize_value, random_rows,
+                  rel_err, reverse_value)
 
 component = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 complexes = st.builds(complex, component, component)
@@ -255,7 +255,7 @@ def test_basis_products():
     assert mul(BASIS[1], BASIS[2]).data[3] == 1j
 
 
-# -- stacks: each row bit for bit as the per-value function ------------------
+# -- stacks: each row bit for bit as the per-value reference -----------------
 
 def test_stacked_det_reverse_inverse_match_per_value_bit_for_bit():
     rows = random_rows(np.random.default_rng(4), 2000)
@@ -263,13 +263,18 @@ def test_stacked_det_reverse_inverse_match_per_value_bit_for_bit():
     invertible = []
     for i, row in enumerate(rows):
         p = Paravector.from_data(row)
-        assert d[i].tobytes() == np.complex128(det(p)).tobytes(), i
-        assert rev[i].tobytes() == reverse(p).data.tobytes(), i
+        want = np.complex128(det_value(p)).tobytes()
+        assert d[i].tobytes() == want == np.complex128(det(p)).tobytes(), i
+        assert rev[i].tobytes() == reverse(p).data.tobytes() == reverse_value(p).data.tobytes(), i
         try:
-            invertible.append((i, inverse(p).data))
+            invertible.append((i, inverse_value(p).data))
         except SingularParavector:
-            pass
+            with pytest.raises(SingularParavector):
+                inverse(p)
+            continue
+        assert inverse(p).data.tobytes() == invertible[-1][1].tobytes(), i
     assert 2000 < len(invertible) < len(rows)  # every spread row, some exact rows
+    assert type(det(IDENTITY)) is complex
     keep = [i for i, _ in invertible]
     inv = inverse_rows(rows[keep])
     for k, (i, want) in enumerate(invertible):

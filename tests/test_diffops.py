@@ -8,7 +8,6 @@ from paracalc.diffops import (
     EXACT,
     _jets,
     Numeric,
-    additivity_sides,
     block_div4_field,
     block_grad4_field,
     block_jets,
@@ -23,7 +22,6 @@ from paracalc.diffops import (
     div4_field,
     grad4,
     grad4_field,
-    leibniz_sides,
     product_rule_failure_witness,
     scalar_order_gap,
 )
@@ -37,8 +35,8 @@ from paracalc.fields import (
     random_scalar_field,
 )
 
-from util import (block_of, central_difference, gap, max_abs, random_rows, rel_err, rows,
-                  sample_field)
+from util import (additivity_sides, block_of, central_difference, gap, leibniz_sides, max_abs,
+                  random_rows, rel_err, rows, sample_field)
 
 
 def radial_field():

@@ -21,7 +21,6 @@ from paracalc.electromag import (
     random_wave_row,
     source_field_from_em,
     sources_from_em,
-    wave_sides,
 )
 from paracalc.fields import Field
 from paracalc.harness import BLOCK
@@ -36,6 +35,7 @@ from util import (
     random_wave_potential,
     rel_err,
     rows,
+    wave_sides,
 )
 
 

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from paracalc import kernels
 from paracalc.kernels import _degree_exponents
 
-from util import random_rows
+from util import plane_wave_eval, poly_eval, random_rows
 
 
 def _random_quad(rng):
@@ -31,24 +33,24 @@ def test_poly_kernels_match_loop_reference():
         monos = _monomials_loop(exps, x)
         coeffs = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
         np.testing.assert_allclose(
-            kernels.poly_eval(exps, coeffs, x),
+            kernels.poly_eval_rows(exps, coeffs, x[None])[0],
             sum(m * c for m, c in zip(monos, coeffs)),
             rtol=0, atol=1e-11,
         )
         sc = rng.normal(size=(12, 1)) + 1j * rng.normal(size=(12, 1))
         np.testing.assert_allclose(
-            kernels.poly_eval(exps, sc, x),
+            kernels.poly_eval_rows(exps, sc, x[None])[0],
             sum(m * c for m, c in zip(monos, sc)),
             rtol=0, atol=1e-11,
         )
 
 
-def test_empty_polynomial_evaluates_to_zero():
-    exps = np.zeros((0, 4), np.int64)
-    coeffs = np.zeros((0, 4), np.complex128)
-    x = np.ones(4, np.complex128)
-    np.testing.assert_array_equal(kernels.poly_eval(exps, coeffs, x), np.zeros(4))
-    assert not np.any(kernels.poly_eval(exps, np.zeros((0, 1), np.complex128), x))
+def test_degree_exponents_are_the_rows_of_the_product_in_order():
+    for degree in list(range(9)) + [16]:
+        want = [e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) <= degree]
+        got = _degree_exponents(degree)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == [list(e) for e in want], degree
 
 
 def test_pv_mul_identity():
@@ -84,7 +86,7 @@ def test_poly_eval_rows_matches_poly_eval_bit_for_bit():
             c = coeffs[:len(sub)]
             xs = random_rows(rng, 40)  # spread rows, then exact and signed-zero rows
             got = kernels.poly_eval_rows(sub, c, xs)
-            _assert_rows_bit_for_bit(got, lambda i: kernels.poly_eval(sub, c, xs[i]), len(xs))
+            _assert_rows_bit_for_bit(got, lambda i: poly_eval(sub, c, xs[i]), len(xs))
 
 
 def test_poly_eval_rows_overflows_where_poly_eval_does():
@@ -94,7 +96,7 @@ def test_poly_eval_rows_overflows_where_poly_eval_does():
     xs = random_rows(rng, 40) * 10.0 ** rng.integers(0, 60, size=(80, 4))
     with np.errstate(all="ignore"):
         got = kernels.poly_eval_rows(exps, coeffs, xs)
-        ref = np.array([kernels.poly_eval(exps, coeffs, x) for x in xs])
+        ref = np.array([poly_eval(exps, coeffs, x) for x in xs])
     finite = np.isfinite(ref).all(axis=1)
     assert finite.any() and not finite.all()  # some rows overflow, others do not
     assert got.tobytes() == ref.tobytes()  # inf and NaN in the same places
@@ -103,8 +105,9 @@ def test_poly_eval_rows_overflows_where_poly_eval_does():
 def test_poly_eval_rows_of_the_empty_polynomial_are_zero():
     exps = np.zeros((0, 4), np.int64)
     xs = np.ones((3, 4), np.complex128)
-    got = kernels.poly_eval_rows(exps, np.zeros((0, 4), np.complex128), xs)
-    np.testing.assert_array_equal(got, np.zeros((3, 4)))
+    for width in (4, 1):  # paravector and scalar coefficients
+        got = kernels.poly_eval_rows(exps, np.zeros((0, width), np.complex128), xs)
+        np.testing.assert_array_equal(got, np.zeros((3, 4)))
 
 
 def test_plane_wave_eval_rows_matches_plane_wave_eval_bit_for_bit():
@@ -116,10 +119,8 @@ def test_plane_wave_eval_rows_matches_plane_wave_eval_bit_for_bit():
         with np.errstate(all="ignore"):  # the spread rows reach exp overflow
             one = kernels.plane_wave_eval_rows(k4, amp, xs)
             per_row = kernels.plane_wave_eval_rows(k4, amps, xs)
-            _assert_rows_bit_for_bit(one, lambda i: kernels.plane_wave_eval(k4, amp, xs[i]),
-                                     len(xs))
-            _assert_rows_bit_for_bit(per_row,
-                                     lambda i: kernels.plane_wave_eval(k4, amps[i], xs[i]),
+            _assert_rows_bit_for_bit(one, lambda i: plane_wave_eval(k4, amp, xs[i]), len(xs))
+            _assert_rows_bit_for_bit(per_row, lambda i: plane_wave_eval(k4, amps[i], xs[i]),
                                      len(xs))
 
 

@@ -20,7 +20,6 @@ from paracalc.algebra import (
     right_matrix,
 )
 from paracalc.diffops import (
-    additivity_sides,
     block_jets,
     block_partial,
     block_pullback,
@@ -28,7 +27,6 @@ from paracalc.diffops import (
     box4,
     div4_field,
     grad4,
-    leibniz_sides,
 )
 from paracalc.electromag import (
     PhysConstants,
@@ -53,12 +51,14 @@ from paracalc.transforms import (
 
 from util import (
     TRANSPORTS,
+    additivity_sides,
     assert_exact,
     block_of,
     lattice_complex,
     lattice_event,
     lattice_field,
     lattice_paravector,
+    leibniz_sides,
     rows,
     substitute,
     unimodular_paravector,

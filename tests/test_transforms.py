@@ -21,7 +21,6 @@ from paracalc.algebra import det_rows, reverse_rows
 from paracalc.diffops import (
     EXACT,
     Numeric,
-    additivity_sides,
     block_jets,
     box4,
     bundle,
@@ -29,7 +28,6 @@ from paracalc.diffops import (
     div4_field,
     grad4,
     grad4_field,
-    leibniz_sides,
 )
 from paracalc.harness import BLOCK
 from paracalc.fields import (
@@ -60,7 +58,8 @@ from paracalc.transforms import (
     wave_invariance_sides,
 )
 
-from util import TRANSPORTS, block_of, gap, max_abs, rel_err, rows, sample_field as sample
+from util import (TRANSPORTS, additivity_sides, block_of, gap, leibniz_sides, max_abs, rel_err,
+                  rows, sample_field as sample)
 
 
 def draws(seed, n):

@@ -4,20 +4,27 @@ import itertools
 
 import numpy as np
 
+from paracalc import kernels
 from paracalc.algebra import (
     IDENTITY,
     Event,
     Paravector,
     SingularParavector,
-    det,
     mul,
     scale,
-    singular_eps,
 )
-from paracalc.diffops import div4, grad4
-from paracalc.electromag import PotentialField, plane_wave_potential
+from paracalc.diffops import EXACT, box4, div4, grad4
+from paracalc.electromag import (
+    PhysConstants,
+    PotentialField,
+    _tau_event,
+    _time_scaled,
+    plane_wave_potential,
+)
 from paracalc.kernels import _degree_exponents
 from paracalc.fields import (
+    _CONSTANT,
+    _ZERO_PHASE,
     Field,
     random_field,
     random_plane_wave,
@@ -47,14 +54,117 @@ def rel_err(a, b) -> float:
     return max_abs(a - b) / max(1.0, max_abs(a), max_abs(b))
 
 
+# -- per-value references ---------------------------------------------------------
+#
+# Each operation has one implementation in the package, on stacks of rows;
+# its per-value name is a one-row call.  These compute one value in
+# numpy-scalar and CPython arithmetic: the references that the stack forms
+# and their one-row calls must match bit for bit.
+
+def norm_sq(a) -> float:
+    """Sum of squared component magnitudes (works on Paravector or Event)."""
+    d = a.data
+    return float(np.sum(d.real * d.real + d.imag * d.imag))
+
+
+def singular_eps(a: Paravector) -> float:
+    """Scale-relative singularity threshold: 1e-12 * max(1, |a|^2)."""
+    return 1e-12 * max(1.0, norm_sq(a))
+
+
+def reverse_value(a: Paravector) -> Paravector:
+    """reverse on one value: the vector part negated."""
+    data = a.data.copy()
+    data[1:] = -data[1:]
+    return Paravector.from_data(data)
+
+
+def det_value(a: Paravector) -> complex:
+    """det on one value: s^2 - v.v."""
+    d = a.data
+    return complex(d[0] * d[0] - (d[1] * d[1] + d[2] * d[2] + d[3] * d[3]))
+
+
+def inverse_value(a: Paravector) -> Paravector:
+    """inverse on one value: reverse(a)/det(a), refused when |det| is within
+    singular_eps."""
+    d = det_value(a)
+    if abs(d) <= singular_eps(a):
+        raise SingularParavector(f"determinant {d!r} is numerically zero")
+    return scale(1.0 / d, reverse_value(a))
+
+
 def normalize_value(a: Paravector) -> Paravector:
-    """normalize_orthogonal on one value, as it was written before it became
-    a one-row call of normalize_rows: the reference that both must match bit
-    for bit."""
-    d = det(a)
+    """normalize_orthogonal on one value."""
+    d = det_value(a)
     if abs(d) <= singular_eps(a):
         raise SingularParavector(f"determinant {d!r} is numerically zero")
     return scale(1.0 / np.sqrt(np.complex128(d)), a)
+
+
+def poly_eval(exps, coeffs, x):
+    """Sum over terms of coeffs[i] * prod_c x[c]**exps[i, c] at one point x;
+    coeffs is (n, 4)."""
+    if exps.shape[0] == 0:
+        return np.zeros(4, np.complex128)
+    monos = np.prod(x[np.newaxis, :] ** exps, axis=1)
+    return monos @ coeffs
+
+
+def plane_wave_eval(k4, amp, x):
+    """amp * exp(k4 . x) at one point x."""
+    s = k4[0] * x[0] + k4[1] * x[1] + k4[2] * x[2] + k4[3] * x[3]
+    return amp * np.exp(s)
+
+
+def field_value(f: Field, x):
+    """Field._value at one point x (4,), from poly_eval and plane_wave_eval."""
+    out = None
+    for m, k, exps, coeffs in f._groups:
+        y = x if m is None else (m * x).sum(axis=-1)  # M X, x broadcast along M's rows
+        if k is _ZERO_PHASE:
+            v = poly_eval(exps, coeffs, y)
+        elif exps is _CONSTANT:  # a plane wave
+            v = plane_wave_eval(k, coeffs[0], x)
+        else:
+            v = plane_wave_eval(k, poly_eval(exps, coeffs, y), x)
+        out = v if out is None else out + v
+    return np.zeros(x.shape, np.complex128) if out is None else out
+
+
+# -- per-value identity sides: the references for the block_* sides ------------
+
+def additivity_sides(f: Field, g: Field, X: Event, mode=EXACT):
+    """div4(f + g) and div4(f) + div4(g), equal for analytic additive fields."""
+    both = div4(Field.sum(f, g), X, mode)
+    return both, Paravector.from_data(div4(f, X, mode).data + div4(g, X, mode).data)
+
+
+def leibniz_sides(rho: Field, f: Field, X: Event, mode=EXACT):
+    """div4[rho f] and (d rho) f + rho div4(f), equal by the scalar product rule.
+
+    rho is a scalar polynomial (zero vector part), so (d rho) = [drho/dt; grad
+    rho] is div4(rho).  The (d rho) factor multiplies on the left, which is
+    the only order for which the rule is valid; see scalar_order_gap.
+    """
+    lhs = div4(f.scalar_mul(rho), X, mode)
+    drho = div4(rho, X, mode)
+    fv = f._value(X.data)
+    rv = rho._value(X.data)[0]
+    rhs = kernels.pv_mul(drho.data, fv) + rv * div4(f, X, mode).data
+    return lhs, Paravector.from_data(rhs)
+
+
+def wave_sides(pot: PotentialField, src: Field, X: Event,
+               k: PhysConstants = PhysConstants(), mode=EXACT):
+    """(d^2/c^2 dt^2 - laplacian)(phi; -cA) and the source value, both at X.
+
+    ``src`` is a (tau, r)-domain field, e.g. the output of
+    source_field_from_em, or the zero field for vacuum configurations.
+    """
+    tau = _tau_event(X, k.c)
+    b = box4(_time_scaled(pot.f, k.c), tau, mode)
+    return b, Paravector.from_data(src._value(tau.data))
 
 
 def random_rows(rng, n):
