@@ -102,6 +102,15 @@ def test_poly_eval_rows_overflows_where_poly_eval_does():
     assert got.tobytes() == ref.tobytes()  # inf and NaN in the same places
 
 
+def test_empty_polynomial_evaluates_to_zero():
+    # One point, evaluated as a stack of one as Field._value does.
+    exps = np.zeros((0, 4), np.int64)
+    coeffs = np.zeros((0, 4), np.complex128)
+    x = np.ones((1, 4), np.complex128)
+    np.testing.assert_array_equal(kernels.poly_eval_rows(exps, coeffs, x)[0], np.zeros(4))
+    assert not np.any(kernels.poly_eval_rows(exps, np.zeros((0, 1), np.complex128), x))
+
+
 def test_poly_eval_rows_of_the_empty_polynomial_are_zero():
     exps = np.zeros((0, 4), np.int64)
     xs = np.ones((3, 4), np.complex128)
