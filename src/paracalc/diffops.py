@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .algebra import BASIS, Event, Paravector, left_matrix
-from .fields import Field, _random_complexes, as_rng
+from .fields import Field
 
 __all__ = [
     "Exact",
@@ -40,9 +40,6 @@ __all__ = [
     "box4",
     "div4_field",
     "grad4_field",
-    "field_row",
-    "null_wave_row",
-    "scalar_row",
     "block_jets",
     "block_bundle",
     "block_pullback",
@@ -175,34 +172,6 @@ def box4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
 # h A.  None stands for identity frames and factors and for no phase.  A
 # dense polynomial fills c; a plane wave is the constant row of c (row 0)
 # with its phase.  The table is kernels._degree_exponents(3).
-
-
-def field_row(seed, plane_wave: bool = False):
-    """random_field(seed), or random_plane_wave(seed), as a block row: its
-    coefficients on the degree-3 table and its phase, from the same doubles in
-    the same order, without building the Field."""
-    rng = as_rng(seed)
-    if not plane_wave:
-        coeffs = _random_complexes(rng, 1.0, 4 * len(kernels._degree_exponents(3))).reshape(-1, 4)
-        return coeffs, np.zeros(4, np.complex128)
-    z = _random_complexes(rng, 1.0, 8)  # amplitude, then phase
-    coeffs = np.zeros((len(kernels._degree_exponents(3)), 4), np.complex128)
-    coeffs[0] = z[:4]
-    return coeffs, z[4:]
-
-
-def null_wave_row(seed):
-    """null_plane_wave(seed) as a block row (its coefficients and phase), from
-    the same doubles in the same order, without building the Field."""
-    z = _random_complexes(as_rng(seed), 1.0, 7)  # amplitude, then kappa
-    coeffs = np.zeros((len(kernels._degree_exponents(3)), 4), np.complex128)
-    coeffs[0] = z[:4]
-    return coeffs, np.concatenate([[np.sqrt(np.complex128(z[4:] @ z[4:]))], z[4:]])
-
-
-def scalar_row(seed) -> np.ndarray:
-    """random_scalar_field(seed)'s scalar coefficients on the degree-3 table (35,)."""
-    return _random_complexes(as_rng(seed), 1.0, len(kernels._degree_exponents(3)))
 
 
 def block_jets(f, xs: np.ndarray, order: int) -> list:

@@ -57,7 +57,7 @@ __all__ = [
     "source_field_from_em",
     "plane_wave_potential",
     "plane_wave_row",
-    "random_wave_row",
+    "plane_wave_rows",
     "lorenz_gauge_potential",
     "block_lorenz_potential",
     "block_em_from_potential",
@@ -150,27 +150,6 @@ def plane_wave_potential(
     return PotentialField(Field.plane_wave(phase, Paravector.from_data(amplitude)))
 
 
-def random_wave_row(seed, k: PhysConstants = PhysConstants()):
-    """A random vacuum plane-wave potential as a block row (see diffops): its
-    coefficients on the degree-3 table and its phase.  The wave vector has
-    norm >= 0.3 and the polarization, projected orthogonal to it, norm
-    >= 0.2, each redrawn until it does; then a complex amplitude."""
-    rng = as_rng(seed)
-    kvec = rng.uniform(-1.0, 1.0, size=3)
-    while np.linalg.norm(kvec) < 0.3:
-        kvec = rng.uniform(-1.0, 1.0, size=3)
-    raw = rng.uniform(-1.0, 1.0, size=3)
-    pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
-    while np.linalg.norm(pol) < 0.2:
-        raw = rng.uniform(-1.0, 1.0, size=3)
-        pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
-    amp = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    amplitude, phase = plane_wave_row(kvec, pol, amp, k)
-    coeffs = np.zeros((len(kernels._degree_exponents(3)), 4), np.complex128)
-    coeffs[0] = amplitude  # a plane wave is the constant row
-    return coeffs, phase
-
-
 def plane_wave_row(kvec, pol, amp=1.0, k: PhysConstants = PhysConstants()):
     """plane_wave_potential's amplitude (0; -c amp pol) and phase
     (i omega, -i kvec), each (4,), checked as that function checks them."""
@@ -182,9 +161,18 @@ def plane_wave_row(kvec, pol, amp=1.0, k: PhysConstants = PhysConstants()):
         raise ZeroWaveVector("wave vector must be nonzero")
     if abs(kv @ pv) > 1e-12 * np.linalg.norm(kv) * np.linalg.norm(pv):
         raise NonTransverse(f"pol . kvec = {kv @ pv!r} is not zero")
-    omega = k.c * np.sqrt(np.complex128(kv @ kv))
-    return (np.concatenate([[0.0], -k.c * np.complex128(amp) * pv]),
-            np.concatenate([[1j * omega], -1j * kv]))
+    amplitude, phase = plane_wave_rows(kv[None], pv[None], np.complex128(amp)[None], k)
+    return amplitude[0], phase[0]
+
+
+def plane_wave_rows(kv, pv, amp, k: PhysConstants = PhysConstants()):
+    """plane_wave_row's amplitudes and phases (n, 4), unchecked, one row per
+    complex wave vector kv (n, 3), polarization pv (n, 3) and amplitude amp
+    (n,).  kv . kv is taken per row, as a 1-D ``@`` takes it."""
+    omega = k.c * np.sqrt(np.matmul(kv[:, None, :], kv[:, :, None])[:, 0, 0])
+    amplitude = np.zeros((len(kv), 4), np.complex128)
+    amplitude[:, 1:] = (-k.c * amp)[:, None] * pv
+    return amplitude, np.concatenate([(1j * omega)[:, None], -1j * kv], axis=1)
 
 
 def lorenz_gauge_potential(

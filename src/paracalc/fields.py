@@ -383,19 +383,21 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _random_complexes(rng, scale: float, n: int) -> np.ndarray:
-    """n values uniform on the closed disc of radius `scale`.
-
-    Each value takes two consecutive doubles of the stream, the radius uniform
-    then the angle uniform; 2*pi*u is how numpy computes uniform(0, 2*pi).
-    """
-    u = rng.random((n, 2))
-    radius = scale * np.sqrt(u[:, 0])
-    theta = 2.0 * np.pi * u[:, 1]
-    z = np.empty(n, np.complex128)
+def _disc(u: np.ndarray, scale: float) -> np.ndarray:
+    """Values uniform on the closed disc of radius `scale`, from the doubles
+    u (..., 2m): each value takes two consecutive doubles, the radius uniform
+    then the angle uniform; 2*pi*u is how numpy computes uniform(0, 2*pi)."""
+    radius = scale * np.sqrt(u[..., 0::2])
+    theta = 2.0 * np.pi * u[..., 1::2]
+    z = np.empty(radius.shape, np.complex128)
     z.real = radius * np.cos(theta)
     z.imag = radius * np.sin(theta)
     return z
+
+
+def _random_complexes(rng, scale: float, n: int) -> np.ndarray:
+    """n values uniform on the closed disc of radius `scale`, from 2n doubles."""
+    return _disc(rng.random(2 * n), scale)
 
 
 #: The disc radius of the paravector and event draws, and the |det| that a

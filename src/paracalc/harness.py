@@ -3,10 +3,11 @@
 Every case gets its own random substream derived from
 ``SeedSequence([seed, crc32(suite), case_index])``, so adding cases never
 perturbs existing ones and ``check all`` reproduces the per-suite residuals
-bit for bit.  A case draws a block of samples as stacked arrays, taking the
-stream as drawing one sample after another would, and one loop
-(``_blocked``) runs the blocks in sample order; a value case that runs once
-is one block of one sample.  A floor case (``_floor``) runs its witness once.
+bit for bit.  A case reads its substream through one ``tape.Tape`` and draws
+a block of samples as stacked arrays, taking the stream as drawing one
+sample after another would, and one loop (``_blocked``) runs the blocks in
+sample order; a value case that runs once is one block of one sample.  A
+floor case (``_floor``) runs its witness once.
 Residuals are max-abs
 over the value components; cases that pin a *floor* under a witness instead
 report the deficit ``max(0, floor - value)`` against a zero threshold so that
@@ -43,13 +44,10 @@ from .diffops import (
     assemble_box,
     block_jets,
     div4,
-    field_row,
     grad4,
     max_partial_errors,
-    null_wave_row,
     product_rule_failure_witness,
     scalar_order_gap,
-    scalar_row,
 )
 from .electromag import (
     PhysConstants,
@@ -60,19 +58,22 @@ from .electromag import (
     block_sources,
     block_wave_sides,
     em_from_potential,
-    random_wave_row,
 )
-from .fields import (
-    DRAW_SCALE,
-    MIN_DET,
-    Field,
-    _random_complexes,
-    random_event,
-    random_field,
-    random_orthogonal,
-    random_paravector,
-    random_paravectors,
-    random_plane_wave,
+from .fields import DRAW_SCALE, Field, random_event, random_field, random_plane_wave
+from .tape import (
+    EVENT,
+    FIELD,
+    MAXWELL_EVENT,
+    NULL_WAVE,
+    PARAVECTOR,
+    POLY,
+    SCALAR,
+    WAVE,
+    Tape,
+    discs,
+    draw,
+    plane_wave_block,
+    uniforms,
 )
 from .transforms import (
     InvarianceForm,
@@ -260,31 +261,18 @@ def _blocked(count, block, rows=BLOCK):
     """A case run that draws samples 0..count(cfg)-1 in blocks of ``BLOCK``,
     or of ``rows`` if fewer.
 
-    ``block(rng, start, n, cfg)`` draws samples ``start``..``start + n - 1``
-    as stacked arrays and returns their differences as one stack, each
-    sample's rows in turn, samples in order; the draws take the stream in
-    sample order.
+    ``block(tape, start, n, cfg)`` draws samples ``start``..``start + n - 1``
+    from the case's tape as stacked arrays and returns their differences as
+    one stack, each sample's rows in turn, samples in order.
     """
     def run(rng, cfg):
-        w = Worst()
+        w, tape = Worst(), Tape(rng)
         total, size = count(cfg), min(BLOCK, rows)
         for start in range(0, total, size):
-            w.offer(block(rng, start, min(size, total - start), cfg))
+            w.offer(block(tape, start, min(size, total - start), cfg))
         return w
 
     return run
-
-
-def _stack(samples, n: int):
-    """n per-sample tuples of arrays, stacked entry by entry into (n, ...)
-    arrays, filled sample by sample, so that a block's draws are held once."""
-    out = None
-    for i, sample in enumerate(samples):
-        if out is None:
-            out = [np.empty((n,) + np.shape(a), np.asarray(a).dtype) for a in sample]
-        for column, a in zip(out, sample):
-            column[i] = a
-    return out
 
 
 def _floor(witness, floor: float):
@@ -311,74 +299,48 @@ def _once(cfg) -> int:
     return 1
 
 
-def _paravector_events(rng, n: int):
-    """n (random_paravector, random_event) pairs, as (n, 4) stacks g and x.
-
-    Both draws take groups of four complexes.  A round draws the fewest groups
-    the missing pairs can use and walks them in order: groups until one clears
-    |det| >= MIN_DET, then the event, so the stream ends where n pairs of calls end.
-    """
-    rows = np.empty((2 * n, 4), np.complex128)  # g0, x0, g1, x1, ...
-    done = 0
-    while done < 2 * n:
-        groups = _random_complexes(rng, DRAW_SCALE, 4 * (2 * n - done)).reshape(-1, 4)
-        d = det_rows(groups)
-        keep, owed = [], done % 2  # owed: the next group is an event
-        for j, ok in enumerate((np.hypot(d.real, d.imag) >= MIN_DET).tolist()):
-            if owed or ok:
-                keep.append(j)
-                owed = not owed
-        rows[done:done + len(keep)] = groups[keep]
-        done += len(keep)
-    return rows[0::2], rows[1::2]
-
-
 # -- algebra suite ------------------------------------------------------------
 
 def _algebra_cases() -> List[Case]:
-    def draws(rng, n, k):
-        """k paravectors per sample, as k (n, 4) stacks."""
-        return random_paravectors(rng, k * n).reshape(n, k, 4).transpose(1, 0, 2)
-
-    def associativity(rng, start, n, cfg):
-        a, b, c = draws(rng, n, 3)
+    def associativity(tape, start, n, cfg):
+        a, b, c = draw(tape, start, n, PARAVECTOR, PARAVECTOR, PARAVECTOR)
         return _rel(pv_mul_rows(pv_mul_rows(a, b), c), pv_mul_rows(a, pv_mul_rows(b, c)))
 
-    def reversion(rng, start, n, cfg):
-        a, b = draws(rng, n, 2)
+    def reversion(tape, start, n, cfg):
+        a, b = draw(tape, start, n, PARAVECTOR, PARAVECTOR)
         return _rel(reverse_rows(pv_mul_rows(a, b)),
                     pv_mul_rows(reverse_rows(b), reverse_rows(a)))
 
-    def det_mult(rng, start, n, cfg):
-        a, b = draws(rng, n, 2)
+    def det_mult(tape, start, n, cfg):
+        a, b = draw(tape, start, n, PARAVECTOR, PARAVECTOR)
         # det(a) * det(b) is a product of Python complexes
         return _rel(det_rows(pv_mul_rows(a, b))[:, None],
                     cmul(det_rows(a), det_rows(b))[:, None])
 
-    def inverse_identity(rng, start, n, cfg):
-        (a,) = draws(rng, n, 1)
+    def inverse_identity(tape, start, n, cfg):
+        (a,) = draw(tape, start, n, PARAVECTOR)
         inv = inverse_rows(a)
         both = np.stack([pv_mul_rows(a, inv), pv_mul_rows(inv, a)], axis=1)
         return both.reshape(-1, 4) - IDENTITY.data  # a a^-1, then a^-1 a, per sample
 
-    def orthogonal_unit(rng, start, n, cfg):
-        lam = normalize_rows(random_paravectors(rng, n))  # as n random_orthogonal draws
+    def orthogonal_unit(tape, start, n, cfg):
+        lam = normalize_rows(draw(tape, start, n, PARAVECTOR)[0])  # as random_orthogonal draws
         return pv_mul_rows(lam, reverse_rows(lam)) - IDENTITY.data
 
-    def action_consistency(rng, start, n, cfg):
-        g, x = _paravector_events(rng, n)
+    def action_consistency(tape, start, n, cfg):
+        g, x = draw(tape, start, n, PARAVECTOR, EVENT)
         # the actions on stacks against the product as mul takes it, sample by sample
         gx, xg = (np.array([pv_mul(*ab) for ab in pairs]) for pairs in (zip(g, x), zip(x, g)))
         both = np.stack([act_left(g, x) - gx, act_right(x, g) - xg], axis=1)
         return both.reshape(-1, 4)  # g X, then X g, per sample
 
-    def left_action_expansion(rng, start, n, cfg):
+    def left_action_expansion(tape, start, n, cfg):
         got = act_left(Paravector(1.0, (0.0, 0.0, 1.0)), Event(0.0, (1.0, 1.0, 0.0)))
         pure_time = act_left(Paravector(2.0 + 1.0j, (0.5j, 1.0, -2.0)), Event(1.0))
         return np.array([got.data - np.array([0.0, 1.0 - 1.0j, 1.0 + 1.0j, 0.0]),
                          pure_time.data - np.array([2.0 + 1.0j, 0.5j, 1.0, -2.0])])
 
-    def right_action_expansion(rng, start, n, cfg):
+    def right_action_expansion(tape, start, n, cfg):
         got = act_right(Event(0.0, (1.0, 1.0, 0.0)), Paravector(1.0, (0.0, 0.0, 1.0)))
         return got.data - np.array([0.0, 1.0 + 1.0j, 1.0 - 1.0j, 0.0])
 
@@ -387,8 +349,8 @@ def _algebra_cases() -> List[Case]:
         b = Paravector(1.0, (0.0, 1.0, 0.0))
         return mul(a, b).data - mul(b, a).data
 
-    def rotation_round_trip(rng, start, n, cfg):
-        g, x = _paravector_events(rng, n)  # as random_orthogonal, random_event
+    def rotation_round_trip(tape, start, n, cfg):
+        g, x = draw(tape, start, n, PARAVECTOR, EVENT)  # as random_orthogonal, random_event
         lam = normalize_rows(g)
         rlam = reverse_rows(lam)
         xp = pv_mul_rows(pv_mul_rows(lam, x), rlam)  # L X L~, then back: L~ X' L
@@ -412,49 +374,41 @@ def _algebra_cases() -> List[Case]:
 
 # -- diffop suite -------------------------------------------------------------
 
-def _field_draws(rng, start: int, n: int, *draws):
-    """Samples start..start+n-1, drawn one after another: first each of
-    ``draws(rng)``, then the field that alternates between a dense polynomial
-    and a plane wave, then the event.  Returns the draws' stacks, the field
-    block and X."""
-    *d, c, k, x = _stack(((*(draw(rng) for draw in draws), *field_row(rng, i % 2 == 1),
-                          random_event(rng).data) for i in range(start, start + n)), n)
-    return (*d, (None, k, c, None), x)
-
-
 def _diffop_cases() -> List[Case]:
-    def assembly_oracle(rng, start, n, cfg):
+    ten_events = discs(DRAW_SCALE, 10, 4)  # convergence-band-deficit's points
+
+    def assembly_oracle(tape, start, n, cfg):
         # div4/grad4 assemble jets; the oracle is the field sum_k E_k (d_k A)
         # from the lowered rows, evaluated
-        (div, grad) = block_assembly_sides(*_field_draws(rng, start, n))
+        (div, grad) = block_assembly_sides(*draw(tape, start, n, FIELD, EVENT))
         return np.stack([_rel(*div), _rel(*grad)], axis=1).reshape(-1, 4)
 
-    def numeric_agreement(rng, start, n, cfg):
-        f, x = _field_draws(rng, start, n)
+    def numeric_agreement(tape, start, n, cfg):
+        f, x = draw(tape, start, n, FIELD, EVENT)
         num, exact, loc = block_numeric_partials(f, x[:, None], cfg.h)
         return ((num - exact) / (1.0 + loc)[:, None, None, None]).reshape(-1, 4)  # per coordinate
 
-    def factorization_exact(rng, start, n, cfg):
-        b, grad_div, div_grad = block_factorization_sides(*_field_draws(rng, start, n))
+    def factorization_exact(tape, start, n, cfg):
+        b, grad_div, div_grad = block_factorization_sides(*draw(tape, start, n, FIELD, EVENT))
         return np.stack([_rel(grad_div, b), _rel(div_grad, b)], axis=1).reshape(-1, 4)
 
-    def factorization_numeric(rng, start, n, cfg):
+    def factorization_numeric(tape, start, n, cfg):
         # A fixed step, not cfg.h: a nested second difference loses ~eps/h^2
         # to rounding (numeric box4 is off by ~1e-8 relative at 1e-4, ~2e-6
         # at 1e-5, ~1e-2 at 1e-7), and both sides here nest the same way, so
         # at small steps they agree as rounding noise and the check is empty.
-        return _rel(*block_factorization_numeric_sides(*_field_draws(rng, start, n), 1e-4))
+        return _rel(*block_factorization_numeric_sides(*draw(tape, start, n, FIELD, EVENT), 1e-4))
 
-    def null_wave_box(rng, start, n, cfg):
-        c, k, x = _stack(((*null_wave_row(rng), random_event(rng).data) for _ in range(n)), n)
-        return assemble_box(block_jets((None, k, c, None), x, 2)[2])
+    def null_wave_box(tape, start, n, cfg):
+        f, x = draw(tape, start, n, NULL_WAVE, EVENT)
+        return assemble_box(block_jets(f, x, 2)[2])
 
-    def additivity(rng, start, n, cfg):
-        f, g, x = _field_draws(rng, start, n, lambda rng: field_row(rng)[0])
+    def additivity(tape, start, n, cfg):
+        f, g, x = draw(tape, start, n, POLY, FIELD, EVENT)
         return _rel(*block_additivity_sides((None, None, f, None), g, x))
 
-    def leibniz(rng, start, n, cfg):
-        return _rel(*block_leibniz_sides(*_field_draws(rng, start, n, scalar_row)))
+    def leibniz(tape, start, n, cfg):
+        return _rel(*block_leibniz_sides(*draw(tape, start, n, SCALAR, FIELD, EVENT)))
 
     def product_rule_gap(rng):
         f = Field.monomial((0, 1, 0, 0), Paravector(0.0, (1.0, 0.0, 0.0)))
@@ -466,10 +420,9 @@ def _diffop_cases() -> List[Case]:
         a = Paravector(0.0, (0.0, 1.0, 0.0))
         return scalar_order_gap(rho, a, Event(0.0, (1.0, 1.0, 1.0))).data
 
-    def convergence_band(rng, start, n, cfg):
-        c, k, x = _stack(((*field_row(rng, i % 2 == 1), [random_event(rng).data for _ in range(10)])
-                         for i in range(start, start + n)), n)
-        *nums, exact, _ = block_numeric_partials((None, k, c, None), x, 1e-3, 5e-4)
+    def convergence_band(tape, start, n, cfg):
+        f, x = draw(tape, start, n, FIELD, ten_events)
+        *nums, exact, _ = block_numeric_partials(f, x, 1e-3, 5e-4)
         errs = np.transpose([np.abs(num - exact).reshape(n, -1).max(axis=1) for num in nums])
         ratio = errs[:, 0] / errs[:, 1]
         deficit = np.max([0.0 * ratio, 3.2 - ratio, ratio - 4.8], axis=0)
@@ -500,19 +453,19 @@ _SINGULAR = np.array([1.0 + 0.5j, 1.0 + 0.5j, 0.0, 0.0])
 
 
 def _transport_case(op, right: bool, mode_of):
-    def block(rng, start, n, cfg):
-        g, f, x = _field_draws(rng, start, n, lambda rng: random_paravector(rng).data)
+    def block(tape, start, n, cfg):
+        g, f, x = draw(tape, start, n, PARAVECTOR, FIELD, EVENT)
         return _rel(*transport_sides(op, right, g, f, x, mode_of(cfg)))
 
     return _blocked(_times(1), block)
 
 
 def _right_factor_case(mode_of, singular: bool):
-    def block(rng, start, n, cfg):
+    def block(tape, start, n, cfg):
         if singular:
-            g, f, x = _field_draws(rng, start, n, lambda rng: _SINGULAR)
+            g, (f, x) = np.tile(_SINGULAR, (n, 1)), draw(tape, start, n, FIELD, EVENT)
         else:
-            g, f, x = _field_draws(rng, start, n, lambda rng: random_paravector(rng).data)
+            g, f, x = draw(tape, start, n, PARAVECTOR, FIELD, EVENT)
         sides = right_factor_sides(f, g, x, mode_of(cfg))
         return np.stack([_rel(*pair) for pair in sides], axis=1).reshape(-1, 4)
 
@@ -523,15 +476,15 @@ def _transforms_cases() -> List[Case]:
     exact = lambda cfg: EXACT
     numeric = lambda cfg: Numeric(cfg.h)
 
-    def rotation(rng, start, n, cfg):
-        g, f, x = _field_draws(rng, start, n, lambda rng: random_paravector(rng).data)
+    def rotation(tape, start, n, cfg):
+        g, f, x = draw(tape, start, n, PARAVECTOR, FIELD, EVENT)
         lam = normalize_rows(g)  # as random_orthogonal draws
         xp = pv_mul_rows(pv_mul_rows(lam, x), reverse_rows(lam))  # L X L~
         return _rel(*observer_rotation_sides(f, lam, xp))
 
-    def group_composition(rng, start, n, cfg):
-        g12, f, x = _field_draws(rng, start, n, lambda rng: random_paravectors(rng, 2))
-        return _rel(*pullback_composition_sides(g12[:, 0], g12[:, 1], f, x))
+    def group_composition(tape, start, n, cfg):
+        return _rel(*pullback_composition_sides(*draw(tape, start, n, PARAVECTOR, PARAVECTOR,
+                                                           FIELD, EVENT)))
 
     return [
         Case("div-left-transport-exact", "exact", 1e-10,
@@ -564,9 +517,8 @@ def _transforms_cases() -> List[Case]:
 # -- wave suite ---------------------------------------------------------------
 
 def _wave_form_case(form: InvarianceForm):
-    def block(rng, start, n, cfg):
-        g, c, x = _stack(((random_paravector(rng).data, field_row(rng)[0],
-                          random_event(rng).data) for _ in range(n)), n)
+    def block(tape, start, n, cfg):
+        g, c, x = draw(tape, start, n, PARAVECTOR, POLY, EVENT)
         f, lam = (None, None, c, None), normalize_rows(g)  # as random_orthogonal draws
         return _rel(*wave_invariance_sides(form, f, lam, form_point(form, lam, x)))
 
@@ -575,24 +527,24 @@ def _wave_form_case(form: InvarianceForm):
 
 def _wave_cases() -> List[Case]:
     def value_split(rng):
-        best = 0.0
+        tape, best = Tape(rng), 0.0
         best_gap = np.zeros(4, np.complex128)
         for i in range(10):
-            lam = random_orthogonal(rng)
-            if float(np.max(np.abs(lam.v))) < 0.1:
+            lam = normalize_rows(draw(tape, i, 1, PARAVECTOR)[0])  # random_orthogonal
+            if float(np.max(np.abs(lam[0, 1:]))) < 0.1:
                 continue  # scalar-like draws do not witness the split
-            f, Xp = (None, None, field_row(rng)[0][None], None), random_event(rng).data[None]
-            vals = transformed_field_values(f, lam.data[None], Xp)
+            c, Xp = draw(tape, i, 1, POLY, EVENT)
+            vals = transformed_field_values((None, None, c, None), lam, Xp)
             gap = (vals.covariant - vals.contravariant)[0]
             m = float(np.max(np.abs(gap)))
             if m > best:
                 best, best_gap = m, gap
         return best_gap
 
-    def value_laws(rng, start, n, cfg):
+    def value_laws(tape, start, n, cfg):
         # each form's moved field at X' against its value law at the pre-image
-        lam = random_orthogonal(rng).data[None]
-        f, Xp = (None, None, field_row(rng)[0][None], None), random_event(rng).data[None]
+        g, c, Xp = draw(tape, start, n, PARAVECTOR, POLY, EVENT)
+        f, lam = (None, None, c, None), normalize_rows(g)  # as random_orthogonal draws
         return np.concatenate([_rel(*form_value_sides(form, f, lam, Xp))
                                for form in InvarianceForm])
 
@@ -609,44 +561,39 @@ def _wave_cases() -> List[Case]:
 
 # -- maxwell suite ------------------------------------------------------------
 
-def _maxwell_event(rng) -> np.ndarray:
-    r = rng.uniform(-2.0, 2.0, size=3)
-    return np.array([complex(rng.uniform(-2.0, 2.0), rng.uniform(-0.1, 0.1)), *r])
-
-
 def _plane_wave_case(constants: PhysConstants, field: str):
-    def block(rng, start, n, cfg):
-        c, k, x = _stack(((*random_wave_row(rng, constants), _maxwell_event(rng))
-                         for _ in range(n)), n)
+    def block(tape, start, n, cfg):
+        w, x = draw(tape, start, n, WAVE, MAXWELL_EVENT)
+        f = plane_wave_block(w, constants)
         if field == "gauge":
-            return block_em_from_potential((None, k, c, None), x, constants)[:, :1]
-        return block_sources((None, k, c, None), x, constants)
+            return block_em_from_potential(f, x, constants)[:, :1]
+        return block_sources(f, x, constants)
 
     return _blocked(_times(2), block, ROWS)
 
 
-def _lorenz_draws(rng, n: int):
+def _lorenz_draws(tape, start: int, n: int):
     """Lorenz-gauge potentials as lorenz_gauge_potential draws them (three
     scalar polynomials), each followed by its event."""
-    w, x = _stack(((np.transpose([scalar_row(rng) for _ in range(3)]), _maxwell_event(rng))
-                  for _ in range(n)), n)
-    return block_lorenz_potential(w), x
+    *w, x = draw(tape, start, n, SCALAR, SCALAR, SCALAR, MAXWELL_EVENT)
+    return block_lorenz_potential(np.stack(w, axis=-1)), x
 
 
 def _maxwell_cases() -> List[Case]:
     k1 = PhysConstants()
     k2 = PhysConstants(c=2.0)
+    spatial = uniforms(-2.0, 2.0, 3)  # a point of the t = 0 slice
 
-    def polynomial_gauge(rng, start, n, cfg):
-        return block_em_from_potential(*_lorenz_draws(rng, n), k1)[:, :1]
+    def polynomial_gauge(tape, start, n, cfg):
+        return block_em_from_potential(*_lorenz_draws(tape, start, n), k1)[:, :1]
 
-    def factorization_chain(rng, start, n, cfg):
-        return _rel(*block_wave_sides(*_lorenz_draws(rng, n), k1))
+    def factorization_chain(tape, start, n, cfg):
+        return _rel(*block_wave_sides(*_lorenz_draws(tape, start, n), k1))
 
-    def gauss_slice(rng, start, n, cfg):
+    def gauss_slice(tape, start, n, cfg):
         # a static scalar potential: the real parts of a scalar draw's
         # spatial terms, at a point of the t = 0 slice
-        phi, r = _stack(((scalar_row(rng), rng.uniform(-2.0, 2.0, size=3)) for _ in range(n)), n)
+        phi, r = draw(tape, start, n, SCALAR, spatial)
         c = np.zeros((n, 35, 4), np.complex128)
         c[..., 0] = np.where(_degree_exponents(3)[:, 0] == 0, phi.real, 0.0)
         x = np.zeros((n, 4), np.complex128)
@@ -654,7 +601,7 @@ def _maxwell_cases() -> List[Case]:
         src, div_e = block_gauss_law_sides((None, None, c, None), x, cfg.h, k1)
         return (src - div_e)[:, None]
 
-    def static_gradient(rng, start, n, cfg):
+    def static_gradient(tape, start, n, cfg):
         pot = PotentialField(Field.monomial((0, 1, 0, 0), Paravector(1.0)))
         val = em_from_potential(pot, Event(0.3, (0.7, -1.1, 0.4)), k1)
         return val.data - np.array([0.0, -1.0, 0.0, 0.0])
@@ -784,8 +731,8 @@ def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List
         raise ConfigError("seed must be a natural number")
     rng = case_rng(seed, "convergence", 0)
     if fields is None:
-        draw = random_field if field_kind == "poly" else random_plane_wave
-        fields = [draw(rng) for _ in range(3)]
+        family = random_field if field_kind == "poly" else random_plane_wave
+        fields = [family(rng) for _ in range(3)]
     points = [random_event(rng).data for _ in range(20)]
     try:  # overflow reads as a NaN error, which fails the table
         with np.errstate(all="ignore"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from paracalc.algebra import Event, Paravector
-from paracalc.diffops import Numeric, central_differences, scalar_row
+from paracalc.diffops import Numeric, central_differences
 from paracalc.electromag import (
     NonTransverse,
     PhysConstants,
@@ -18,12 +18,13 @@ from paracalc.electromag import (
     lorenz_gauge_potential,
     plane_wave_potential,
     plane_wave_row,
-    random_wave_row,
+    plane_wave_rows,
     source_field_from_em,
     sources_from_em,
 )
 from paracalc.fields import Field
 from paracalc.harness import BLOCK
+from paracalc.tape import SCALAR, WAVE, Tape, draw, plane_wave_block
 
 from util import (
     block_of,
@@ -32,6 +33,8 @@ from util import (
     gauss_slice_draw,
     max_abs,
     maxwell_event,
+    plane_wave_value,
+    random_rows,
     random_wave_potential,
     rel_err,
     rows,
@@ -116,6 +119,22 @@ def test_plane_wave_validation():
         plane_wave_potential((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
     with pytest.raises(ZeroWaveVector):
         plane_wave_potential((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_plane_wave_rows_match_the_per_wave_value_bit_for_bit(c):
+    # complex wave vectors and polarizations over six decades, and rows of
+    # signed zeros and small integers; plane_wave_row is the one-row call
+    k = PhysConstants(c=c)
+    rng = np.random.default_rng(8)
+    kv, pv = random_rows(rng, 100)[:, 1:], random_rows(rng, 100)[:, 1:]
+    amp = random_rows(rng, 50).ravel()[:200]
+    rows = plane_wave_rows(kv, pv, amp, k)
+    for p in range(len(kv)):
+        want = plane_wave_value(kv[p], pv[p], amp[p], k)
+        one = plane_wave_rows(kv[p:p + 1], pv[p:p + 1], amp[p:p + 1], k)
+        for got in ([r[p] for r in rows], [r[0] for r in one]):
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), p
 
 
 def test_transversality_is_checked_relative_to_scale():
@@ -209,15 +228,15 @@ def _lorenz_blocks(seed, n, k):
     """n Lorenz-gauge potentials as block rows and as lorenz_gauge_potential
     draws them from the same stream, each with a complex-time event."""
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    w = np.array([np.transpose([scalar_row(rng) for _ in range(3)]) for _ in range(n)])
+    w = np.stack(draw(Tape(rng), 0, n, SCALAR, SCALAR, SCALAR), axis=-1)
     pots = [lorenz_gauge_potential(ref, k=k) for _ in range(n)]
     return block_lorenz_potential(w, k), pots
 
 
 def _wave_blocks(seed, n, k):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    c, phase = map(np.array, zip(*(random_wave_row(rng, k) for _ in range(n))))
-    return (None, phase, c, None), [random_wave_potential(ref, k) for _ in range(n)]
+    block = plane_wave_block(draw(Tape(rng), 0, n, WAVE)[0], k)
+    return block, [random_wave_potential(ref, k) for _ in range(n)]
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0])

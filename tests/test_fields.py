@@ -19,7 +19,7 @@ from paracalc.algebra import (
     right_matrix,
 )
 from paracalc.diffops import Numeric, _jets, box4, bundle, central_differences
-from paracalc import fields, harness
+from paracalc import fields, tape
 from paracalc.fields import (
     DEGREE_CAP,
     Field,
@@ -566,6 +566,18 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def tape_draw(rng, n, *items):
+    """tape.draw of samples 0..n-1 from a tape over a copy of rng; rng then
+    moves past the doubles the tape used, so its state says where the block
+    draw leaves the stream."""
+    copy = np.random.default_rng()
+    copy.bit_generator.state = rng.bit_generator.state
+    t = tape.Tape(copy)
+    out = tape.draw(t, 0, n, *items)
+    rng.bit_generator.advance(t.cursor)
+    return out
+
+
 def draw_pairs():
     """name -> (draw under test, its reference), each returning the arrays to compare."""
     def field(width, degree):
@@ -596,8 +608,8 @@ def draw_pairs():
         "orthogonal-rows-7": (lambda rng: (normalize_rows(random_paravectors(rng, 7)),),
                               lambda rng: (np.array([normalize_value(ref_paravector(rng)[0]).data
                                                      for _ in range(7)]),)),
-        # a paravector, redrawn as needed, then an event, per pair
-        "paravector-events-7": (lambda rng: harness._paravector_events(rng, 7),
+        # a paravector, redrawn as needed, then an event, per pair, as a block
+        "paravector-events-7": (lambda rng: tuple(tape_draw(rng, 7, tape.PARAVECTOR, tape.EVENT)),
                                 lambda rng: ref_paravector_events(rng, 7)),
         "event": (lambda rng: (random_event(rng).data,),
                   lambda rng: (ref_components(rng, 2.0, 4),)),
@@ -631,20 +643,21 @@ def test_paravector_event_draws_take_forced_redraws_as_the_calls_do(monkeypatch)
     # a group of four complexes whose first real part is below -0.5 becomes
     # singular: about a third of the paravector draws are redrawn, some several
     # times in a row, and some rounds end on a paravector that still owes its event
-    draw, forced = fields._random_complexes, []
+    disc, forced = fields._disc, []
 
-    def often_singular(rng, scale, n):
-        groups = draw(rng, scale, n).reshape(-1, 4)
+    def often_singular(u, scale):
+        z = disc(u, scale)
+        groups = z.reshape(-1, 4)
         hit = groups[:, 0].real < -0.5
         groups[hit] = [1.0 + 0.5j, 1.0 + 0.5j, 0.0, 0.0]  # [s; s e_x] has det 0
         forced.append(hit.sum())
-        return groups.ravel()
+        return z
 
-    monkeypatch.setattr(fields, "_random_complexes", often_singular)
-    monkeypatch.setattr(harness, "_random_complexes", often_singular)
+    monkeypatch.setattr(fields, "_disc", often_singular)
+    monkeypatch.setattr(tape, "_disc", often_singular)
     for seed in range(40):
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        g, x = harness._paravector_events(got_rng, 9)
+        g, x = tape_draw(got_rng, 9, tape.PARAVECTOR, tape.EVENT)
         for i in range(9):
             assert same_bytes(g[i], random_paravector(ref_rng).data), (seed, i)
             assert same_bytes(x[i], random_event(ref_rng).data), (seed, i)

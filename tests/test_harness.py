@@ -57,7 +57,7 @@ from util import (
     maxwell_event,
     normalize_value,
     random_rows,
-    random_wave_potential,
+    random_wave_row,
     rows,
     sample_field,
 )
@@ -746,10 +746,11 @@ def test_numeric_transform_cases_share_exact_substreams():
 
 # -- block draws -----------------------------------------------------------------
 
-def _per_sample_draws(name, rng, count):
+def _per_sample_draws(name, rng, count, attempts):
     """The draws of a block case, one sample at a time, as the per-sample loop
     took them: the reference for the block draws.  Each sample is the tuple
-    of what the case's block evaluator receives."""
+    of what the case's block evaluator receives; ``attempts`` collects the
+    candidates each plane-wave draw's two loops took."""
     singular = Paravector(1.0 + 0.5j, (1.0 + 0.5j, 0.0, 0.0))
     k2 = PhysConstants(c=2.0) if name.startswith("c2-") else PhysConstants()
     out = []
@@ -781,7 +782,8 @@ def _per_sample_draws(name, rng, count):
             f = sample_field(rng, i)
             out.append((block_of(f), np.array([random_event(rng).data for _ in range(10)])))
         elif "plane-wave" in name:
-            out.append((block_of(random_wave_potential(rng, k2).f), maxwell_event(rng).data))
+            c, k = random_wave_row(rng, k2, attempts)
+            out.append(((None, k[None], c[None], None), maxwell_event(rng).data))
         elif name in ("polynomial-gauge-scalar", "factorization-chain"):
             out.append((block_of(lorenz_gauge_potential(rng).f), maxwell_event(rng).data))
         elif name == "gauss-law-slice":
@@ -857,7 +859,7 @@ def test_block_draws_take_the_per_sample_draws(monkeypatch, seed):
     # 300 samples end the second block mid-way; the _fifth cases take 60,
     # the _times(2) ones 600, and convergence-band-deficit 6
     cfg = small_cfg("all", samples=300, seed=seed)
-    names = []
+    names, attempts = [], []
     for suite, sub, case in _block_cases():
         seen = []
         with monkeypatch.context() as m:
@@ -868,7 +870,7 @@ def test_block_draws_take_the_per_sample_draws(monkeypatch, seed):
             "assembly-matches-oracle", "numeric-agreement", "additivity", "scalar-product-rule",
             "plane-wave-gauge-scalar", "plane-wave-sources", "c2-plane-wave-gauge-scalar",
             "c2-plane-wave-sources") else 300
-        want = _per_sample_draws(case.name, case_rng(seed, suite, sub), count)
+        want = _per_sample_draws(case.name, case_rng(seed, suite, sub), count, attempts)
         got = [np.concatenate(arrays) for arrays in zip(*map(_arrays, seen))]
         ref = [np.concatenate(arrays) for arrays in zip(*map(_arrays, want))]
         assert len(got) == len(ref) and len(got[0]) == count, case.name
@@ -876,6 +878,10 @@ def test_block_draws_take_the_per_sample_draws(monkeypatch, seed):
             assert a.tobytes() == b.tobytes(), case.name
         names.append(case.name)
     assert len(names) == 13 + 4 + 8 + 7
+    # the plane-wave cases went through both redraw loops, the wave vector's
+    # and the polarization's
+    tries = np.array(attempts)
+    assert len(tries) == 4 * 600 and (tries > 1).any(axis=0).all()
 
 
 @pytest.mark.parametrize("suite", ["diffop", "transforms", "wave", "maxwell"])

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from paracalc import kernels
+from paracalc import kernels, tape
 from paracalc.algebra import (
     IDENTITY,
     Event,
@@ -20,12 +20,14 @@ from paracalc.electromag import (
     _tau_event,
     _time_scaled,
     plane_wave_potential,
+    plane_wave_row,
 )
 from paracalc.kernels import _degree_exponents
 from paracalc.fields import (
     _CONSTANT,
     _ZERO_PHASE,
     Field,
+    _random_complexes,
     random_field,
     random_plane_wave,
     random_scalar_field,
@@ -155,6 +157,16 @@ def leibniz_sides(rho: Field, f: Field, X: Event, mode=EXACT):
     return lhs, Paravector.from_data(rhs)
 
 
+def plane_wave_value(kvec, pol, amp, k=PhysConstants()):
+    """plane_wave_row's amplitude (0; -c amp pol) and phase (i omega, -i kvec)
+    for one wave, in numpy-scalar arithmetic, unchecked."""
+    kv = np.asarray(kvec, dtype=np.complex128)
+    pv = np.asarray(pol, dtype=np.complex128)
+    omega = k.c * np.sqrt(np.complex128(kv @ kv))
+    return (np.concatenate([[0.0], -k.c * np.complex128(amp) * pv]),
+            np.concatenate([[1j * omega], -1j * kv]))
+
+
 def wave_sides(pot: PotentialField, src: Field, X: Event,
                k: PhysConstants = PhysConstants(), mode=EXACT):
     """(d^2/c^2 dt^2 - laplacian)(phi; -cA) and the source value, both at X.
@@ -190,7 +202,75 @@ def central_difference(value_fn, x, c, h):
     return (value_fn(xp) - value_fn(xm)) / (2.0 * h)
 
 
-# -- per-sample draws: the references for the suites' block draw loops ----------
+# -- per-sample draws: the references for the tape's block draws ----------------
+#
+# Each draws one sample from the stream, one call after another; a block
+# drawn from a tape (paracalc.tape) must equal these samples stacked, and
+# its cursor must end where these calls leave the stream.
+
+def stack_samples(samples):
+    """Per-sample tuples of arrays, stacked entry by entry into (n, ...) arrays."""
+    return [np.array(column) for column in zip(*samples)]
+
+
+def field_row(rng, plane_wave: bool = False):
+    """random_field(rng), or random_plane_wave(rng), as a block row: its
+    coefficients on the degree-3 table and its phase, from the same doubles."""
+    if not plane_wave:
+        coeffs = _random_complexes(rng, 1.0, 4 * len(_degree_exponents(3))).reshape(-1, 4)
+        return coeffs, np.zeros(4, np.complex128)
+    z = _random_complexes(rng, 1.0, 8)  # amplitude, then phase
+    coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
+    coeffs[0] = z[:4]
+    return coeffs, z[4:]
+
+
+def null_wave_row(rng):
+    """null_plane_wave(rng) as a block row (its coefficients and phase)."""
+    z = _random_complexes(rng, 1.0, 7)  # amplitude, then kappa
+    coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
+    coeffs[0] = z[:4]
+    return coeffs, np.concatenate([[np.sqrt(np.complex128(z[4:] @ z[4:]))], z[4:]])
+
+
+def scalar_row(rng) -> np.ndarray:
+    """random_scalar_field(rng)'s scalar coefficients on the degree-3 table (35,)."""
+    return _random_complexes(rng, 1.0, len(_degree_exponents(3)))
+
+
+def wave_draw(rng, attempts=None):
+    """A vacuum plane wave's draws: the wave vector and the polarization by
+    rejection (norms >= tape.WAVE_NORM and >= tape.POLARIZATION_NORM, read at
+    each call), then the complex amplitude.  ``attempts`` collects how many
+    candidates each loop took."""
+    kvec, tries = rng.uniform(-1.0, 1.0, size=3), [1, 1]
+    while np.linalg.norm(kvec) < tape.WAVE_NORM:
+        kvec = rng.uniform(-1.0, 1.0, size=3)
+        tries[0] += 1
+    raw = rng.uniform(-1.0, 1.0, size=3)
+    pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
+    while np.linalg.norm(pol) < tape.POLARIZATION_NORM:
+        raw = rng.uniform(-1.0, 1.0, size=3)
+        pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
+        tries[1] += 1
+    if attempts is not None:
+        attempts.append(tries)
+    return kvec, pol, complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+
+def random_wave_row(rng, k=PhysConstants(), attempts=None):
+    """A random vacuum plane-wave potential as a block row: its coefficients
+    on the degree-3 table and its phase."""
+    amplitude, phase = plane_wave_row(*wave_draw(rng, attempts), k)
+    coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
+    coeffs[0] = amplitude  # a plane wave is the constant row
+    return coeffs, phase
+
+
+def random_wave_potential(rng, k):
+    """random_wave_row's potential as a PotentialField."""
+    return plane_wave_potential(*wave_draw(rng), k)
+
 
 def sample_field(rng, index: int):
     """Sample ``index``'s field: a dense degree-3 polynomial for an even index,
@@ -209,21 +289,6 @@ def maxwell_event(rng) -> Event:
     r = rng.uniform(-2.0, 2.0, size=3)
     t = complex(rng.uniform(-2.0, 2.0), rng.uniform(-0.1, 0.1))
     return Event(t, r)
-
-
-def random_wave_potential(rng, k):
-    """A vacuum plane-wave potential, its wave vector and polarization drawn
-    by rejection (norms >= 0.3 and >= 0.2), then its complex amplitude."""
-    kvec = rng.uniform(-1.0, 1.0, size=3)
-    while np.linalg.norm(kvec) < 0.3:
-        kvec = rng.uniform(-1.0, 1.0, size=3)
-    raw = rng.uniform(-1.0, 1.0, size=3)
-    pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
-    while np.linalg.norm(pol) < 0.2:
-        raw = rng.uniform(-1.0, 1.0, size=3)
-        pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
-    amp = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    return plane_wave_potential(kvec, pol, amp, k)
 
 
 def gauss_slice_draw(rng):
