@@ -148,17 +148,15 @@ class Field:
     nonzero.
     """
 
-    __slots__ = ("_groups", "_pcache")
+    __slots__ = ("_groups",)
 
     def __init__(self, exps, coeffs):
         self._groups = _merged([(None, _ZERO_PHASE, exps, coeffs)])
-        self._pcache = {}
 
     @classmethod
     def _of(cls, groups) -> "Field":
         f = object.__new__(cls)
         f._groups = groups
-        f._pcache = {}
         return f
 
     @classmethod
@@ -214,13 +212,7 @@ class Field:
         return (np.zeros(xs.shape, np.complex128) if out is None else out).reshape(x.shape)
 
     def partial(self, coord) -> "Field":
-        c = coord_index(coord)
-        try:
-            return self._pcache[c]
-        except KeyError:
-            f = self._partial(c)
-            self._pcache[c] = f
-            return f
+        return self._partial(coord_index(coord))
 
     def _partial(self, c: int) -> "Field":
         groups = ()
@@ -233,10 +225,7 @@ class Field:
                 de, dc = exps[i] - _UNITS[j], (m[j, c] * exps[i, j])[:, None] * coeffs[i]
             if k[c] != 0:
                 de, dc = np.concatenate([de, exps]), np.concatenate([dc, k[c] * coeffs])
-            if m is None and (k[c] == 0 or exps is _CONSTANT):
-                groups += _nonzero(m, k, de, dc)  # distinct sorted rows: no merge needed
-            else:
-                groups += _merged([(m, k, de, dc)])
+            groups += _merged([(m, k, de, dc)])
         return Field._of(groups)
 
     # -- closure operations ------------------------------------------------
@@ -281,15 +270,14 @@ class Field:
         """
         if any(c[:, 1:].any() for _, _, _, c in rho._groups):
             raise ValueError("rho must be a scalar field: its vector coefficients must be zero")
-        joined = {}  # the pairs of groups whose products share a frame and a phase
+        products = []  # every product row of every pair of groups
         for mr, kr, er, cr in rho._groups:
             for mf, kf, ef, cf in self._groups:
                 if _frame_key(mr) != _frame_key(mf):
                     raise ValueError("rho and the field have different frames")
-                m, k, key = _group_key(mf, kr + kf, er.any() or ef.any())
-                joined.setdefault(key, (m, k, []))[2].append((er, cr, ef, cf))
-        return Field._of(_merged([(m, k, *kernels.product_sums(pairs, DEGREE_CAP))
-                                  for m, k, pairs in joined.values()]))
+                products.append((mf, kr + kf, (er[:, None, :] + ef[None, :, :]).reshape(-1, 4),
+                                 (cr[:, None, :1] * cf[None, :, :]).reshape(-1, 4)))
+        return Field._of(_merged(products))
 
     @staticmethod
     def sum(*fields: "Field") -> "Field":
@@ -303,14 +291,12 @@ _UNITS = _frozen(np.eye(4, dtype=np.int64))
 
 
 def _lowered(exps, coeffs, j: int):
-    """Rows of d_j P.  Lowering one exponent of every kept row keeps the rows
-    distinct and in order, and scaling by a positive integer keeps them
-    nonzero, so canonical rows stay canonical."""
+    """Rows of d_j P: each row with e_j > 0, times e_j, with e_j lowered by one."""
     keep = exps[:, j] > 0
     de = exps[keep]
     dc = coeffs[keep] * de[:, j][:, None]
     de[:, j] -= 1
-    return _frozen(de), _frozen(dc)
+    return de, dc
 
 
 def _nonzero(m, k, exps, coeffs):
@@ -406,30 +392,25 @@ DRAW_SCALE = 2.0
 MIN_DET = 0.1
 
 
-def random_paravectors(seed, n: int, scale: float = DRAW_SCALE,
-                       min_det: float = MIN_DET) -> np.ndarray:
-    """n paravectors as the rows of an (n, 4) array, drawn as n random_paravector calls.
-
-    Drawing one paravector after another keeps each draw whose |det| clears
-    min_det, so the rows are the first n kept draws of the stream.  Each round
-    here draws exactly the rows still missing, so it takes the same doubles,
-    redraws included, and ends at the same place in the stream.
-    """
-    rng = as_rng(seed)
-    rows = np.empty((n, 4), np.complex128)
-    done = 0
-    while done < n:
-        draws = _random_complexes(rng, scale, 4 * (n - done)).reshape(-1, 4)
-        d = det_rows(draws)
-        kept = draws[np.hypot(d.real, d.imag) >= min_det]  # hypot is abs() of a complex
-        rows[done:done + len(kept)] = kept
-        done += len(kept)
-    return rows
-
-
 def random_paravector(seed, scale: float = DRAW_SCALE, min_det: float = MIN_DET) -> Paravector:
     """Components uniform on the radius-`scale` disc; redrawn until |det| >= min_det."""
-    return Paravector.from_data(random_paravectors(seed, 1, scale, min_det)[0])
+    rng = as_rng(seed)
+    while True:
+        p = _random_complexes(rng, scale, 4)
+        d = det_rows(p[None])[0]
+        if np.hypot(d.real, d.imag) >= min_det:  # hypot is abs() of a complex
+            return Paravector.from_data(p)
+
+
+def random_paravectors(seed, n: int, scale: float = DRAW_SCALE,
+                       min_det: float = MIN_DET) -> np.ndarray:
+    """n paravectors as the rows of an (n, 4) array, drawn one after another
+    as n random_paravector calls."""
+    rng = as_rng(seed)
+    rows = np.empty((n, 4), np.complex128)
+    for i in range(n):
+        rows[i] = random_paravector(rng, scale, min_det).data
+    return rows
 
 
 def random_orthogonal(seed, scale: float = DRAW_SCALE) -> Paravector:

@@ -7,8 +7,7 @@ work on ``(n, 4)`` stacks of them, each row on its own, so a row rounds the
 same in any stack and one point is a stack of one.
 ``jets`` evaluates a field group's value and exact partials on a stack of
 points, each row on its own, from coefficients on the exponent table of a
-degree, whose partials ``lowering`` gives; ``product_sums`` merges the
-products of a scalar field with a field.
+degree, whose partials ``lowering`` gives.
 """
 
 import functools
@@ -73,46 +72,6 @@ def plane_wave_eval_rows(k4, amps, xs):
     s = (cmul(k4[0], xs[:, 0]) + cmul(k4[1], xs[:, 1])
          + cmul(k4[2], xs[:, 2]) + cmul(k4[3], xs[:, 3]))
     return amps * np.exp(s)[:, None]
-
-
-_PRODUCT_ROWS = 8  # rows of the scalar side multiplied at a time
-
-
-def product_sums(pairs, cap: int):
-    """The rows of products of scalar rows with field rows, merged.
-
-    ``pairs`` holds (er, cr, ef, cf): exponent and coefficient rows of a
-    scalar polynomial and of a field polynomial; the product of rows r and f
-    is cr[r, 0] * cf[f] with exponents er[r] + ef[f], each at most ``cap``.
-    Returns the distinct exponent rows, in lexicographic order, and per row
-    the sum of its products added onto the first in order of appearance
-    (the pairs in order, then r, then f), as a merge of the table of all
-    products would add them.  That table is never built, only a few rows of
-    it at a time.
-    """
-    if any((er.max(axis=0) + ef.max(axis=0) > cap).any() for er, _, ef, _ in pairs):
-        raise ValueError(f"exponents must lie in [0, {cap}]")
-    digits = (cap + 1) ** np.arange(3, -1, -1)  # keys order like the exponent rows
-    keys = np.concatenate([((er @ digits)[:, None] + ef @ digits).ravel() for er, _, ef, _ in pairs])
-    # a table over the keys lists them in order; numpy applies repeated
-    # fancy-index writes in order, so writing backwards leaves the first
-    order = np.arange(len(keys))
-    first = np.full(keys.max() + 1, -1, np.intp)
-    first[keys[::-1]] = order[::-1]
-    distinct = np.flatnonzero(first >= 0)
-    slot = np.cumsum(first >= 0) - 1  # the key's row among the distinct keys
-    is_first = first[keys] == order
-    sums = np.empty((len(distinct), 4), _C128)
-    at = 0  # the products of the pairs before this one
-    for er, cr, ef, cf in pairs:
-        for r in range(0, len(er), _PRODUCT_ROWS):
-            product = (cr[r:r + _PRODUCT_ROWS, None, :1] * cf[None, :, :]).reshape(-1, 4)
-            rows = slice(at, at + len(product))
-            to, new = slot[keys[rows]], is_first[rows]
-            sums[to[new]] = product[new]
-            np.add.at(sums, to[~new], product[~new])
-            at += len(product)
-    return distinct[:, None] // digits % (cap + 1), sums
 
 
 # -- forward-mode jets --------------------------------------------------------
