@@ -13,7 +13,7 @@ provides the two documented failure witnesses of the product rule.
 the closed-form partials: it differences a stack of points along every
 coordinate at once, and a single point as a stack of one.
 ``max_partial_errors`` measures those numeric partials against the exact
-ones, step by step (the convergence tables).
+ones for each step, in passes of steps (the convergence tables).
 """
 
 from __future__ import annotations
@@ -356,41 +356,65 @@ def central_differences(value_fn, xs: np.ndarray, h: float) -> np.ndarray:
     Row 4 p + c differences xs[p] along the real axis of coordinate c, which
     recovers the complex partial because every field is holomorphic per
     coordinate.  value_fn is called once, on a stack of 8 n rows: each point
-    with one coordinate moved by +h, then the same with -h.  The copies are
-    shifted in that coordinate only, so no -0.0 in another coordinate turns
-    into +0.0.  Raises ValueError for the first point and coordinate, in that
-    order, where x[c] +- h rounds back to x[c]: such a stencil differences
-    nothing and would read every derivative as zero.
+    with one coordinate moved by +h, then the same with -h (``_stencil``).
+    Raises ValueError for the first point and coordinate, in that order,
+    where x[c] +- h rounds back to x[c]: such a stencil differences nothing
+    and would read every derivative as zero.
     """
-    c = np.arange(4)  # copy c of a point moves its coordinate c
-    stencil = np.broadcast_to(xs[:, None, :], (2, len(xs), 4, 4)).copy()
-    stencil[0][:, c, c] += h
-    stencil[1][:, c, c] -= h
-    still = (stencil[:, :, c, c] == xs).any(axis=0)
-    if still.any():
-        p, c = np.argwhere(still)[0]
-        raise ValueError(f"step {h!r} does not move coordinate {c} from {complex(xs[p, c])!r}")
-    v = value_fn(stencil.reshape(-1, 4))
+    v = value_fn(_stencil(xs, [h]).reshape(-1, 4))
     half = len(v) // 2
     return (v[:half] - v[half:]) / (2.0 * h)
+
+
+def _stencil(xs: np.ndarray, steps) -> np.ndarray:
+    """central_differences' points for each step, (steps, 2, n, 4, 4): per
+    step, each point with its coordinate c moved by +h in copy c, then by -h.
+
+    The copies are shifted in that coordinate only, so no -0.0 in another
+    coordinate turns into +0.0.  Checked step by step, in order: the first
+    step that leaves a coordinate of a point where it was raises ValueError,
+    naming its first such point and coordinate.
+    """
+    c = np.arange(4)  # copy c of a point moves its coordinate c
+    h = np.array(steps, dtype=np.float64)[:, None, None]
+    stencil = np.broadcast_to(xs[:, None, :], (len(h), 2, len(xs), 4, 4)).copy()
+    stencil[:, 0][:, :, c, c] += h
+    stencil[:, 1][:, :, c, c] -= h
+    still = (stencil[:, :, :, c, c] == xs).any(axis=1)
+    for step, moved in zip(steps, still):
+        if moved.any():
+            p, c = np.argwhere(moved)[0]
+            raise ValueError(f"step {step!r} does not move coordinate {c} from {complex(xs[p, c])!r}")
+    return stencil
 
 
 def max_partial_errors(fields, points, steps) -> list[float]:
     """Per step h, max |central difference - exact partial| over fields x points x coordinates.
 
     The exact partials do not depend on h, so each is evaluated once, on the
-    stack of points.  Each step differences each field once, on the stack
-    (``central_differences``), so memory does not grow with the step count.
-    NaN propagates, so an overflowing step cannot read as a zero error.
+    stack of points.  The steps run in passes of consecutive steps: a pass
+    builds one stencil for its steps (``_stencil``, checked step by step, in
+    order) and evaluates every field on it in one ``Field._values`` call, so
+    polynomials on one exponent table share their monomials.  A stencil row
+    takes 8 doubles, and 2 per term of the largest group for its monomials;
+    a pass takes as many steps as fit in ``kernels._BUDGET`` doubles, at
+    least one: one step of three dense cubics at 20 points, seven of plane
+    waves.  So memory does not grow with the step count.  NaN propagates, so
+    an overflowing step cannot read as a zero error.
     """
     pts = np.array(points, dtype=np.complex128).reshape(-1, 4)
     # rows in central_differences' order: point, then coordinate
-    exact = [np.swapaxes(_jets(f, pts, 1)[1], 1, 2).reshape(-1, 4) for f in fields]
-    errors = []
-    for h in steps:
-        worst = 0.0
-        for f, value in zip(fields, exact):
-            num = central_differences(f._value, pts, h)
-            worst = float(np.maximum(worst, np.max(np.abs(num - value))))
-        errors.append(worst)
-    return errors
+    exact = np.reshape([np.swapaxes(_jets(f, pts, 1)[1], 1, 2) for f in fields],
+                       (len(fields), 1, 4 * len(pts), 4))
+    terms = max((len(g[2]) for f in fields for g in f._groups), default=0)
+    size = max(1, kernels._BUDGET // max(1, 8 * len(pts) * (8 + 2 * terms)))
+    return [e for i in range(0, len(steps), size)
+            for e in _pass_errors(fields, pts, exact, steps[i:i + size])]
+
+
+def _pass_errors(fields, pts, exact, steps) -> list[float]:
+    """max_partial_errors of one pass of steps: one stencil, one evaluation."""
+    v = np.reshape(Field._values(fields, _stencil(pts, steps).reshape(-1, 4)),
+                   (len(fields), len(steps), 2) + exact.shape[2:])
+    num = (v[:, :, 0] - v[:, :, 1]) / (2.0 * np.array(steps, dtype=np.float64))[:, None, None]
+    return np.abs(num - exact).max(axis=(0, 2, 3), initial=0.0).tolist()

@@ -24,8 +24,9 @@ the strongly non-unitary maps the suites draw, that expansion cancels away
 most of its significant digits when evaluated (see the README).
 The independent oracle for the closed-form partials is numeric:
 ``diffops.central_differences``, which evaluates its whole stencil as one
-stack through ``_value``, the one evaluator of a field's value: it takes a
-stack of points, and one point as a stack of one.
+stack through ``_value``.  ``Field._values`` is the one evaluator of field
+values, for several fields at once (``_value`` is its one-field call): it
+takes a stack of points, and one point as a stack of one.
 """
 
 from __future__ import annotations
@@ -196,20 +197,41 @@ class Field:
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         """The value at each row of a stack x (n, 4), or at one point x (4,)
-        as a stack of one.  Each row is evaluated on its own, by the kernels'
-        ``_rows`` forms, so it does not depend on the other rows."""
+        as a stack of one: the one-field call of ``_values``."""
+        return Field._values((self,), x)[0]
+
+    @staticmethod
+    def _values(fields, x: np.ndarray) -> list:
+        """Each field's value at each row of a stack x (n, 4), or at one point
+        x (4,) as a stack of one.  Each row is evaluated on its own, by the
+        kernels' ``_rows`` forms, so it does not depend on the other rows.
+        Unframed, phase-free polynomial groups on equal exponent rows share
+        one evaluation of their monomials; each field adds up its groups in
+        its own order."""
         xs = x.reshape(-1, 4)
-        out = None
-        for m, k, exps, coeffs in self._groups:
-            y = xs if m is None else (m * xs[:, None, :]).sum(axis=-1)  # M X per row
-            if k is _ZERO_PHASE:
-                v = kernels.poly_eval_rows(exps, coeffs, y)
-            elif exps is _CONSTANT:  # a plane wave
-                v = kernels.plane_wave_eval_rows(k, coeffs[0], xs)
-            else:
-                v = kernels.plane_wave_eval_rows(k, kernels.poly_eval_rows(exps, coeffs, y), xs)
-            out = v if out is None else out + v
-        return (np.zeros(xs.shape, np.complex128) if out is None else out).reshape(x.shape)
+        shared = {}  # exponent rows -> (exps, the coefficients of each such group)
+        for f in fields:
+            for m, k, exps, coeffs in f._groups:
+                if m is None and k is _ZERO_PHASE:
+                    shared.setdefault(exps.tobytes(), (exps, []))[1].append(coeffs)
+        polys = {key: iter(kernels.poly_eval_rows(exps, np.stack(sets), xs))
+                 for key, (exps, sets) in shared.items()}  # taken in the same order
+        out = []
+        for f in fields:
+            total = None
+            for m, k, exps, coeffs in f._groups:
+                y = xs if m is None else (m * xs[:, None, :]).sum(axis=-1)  # M X per row
+                if m is None and k is _ZERO_PHASE:
+                    v = next(polys[exps.tobytes()])
+                elif k is _ZERO_PHASE:
+                    v = kernels.poly_eval_rows(exps, coeffs, y)
+                elif exps is _CONSTANT:  # a plane wave
+                    v = kernels.plane_wave_eval_rows(k, coeffs[0], xs)
+                else:
+                    v = kernels.plane_wave_eval_rows(k, kernels.poly_eval_rows(exps, coeffs, y), xs)
+                total = v if total is None else total + v
+            out.append((np.zeros(xs.shape, np.complex128) if total is None else total).reshape(x.shape))
+        return out
 
     def partial(self, coord) -> "Field":
         return self._partial(coord_index(coord))

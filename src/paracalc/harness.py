@@ -432,11 +432,11 @@ def _diffop_cases() -> List[Case]:
         Case("assembly-matches-oracle", "exact", 1e-12, _blocked(_times(2), assembly_oracle, ROWS)),
         Case("numeric-agreement", "numeric", 1e-7, _blocked(_times(2), numeric_agreement, ROWS)),
         Case("factorization-exact", "exact", 1e-12, _blocked(_times(1), factorization_exact, ROWS)),
-        # blocks of 2: 64 stencil points a row; of 4: 13 KB a row for the degree-6 product
+        # blocks of 2: 64 stencil points a row
         Case("factorization-numeric", "numeric", 1e-4, _blocked(_fifth, factorization_numeric, 2)),
         Case("null-plane-wave-box", "exact", 1e-12, _blocked(_times(1), null_wave_box, ROWS)),
         Case("additivity", "exact", 1e-12, _blocked(_times(2), additivity, ROWS)),
-        Case("scalar-product-rule", "exact", 1e-12, _blocked(_times(2), leibniz, 4)),
+        Case("scalar-product-rule", "exact", 1e-12, _blocked(_times(2), leibniz, ROWS)),
         Case("product-rule-failure-floor-deficit", "fixed", 0.0,
              _floor(product_rule_gap, PRODUCT_RULE_WITNESS_FLOOR)),
         Case("ordering-witness-floor-deficit", "fixed", 0.0,

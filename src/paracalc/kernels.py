@@ -53,15 +53,25 @@ def pv_mul_rows(a, b):
 
 def poly_eval_rows(exps, coeffs, xs):
     """Sum over terms of coeffs[i] * prod_c x[c]**exps[i, c] at each row x of an
-    (n, 4) stack of points; coeffs is (T, 4)."""
+    (n, 4) stack of points; coeffs is (T, 4), or (G, T, 4) for G coefficient
+    sets on the same exponent rows, which then share the monomials and give
+    (G, n, 4), set g bit for bit its own (T, 4) call.
+
+    Each monomial is built left to right, as np.prod multiplies one row, on
+    contiguous real and imaginary planes, each product rounded as cmul
+    rounds it."""
     if exps.shape[0] == 0:
-        return np.zeros((len(xs), 4), _C128)
+        return np.zeros(coeffs.shape[:-2] + (len(xs), 4), _C128)
     powers = xs[:, :, None] ** np.arange(exps.max() + 1)  # x[c] ** e per point
-    monos = powers[:, 0, exps[:, 0]]
-    for c in (1, 2, 3):  # left to right, as np.prod multiplies one row
-        monos = cmul(monos, powers[:, c, exps[:, c]])
-    # one vector-matrix product per row (a matrix product may sum by the stack)
-    return np.matmul(monos[:, None, :], coeffs)[:, 0]
+    planes = np.stack([powers.real, powers.imag])
+    re, im = planes[:, :, 0, exps[:, 0]]
+    for c in (1, 2, 3):
+        pr, pi = planes[:, :, c, exps[:, c]]
+        re, im = re * pr - im * pi, re * pi + im * pr
+    monos = np.empty(re.shape, _C128)
+    monos.real, monos.imag = re, im
+    # one vector-matrix product per row and set (a matrix product may sum by the stack)
+    return np.matmul(monos[:, None, :], coeffs[..., None, :, :])[..., 0, :]
 
 
 def plane_wave_eval_rows(k4, amps, xs):

@@ -107,6 +107,37 @@ def test_value_on_a_stack_matches_each_point_bit_for_bit(kind):
                 assert got[i].tobytes() == f._value(x).tobytes() == field_value(f, x).tobytes(), i
 
 
+def test_values_of_several_fields_match_each_field_bit_for_bit(monkeypatch):
+    shapes = []  # the coefficients of every poly_eval_rows call
+    poly_eval_rows = fields.kernels.poly_eval_rows
+    monkeypatch.setattr(fields.kernels, "poly_eval_rows",
+                        lambda e, c, xs: shapes.append(c.shape) or poly_eval_rows(e, c, xs))
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        poly, wave = random_field(rng, degree=4), random_plane_wave(rng)
+        rho = random_scalar_field(rng, degree=2)
+        frame = left_matrix(random_paravector(rng))
+        mix = [random_field(rng), random_field(rng), random_field(rng),
+               random_field(rng, degree=2), poly.pullback(frame), wave.scalar_mul(rho),
+               wave, random_plane_wave(rng),
+               # three groups, the shared one in the middle
+               Field.sum(wave.scalar_mul(rho), wave, random_field(rng), random_plane_wave(rng)),
+               Field.zero()]
+        xs = random_rows(rng, 20)  # spread rows, then exact and signed-zero rows
+        shapes.clear()
+        with np.errstate(all="ignore"):  # the spread rows reach exp overflow
+            got = Field._values(mix, xs)
+            assert (4, 35, 4) in shapes  # the three cubics and the sum's share one call
+            assert len(got) == len(mix)
+            for f, v in zip(mix, got):
+                assert v.shape == xs.shape
+                assert v.tobytes() == f._value(xs).tobytes()
+                for i, x in enumerate(xs):
+                    assert v[i].tobytes() == field_value(f, x).tobytes(), i
+            for f, v in zip(mix, Field._values(mix, xs[0])):  # a point is a stack of one
+                assert v.tobytes() == field_value(f, xs[0]).tobytes()
+
+
 def test_polynomial_field_is_the_zero_phase_field():
     rng = np.random.default_rng(3)
     exps = rng.integers(0, 3, size=(12, 4))

@@ -493,6 +493,10 @@ def _convergence_draws(kind, seed):
     ("poly", [1e200, 1e100]),  # overflows: the errors read nan
     ("planewave", [400.0, 300.0]),  # exp overflows
     ("steep-y", [0.1, 0.0962, 0.0925444, 0.089]),
+    # several passes for both kinds: a pass of a dense cubic takes one step,
+    # of plane waves several
+    ("poly", list(0.08 * 0.96 ** np.arange(17))),
+    ("planewave", list(0.08 * 0.96 ** np.arange(17))),
 ])
 def test_stacked_partial_errors_match_the_per_point_loop(kind, steps, monkeypatch):
     if kind == "steep-y":
@@ -521,14 +525,23 @@ def test_stacked_partial_errors_name_the_point_that_does_not_move():
     with pytest.raises(ValueError) as got:
         max_partial_errors(fields, points, [1.0])
     assert str(got.value) == str(ref.value)
+    # a step of a later pass: 2..20 move 1e16 (its spacing is 2), 0.5 does not
+    points[1][2], points[2][0] = 1e16 + 0.5j, 1.0
+    steps = [float(h) for h in range(20, 1, -1)] + [0.5, 0.25]
+    with pytest.raises(ValueError) as ref:
+        _max_partial_errors_per_point(fields, points, steps)
+    with pytest.raises(ValueError) as got:
+        max_partial_errors(fields, points, steps)
+    assert str(got.value) == str(ref.value) == "step 0.5 does not move coordinate 2 from (1e+16+0.5j)"
 
 
-def test_convergence_peak_memory_does_not_grow_with_steps():
+@pytest.mark.parametrize("kind", ["poly", "planewave"])
+def test_convergence_peak_memory_does_not_grow_with_steps(kind):
     def peak(count):
         steps = list(0.05 * 0.99 ** np.arange(count))
         tracemalloc.start()
         try:
-            run_convergence("poly", steps, seed=42)
+            run_convergence(kind, steps, seed=42)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

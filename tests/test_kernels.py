@@ -77,6 +77,12 @@ def _assert_rows_bit_for_bit(got, one_row, n):
         assert got[i].tobytes() == one_row(i).tobytes(), i
 
 
+def _sets(c):
+    """Three coefficient sets (3, T, width) on c's exponent rows: c itself,
+    its rows rotated by one, and c scaled."""
+    return np.stack([c, np.roll(c, 1, axis=0), c * (0.5 - 2j)])
+
+
 def test_poly_eval_rows_matches_poly_eval_bit_for_bit():
     rng = np.random.default_rng(4)
     for degree in range(9):
@@ -87,6 +93,14 @@ def test_poly_eval_rows_matches_poly_eval_bit_for_bit():
             xs = random_rows(rng, 40)  # spread rows, then exact and signed-zero rows
             got = kernels.poly_eval_rows(sub, c, xs)
             _assert_rows_bit_for_bit(got, lambda i: poly_eval(sub, c, xs[i]), len(xs))
+            for width in (4, 1):  # sets share the monomials, each row as its own call
+                sets = _sets(c[:, :width])
+                got = kernels.poly_eval_rows(sub, sets, xs)
+                assert got.shape == (3, len(xs), width if len(sub) else 4)
+                for s, rows in zip(sets, got):
+                    assert rows.tobytes() == kernels.poly_eval_rows(sub, s, xs).tobytes()
+                    for i, x in enumerate(xs):
+                        assert rows[i].tobytes() == poly_eval(sub, s, x).tobytes(), i
 
 
 def test_poly_eval_rows_overflows_where_poly_eval_does():
@@ -97,6 +111,11 @@ def test_poly_eval_rows_overflows_where_poly_eval_does():
     with np.errstate(all="ignore"):
         got = kernels.poly_eval_rows(exps, coeffs, xs)
         ref = np.array([poly_eval(exps, coeffs, x) for x in xs])
+        for width in (4, 1):
+            sets = _sets(coeffs[:, :width])
+            grouped = kernels.poly_eval_rows(exps, sets, xs)
+            for s, rows in zip(sets, grouped):
+                assert rows.tobytes() == np.array([poly_eval(exps, s, x) for x in xs]).tobytes()
     finite = np.isfinite(ref).all(axis=1)
     assert finite.any() and not finite.all()  # some rows overflow, others do not
     assert got.tobytes() == ref.tobytes()  # inf and NaN in the same places
@@ -117,6 +136,8 @@ def test_poly_eval_rows_of_the_empty_polynomial_are_zero():
     for width in (4, 1):  # paravector and scalar coefficients
         got = kernels.poly_eval_rows(exps, np.zeros((0, width), np.complex128), xs)
         np.testing.assert_array_equal(got, np.zeros((3, 4)))
+        got = kernels.poly_eval_rows(exps, np.zeros((2, 0, width), np.complex128), xs)
+        np.testing.assert_array_equal(got, np.zeros((2, 3, 4)))
 
 
 def test_plane_wave_eval_rows_matches_plane_wave_eval_bit_for_bit():
