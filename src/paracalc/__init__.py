@@ -20,17 +20,12 @@ from .algebra import (
     SingularParavector,
     act_left,
     act_right,
-    conjugate_rotate,
     det,
-    event_as_paravector,
     inverse,
     left_matrix,
     mul,
-    normalize_orthogonal,
-    paravector_as_event,
     reverse,
     right_matrix,
-    scale,
 )
 from .diffops import (
     EXACT,
@@ -39,34 +34,21 @@ from .diffops import (
     box4,
     bundle,
     div4,
-    div4_field,
     grad4,
-    grad4_field,
     product_rule_failure_witness,
     scalar_order_gap,
 )
 from .electromag import (
-    NonTransverse,
     PhysConstants,
     PotentialField,
-    ZeroWaveVector,
-    em_field_from_potential,
     em_from_potential,
-    lorenz_gauge_potential,
-    plane_wave_potential,
-    source_field_from_em,
-    sources_from_em,
 )
 from .fields import (
     Field,
     PolynomialField,
-    null_plane_wave,
     random_event,
     random_field,
-    random_orthogonal,
-    random_paravector,
     random_plane_wave,
-    random_scalar_field,
 )
 from .transforms import (
     InvarianceForm,

@@ -2,9 +2,9 @@
 
 Two value types share one (4,) complex128 layout but are kept semantically
 apart: ``Paravector`` is multiplicative (no addition is defined on it) and
-``Event`` is additive (no product is defined on it).  The only bridge between
-them is the pair of reinterpret functions ``event_as_paravector`` /
-``paravector_as_event`` defined here.
+``Event`` is additive (no product is defined on it).  Paravectors act on
+events through ``act_left`` and ``act_right``; a value reads as the other
+type through ``from_data``, as ``Paravector.from_data(x.data)``.
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ __all__ = [
     "reverse_rows",
     "inverse_rows",
     "normalize_rows",
-    "scale",
-    "normalize_orthogonal",
-    "event_as_paravector",
-    "paravector_as_event",
     "act_left",
     "act_right",
-    "conjugate_rotate",
     "left_matrix",
     "right_matrix",
     "IDENTITY",
@@ -177,17 +172,12 @@ def inverse(a: Paravector) -> Paravector:
     return Paravector.from_data(inverse_rows(a.data[None])[0])
 
 
-def scale(c, a: Paravector) -> Paravector:
-    """Componentwise scaling by a complex scalar; det scales by c^2."""
-    return Paravector.from_data(np.complex128(c) * a.data)
-
-
 # -- stacks: (n, 4) arrays of paravector rows ---------------------------------
 #
-# The one implementation of each operation; det, reverse, inverse and
-# normalize_orthogonal are one-row calls.  Every row rounds on its own, as
-# the numpy-scalar or CPython arithmetic of one value would round it,
-# operation for operation: the tests hold each against such a value.
+# The one implementation of each operation; det, reverse and inverse are
+# one-row calls.  Every row rounds on its own, as the numpy-scalar or CPython
+# arithmetic of one value would round it, operation for operation: the tests
+# hold each against such a value.
 
 def det_rows(rows: np.ndarray) -> np.ndarray:
     """det of each row, as an (n,) complex array."""
@@ -239,7 +229,7 @@ def inverse_rows(rows: np.ndarray) -> np.ndarray:
     """inverse of each row; raises SingularParavector if any row is singular."""
     d = det_rows(rows)
     _check_rows(rows, d)
-    # scale's np.complex128(c) * data, broadcast over the rows
+    # each row scaled as np.complex128(c) * data scales one value
     return _reciprocal(d)[:, None] * reverse_rows(rows)
 
 
@@ -251,22 +241,7 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
     return (1.0 / np.sqrt(d))[:, None] * rows
 
 
-def normalize_orthogonal(a: Paravector) -> Paravector:
-    """Rescale so det becomes 1: normalize_rows of one row."""
-    return Paravector.from_data(normalize_rows(a.data[None])[0])
-
-
-# -- reinterpretation and actions on events ----------------------------------
-#
-# The one place where the additive and multiplicative types trade layouts.
-
-def event_as_paravector(x: Event) -> Paravector:
-    return Paravector.from_data(x.data)
-
-
-def paravector_as_event(p: Paravector) -> Event:
-    return Event.from_data(p.data)
-
+# -- actions on events --------------------------------------------------------
 
 def act_left(g, x):
     """X' = g X: left multiplication of the event by a paravector.
@@ -285,11 +260,6 @@ def act_right(x, g):
     if isinstance(x, Event):
         return Event.from_data(act_right(x.data[None], g.data[None])[0])
     return kernels.pv_mul_rows(x, g)
-
-
-def conjugate_rotate(lam: Paravector, x: Event) -> Event:
-    """X' = lam X lam~, the observer-rotation map."""
-    return act_right(act_left(lam, x), reverse(lam))
 
 
 IDENTITY = Paravector(1.0)

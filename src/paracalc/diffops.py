@@ -18,13 +18,14 @@ ones for each step, in passes of steps (the convergence tables).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import kernels
-from .algebra import BASIS, Event, Paravector, left_matrix
+from .algebra import Event, Paravector, left_matrix
 from .fields import Field
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "div4",
     "grad4",
     "box4",
-    "div4_field",
-    "grad4_field",
     "block_jets",
     "block_bundle",
     "block_pullback",
@@ -293,31 +292,19 @@ def block_scalar_mul(rho: np.ndarray, f):
     if m is not None:
         raise ValueError("block_scalar_mul takes unframed rows")
     out = np.zeros((len(coeffs), len(kernels._degree_exponents(6)), 4), np.complex128)
-    low = kernels._degree_exponents(3)
-    for i, to in enumerate(kernels.table_rows(6, low[:, None] + low[None, :])):
+    for i, to in enumerate(_product_rows()):
         out[:, to] += rho[:, i, None, None] * coeffs
     return None, k, out, g
 
 
-# -- operators as field constructions ----------------------------------------
-#
-# Summing E_k * (d_k A) over the unit paravectors E_k reproduces the operator
-# value at every point, and the sum is again a Field.
-
-_NEG_SPATIAL = (
-    Paravector(0.0, (-1.0, 0.0, 0.0)),
-    Paravector(0.0, (0.0, -1.0, 0.0)),
-    Paravector(0.0, (0.0, 0.0, -1.0)),
-)
-
-
-def div4_field(f: Field) -> Field:
-    return Field.sum(*(f.partial(c).left_mul(BASIS[c]) for c in range(4)))
-
-
-def grad4_field(f: Field) -> Field:
-    factors = (BASIS[0],) + _NEG_SPATIAL
-    return Field.sum(*(f.partial(c).left_mul(factors[c]) for c in range(4)))
+@functools.cache
+def _product_rows() -> np.ndarray:
+    """[i, t]: the row of e_i + e_t on the degree-6 table, for the terms i
+    and t of the degree-3 table."""
+    low = kernels._degree_exponents(3)
+    rows = kernels.table_rows(6, low[:, None] + low[None, :])
+    rows.flags.writeable = False
+    return rows
 
 
 # -- witnesses ---------------------------------------------------------------

@@ -6,16 +6,16 @@ With the c-scaled operators (time derivative divided by c):
     (1/eps0)(rho; -j/c) = [d/c dt;  grad] (0; E + icB)
 
 and chaining the two gives the c-scaled wave system for the potential.  The
-point values are the operators' own paravectors: em_from_potential returns
+values are the operators' own paravectors: em_from_potential returns
 (gauge; E + icB), whose scalar part is the Lorenz-gauge diagnostic (0 in that
-gauge), and sources_from_em returns (rho/eps0; -j/(c eps0)).
+gauge), and block_sources returns (rho/eps0; -j/(c eps0)).
 
 The c-scaling reuses the generic operators on a time-rescaled pullback: with
 tau = c t, a field g(tau, r) = f(tau/c, r) satisfies d g/d tau = (1/c) df/dt,
 so evaluating div4/grad4/box4 of g at (c t, r) applies the c-scaled operator
-to f at (t, r).  Potential fields are functions of the physical event (t, r);
-electromagnetic-field and source *fields* returned by this module live on the
-rescaled (tau, r) domain and are evaluated through the same convention.
+to f at (t, r).  Potentials are functions of the physical event (t, r); the
+electromagnetic field and the sources built from them live on the rescaled
+(tau, r) domain and are evaluated through the same convention.
 """
 
 from __future__ import annotations
@@ -39,26 +39,15 @@ from .diffops import (
     block_partial,
     block_pullback,
     central_differences,
-    div4,
-    div4_field,
     grad4,
-    grad4_field,
 )
-from .fields import Field, as_rng, random_scalar_field
+from .fields import Field
 
 __all__ = [
     "PhysConstants",
-    "NonTransverse",
-    "ZeroWaveVector",
     "PotentialField",
     "em_from_potential",
-    "em_field_from_potential",
-    "sources_from_em",
-    "source_field_from_em",
-    "plane_wave_potential",
-    "plane_wave_row",
     "plane_wave_rows",
-    "lorenz_gauge_potential",
     "block_lorenz_potential",
     "block_em_from_potential",
     "block_sources",
@@ -77,14 +66,6 @@ class PhysConstants:
     def __post_init__(self):
         if not (0 < self.c < np.inf and 0 < self.eps0 < np.inf):
             raise ValueError("physical constants must be positive and finite")
-
-
-class NonTransverse(ValueError):
-    """Plane-wave polarization is not orthogonal to the wave vector."""
-
-
-class ZeroWaveVector(ValueError):
-    """Plane waves need a nonzero wave vector."""
 
 
 @dataclass(frozen=True)
@@ -119,94 +100,27 @@ def em_from_potential(
     return grad4(_time_scaled(pot.f, k.c), _tau_event(X, k.c), mode)
 
 
-def em_field_from_potential(pot: PotentialField, k: PhysConstants = PhysConstants()) -> Field:
-    """The electromagnetic field as a field on the rescaled (tau, r) domain."""
-    return grad4_field(_time_scaled(pot.f, k.c))
-
-
-def sources_from_em(
-    emf: Field, X: Event, k: PhysConstants = PhysConstants(), mode: DiffMode = EXACT
-) -> Paravector:
-    """Sources (rho/eps0; -j/(c eps0)): c-scaled div4 of a (0; E+icB) field at X."""
-    return div4(emf, _tau_event(X, k.c), mode)
-
-
-def source_field_from_em(emf: Field) -> Field:
-    """Source paravector (rho/eps0; -j/(c eps0)) as a (tau, r)-domain field."""
-    return div4_field(emf)
-
-
-def plane_wave_potential(
-    kvec, pol, amp=1.0, k: PhysConstants = PhysConstants()
-) -> PotentialField:
-    """Vacuum plane-wave potential: phi = 0, A = amp * pol * exp(i(w t - kvec.r)).
-
-    w = c sqrt(kvec.kvec) (principal branch), so the rescaled phase is null and
-    the Lorenz gauge holds by transversality.  Raises NonTransverse when
-    |pol . kvec| (bilinear dot) exceeds 1e-12 |kvec| |pol|, which bounds it,
-    and ZeroWaveVector when kvec vanishes.
-    """
-    amplitude, phase = plane_wave_row(kvec, pol, amp, k)
-    return PotentialField(Field.plane_wave(phase, Paravector.from_data(amplitude)))
-
-
-def plane_wave_row(kvec, pol, amp=1.0, k: PhysConstants = PhysConstants()):
-    """plane_wave_potential's amplitude (0; -c amp pol) and phase
-    (i omega, -i kvec), each (4,), checked as that function checks them."""
-    kv = np.asarray(kvec, dtype=np.complex128)
-    pv = np.asarray(pol, dtype=np.complex128)
-    if kv.shape != (3,) or pv.shape != (3,):
-        raise ValueError("kvec and pol must have 3 components")
-    if np.all(kv == 0):
-        raise ZeroWaveVector("wave vector must be nonzero")
-    if abs(kv @ pv) > 1e-12 * np.linalg.norm(kv) * np.linalg.norm(pv):
-        raise NonTransverse(f"pol . kvec = {kv @ pv!r} is not zero")
-    amplitude, phase = plane_wave_rows(kv[None], pv[None], np.complex128(amp)[None], k)
-    return amplitude[0], phase[0]
-
-
 def plane_wave_rows(kv, pv, amp, k: PhysConstants = PhysConstants()):
-    """plane_wave_row's amplitudes and phases (n, 4), unchecked, one row per
-    complex wave vector kv (n, 3), polarization pv (n, 3) and amplitude amp
-    (n,).  kv . kv is taken per row, as a 1-D ``@`` takes it."""
+    """Vacuum plane-wave potentials, phi = 0 and A = amp pol exp(i(w t - kvec.r)):
+    their amplitudes (0; -c amp pol) and phases (i w, -i kvec), (n, 4) each,
+    one row per complex wave vector kv (n, 3), polarization pv (n, 3) and
+    amplitude amp (n,), unchecked.  w = c sqrt(kvec.kvec) (principal branch),
+    so the rescaled phase is null and the Lorenz gauge holds for transverse
+    pol.  kv . kv is taken per row, as a 1-D ``@`` takes it."""
     omega = k.c * np.sqrt(np.matmul(kv[:, None, :], kv[:, :, None])[:, 0, 0])
     amplitude = np.zeros((len(kv), 4), np.complex128)
     amplitude[:, 1:] = (-k.c * amp)[:, None] * pv
     return amplitude, np.concatenate([(1j * omega)[:, None], -1j * kv], axis=1)
 
 
-def lorenz_gauge_potential(
-    seed, degree: int = 3, scale: float = 1.0, k: PhysConstants = PhysConstants()
-) -> PotentialField:
-    """Random polynomial potential constructed to satisfy the Lorenz gauge.
-
-    The vector part W = -cA is drawn at random and the scalar part is the
-    t-antiderivative phi = c * int (div W) dt, which zeroes the gauge scalar
-    of the c-scaled 4-gradient identically.
-    """
-    rng = as_rng(seed)
-    # scalar polynomials: each keeps its coefficients in column 0
-    w = [random_scalar_field(rng, degree=degree, scale=scale) for _ in range(3)]
-    parts = [w[i].partial(i + 1) for i in range(3)]
-    div_w = Field(np.concatenate([p.exps for p in parts]),
-                  np.concatenate([p.coeffs for p in parts]))
-    exps = div_w.exps.copy()
-    exps[:, 0] += 1  # t-antiderivative with zero integration constant
-    phi = Field(exps, k.c * div_w.coeffs / exps[:, :1])
-    comps = [phi, *w]  # column 0 of the i-th goes to column i of the potential
-    return PotentialField(Field(
-        np.concatenate([p.exps for p in comps]),
-        np.concatenate([np.roll(p.coeffs, i, axis=1) for i, p in enumerate(comps)]),
-    ))
-
-
 # -- blocks: one potential per row (see diffops) ------------------------------
 
 def block_lorenz_potential(w: np.ndarray, k: PhysConstants = PhysConstants()):
-    """lorenz_gauge_potential as a block row per draw: w (n, 35, 3) holds the
-    three scalar polynomials of W = -cA on the degree-3 table, and
-    phi = c int (div W) dt is raised along t on the same table (div W has
-    degree <= 2), with the rows of lorenz_gauge_potential's coefficients."""
+    """A polynomial potential in Lorenz gauge per row: w (n, 35, 3) holds the
+    three scalar polynomials of W = -cA on the degree-3 table, and the
+    t-antiderivative phi = c int (div W) dt, with zero integration constant,
+    is raised along t on the same table (div W has degree <= 2).  That zeroes
+    the gauge scalar of the c-scaled 4-gradient identically."""
     c = np.zeros(w.shape[:2] + (4,), np.complex128)
     c[..., 1:] = w
     div_w = sum(block_partial((None, None, c, None), i)[2][..., i] for i in (1, 2, 3))
@@ -233,8 +147,8 @@ def block_em_from_potential(pot, xs: np.ndarray, k: PhysConstants = PhysConstant
 
 
 def block_sources(pot, xs: np.ndarray, k: PhysConstants = PhysConstants()):
-    """sources_from_em of row p's field (em_field_from_potential, from the
-    lowered rows) at xs[p]: (rho/eps0; -j/(c eps0)) rows."""
+    """The sources (rho/eps0; -j/(c eps0)) of row p's potential at xs[p]: the
+    c-scaled div4 of its field (0; E + icB), built from the lowered rows."""
     f, tau = _scaled(pot, xs, k.c)
     return assemble_div(block_jets(block_grad4_field(f), tau, 1)[1])
 

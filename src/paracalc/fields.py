@@ -36,7 +36,7 @@ import operator
 import numpy as np
 
 from . import kernels
-from .algebra import Event, Paravector, det_rows, left_matrix, normalize_orthogonal, right_matrix
+from .algebra import Event, Paravector, left_matrix, right_matrix
 
 __all__ = [
     "DEGREE_CAP",
@@ -44,14 +44,9 @@ __all__ = [
     "coord_index",
     "Field",
     "PolynomialField",
-    "random_paravector",
-    "random_paravectors",
-    "random_orthogonal",
     "random_event",
     "random_field",
-    "random_scalar_field",
     "random_plane_wave",
-    "null_plane_wave",
 ]
 
 DEGREE_CAP = 8
@@ -414,32 +409,6 @@ DRAW_SCALE = 2.0
 MIN_DET = 0.1
 
 
-def random_paravector(seed, scale: float = DRAW_SCALE, min_det: float = MIN_DET) -> Paravector:
-    """Components uniform on the radius-`scale` disc; redrawn until |det| >= min_det."""
-    rng = as_rng(seed)
-    while True:
-        p = _random_complexes(rng, scale, 4)
-        d = det_rows(p[None])[0]
-        if np.hypot(d.real, d.imag) >= min_det:  # hypot is abs() of a complex
-            return Paravector.from_data(p)
-
-
-def random_paravectors(seed, n: int, scale: float = DRAW_SCALE,
-                       min_det: float = MIN_DET) -> np.ndarray:
-    """n paravectors as the rows of an (n, 4) array, drawn one after another
-    as n random_paravector calls."""
-    rng = as_rng(seed)
-    rows = np.empty((n, 4), np.complex128)
-    for i in range(n):
-        rows[i] = random_paravector(rng, scale, min_det).data
-    return rows
-
-
-def random_orthogonal(seed, scale: float = DRAW_SCALE) -> Paravector:
-    """normalize_orthogonal over a rejection-sampled paravector (det ~ 1)."""
-    return normalize_orthogonal(random_paravector(seed, scale))
-
-
 def random_event(seed, scale: float = DRAW_SCALE) -> Event:
     return Event.from_data(_random_complexes(as_rng(seed), scale, 4))
 
@@ -460,20 +429,8 @@ def random_field(seed, degree: int = 3, scale: float = 1.0) -> Field:
     return _random_polynomial(seed, degree, scale, 4)
 
 
-def random_scalar_field(seed, degree: int = 3, scale: float = 1.0) -> Field:
-    """As random_field, for a scalar polynomial: the vector coefficients are zero."""
-    return _random_polynomial(seed, degree, scale, 1)
-
-
 def random_plane_wave(seed, scale: float = 1.0) -> Field:
     # amplitude (scalar, vector), then the phase (kappa0, kappa)
     z = _random_complexes(as_rng(seed), scale, 8)
     return Field.plane_wave(z[4:], Paravector.from_data(z[:4]))
 
-
-def null_plane_wave(seed, scale: float = 1.0) -> Field:
-    """Plane wave whose phase satisfies kappa0^2 = kappa . kappa."""
-    z = _random_complexes(as_rng(seed), scale, 7)
-    kappa = z[4:]
-    kappa0 = np.sqrt(np.complex128(kappa @ kappa))
-    return Field.plane_wave(np.concatenate([[kappa0], kappa]), Paravector.from_data(z[:4]))

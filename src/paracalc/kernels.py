@@ -188,7 +188,7 @@ def _poly_slots(y, coeffs, plan):
         re, im = p * x[..., :1, :], p * x[..., 1:, :]
         np.subtract(re[..., 0, :], im[..., 1, :], out=mono[..., 0, lo:hi])
         np.add(im[..., 0, :], re[..., 1, :], out=mono[..., 1, lo:hi])
-    a = np.take(mono.reshape(mono.shape[:-2] + (-1,)), index, axis=-1)  # the largest temporary
+    a = np.take(mono.reshape(mono.shape[:-2] + (2 * terms,)), index, axis=-1)  # the largest temporary
     a *= weight
     # b[..., (m, t), (i, part)]: c_t[i].re and .im against part m = 0 (real) of
     # the monomials, -c_t[i].im and .re against part m = 1 (imaginary)

@@ -18,6 +18,8 @@ wave vector, then a polarization, until their norms reach ``WAVE_NORM`` and
 parsed and checked at once; the samples before the first one whose
 candidate fails are drawn, that sample takes one more candidate, the
 samples after it move along, and they are parsed and checked again.
+The one-sample draws that the items below name are ``fields``' or, where
+only the tests call them, ``tests/util.py``'s.
 """
 
 from __future__ import annotations
@@ -229,9 +231,10 @@ def _wave_ok(w):
 def plane_wave_block(w: np.ndarray, constants) -> tuple:
     """The vacuum plane-wave potentials of WAVE draws w as a block.
 
-    The rows are plane_wave_row's, unchecked: a wave vector of norm 0.3 or
+    The rows are plane_wave_rows', unchecked: a wave vector of norm 0.3 or
     more is not zero, and the rounding of the projection leaves pol . kvec
-    below 1e-14 |kvec|, far under the 1e-12 |kvec| |pol| that it checks."""
+    below 1e-14 |kvec|, far under 1e-12 |kvec| |pol|, the transversality
+    bound of the per-wave reference (tests/util.py)."""
     amp = np.empty(len(w), np.complex128)
     amp.real, amp.imag = w[:, 6], w[:, 7]
     amplitude, phase = plane_wave_rows(w[:, :3].astype(np.complex128),

@@ -14,7 +14,6 @@ from paracalc.algebra import (
     Paravector,
     act_left,
     act_right,
-    conjugate_rotate,
     det,
     inverse,
     mul,
@@ -24,30 +23,20 @@ from paracalc.cli import main
 from paracalc.diffops import (
     Numeric,
     div4,
-    div4_field,
     grad4,
-    grad4_field,
     product_rule_failure_witness,
     scalar_order_gap,
 )
 from paracalc.electromag import (
     PhysConstants,
     PotentialField,
-    em_field_from_potential,
     em_from_potential,
-    lorenz_gauge_potential,
-    plane_wave_potential,
-    source_field_from_em,
-    sources_from_em,
 )
 from paracalc.fields import (
     Field,
     random_event,
     random_field,
-    random_orthogonal,
-    random_paravector,
     random_plane_wave,
-    random_scalar_field,
 )
 from paracalc.transforms import (
     InvarianceForm,
@@ -59,8 +48,11 @@ from paracalc.transforms import (
     wave_invariance_sides,
 )
 
-from util import (TRANSPORTS, additivity_sides, block_of, central_difference, gap, leibniz_sides,
-                  max_abs, rel_err, rows, wave_sides)
+from util import (TRANSPORTS, additivity_sides, block_of, central_difference, conjugate_rotate,
+                  div4_field, em_field_from_potential, gap, grad4_field, leibniz_sides,
+                  lorenz_gauge_potential, max_abs, plane_wave_potential, random_orthogonal,
+                  random_paravector, random_scalar_field, rel_err, rows, source_field_from_em,
+                  sources_from_em, wave_sides)
 
 SEED = 42
 

@@ -19,24 +19,21 @@ from paracalc.diffops import (
     box4,
     bundle,
     div4,
-    div4_field,
     grad4,
-    grad4_field,
+    max_partial_errors,
     product_rule_failure_witness,
     scalar_order_gap,
 )
 from paracalc.fields import (
     Field,
-    null_plane_wave,
     random_event,
     random_field,
-    random_paravectors,
     random_plane_wave,
-    random_scalar_field,
 )
 
-from util import (additivity_sides, block_of, central_difference, gap, leibniz_sides, max_abs,
-                  random_rows, rel_err, rows, sample_field)
+from util import (additivity_sides, block_of, central_difference, div4_field, gap, grad4_field,
+                  leibniz_sides, max_abs, null_plane_wave, random_paravector, random_rows,
+                  random_scalar_field, rel_err, rows, sample_field)
 
 
 def radial_field():
@@ -270,7 +267,7 @@ def test_sparse_group_jets_equal_the_group_on_the_full_table():
             k = rng.normal(size=4) + 1j * rng.normal(size=4)
             f = f.scalar_mul(Field.plane_wave(k, IDENTITY))
         elif trial % 3 == 2:
-            m = left_matrix(random_paravectors(rng, 1)[0])
+            m = left_matrix(random_paravector(rng))
             f = f.pullback(m)
         with np.errstate(all="ignore"):  # the spread rows reach exp overflow
             for order in (0, 1, 2):
@@ -279,10 +276,21 @@ def test_sparse_group_jets_equal_the_group_on_the_full_table():
                     assert got.tobytes() == w.tobytes(), (trial, order)
 
 
+def test_jets_and_partial_errors_take_an_empty_stack_of_points():
+    # an empty stack gives empty jets and zero errors, as Field._value gives
+    # an empty stack of values
+    f = random_field(1)
+    assert max_partial_errors([f], [], [0.1, 0.05]) == [0.0, 0.0]
+    value, first = _jets(f, np.zeros((0, 4)), 1)
+    assert value.shape == (0, 4) and first.shape == (0, 4, 4)
+    assert [d.shape for d in _jets(random_field(2, degree=3), np.zeros((0, 4)), 2)] == [
+        (0, 4), (0, 4, 4), (0, 4, 4)]
+
+
 def test_block_partial_of_a_framed_row_takes_the_chain_rule():
     rng = np.random.default_rng(41)
     fields = [random_field(rng) for _ in range(6)] + [random_plane_wave(rng) for _ in range(2)]
-    maps = left_matrix(random_paravectors(rng, len(fields)))
+    maps = left_matrix(np.array([random_paravector(rng).data for _ in fields]))
     moved = block_pullback(block_of(*fields), maps)
     xs = rows(*(random_event(rng) for _ in fields))
     for c in range(4):

@@ -4,40 +4,39 @@ import pytest
 from paracalc.algebra import Event, Paravector
 from paracalc.diffops import Numeric, central_differences
 from paracalc.electromag import (
-    NonTransverse,
     PhysConstants,
     PotentialField,
-    ZeroWaveVector,
     block_em_from_potential,
     block_gauss_law_sides,
     block_lorenz_potential,
     block_sources,
     block_wave_sides,
-    em_field_from_potential,
     em_from_potential,
-    lorenz_gauge_potential,
-    plane_wave_potential,
-    plane_wave_row,
     plane_wave_rows,
-    source_field_from_em,
-    sources_from_em,
 )
 from paracalc.fields import Field
 from paracalc.harness import BLOCK
 from paracalc.tape import SCALAR, WAVE, Tape, draw, plane_wave_block
 
 from util import (
+    NonTransverse,
+    ZeroWaveVector,
     block_of,
     each_row,
+    em_field_from_potential,
     gap,
     gauss_slice_draw,
+    lorenz_gauge_potential,
     max_abs,
     maxwell_event,
+    plane_wave_potential,
     plane_wave_value,
     random_rows,
     random_wave_potential,
     rel_err,
     rows,
+    source_field_from_em,
+    sources_from_em,
     wave_sides,
 )
 
@@ -124,7 +123,7 @@ def test_plane_wave_validation():
 @pytest.mark.parametrize("c", [1.0, 2.0])
 def test_plane_wave_rows_match_the_per_wave_value_bit_for_bit(c):
     # complex wave vectors and polarizations over six decades, and rows of
-    # signed zeros and small integers; plane_wave_row is the one-row call
+    # signed zeros and small integers, and each row as a stack of one
     k = PhysConstants(c=c)
     rng = np.random.default_rng(8)
     kv, pv = random_rows(rng, 100)[:, 1:], random_rows(rng, 100)[:, 1:]
@@ -247,8 +246,8 @@ def test_block_potentials_are_the_potential_fields(c):
     block, pots = _wave_blocks(51, 8, k)
     want = block_of(*(p.f for p in pots))
     assert np.array_equal(block[2], want[2]) and np.array_equal(block[1], want[1])
-    amplitude, phase = plane_wave_row((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0, k)
-    assert phase[0] == 1j * c and np.array_equal(amplitude, [0, -c, 0, 0])
+    wave = plane_wave_potential((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0, k).f
+    assert wave.phases[0, 0] == 1j * c and np.array_equal(wave.coeffs[0], [0, -c, 0, 0])
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0])

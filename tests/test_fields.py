@@ -9,7 +9,6 @@ from paracalc.algebra import (
     Paravector,
     act_left,
     act_right,
-    conjugate_rotate,
     det,
     inverse,
     left_matrix,
@@ -27,17 +26,14 @@ from paracalc.fields import (
     _canonical_terms,
     _random_complexes,
     coord_index,
-    null_plane_wave,
     random_event,
     random_field,
-    random_orthogonal,
-    random_paravector,
-    random_paravectors,
     random_plane_wave,
-    random_scalar_field,
 )
 
-from util import central_difference, field_value, max_abs, normalize_value, random_rows, rel_err
+from util import (central_difference, conjugate_rotate, field_value, max_abs, normalize_value,
+                  null_plane_wave, random_orthogonal, random_paravector, random_rows,
+                  random_scalar_field, rel_err)
 
 
 def composite_field(seed: int = 0):
@@ -571,10 +567,6 @@ def ref_paravector(rng, scale=2.0, min_det=0.1):
             return p, attempts
 
 
-def ref_paravectors(rng, n, scale=2.0, min_det=0.1):
-    return np.array([ref_paravector(rng, scale, min_det)[0].data for _ in range(n)])
-
-
 def ref_paravector_events(rng, n):
     pairs = [(ref_paravector(rng)[0].data, ref_components(rng, 2.0, 4)) for _ in range(n)]
     return tuple(np.array(side) for side in zip(*pairs))
@@ -628,16 +620,10 @@ def draw_pairs():
                        lambda rng: (ref_paravector(rng)[0].data,)),
         "paravector-min-det-2": (lambda rng: (random_paravector(rng, 2.0, 2.0).data,),
                                  lambda rng: (ref_paravector(rng, 2.0, 2.0)[0].data,)),
-        # a stack of rows takes the stream as one draw after another does
-        "paravectors-0": (lambda rng: (random_paravectors(rng, 0),),
-                          lambda rng: (np.zeros((0, 4), np.complex128),)),  # the stream untouched
-        "paravectors-7": (lambda rng: (random_paravectors(rng, 7),),
-                          lambda rng: (ref_paravectors(rng, 7),)),
-        "paravectors-7-min-det-2": (lambda rng: (random_paravectors(rng, 7, 2.0, 2.0),),
-                                    lambda rng: (ref_paravectors(rng, 7, 2.0, 2.0),)),
         "orthogonal": (lambda rng: (random_orthogonal(rng).data,),
                        lambda rng: (normalize_value(ref_paravector(rng)[0]).data,)),
-        "orthogonal-rows-7": (lambda rng: (normalize_rows(random_paravectors(rng, 7)),),
+        "orthogonal-rows-7": (lambda rng: (normalize_rows(
+                                  np.array([random_paravector(rng).data for _ in range(7)])),),
                               lambda rng: (np.array([normalize_value(ref_paravector(rng)[0]).data
                                                      for _ in range(7)]),)),
         # a paravector, redrawn as needed, then an event, per pair, as a block

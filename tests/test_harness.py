@@ -23,19 +23,14 @@ from paracalc.algebra import (
 )
 from paracalc.cli import main
 from paracalc.transforms import InvarianceForm, form_point
-from paracalc.algebra import conjugate_rotate
 from paracalc.diffops import EXACT, bundle, central_differences, max_partial_errors
-from paracalc.electromag import PhysConstants, lorenz_gauge_potential
+from paracalc.electromag import PhysConstants
 from paracalc.fields import (
     Field,
     _random_complexes,
-    null_plane_wave,
     random_event,
     random_field,
-    random_orthogonal,
-    random_paravector,
     random_plane_wave,
-    random_scalar_field,
 )
 from paracalc.harness import (
     ConfigError,
@@ -53,10 +48,16 @@ from paracalc.harness import (
 from util import (
     block_of,
     central_difference,
+    conjugate_rotate,
     gauss_slice_draw,
+    lorenz_gauge_potential,
     maxwell_event,
     normalize_value,
+    null_plane_wave,
+    random_orthogonal,
+    random_paravector,
     random_rows,
+    random_scalar_field,
     random_wave_row,
     rows,
     sample_field,

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from paracalc.algebra import (
-    conjugate_rotate,
     inverse,
     inverse_rows,
     left_matrix,
@@ -25,7 +24,6 @@ from paracalc.diffops import (
     block_pullback,
     block_scalar_mul,
     box4,
-    div4_field,
     grad4,
 )
 from paracalc.electromag import (
@@ -54,6 +52,8 @@ from util import (
     additivity_sides,
     assert_exact,
     block_of,
+    conjugate_rotate,
+    div4_field,
     lattice_complex,
     lattice_event,
     lattice_field,

@@ -5,7 +5,7 @@ import pytest
 
 from paracalc import fields, tape
 from paracalc.electromag import PhysConstants
-from paracalc.fields import random_event, random_paravector
+from paracalc.fields import random_event
 from paracalc.harness import case_rng
 from paracalc.tape import (
     CHUNK,
@@ -28,6 +28,7 @@ from util import (
     field_row,
     maxwell_event,
     null_wave_row,
+    random_paravector,
     random_wave_row,
     scalar_row,
     stack_samples,

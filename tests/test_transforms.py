@@ -7,15 +7,12 @@ from paracalc.algebra import (
     SingularParavector,
     act_left,
     act_right,
-    conjugate_rotate,
     det,
     inverse,
     left_matrix,
     mul,
-    normalize_orthogonal,
     reverse,
     right_matrix,
-    scale,
 )
 from paracalc.algebra import det_rows, reverse_rows
 from paracalc.diffops import (
@@ -25,18 +22,10 @@ from paracalc.diffops import (
     box4,
     bundle,
     div4,
-    div4_field,
     grad4,
-    grad4_field,
 )
 from paracalc.harness import BLOCK
-from paracalc.fields import (
-    random_event,
-    random_field,
-    random_orthogonal,
-    random_paravector,
-    random_scalar_field,
-)
+from paracalc.fields import random_event, random_field
 from paracalc.transforms import (
     InvarianceForm,
     block_additivity_sides,
@@ -58,8 +47,10 @@ from paracalc.transforms import (
     wave_invariance_sides,
 )
 
-from util import (TRANSPORTS, additivity_sides, block_of, gap, leibniz_sides, max_abs, rel_err,
-                  rows, sample_field as sample)
+from util import (TRANSPORTS, additivity_sides, block_of, conjugate_rotate, div4_field, gap,
+                  grad4_field, leibniz_sides, max_abs, normalize_orthogonal, random_orthogonal,
+                  random_paravector, random_scalar_field, rel_err, rows, sample_field as sample,
+                  scale)
 
 
 def draws(seed, n):

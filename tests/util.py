@@ -1,4 +1,6 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the references the package's
+stack and block forms are held to: per-value operations, Field-level draws,
+operator fields and electromagnetics, and per-sample draws."""
 
 import itertools
 
@@ -6,31 +8,38 @@ import numpy as np
 
 from paracalc import kernels, tape
 from paracalc.algebra import (
+    BASIS,
     IDENTITY,
     Event,
     Paravector,
     SingularParavector,
+    act_left,
+    act_right,
+    det_rows,
     mul,
-    scale,
+    normalize_rows,
+    reverse,
 )
-from paracalc.diffops import EXACT, box4, div4, grad4
+from paracalc.diffops import EXACT, DiffMode, box4, div4, grad4
 from paracalc.electromag import (
     PhysConstants,
     PotentialField,
     _tau_event,
     _time_scaled,
-    plane_wave_potential,
-    plane_wave_row,
+    plane_wave_rows,
 )
 from paracalc.kernels import _degree_exponents
 from paracalc.fields import (
     _CONSTANT,
     _ZERO_PHASE,
+    DRAW_SCALE,
+    MIN_DET,
     Field,
     _random_complexes,
+    _random_polynomial,
+    as_rng,
     random_field,
     random_plane_wave,
-    random_scalar_field,
 )
 
 #: the four transport identities, as transforms.transport_sides's (op, right)
@@ -62,6 +71,21 @@ def rel_err(a, b) -> float:
 # its per-value name is a one-row call.  These compute one value in
 # numpy-scalar and CPython arithmetic: the references that the stack forms
 # and their one-row calls must match bit for bit.
+
+def scale(c, a: Paravector) -> Paravector:
+    """Componentwise scaling by a complex scalar; det scales by c^2."""
+    return Paravector.from_data(np.complex128(c) * a.data)
+
+
+def normalize_orthogonal(a: Paravector) -> Paravector:
+    """Rescale so det becomes 1: normalize_rows of one row."""
+    return Paravector.from_data(normalize_rows(a.data[None])[0])
+
+
+def conjugate_rotate(lam: Paravector, x: Event) -> Event:
+    """X' = lam X lam~, the observer-rotation map."""
+    return act_right(act_left(lam, x), reverse(lam))
+
 
 def norm_sq(a) -> float:
     """Sum of squared component magnitudes (works on Paravector or Event)."""
@@ -134,6 +158,131 @@ def field_value(f: Field, x):
     return np.zeros(x.shape, np.complex128) if out is None else out
 
 
+# -- Field-level draws, operator fields and electromagnetics ---------------------
+#
+# The one-value draws and the Field constructions that the tape's block
+# draws, the lowered rows (diffops.block_*) and electromag's block chain are
+# held to.
+
+def random_paravector(seed, scale: float = DRAW_SCALE, min_det: float = MIN_DET) -> Paravector:
+    """Components uniform on the radius-`scale` disc; redrawn until |det| >= min_det."""
+    rng = as_rng(seed)
+    while True:
+        p = _random_complexes(rng, scale, 4)
+        d = det_rows(p[None])[0]
+        if np.hypot(d.real, d.imag) >= min_det:  # hypot is abs() of a complex
+            return Paravector.from_data(p)
+
+
+def random_orthogonal(seed, scale: float = DRAW_SCALE) -> Paravector:
+    """normalize_orthogonal over a rejection-sampled paravector (det ~ 1)."""
+    return normalize_orthogonal(random_paravector(seed, scale))
+
+
+def random_scalar_field(seed, degree: int = 3, scale: float = 1.0) -> Field:
+    """As random_field, for a scalar polynomial: the vector coefficients are zero."""
+    return _random_polynomial(seed, degree, scale, 1)
+
+
+def null_plane_wave(seed, scale: float = 1.0) -> Field:
+    """Plane wave whose phase satisfies kappa0^2 = kappa . kappa."""
+    z = _random_complexes(as_rng(seed), scale, 7)
+    kappa = z[4:]
+    kappa0 = np.sqrt(np.complex128(kappa @ kappa))
+    return Field.plane_wave(np.concatenate([[kappa0], kappa]), Paravector.from_data(z[:4]))
+
+
+# Summing E_k * (d_k A) over the unit paravectors E_k reproduces the operator
+# value at every point, and the sum is again a Field.
+
+_NEG_SPATIAL = (
+    Paravector(0.0, (-1.0, 0.0, 0.0)),
+    Paravector(0.0, (0.0, -1.0, 0.0)),
+    Paravector(0.0, (0.0, 0.0, -1.0)),
+)
+
+
+def div4_field(f: Field) -> Field:
+    return Field.sum(*(f.partial(c).left_mul(BASIS[c]) for c in range(4)))
+
+
+def grad4_field(f: Field) -> Field:
+    factors = (BASIS[0],) + _NEG_SPATIAL
+    return Field.sum(*(f.partial(c).left_mul(factors[c]) for c in range(4)))
+
+
+class NonTransverse(ValueError):
+    """Plane-wave polarization is not orthogonal to the wave vector."""
+
+
+class ZeroWaveVector(ValueError):
+    """Plane waves need a nonzero wave vector."""
+
+
+def plane_wave_potential(
+    kvec, pol, amp=1.0, k: PhysConstants = PhysConstants()
+) -> PotentialField:
+    """Vacuum plane-wave potential: phi = 0, A = amp * pol * exp(i(w t - kvec.r)).
+
+    w = c sqrt(kvec.kvec) (principal branch), so the rescaled phase is null and
+    the Lorenz gauge holds by transversality.  Raises NonTransverse when
+    |pol . kvec| (bilinear dot) exceeds 1e-12 |kvec| |pol|, which bounds it,
+    and ZeroWaveVector when kvec vanishes.
+    """
+    kv = np.asarray(kvec, dtype=np.complex128)
+    pv = np.asarray(pol, dtype=np.complex128)
+    if kv.shape != (3,) or pv.shape != (3,):
+        raise ValueError("kvec and pol must have 3 components")
+    if np.all(kv == 0):
+        raise ZeroWaveVector("wave vector must be nonzero")
+    if abs(kv @ pv) > 1e-12 * np.linalg.norm(kv) * np.linalg.norm(pv):
+        raise NonTransverse(f"pol . kvec = {kv @ pv!r} is not zero")
+    amplitude, phase = plane_wave_rows(kv[None], pv[None], np.complex128(amp)[None], k)
+    return PotentialField(Field.plane_wave(phase[0], Paravector.from_data(amplitude[0])))
+
+
+def lorenz_gauge_potential(
+    seed, degree: int = 3, scale: float = 1.0, k: PhysConstants = PhysConstants()
+) -> PotentialField:
+    """Random polynomial potential constructed to satisfy the Lorenz gauge.
+
+    The vector part W = -cA is drawn at random and the scalar part is the
+    t-antiderivative phi = c * int (div W) dt, which zeroes the gauge scalar
+    of the c-scaled 4-gradient identically.
+    """
+    rng = as_rng(seed)
+    # scalar polynomials: each keeps its coefficients in column 0
+    w = [random_scalar_field(rng, degree=degree, scale=scale) for _ in range(3)]
+    parts = [w[i].partial(i + 1) for i in range(3)]
+    div_w = Field(np.concatenate([p.exps for p in parts]),
+                  np.concatenate([p.coeffs for p in parts]))
+    exps = div_w.exps.copy()
+    exps[:, 0] += 1  # t-antiderivative with zero integration constant
+    phi = Field(exps, k.c * div_w.coeffs / exps[:, :1])
+    comps = [phi, *w]  # column 0 of the i-th goes to column i of the potential
+    return PotentialField(Field(
+        np.concatenate([p.exps for p in comps]),
+        np.concatenate([np.roll(p.coeffs, i, axis=1) for i, p in enumerate(comps)]),
+    ))
+
+
+def em_field_from_potential(pot: PotentialField, k: PhysConstants = PhysConstants()) -> Field:
+    """The electromagnetic field as a field on the rescaled (tau, r) domain."""
+    return grad4_field(_time_scaled(pot.f, k.c))
+
+
+def sources_from_em(
+    emf: Field, X: Event, k: PhysConstants = PhysConstants(), mode: DiffMode = EXACT
+) -> Paravector:
+    """Sources (rho/eps0; -j/(c eps0)): c-scaled div4 of a (0; E+icB) field at X."""
+    return div4(emf, _tau_event(X, k.c), mode)
+
+
+def source_field_from_em(emf: Field) -> Field:
+    """Source paravector (rho/eps0; -j/(c eps0)) as a (tau, r)-domain field."""
+    return div4_field(emf)
+
+
 # -- per-value identity sides: the references for the block_* sides ------------
 
 def additivity_sides(f: Field, g: Field, X: Event, mode=EXACT):
@@ -158,7 +307,7 @@ def leibniz_sides(rho: Field, f: Field, X: Event, mode=EXACT):
 
 
 def plane_wave_value(kvec, pol, amp, k=PhysConstants()):
-    """plane_wave_row's amplitude (0; -c amp pol) and phase (i omega, -i kvec)
+    """plane_wave_rows' amplitude (0; -c amp pol) and phase (i omega, -i kvec)
     for one wave, in numpy-scalar arithmetic, unchecked."""
     kv = np.asarray(kvec, dtype=np.complex128)
     pv = np.asarray(pol, dtype=np.complex128)
@@ -261,10 +410,13 @@ def wave_draw(rng, attempts=None):
 def random_wave_row(rng, k=PhysConstants(), attempts=None):
     """A random vacuum plane-wave potential as a block row: its coefficients
     on the degree-3 table and its phase."""
-    amplitude, phase = plane_wave_row(*wave_draw(rng, attempts), k)
+    kvec, pol, amp = wave_draw(rng, attempts)
+    amplitude, phase = plane_wave_rows(np.asarray(kvec, np.complex128)[None],
+                                       np.asarray(pol, np.complex128)[None],
+                                       np.complex128(amp)[None], k)
     coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
-    coeffs[0] = amplitude  # a plane wave is the constant row
-    return coeffs, phase
+    coeffs[0] = amplitude[0]  # a plane wave is the constant row
+    return coeffs, phase[0]
 
 
 def random_wave_potential(rng, k):
