@@ -40,7 +40,6 @@ from .diffops import (
 )
 from .electromag import (
     PhysConstants,
-    PotentialField,
     em_from_potential,
 )
 from .fields import (

@@ -6,8 +6,10 @@ Acting on a field A = [phi; Phi]:
     grad4 A = [ dphi/dt - div Phi ; dPhi/dt - grad phi - i curl Phi ]
     box4  A = (d^2/dt^2 - laplacian) A   componentwise
 
-Each operator runs in exact mode (closed-form partials of the field) or
-numeric mode (central differences with a caller-chosen step).  The module also
+Each operator runs in exact mode (the closed-form partial fields of
+``Field.partial``, evaluated at the point) or numeric mode (central
+differences with a caller-chosen step).  Blocks, one field per row as arrays,
+take their exact partials from ``kernels.jets`` instead.  The module also
 provides the two documented failure witnesses of the product rule.
 ``central_differences`` is the one numeric stencil, the independent oracle for
 the closed-form partials: it differences a stack of points along every
@@ -78,28 +80,14 @@ EXACT = Exact()
 def bundle(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
     """All 16 first partials at X: d[component, coordinate], complex128.
 
-    Rows are (phi, Phi_x, Phi_y, Phi_z); columns are (t, x, y, z).
+    Rows are (phi, Phi_x, Phi_y, Phi_z); columns are (t, x, y, z).  Exact
+    mode evaluates the four partial fields of ``Field.partial`` at X in one
+    ``Field._values`` call.
     """
     x = X.data
     if isinstance(mode, Numeric):
         return central_differences(f._value, x[None], mode.h).T
-    return _jets(f, x[None], 1)[1][0]
-
-
-def _jets(f: Field, xs: np.ndarray, order: int) -> list:
-    """kernels.jets of each of f's groups, on the exponent table of its degree,
-    at the (n, 4) points, summed over the groups."""
-    total = None
-    for m, k, exps, coeffs in f._groups:
-        degree = int(exps.sum(axis=1).max())
-        table = np.zeros((len(kernels._degree_exponents(degree)), 4), np.complex128)
-        table[kernels.table_rows(degree, exps)] = coeffs
-        parts = kernels.jets(xs, m, k if k.any() else None, table, order)
-        total = parts if total is None else [a + b for a, b in zip(total, parts)]
-    if total is None:  # the zero field
-        return [np.zeros((len(xs), 4), np.complex128)] + [
-            np.zeros((len(xs), 4, 4), np.complex128)] * order
-    return total
+    return np.stack(Field._values([f.partial(c) for c in range(4)], x), axis=-1)
 
 
 def assemble_div(d: np.ndarray) -> np.ndarray:
@@ -154,7 +142,7 @@ def _second_partials(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
             return central_differences(f._value, xs, h).reshape(-1, 4, 4)[r, r % 4]
 
         return central_differences(firsts, x[None], h).T
-    return _jets(f, x[None], 2)[2][0]
+    return np.stack(Field._values([f.partial(c).partial(c) for c in range(4)], x), axis=-1)
 
 
 def box4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
@@ -379,7 +367,8 @@ def max_partial_errors(fields, points, steps) -> list[float]:
     """Per step h, max |central difference - exact partial| over fields x points x coordinates.
 
     The exact partials do not depend on h, so each is evaluated once, on the
-    stack of points.  The steps run in passes of consecutive steps: a pass
+    stack of points: every field's four ``Field.partial`` fields in one
+    ``Field._values`` call.  The steps run in passes of consecutive steps: a pass
     builds one stencil for its steps (``_stencil``, checked step by step, in
     order) and evaluates every field on it in one ``Field._values`` call, so
     polynomials on one exponent table share their monomials.  A stencil row
@@ -391,8 +380,9 @@ def max_partial_errors(fields, points, steps) -> list[float]:
     """
     pts = np.array(points, dtype=np.complex128).reshape(-1, 4)
     # rows in central_differences' order: point, then coordinate
-    exact = np.reshape([np.swapaxes(_jets(f, pts, 1)[1], 1, 2) for f in fields],
-                       (len(fields), 1, 4 * len(pts), 4))
+    n = len(pts)
+    exact = np.reshape(Field._values([f.partial(c) for f in fields for c in range(4)], pts),
+                       (len(fields), 4, n, 4)).swapaxes(1, 2).reshape(len(fields), 1, 4 * n, 4)
     terms = max((len(g[2]) for f in fields for g in f._groups), default=0)
     size = max(1, kernels._BUDGET // max(1, 8 * len(pts) * (8 + 2 * terms)))
     return [e for i in range(0, len(steps), size)

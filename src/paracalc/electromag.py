@@ -45,7 +45,6 @@ from .fields import Field
 
 __all__ = [
     "PhysConstants",
-    "PotentialField",
     "em_from_potential",
     "plane_wave_rows",
     "block_lorenz_potential",
@@ -68,13 +67,6 @@ class PhysConstants:
             raise ValueError("physical constants must be positive and finite")
 
 
-@dataclass(frozen=True)
-class PotentialField:
-    """A field over physical (t, r) whose value reads as (phi; -cA)."""
-
-    f: Field
-
-
 def _tau_event(X: Event, c: float) -> Event:
     if c == 1.0:
         return X
@@ -90,14 +82,15 @@ def _time_scaled(f: Field, c: float) -> Field:
 
 
 def em_from_potential(
-    pot: PotentialField, X: Event, k: PhysConstants = PhysConstants(), mode: DiffMode = EXACT
+    pot: Field, X: Event, k: PhysConstants = PhysConstants(), mode: DiffMode = EXACT
 ) -> Paravector:
-    """c-scaled 4-gradient of the potential at X.
+    """c-scaled 4-gradient at X of the potential, a field over physical (t, r)
+    whose value reads as (phi; -cA).
 
     Its scalar part is the Lorenz-gauge diagnostic (about 0 in Lorenz gauge;
     reported, never raised), and its vector part is F = E + icB.
     """
-    return grad4(_time_scaled(pot.f, k.c), _tau_event(X, k.c), mode)
+    return grad4(_time_scaled(pot, k.c), _tau_event(X, k.c), mode)
 
 
 def plane_wave_rows(kv, pv, amp, k: PhysConstants = PhysConstants()):

@@ -22,11 +22,11 @@ package needs:
 Pullbacks keep a frame rather than expanding P(M X) into monomials of X: for
 the strongly non-unitary maps the suites draw, that expansion cancels away
 most of its significant digits when evaluated (see the README).
-The independent oracle for the closed-form partials is numeric:
-``diffops.central_differences``, which evaluates its whole stencil as one
-stack through ``_value``.  ``Field._values`` is the one evaluator of field
-values, for several fields at once (``_value`` is its one-field call): it
-takes a stack of points, and one point as a stack of one.
+``Field._values`` is the one evaluator of field values, for several fields
+at once (``_value`` is its one-field call), on a stack of points or one
+point as a stack of one.  diffops' exact operators evaluate the partial
+fields with it; their independent oracle is ``diffops.central_differences``,
+which evaluates its whole stencil as one stack through ``_value``.
 """
 
 from __future__ import annotations

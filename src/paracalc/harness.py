@@ -51,7 +51,6 @@ from .diffops import (
 )
 from .electromag import (
     PhysConstants,
-    PotentialField,
     block_em_from_potential,
     block_gauss_law_sides,
     block_lorenz_potential,
@@ -602,7 +601,7 @@ def _maxwell_cases() -> List[Case]:
         return (src - div_e)[:, None]
 
     def static_gradient(tape, start, n, cfg):
-        pot = PotentialField(Field.monomial((0, 1, 0, 0), Paravector(1.0)))
+        pot = Field.monomial((0, 1, 0, 0), Paravector(1.0))
         val = em_from_potential(pot, Event(0.3, (0.7, -1.1, 0.4)), k1)
         return val.data - np.array([0.0, -1.0, 0.0, 0.0])
 

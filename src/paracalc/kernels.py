@@ -5,9 +5,9 @@ Plain numpy on length-4 complex arrays ``[s, v1, v2, v3]`` (paravectors) and
 ``[t, x, y, z]`` (events).  ``pv_mul`` takes one pair; the ``*_rows`` kernels
 work on ``(n, 4)`` stacks of them, each row on its own, so a row rounds the
 same in any stack and one point is a stack of one.
-``jets`` evaluates a field group's value and exact partials on a stack of
-points, each row on its own, from coefficients on the exponent table of a
-degree, whose partials ``lowering`` gives.
+``jets`` evaluates the value and exact partials of a block's fields (see
+``diffops``), one field per row, each from its own coefficients on the
+exponent table of a degree, whose partials ``lowering`` gives.
 """
 
 import functools
@@ -156,7 +156,8 @@ def _plan(degree: int, slots: int):
 
 def _poly_slots(y, coeffs, plan):
     """s[n, ..., q, i]: slot q of component i of P = sum_t coeffs[t] y^e_t, for
-    coefficients (..., T, 4) on the exponent table of the _plan's degree.
+    each row's coefficients (n, ..., T, 4) on the exponent table of the
+    _plan's degree.
 
     Each monomial is evaluated once per point in double, its parent times one
     coordinate; each slot gathers its lowered monomials times their weights,
@@ -166,15 +167,14 @@ def _poly_slots(y, coeffs, plan):
     levels, index, weight = plan
     terms = index.shape[-1] // 2
     point = index.size + 8 * terms  # doubles per point: a, the monomials and a level's parts
-    row = 0 if coeffs.ndim == 2 else 16 * terms  # and per row of its own coefficients: b
+    row = 16 * terms  # and per row of its own coefficients: b
     step = max(1, _BUDGET // (math.prod(y.shape[1:-1]) * point + row))
     if len(y) > step:
-        return np.concatenate([
-            _poly_slots(y[i:i + step], coeffs if coeffs.ndim == 2 else coeffs[i:i + step], plan)
-            for i in range(0, len(y), step)])
+        return np.concatenate([_poly_slots(y[i:i + step], coeffs[i:i + step], plan)
+                               for i in range(0, len(y), step)])
     step = max(1, (_BUDGET - row) // point)
     if y.ndim == 3 and y.shape[1] > step:
-        shared = coeffs.ndim == 2 or coeffs.shape[1] == 1
+        shared = coeffs.shape[1] == 1
         return np.concatenate([
             _poly_slots(y[:, j:j + step], coeffs if shared else coeffs[:, j:j + step], plan)
             for j in range(0, y.shape[1], step)], axis=1)
@@ -220,10 +220,11 @@ def cdot(spec: str, x, y):
 def jets(xs, m, k, coeffs, order: int = 1):
     """Value and partials of f(x) = P(M x) e^{k.x} at each point of an (n, ..., 4) stack.
 
-    P is sum_t coeffs[t] y^e_t on the exponent table e of a degree.  ``m`` is
-    a frame, (4, 4) or one per row (n, ..., 4, 4), or None for the identity;
-    ``k`` a phase (4,) or (n, ..., 4), or None for none; ``coeffs`` (T, 4) or
-    (n, ..., T, 4).  A per-row argument broadcasts against the points.
+    P is sum_t coeffs[t] y^e_t on the exponent table e of a degree >= 1, with
+    coefficients per row, ``coeffs`` (n, ..., T, 4).  ``m`` is a frame, (4, 4)
+    or one per row (n, ..., 4, 4), or None for the identity; ``k`` a phase
+    (4,) or (n, ..., 4), or None for none.  A per-row argument broadcasts
+    against the points.
 
     Returns [value (n, ..., 4)], then for order >= 1 the first partials
     d[..., component, coordinate], and for order 2 the repeated second
@@ -235,27 +236,21 @@ def jets(xs, m, k, coeffs, order: int = 1):
     on the other rows of the stack.
     """
     framed = m is not None
-    out = []
-    if coeffs.shape[-2] > 1:  # degree >= 1
-        y = cdot("...ij,...j->...i", m, xs) if framed else xs
-        slots = (1, 5, 15 if framed else 9)[order]
-        s = _poly_slots(y, coeffs, _plan(TABLE_DEGREE[coeffs.shape[-2]], slots))
-        out.append(s[..., 0, :])
-        if order and framed:  # sum_j m[j, c] (d_j P)_i
-            out.append(cdot("...jc,...ji->...ic", m, s[..., 1:5, :]))
-        elif order:
-            out.append(np.swapaxes(s[..., 1:5, :], -1, -2))
-        if order == 2 and framed:  # sum_jl m[j, c] m[l, c] (d_j d_l P)_i
-            j, l = zip(*([(j, j) for j in range(4)] + _MIXED))
-            mm = m[..., j, :] * m[..., l, :]
-            mm[..., 4:, :] *= 2.0  # d_j d_l and d_l d_j
-            out.append(cdot("...qc,...qi->...ic", mm, s[..., 5:15, :]))
-        elif order == 2:
-            out.append(np.swapaxes(s[..., 5:9, :], -1, -2))
-    else:  # a constant: P has no partials
-        shape = np.broadcast_shapes(xs.shape, coeffs.shape[:-2] + (4,))
-        out = [np.broadcast_to(coeffs[..., 0, :], shape)]
-        out += [np.zeros(shape + (4,), _C128)] * order
+    y = cdot("...ij,...j->...i", m, xs) if framed else xs
+    slots = (1, 5, 15 if framed else 9)[order]
+    s = _poly_slots(y, coeffs, _plan(TABLE_DEGREE[coeffs.shape[-2]], slots))
+    out = [s[..., 0, :]]
+    if order and framed:  # sum_j m[j, c] (d_j P)_i
+        out.append(cdot("...jc,...ji->...ic", m, s[..., 1:5, :]))
+    elif order:
+        out.append(np.swapaxes(s[..., 1:5, :], -1, -2))
+    if order == 2 and framed:  # sum_jl m[j, c] m[l, c] (d_j d_l P)_i
+        j, l = zip(*([(j, j) for j in range(4)] + _MIXED))
+        mm = m[..., j, :] * m[..., l, :]
+        mm[..., 4:, :] *= 2.0  # d_j d_l and d_l d_j
+        out.append(cdot("...qc,...qi->...ic", mm, s[..., 5:15, :]))
+    elif order == 2:
+        out.append(np.swapaxes(s[..., 5:9, :], -1, -2))
     if k is None:
         return out
     kx = cmul(k, xs)  # the phase rounds as plane_wave_eval_rows rounds it

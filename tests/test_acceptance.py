@@ -29,7 +29,6 @@ from paracalc.diffops import (
 )
 from paracalc.electromag import (
     PhysConstants,
-    PotentialField,
     em_from_potential,
 )
 from paracalc.fields import (
@@ -312,7 +311,7 @@ def test_criterion_7_maxwell_embedding():
                     coeffs.append(rng.uniform(-1, 1))
         poly = np.zeros((len(exps), 4), np.complex128)
         poly[:, 0] = coeffs
-        pot = PotentialField(Field(np.array(exps), poly))
+        pot = Field(np.array(exps), poly)
         X = Event(0.0, rng.uniform(-2, 2, size=3))
         src = sources_from_em(em_field_from_potential(pot), X, mode=Numeric(h))
         div_e = 0.0

@@ -1,12 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from paracalc.algebra import IDENTITY, Event, Paravector, left_matrix
-from paracalc import kernels
 from paracalc.kernels import _degree_exponents
 from paracalc.diffops import (
     EXACT,
-    _jets,
     Numeric,
     block_div4_field,
     block_grad4_field,
@@ -14,6 +14,7 @@ from paracalc.diffops import (
     block_partial,
     block_pullback,
     block_scalar_mul,
+    block_times,
     assemble_div,
     assemble_grad,
     box4,
@@ -32,7 +33,7 @@ from paracalc.fields import (
 )
 
 from util import (additivity_sides, block_of, central_difference, div4_field, gap, grad4_field,
-                  leibniz_sides, max_abs, null_plane_wave, random_paravector, random_rows,
+                  leibniz_sides, max_abs, null_plane_wave, random_paravector,
                   random_scalar_field, rel_err, rows, sample_field)
 
 
@@ -250,41 +251,46 @@ def test_block_partial_matches_field_partial_on_the_table():
     assert np.array_equal(block_grad4_field(f)[2], block_of(*map(grad4_field, fields))[2])
 
 
-def test_sparse_group_jets_equal_the_group_on_the_full_table():
-    # diffops._jets places a Field group's few rows on the full table of its
-    # degree; the same terms placed on the degree-3 table by hand (block_of)
-    # give the same jets bit for bit, with a phase or a frame too
-    rng = np.random.default_rng(43)
-    exps = _degree_exponents(3)
-    xs = random_rows(rng, 8)
-    for trial in range(12):
-        keep = rng.random(len(exps)) < 0.3
-        keep[-1] = True  # (3, 0, 0, 0): the group has degree 3
-        coeffs = rng.normal(size=(keep.sum(), 4)) + 1j * rng.normal(size=(keep.sum(), 4))
-        f = Field(exps[keep], coeffs)
-        m = k = None
-        if trial % 3 == 1:
-            k = rng.normal(size=4) + 1j * rng.normal(size=4)
-            f = f.scalar_mul(Field.plane_wave(k, IDENTITY))
-        elif trial % 3 == 2:
-            m = left_matrix(random_paravector(rng))
-            f = f.pullback(m)
-        with np.errstate(all="ignore"):  # the spread rows reach exp overflow
-            for order in (0, 1, 2):
-                want = kernels.jets(xs, m, k, block_of(Field(exps[keep], coeffs))[2][0], order)
-                for got, w in zip(_jets(f, xs, order), want):
-                    assert got.tobytes() == w.tobytes(), (trial, order)
+def test_operator_fields_fold_a_factor_into_the_coefficients():
+    # block_times puts h on the values; the operator fields move it into the
+    # coefficients before they differentiate, so they equal div4_field and
+    # grad4_field of g.left_mul(h) up to the rounding of that product
+    rng, fields, f = _mixed(44, 12)
+    hs = [random_paravector(rng) for _ in fields]
+    moved = block_times(f, left_matrix(np.array([h.data for h in hs])))
+    for block_op, field_op in ((block_div4_field, div4_field), (block_grad4_field, grad4_field)):
+        got = block_op(moved)
+        want = block_of(*(field_op(g.left_mul(h)) for g, h in zip(fields, hs)))
+        assert got[3] is None and np.array_equal(got[1], want[1])
+        scale = np.abs(want[2]).max(axis=(1, 2), keepdims=True)
+        assert (np.abs(got[2] - want[2]) <= 4 * np.finfo(float).eps * scale).all()
 
 
 def test_jets_and_partial_errors_take_an_empty_stack_of_points():
-    # an empty stack gives empty jets and zero errors, as Field._value gives
-    # an empty stack of values
+    # an empty stack gives zero errors, as Field._value gives an empty stack
+    # of values, and an empty block gives empty jets, framed or not
     f = random_field(1)
     assert max_partial_errors([f], [], [0.1, 0.05]) == [0.0, 0.0]
-    value, first = _jets(f, np.zeros((0, 4)), 1)
+    value, first = block_jets(block_of(), np.zeros((0, 4)), 1)
     assert value.shape == (0, 4) and first.shape == (0, 4, 4)
-    assert [d.shape for d in _jets(random_field(2, degree=3), np.zeros((0, 4)), 2)] == [
+    framed = block_pullback(block_of(), np.zeros((0, 4, 4)))
+    assert [d.shape for d in block_jets(framed, np.zeros((0, 4)), 2)] == [
         (0, 4), (0, 4, 4), (0, 4, 4)]
+
+
+def test_exact_operators_of_a_high_degree_monomial_cost_its_terms():
+    # t^8 x^8 y^8 z^8 has one term: its exact operators evaluate the partial
+    # fields of that term, never the 58905 rows of its degree's full table
+    f = Field.monomial((8, 8, 8, 8), IDENTITY)
+    X = Event(1, (1, 1, 1))
+    tracemalloc.start()
+    try:
+        box, div = box4(f, X).data, div4(f, X).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(box, [-112, 0, 0, 0]) and np.array_equal(div, [8, 8, 8, 8])
+    assert peak < 1 << 20, peak
 
 
 def test_block_partial_of_a_framed_row_takes_the_chain_rule():

@@ -5,7 +5,6 @@ from paracalc.algebra import Event, Paravector
 from paracalc.diffops import Numeric, central_differences
 from paracalc.electromag import (
     PhysConstants,
-    PotentialField,
     block_em_from_potential,
     block_gauss_law_sides,
     block_lorenz_potential,
@@ -66,14 +65,14 @@ def test_phys_constants_refuse_non_finite_values():
 
 def test_static_scalar_potential_gives_negative_gradient():
     # phi = x, A = 0  ->  E = -grad phi = (-1, 0, 0), B = 0
-    pot = PotentialField(Field.monomial((0, 1, 0, 0), Paravector(1.0)))
+    pot = Field.monomial((0, 1, 0, 0), Paravector(1.0))
     val = em_from_potential(pot, Event(0.3, (0.7, -1.1, 0.4)))
     assert val.s == 0.0
     np.testing.assert_array_equal(val.v, [-1.0, 0.0, 0.0])
 
 
 def test_zero_potential_gives_zero_field_and_sources():
-    pot = PotentialField(Field.zero())
+    pot = Field.zero()
     val = em_from_potential(pot, Event(1.0))
     assert val.s == 0.0 and max_abs(val.v) == 0.0
     src = sources_from_em(em_field_from_potential(pot), Event(1.0))
@@ -158,7 +157,7 @@ def test_vacuum_wave_residual():
         assert max_abs(gap(wave_sides(pot, zero_src, X))) <= 1e-10
     # and trivially for the zero potential
     assert max_abs(
-        gap(wave_sides(PotentialField(Field.zero()), zero_src, Event(1.0)))
+        gap(wave_sides(Field.zero(), zero_src, Event(1.0)))
     ) == 0.0
 
 
@@ -196,7 +195,7 @@ def test_gauss_law_slice_numeric():
                     coeffs.append(rng.uniform(-1, 1))
         poly = np.zeros((len(exps), 4), np.complex128)
         poly[:, 0] = coeffs
-        pot = PotentialField(Field(np.array(exps), poly))
+        pot = Field(np.array(exps), poly)
         X = Event(0.0, rng.uniform(-2, 2, size=3))
         src = sources_from_em(em_field_from_potential(pot), X, mode=Numeric(h))
 
@@ -217,8 +216,8 @@ def test_omega_adapts_to_c():
     k1, k2 = PhysConstants(), PhysConstants(c=2.0)
     p1 = plane_wave_potential((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0, k1)
     p2 = plane_wave_potential((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0, k2)
-    assert p1.f.phases[0, 0] == 1j
-    assert p2.f.phases[0, 0] == 2j
+    assert p1.phases[0, 0] == 1j
+    assert p2.phases[0, 0] == 2j
 
 
 # -- blocks: one potential per row ------------------------------------------------
@@ -242,11 +241,11 @@ def _wave_blocks(seed, n, k):
 def test_block_potentials_are_the_potential_fields(c):
     k = PhysConstants(c=c)
     block, pots = _lorenz_blocks(50, 8, k)
-    assert np.array_equal(block[2], block_of(*(p.f for p in pots))[2])
+    assert np.array_equal(block[2], block_of(*pots)[2])
     block, pots = _wave_blocks(51, 8, k)
-    want = block_of(*(p.f for p in pots))
+    want = block_of(*pots)
     assert np.array_equal(block[2], want[2]) and np.array_equal(block[1], want[1])
-    wave = plane_wave_potential((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0, k).f
+    wave = plane_wave_potential((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0, k)
     assert wave.phases[0, 0] == 1j * c and np.array_equal(wave.coeffs[0], [0, -c, 0, 0])
 
 
@@ -272,7 +271,7 @@ def test_maxwell_blocks_match_the_per_point_operators(c):
 def test_block_gauss_law_sides_match_the_per_point_stencil():
     rng, h = np.random.default_rng(55), 1e-5
     pots, X = zip(*(gauss_slice_draw(rng) for _ in range(8)))
-    src, div_e = block_gauss_law_sides(block_of(*(p.f for p in pots)), rows(*X), h)
+    src, div_e = block_gauss_law_sides(block_of(*pots), rows(*X), h)
     for p, (pot, x) in enumerate(zip(pots, X)):
         want = sources_from_em(em_field_from_potential(pot), x, mode=Numeric(h)).s.real
         e = each_row(lambda xd: em_from_potential(pot, Event.from_data(xd)).v.real)

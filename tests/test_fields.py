@@ -17,7 +17,8 @@ from paracalc.algebra import (
     reverse,
     right_matrix,
 )
-from paracalc.diffops import Numeric, _jets, box4, bundle, central_differences
+from paracalc.diffops import (Numeric, block_jets, block_pullback, box4, bundle,
+                              central_differences)
 from paracalc import fields, tape
 from paracalc.fields import (
     DEGREE_CAP,
@@ -31,9 +32,9 @@ from paracalc.fields import (
     random_plane_wave,
 )
 
-from util import (central_difference, conjugate_rotate, field_value, max_abs, normalize_value,
-                  null_plane_wave, random_orthogonal, random_paravector, random_rows,
-                  random_scalar_field, rel_err)
+from util import (block_of, central_difference, conjugate_rotate, field_value, max_abs,
+                  normalize_value, null_plane_wave, random_orthogonal, random_paravector,
+                  random_rows, random_scalar_field, rel_err)
 
 
 def composite_field(seed: int = 0):
@@ -763,14 +764,33 @@ def _gap(got, want):
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_jets_match_the_lowered_rows(kind):
-    # the jets kernel and the partial fields Field.partial builds are two
+    # the blocks' jets and the partial fields Field.partial builds are two
     # independent derivative codes: value, first and repeated second partials
+    # of a field that fits a block row (degree <= 3, one phase), repeated on
+    # every row
     rng = np.random.default_rng(21)
     for _ in range(10):
-        f = field_of_kind(kind, rng)
+        poly, wave = random_field(rng, degree=3), random_plane_wave(rng)
+        rho = random_scalar_field(rng, degree=2)
+        frame = left_matrix(random_paravector(rng)) @ right_matrix(random_paravector(rng))
+        f = {
+            "plain": poly,
+            "framed": wave.scalar_mul(rho),
+            "plane-wave": wave,
+            "polynomial-times-phase": wave.scalar_mul(rho),
+            "partial": poly.partial(2),
+            "zero": Field.zero(),
+        }[kind]
         xs = random_rows(rng, 20)  # spread rows, then exact and signed-zero rows
+        block = tuple(None if a is None else np.repeat(a, len(xs), axis=0) for a in block_of(f))
+        if kind == "framed":
+            f = f.pullback(frame)
+            m, _, c, g = block_pullback(block, np.broadcast_to(frame, (len(xs), 4, 4)))
+            # the phase A^T k as Field.pullback rounds it: at the spread rows
+            # exp turns block_pullback's rounding of it into gaps up to 2e-12
+            block = m, np.repeat(f._groups[0][1][None], len(xs), axis=0), c, g
         with np.errstate(all="ignore"):  # the spread rows reach exp overflow
-            value, d1, d2 = _jets(f, xs, 2)
+            value, d1, d2 = block_jets(block, xs, 2)
             assert _gap(value, f._value(xs)) <= 1e-13
             for c in range(4):
                 assert _gap(d1[:, :, c], f.partial(c)._value(xs)) <= 1e-13

@@ -27,9 +27,8 @@ PACKAGE = Path(paracalc.__file__).parent
 #: box4's numeric mode.  Dunder methods are public API too.
 PUBLIC_API = {
     "fields.py": {
-        "coord_index", "_lowered", "Field.partial", "Field._partial", "Field.pullback",
-        "Field.left_mul", "Field.right_mul", "Field._times", "Field.scalar_mul",
-        "Field.sum", "Field.zero", "Field.constant",
+        "Field.pullback", "Field.left_mul", "Field.right_mul", "Field._times",
+        "Field.scalar_mul", "Field.sum", "Field.zero", "Field.constant",
     },
     "algebra.py": {"Paravector.s", "Paravector.v", "Event.t", "Event.r"},
     "cli.py": {"entry"},

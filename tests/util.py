@@ -23,7 +23,6 @@ from paracalc.algebra import (
 from paracalc.diffops import EXACT, DiffMode, box4, div4, grad4
 from paracalc.electromag import (
     PhysConstants,
-    PotentialField,
     _tau_event,
     _time_scaled,
     plane_wave_rows,
@@ -221,7 +220,7 @@ class ZeroWaveVector(ValueError):
 
 def plane_wave_potential(
     kvec, pol, amp=1.0, k: PhysConstants = PhysConstants()
-) -> PotentialField:
+) -> Field:
     """Vacuum plane-wave potential: phi = 0, A = amp * pol * exp(i(w t - kvec.r)).
 
     w = c sqrt(kvec.kvec) (principal branch), so the rescaled phase is null and
@@ -238,12 +237,12 @@ def plane_wave_potential(
     if abs(kv @ pv) > 1e-12 * np.linalg.norm(kv) * np.linalg.norm(pv):
         raise NonTransverse(f"pol . kvec = {kv @ pv!r} is not zero")
     amplitude, phase = plane_wave_rows(kv[None], pv[None], np.complex128(amp)[None], k)
-    return PotentialField(Field.plane_wave(phase[0], Paravector.from_data(amplitude[0])))
+    return Field.plane_wave(phase[0], Paravector.from_data(amplitude[0]))
 
 
 def lorenz_gauge_potential(
     seed, degree: int = 3, scale: float = 1.0, k: PhysConstants = PhysConstants()
-) -> PotentialField:
+) -> Field:
     """Random polynomial potential constructed to satisfy the Lorenz gauge.
 
     The vector part W = -cA is drawn at random and the scalar part is the
@@ -260,15 +259,15 @@ def lorenz_gauge_potential(
     exps[:, 0] += 1  # t-antiderivative with zero integration constant
     phi = Field(exps, k.c * div_w.coeffs / exps[:, :1])
     comps = [phi, *w]  # column 0 of the i-th goes to column i of the potential
-    return PotentialField(Field(
+    return Field(
         np.concatenate([p.exps for p in comps]),
         np.concatenate([np.roll(p.coeffs, i, axis=1) for i, p in enumerate(comps)]),
-    ))
+    )
 
 
-def em_field_from_potential(pot: PotentialField, k: PhysConstants = PhysConstants()) -> Field:
+def em_field_from_potential(pot: Field, k: PhysConstants = PhysConstants()) -> Field:
     """The electromagnetic field as a field on the rescaled (tau, r) domain."""
-    return grad4_field(_time_scaled(pot.f, k.c))
+    return grad4_field(_time_scaled(pot, k.c))
 
 
 def sources_from_em(
@@ -316,7 +315,7 @@ def plane_wave_value(kvec, pol, amp, k=PhysConstants()):
             np.concatenate([[1j * omega], -1j * kv]))
 
 
-def wave_sides(pot: PotentialField, src: Field, X: Event,
+def wave_sides(pot: Field, src: Field, X: Event,
                k: PhysConstants = PhysConstants(), mode=EXACT):
     """(d^2/c^2 dt^2 - laplacian)(phi; -cA) and the source value, both at X.
 
@@ -324,7 +323,7 @@ def wave_sides(pot: PotentialField, src: Field, X: Event,
     source_field_from_em, or the zero field for vacuum configurations.
     """
     tau = _tau_event(X, k.c)
-    b = box4(_time_scaled(pot.f, k.c), tau, mode)
+    b = box4(_time_scaled(pot, k.c), tau, mode)
     return b, Paravector.from_data(src._value(tau.data))
 
 
@@ -420,7 +419,7 @@ def random_wave_row(rng, k=PhysConstants(), attempts=None):
 
 
 def random_wave_potential(rng, k):
-    """random_wave_row's potential as a PotentialField."""
+    """random_wave_row's potential as a Field."""
     return plane_wave_potential(*wave_draw(rng), k)
 
 
@@ -448,7 +447,7 @@ def gauss_slice_draw(rng):
     parts of a scalar draw's spatial terms), and its point on t = 0."""
     phi = random_scalar_field(rng, degree=3, scale=1.0)
     spatial = phi.exps[:, 0] == 0  # drop time dependence
-    pot = PotentialField(Field(phi.exps[spatial], phi.coeffs[spatial].real))
+    pot = Field(phi.exps[spatial], phi.coeffs[spatial].real)
     return pot, Event(0.0, rng.uniform(-2.0, 2.0, size=3))
 
 
