@@ -9,8 +9,9 @@ Acting on a field A = [phi; Phi]:
 Each operator runs in exact mode (the closed-form partial fields of
 ``Field.partial``, evaluated at the point) or numeric mode (central
 differences with a caller-chosen step).  Blocks, one field per row as arrays,
-take their exact partials from ``kernels.jets`` instead.  The module also
-provides the two documented failure witnesses of the product rule.
+take their exact partials from ``kernels.jets`` instead, which takes a block
+whole.  The module also provides the two documented failure witnesses of
+the product rule.
 ``central_differences`` is the one numeric stencil, the independent oracle for
 the closed-form partials: it differences a stack of points along every
 coordinate at once, and a single point as a stack of one.
@@ -41,7 +42,6 @@ __all__ = [
     "div4",
     "grad4",
     "box4",
-    "block_jets",
     "block_bundle",
     "block_pullback",
     "block_times",
@@ -152,69 +152,56 @@ def box4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
 
 # -- blocks: one field per row ------------------------------------------------
 #
-# A block holds n fields G P(M X) e^{k.X}, one per row, as arrays over one
-# exponent table, every monomial of degree <= 3: (m, k, c, g) with frames
-# m (n, 4, 4), phases k (n, 4), coefficients c (n, 35, 4) and factors
-# g (n, 4, 4), a constant matrix on the values such as left_matrix(h) for
-# h A.  None stands for identity frames and factors and for no phase.  A
-# dense polynomial fills c; a plane wave is the constant row of c (row 0)
-# with its phase.  The table is kernels._degree_exponents(3).
+# A block holds n fields P(M X) e^{k.X}, one per row, as arrays over one
+# exponent table, every monomial of degree <= 3: (m, k, c) with frames
+# m (n, 4, 4), phases k (n, 4) and coefficients c (n, 35, 4).  None stands
+# for identity frames and for no phase.  A dense polynomial fills c; a plane
+# wave is the constant row of c (row 0) with its phase.  A constant factor on
+# the values, such as left_matrix(h) for h A, multiplies the coefficient rows
+# (block_times), as Field._times does.  The table is
+# kernels._degree_exponents(3).
 
 
-def block_jets(f, xs: np.ndarray, order: int) -> list:
-    """kernels.jets of row p's field at xs[p], for every row of the block f."""
-    m, k, c, g = f
-    out = kernels.jets(xs, m, k, c, order)
-    if g is None:
-        return out
-    return [kernels.cdot("...ij,...j->...i", g, out[0])] + [
-        kernels.cdot("...ij,...jc->...ic", g, d) for d in out[1:]]
+def block_bundle(f, xs: np.ndarray, mode: DiffMode = EXACT) -> np.ndarray:
+    """The first partials d[p, component, coordinate] of row p's field at xs[p].
 
-
-def block_bundle(blocks, points, mode: DiffMode = EXACT) -> list:
-    """Per block, the first partials d[p, component, coordinate] of row p's
-    field at points[p]: each block with its own (n, 4) points.
-
-    Numeric mode differences the stencils of all the blocks in one
+    Numeric mode differences the block's stencil in one
     ``central_differences`` call, so a step that does not move it names the
-    first block's first point.
+    first point it leaves in place.
     """
     if not isinstance(mode, Numeric):
-        return [block_jets(f, xs, 1)[1] for f, xs in zip(blocks, points)]
-    xs = np.concatenate(points)
-    ends = np.cumsum([len(p) for p in points])
+        return kernels.jets(f, xs, 1)[1]
 
     def value_fn(pts):  # stencil rows (sign, p, c): row p's field at its 8 points
-        pts = pts.reshape(2, len(xs), 4, 4)
-        out = np.empty(pts.shape, np.complex128)
-        for f, hi, n in zip(blocks, ends, map(len, points)):
-            out[:, hi - n:hi] = _at_rows(f, pts[:, hi - n:hi])[0]
-        return out.reshape(-1, 4)
+        return _at_rows(f, pts.reshape(2, len(xs), 4, 4))[0].reshape(-1, 4)
 
-    d = central_differences(value_fn, xs, mode.h).reshape(-1, 4, 4).swapaxes(1, 2)
-    return np.split(d, ends[:-1])
+    return central_differences(value_fn, xs, mode.h).reshape(-1, 4, 4).swapaxes(1, 2)
 
 
 def _at_rows(f, pts: np.ndarray, order: int = 0) -> list:
-    """block_jets of row p's field at every point pts[a, p, b] of an (A, n, B, 4)
+    """kernels.jets of row p's field at every point pts[a, p, b] of an (A, n, B, 4)
     stack, the layout of a stencil's rows (sign, point, coordinate)."""
     a, n, b = pts.shape[:3]
-    per_row = tuple(None if x is None else x[:, None] for x in f)
-    out = block_jets(per_row, pts.swapaxes(0, 1).reshape(n, a * b, 4), order)
+    out = kernels.jets(f, pts.swapaxes(0, 1).reshape(n, a * b, 4), order)
     return [d.reshape((n, a, b) + d.shape[2:]).swapaxes(0, 1) for d in out]
 
 
 def block_pullback(f, maps: np.ndarray):
     """Row p's field pulled back along maps[p] (n, 4, 4): frame m A, phase A^T k."""
-    m, k, c, g = f
+    m, k, c = f
     return (maps if m is None else kernels.cdot("...ij,...jk->...ik", m, maps),
-            None if k is None else kernels.cdot("...i,...ij->...j", k, maps), c, g)
+            None if k is None else kernels.cdot("...i,...ij->...j", k, maps), c)
 
 
 def block_times(f, matrices: np.ndarray):
-    """Row p's values times matrices[p] (n, 4, 4), such as left_matrix(h) for h A."""
-    m, k, c, g = f
-    return m, k, c, matrices if g is None else kernels.cdot("...ij,...jk->...ik", matrices, g)
+    """Row p's values times matrices[p] (n, 4, 4), such as left_matrix(h) for h A:
+    each coefficient row times its matrix, as Field._times multiplies it, one
+    component at a time, so no temporary outgrows the coefficients."""
+    m, k, c = f
+    out = np.empty_like(c)
+    for i in range(4):
+        out[..., i] = (c * matrices[:, None, i]).sum(axis=-1)
+    return m, k, out
 
 
 def block_partial(f, c: int):
@@ -223,16 +210,16 @@ def block_partial(f, c: int):
     Field._partial's rule on the table's rows: each coefficient times its
     exponent j moves to the row lowered along j, and a phase adds k_c times
     the row.  An unframed row lowers along c; a frame M takes
-    sum_j M[j, c] d_j P (M X), so the frame stays.  The factor g stays too.
+    sum_j M[j, c] d_j P (M X), so the frame stays.
     """
-    m, k, coeffs, g = f
+    m, k, coeffs = f
     out = np.zeros_like(coeffs) if k is None else k[:, c, None, None] * coeffs
     rows, weight = kernels.lowering(kernels.TABLE_DEGREE[coeffs.shape[-2]], 5)
     for j in (c,) if m is None else range(4):
         src = np.flatnonzero(weight[1 + j])  # slot 1 + j is d_j
         low = coeffs[:, src] * weight[1 + j, src, None]
         out[:, rows[1 + j, src]] += low if m is None else m[:, j, c, None, None] * low
-    return m, k, out, g
+    return m, k, out
 
 
 def _operator_field(f, signs):
@@ -242,9 +229,7 @@ def _operator_field(f, signs):
     term is exact, and the terms add in the order of c, as Field.sum adds
     the four partial fields.
     """
-    m, k, coeffs, g = f
-    if g is not None:  # the factor on the values moves into the coefficients
-        f = m, k, kernels.cdot("...ij,...tj->...ti", g, coeffs), None
+    m, k, coeffs = f
     units = left_matrix(np.diag(np.array(signs, np.complex128)))  # column j is E_c e_j
     source = np.abs(units).argmax(axis=-1)  # [c, i]: the component of A in (E_c A)_i
     out = np.zeros_like(coeffs)
@@ -252,7 +237,7 @@ def _operator_field(f, signs):
         d = block_partial(f, c)[2]
         for i, j in enumerate(source[c]):
             out[..., i] += units[c, i, j] * d[..., j]
-    return m, k, out, None
+    return m, k, out
 
 
 def block_div4_field(f):
@@ -269,20 +254,20 @@ def block_grad4_field(f):
 
 def block_scalar_mul(rho: np.ndarray, f):
     """rho f for the scalars rho (n, 35) and the unframed block f, on the
-    degree-6 table: row p's product P_rho P_f, with f's phase and factor.
+    degree-6 table: row p's product P_rho P_f, with f's phase.
 
     Term i of rho times term t of f lands on the row of e_i + e_t, a fixed
     table built on first use.  For each i those rows are distinct, so the
     products add onto each row in order of rho's terms, as Field.scalar_mul
     adds them, and every operation is elementwise.
     """
-    m, k, coeffs, g = f
+    m, k, coeffs = f
     if m is not None:
         raise ValueError("block_scalar_mul takes unframed rows")
     out = np.zeros((len(coeffs), len(kernels._degree_exponents(6)), 4), np.complex128)
     for i, to in enumerate(_product_rows()):
         out[:, to] += rho[:, i, None, None] * coeffs
-    return None, k, out, g
+    return None, k, out
 
 
 @functools.cache

@@ -35,7 +35,6 @@ from .diffops import (
     assemble_grad,
     block_div4_field,
     block_grad4_field,
-    block_jets,
     block_partial,
     block_pullback,
     central_differences,
@@ -116,11 +115,11 @@ def block_lorenz_potential(w: np.ndarray, k: PhysConstants = PhysConstants()):
     the gauge scalar of the c-scaled 4-gradient identically."""
     c = np.zeros(w.shape[:2] + (4,), np.complex128)
     c[..., 1:] = w
-    div_w = sum(block_partial((None, None, c, None), i)[2][..., i] for i in (1, 2, 3))
+    div_w = sum(block_partial((None, None, c), i)[2][..., i] for i in (1, 2, 3))
     rows, weight = kernels.lowering(3, 2)  # slot 1 lowers t
     src = np.flatnonzero(weight[1])  # t-antiderivative: t^e / e from t^(e-1)
     c[:, src, 0] = k.c * div_w[:, rows[1, src]] / weight[1, src]
-    return None, None, c, None
+    return None, None, c
 
 
 def _scaled(pot, xs: np.ndarray, c: float):
@@ -136,14 +135,14 @@ def _scaled(pot, xs: np.ndarray, c: float):
 def block_em_from_potential(pot, xs: np.ndarray, k: PhysConstants = PhysConstants()):
     """em_from_potential of row p's potential at xs[p]: (gauge; E + icB) rows."""
     f, tau = _scaled(pot, xs, k.c)
-    return assemble_grad(block_jets(f, tau, 1)[1])
+    return assemble_grad(kernels.jets(f, tau, 1)[1])
 
 
 def block_sources(pot, xs: np.ndarray, k: PhysConstants = PhysConstants()):
     """The sources (rho/eps0; -j/(c eps0)) of row p's potential at xs[p]: the
     c-scaled div4 of its field (0; E + icB), built from the lowered rows."""
     f, tau = _scaled(pot, xs, k.c)
-    return assemble_div(block_jets(block_grad4_field(f), tau, 1)[1])
+    return assemble_div(kernels.jets(block_grad4_field(f), tau, 1)[1])
 
 
 def block_wave_sides(pot, xs: np.ndarray, k: PhysConstants = PhysConstants()):
@@ -152,7 +151,7 @@ def block_wave_sides(pot, xs: np.ndarray, k: PhysConstants = PhysConstants()):
     rows on the rescaled (tau, r) domain."""
     f, tau = _scaled(pot, xs, k.c)
     src = block_div4_field(block_grad4_field(f))
-    return assemble_box(block_jets(f, tau, 2)[2]), block_jets(src, tau, 0)[0]
+    return assemble_box(kernels.jets(f, tau, 2)[2]), kernels.jets(src, tau, 0)[0]
 
 
 def block_gauss_law_sides(pot, xs: np.ndarray, h: float, k: PhysConstants = PhysConstants()):

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .kernels import _degree_exponents, cmul, pv_mul, pv_mul_rows
+from .kernels import _degree_exponents, cmul, jets, pv_mul, pv_mul_rows
 from .algebra import (
     Event,
     IDENTITY,
@@ -42,7 +42,6 @@ from .diffops import (
     EXACT,
     Numeric,
     assemble_box,
-    block_jets,
     div4,
     grad4,
     max_partial_errors,
@@ -400,11 +399,11 @@ def _diffop_cases() -> List[Case]:
 
     def null_wave_box(tape, start, n, cfg):
         f, x = draw(tape, start, n, NULL_WAVE, EVENT)
-        return assemble_box(block_jets(f, x, 2)[2])
+        return assemble_box(jets(f, x, 2)[2])
 
     def additivity(tape, start, n, cfg):
         f, g, x = draw(tape, start, n, POLY, FIELD, EVENT)
-        return _rel(*block_additivity_sides((None, None, f, None), g, x))
+        return _rel(*block_additivity_sides((None, None, f), g, x))
 
     def leibniz(tape, start, n, cfg):
         return _rel(*block_leibniz_sides(*draw(tape, start, n, SCALAR, FIELD, EVENT)))
@@ -518,7 +517,7 @@ def _transforms_cases() -> List[Case]:
 def _wave_form_case(form: InvarianceForm):
     def block(tape, start, n, cfg):
         g, c, x = draw(tape, start, n, PARAVECTOR, POLY, EVENT)
-        f, lam = (None, None, c, None), normalize_rows(g)  # as random_orthogonal draws
+        f, lam = (None, None, c), normalize_rows(g)  # as random_orthogonal draws
         return _rel(*wave_invariance_sides(form, f, lam, form_point(form, lam, x)))
 
     return _blocked(_times(1), block)
@@ -533,7 +532,7 @@ def _wave_cases() -> List[Case]:
             if float(np.max(np.abs(lam[0, 1:]))) < 0.1:
                 continue  # scalar-like draws do not witness the split
             c, Xp = draw(tape, i, 1, POLY, EVENT)
-            vals = transformed_field_values((None, None, c, None), lam, Xp)
+            vals = transformed_field_values((None, None, c), lam, Xp)
             gap = (vals.covariant - vals.contravariant)[0]
             m = float(np.max(np.abs(gap)))
             if m > best:
@@ -543,7 +542,7 @@ def _wave_cases() -> List[Case]:
     def value_laws(tape, start, n, cfg):
         # each form's moved field at X' against its value law at the pre-image
         g, c, Xp = draw(tape, start, n, PARAVECTOR, POLY, EVENT)
-        f, lam = (None, None, c, None), normalize_rows(g)  # as random_orthogonal draws
+        f, lam = (None, None, c), normalize_rows(g)  # as random_orthogonal draws
         return np.concatenate([_rel(*form_value_sides(form, f, lam, Xp))
                                for form in InvarianceForm])
 
@@ -597,7 +596,7 @@ def _maxwell_cases() -> List[Case]:
         c[..., 0] = np.where(_degree_exponents(3)[:, 0] == 0, phi.real, 0.0)
         x = np.zeros((n, 4), np.complex128)
         x[:, 1:] = r
-        src, div_e = block_gauss_law_sides((None, None, c, None), x, cfg.h, k1)
+        src, div_e = block_gauss_law_sides((None, None, c), x, cfg.h, k1)
         return (src - div_e)[:, None]
 
     def static_gradient(tape, start, n, cfg):

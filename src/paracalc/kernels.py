@@ -5,9 +5,10 @@ Plain numpy on length-4 complex arrays ``[s, v1, v2, v3]`` (paravectors) and
 ``[t, x, y, z]`` (events).  ``pv_mul`` takes one pair; the ``*_rows`` kernels
 work on ``(n, 4)`` stacks of them, each row on its own, so a row rounds the
 same in any stack and one point is a stack of one.
-``jets`` evaluates the value and exact partials of a block's fields (see
-``diffops``), one field per row, each from its own coefficients on the
-exponent table of a degree, whose partials ``lowering`` gives.
+``jets`` takes a block (see ``diffops``), one field per row, and evaluates
+the value and exact partials of each row's field, from its own frame, phase
+and coefficients on the exponent table of a degree, whose partials
+``lowering`` gives.
 """
 
 import functools
@@ -217,14 +218,15 @@ def cdot(spec: str, x, y):
     return z
 
 
-def jets(xs, m, k, coeffs, order: int = 1):
-    """Value and partials of f(x) = P(M x) e^{k.x} at each point of an (n, ..., 4) stack.
+def jets(f, xs, order: int = 1):
+    """Value and partials of row p's field f(x) = P(M x) e^{k.x} at each point
+    xs[p, ...] of an (n, ..., 4) stack.
 
-    P is sum_t coeffs[t] y^e_t on the exponent table e of a degree >= 1, with
-    coefficients per row, ``coeffs`` (n, ..., T, 4).  ``m`` is a frame, (4, 4)
-    or one per row (n, ..., 4, 4), or None for the identity; ``k`` a phase
-    (4,) or (n, ..., 4), or None for none.  A per-row argument broadcasts
-    against the points.
+    f is a block (see ``diffops``), (m, k, coeffs), one field per row: P is
+    sum_t coeffs[t] y^e_t on the exponent table e of a degree >= 1, with
+    coefficients ``coeffs`` (n, T, 4); ``m`` the frames (n, 4, 4), or None
+    for the identity; ``k`` the phases (n, 4), or None for none.  Each row's
+    arguments broadcast over its points' middle axes.
 
     Returns [value (n, ..., 4)], then for order >= 1 the first partials
     d[..., component, coordinate], and for order 2 the repeated second
@@ -235,6 +237,8 @@ def jets(xs, m, k, coeffs, order: int = 1):
     per point of a shape the table fixes, so a row's result does not depend
     on the other rows of the stack.
     """
+    rows = (slice(None),) + (None,) * (xs.ndim - 2)  # a row's arguments over its points
+    m, k, coeffs = (None if a is None else a[rows] for a in f)
     framed = m is not None
     y = cdot("...ij,...j->...i", m, xs) if framed else xs
     slots = (1, 5, 15 if framed else 9)[order]

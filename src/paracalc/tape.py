@@ -149,7 +149,7 @@ def _wave(k, c0) -> tuple:
     """A block (diffops) of plane waves: the constant rows c0 (n, 4), phases k."""
     c = np.zeros((len(c0), _TERMS, 4), np.complex128)
     c[:, 0] = c0
-    return None, k, c, None
+    return None, k, c
 
 
 class Item:
@@ -196,7 +196,7 @@ def _field(u, at, index):
     c[~odd] = _disc(_runs(u, at[~odd, 0], 8 * _TERMS), 1.0).reshape(-1, _TERMS, 4)
     z = _disc(_runs(u, at[odd, 0], 16), 1.0)
     c[odd, 0], k[odd] = z[:, :4], z[:, 4:]
-    return None, k, c, None
+    return None, k, c
 
 
 def _null_wave(u, at, index):

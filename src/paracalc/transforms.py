@@ -4,8 +4,8 @@ Each evaluator takes a block of samples and returns the two sides of one
 identity as (n, 4) rows: row p at the drawn point X_p and at its derived
 point X'_p.  Paravectors and events are (n, 4) rows, fields a block of
 ``diffops`` (one field per row over the degree-3 exponent table), and one
-sample is a block of one.  Both sides of a block are evaluated in one
-stacked call, the left side's rows first.  Identities covered:
+sample is a block of one.  Each side of a block is evaluated in one stacked
+call, the left side first.  Identities covered:
 
 * the operators' own identities (the diffop suite): div4 and grad4 against
   sum_k E_k d_k A, the factorization box4 = grad4 div4 = div4 grad4 (exact
@@ -15,8 +15,9 @@ stacked call, the left side's rows first.  Identities covered:
   jets: two independent derivative codes;
 
 * transport (transport_sides), one rule for div4 with the factor g and grad4
-  with the factor g~, which multiplies the moved field's values for div4 on a
-  left map and for grad4 on a right map, and the operator's value otherwise:
+  with the factor g~, which multiplies the moved field (its coefficient rows,
+  diffops.block_times) for div4 on a left map and for grad4 on a right map,
+  and the operator's value otherwise:
     left map X' = g X:    div4 A|X  = div4' [g A(g^-1 X')]
                           grad4 A|X = g~ * grad4' [A(g^-1 X')]
     right map X' = X g:   div4 A|X  = g * div4' [A(X' g^-1)]
@@ -54,7 +55,6 @@ from .diffops import (
     block_bundle,
     block_div4_field,
     block_grad4_field,
-    block_jets,
     block_pullback,
     block_scalar_mul,
     block_times,
@@ -62,7 +62,7 @@ from .diffops import (
     div4,
     grad4,
 )
-from .kernels import cdot, pv_mul_rows
+from .kernels import cdot, jets, pv_mul_rows
 
 __all__ = [
     "block_assembly_sides",
@@ -116,17 +116,17 @@ def _finite(values: Rows) -> Rows:
 
 def block_assembly_sides(f, xs: np.ndarray):
     """(div4 A, the value of sum_k E_k d_k A) and the same pair for grad4."""
-    d = block_jets(f, xs, 1)[1]
-    return ((assemble_div(d), block_jets(block_div4_field(f), xs, 0)[0]),
-            (assemble_grad(d), block_jets(block_grad4_field(f), xs, 0)[0]))
+    d = jets(f, xs, 1)[1]
+    return ((assemble_div(d), jets(block_div4_field(f), xs, 0)[0]),
+            (assemble_grad(d), jets(block_grad4_field(f), xs, 0)[0]))
 
 
 def block_factorization_sides(f, xs: np.ndarray):
     """box4 A, and the values of grad4 div4 A and of div4 grad4 A built from
     the lowered rows: the wave operator factors both ways."""
-    return (assemble_box(block_jets(f, xs, 2)[2]),
-            block_jets(block_grad4_field(block_div4_field(f)), xs, 0)[0],
-            block_jets(block_div4_field(block_grad4_field(f)), xs, 0)[0])
+    return (assemble_box(jets(f, xs, 2)[2]),
+            jets(block_grad4_field(block_div4_field(f)), xs, 0)[0],
+            jets(block_div4_field(block_grad4_field(f)), xs, 0)[0])
 
 
 def block_factorization_numeric_sides(f, xs: np.ndarray, h: float):
@@ -154,12 +154,12 @@ def block_additivity_sides(f, g, xs: np.ndarray):
     """div4(f + g) and div4 f + div4 g for the unframed blocks f, with no
     phase, and g.  Where g has no phase the rows add on the table; where it
     has one, f + g is two groups whose jets add, as in Field.sum."""
-    _, k, cg, _ = g
+    _, k, cg = g
     wave = k.any(axis=1)[:, None, None]
-    both = (block_jets((None, None, f[2] + np.where(wave, 0, cg), None), xs, 1)[1]
-            + block_jets((None, k, np.where(wave, cg, 0), None), xs, 1)[1])
-    return assemble_div(both), (assemble_div(block_jets(f, xs, 1)[1])
-                                + assemble_div(block_jets(g, xs, 1)[1]))
+    both = (jets((None, None, f[2] + np.where(wave, 0, cg)), xs, 1)[1]
+            + jets((None, k, np.where(wave, cg, 0)), xs, 1)[1])
+    return assemble_div(both), (assemble_div(jets(f, xs, 1)[1])
+                                + assemble_div(jets(g, xs, 1)[1]))
 
 
 def block_leibniz_sides(rho: np.ndarray, f, xs: np.ndarray):
@@ -172,12 +172,12 @@ def block_leibniz_sides(rho: np.ndarray, f, xs: np.ndarray):
     degree-6 table, so it is built and differentiated 4 rows at a time."""
     scalar = np.zeros(rho.shape + (4,), np.complex128)
     scalar[..., 0] = rho
-    rv, drho = block_jets((None, None, scalar, None), xs, 1)
-    fv, df = block_jets(f, xs, 1)
+    rv, drho = jets((None, None, scalar), xs, 1)
+    fv, df = jets(f, xs, 1)
     parts = []
     for i in range(0, len(xs), 4):
         rows = tuple(None if a is None else a[i:i + 4] for a in f)
-        parts.append(assemble_div(block_jets(block_scalar_mul(rho[i:i + 4], rows), xs[i:i + 4], 1)[1]))
+        parts.append(assemble_div(jets(block_scalar_mul(rho[i:i + 4], rows), xs[i:i + 4], 1)[1]))
     lhs = np.concatenate(parts)
     return lhs, pv_mul_rows(assemble_div(drho), fv) + rv[:, :1] * assemble_div(df)
 
@@ -196,7 +196,7 @@ def block_numeric_partials(f, xs: np.ndarray, *steps: float):
 
     nums = [central_differences(value_fn, xs.reshape(-1, 4), h).reshape(n, k, 4, 4) for h in steps]
     loc = np.fmax(np.abs(np.concatenate(values, axis=2)).max(axis=-1), 0.0).max(axis=(0, 2))
-    exact = block_jets(tuple(None if a is None else a[:, None] for a in f), xs, 1)[1]
+    exact = jets(f, xs, 1)[1]
     return (*nums, exact.swapaxes(-1, -2), loc)
 
 
@@ -225,7 +225,8 @@ def transport_sides(
     if inside:
         moved = block_times(moved, left_matrix(factor))
     assemble = assemble_div if op is div4 else assemble_grad
-    lhs, rhs = (_finite(assemble(d)) for d in block_bundle([f, moved], [xs, xp], mode))
+    d = block_bundle(f, xs, mode), block_bundle(moved, xp, mode)
+    lhs, rhs = (_finite(assemble(side)) for side in d)
     return lhs, rhs if inside else pv_mul_rows(factor, rhs)
 
 
@@ -236,7 +237,7 @@ def right_factor_sides(
 
     Needs no inverse, so it holds for singular g as well.
     """
-    d = block_bundle([block_times(f, right_matrix(g)), f], [xs, xs], mode)
+    d = block_bundle(block_times(f, right_matrix(g)), xs, mode), block_bundle(f, xs, mode)
     return tuple((_finite(assemble(d[0])), pv_mul_rows(_finite(assemble(d[1])), g))
                  for assemble in (assemble_div, assemble_grad))
 
@@ -255,7 +256,8 @@ def observer_rotation_sides(
     moved = block_times(block_pullback(f, to_pre), left_matrix(lam))
     moved = block_times(moved, right_matrix(rlam))
     pre = pv_mul_rows(pv_mul_rows(rlam, xps), lam)
-    lhs, b = (_finite(assemble_div(d)) for d in block_bundle([moved, f], [xps, pre], mode))
+    d = block_bundle(moved, xps, mode), block_bundle(f, pre, mode)
+    lhs, b = (_finite(assemble_div(side)) for side in d)
     return lhs, pv_mul_rows(pv_mul_rows(lam, b), rlam)
 
 
@@ -265,7 +267,7 @@ def pullback_composition_sides(g1: Rows, g2: Rows, f, xs: Rows) -> Tuple[Rows, R
     twice = block_pullback(block_pullback(f, left_matrix(inverse_rows(g1))),
                            left_matrix(inverse_rows(g2)))
     once = block_pullback(f, left_matrix(inverse_rows(pv_mul_rows(g2, g1))))
-    return block_jets(twice, xs, 0)[0], block_jets(once, xs, 0)[0]
+    return jets(twice, xs, 0)[0], jets(once, xs, 0)[0]
 
 
 class InvarianceForm(enum.IntEnum):
@@ -325,8 +327,8 @@ def transformed_wave_field(form: InvarianceForm, f, lam: Rows):
 def form_value_sides(form: InvarianceForm, f, lam: Rows, xps: Rows) -> Tuple[Rows, Rows]:
     """The form's moved fields at X', and its value law at the pre-image of X'."""
     pre = form_point(form, reverse_rows(lam), xps)
-    return (block_jets(transformed_wave_field(form, f, lam), xps, 0)[0],
-            form_value(form, lam, block_jets(f, pre, 0)[0]))
+    return (jets(transformed_wave_field(form, f, lam), xps, 0)[0],
+            form_value(form, lam, jets(f, pre, 0)[0]))
 
 
 def wave_invariance_sides(form: InvarianceForm, f, lam: Rows, xps: Rows) -> Tuple[Rows, Rows]:
@@ -336,8 +338,8 @@ def wave_invariance_sides(form: InvarianceForm, f, lam: Rows, xps: Rows) -> Tupl
     B is box4 of the original field, evaluated at the pre-image of X'.
     """
     require_orthogonal(lam)
-    lhs = _finite(assemble_box(block_jets(transformed_wave_field(form, f, lam), xps, 2)[2]))
-    b = _finite(assemble_box(block_jets(f, form_point(form, reverse_rows(lam), xps), 2)[2]))
+    lhs = _finite(assemble_box(jets(transformed_wave_field(form, f, lam), xps, 2)[2]))
+    b = _finite(assemble_box(jets(f, form_point(form, reverse_rows(lam), xps), 2)[2]))
     return lhs, form_value(form, lam, b)
 
 
@@ -359,8 +361,8 @@ def transformed_field_values(f, lam: Rows, xps: Rows) -> TransformedValues:
     """
     require_orthogonal(lam)
     rlam = reverse_rows(lam)
-    left_pre = block_jets(f, form_point(InvarianceForm.FORM4, rlam, xps), 0)[0]
-    right_pre = block_jets(f, form_point(InvarianceForm.FORM2, rlam, xps), 0)[0]
+    left_pre = jets(f, form_point(InvarianceForm.FORM4, rlam, xps), 0)[0]
+    right_pre = jets(f, form_point(InvarianceForm.FORM2, rlam, xps), 0)[0]
     return TransformedValues(
         invariant=left_pre,
         covariant=form_value(InvarianceForm.FORM3, lam, left_pre),

@@ -287,7 +287,7 @@ def test_each_row_of_a_maxwell_block_equals_a_block_of_one_bit_for_bit(size):
     rng = np.random.default_rng(56)
     lorenz, _ = _lorenz_blocks(57, BLOCK, PhysConstants())
     wave, _ = _wave_blocks(58, BLOCK, k2)
-    static = (None, None, lorenz[2] * [1, 0, 0, 0], None)
+    static = (None, None, lorenz[2] * [1, 0, 0, 0])
     xs = rows(*(maxwell_event(rng) for _ in range(BLOCK)))
 
     def sides(lo, hi):

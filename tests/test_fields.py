@@ -17,9 +17,9 @@ from paracalc.algebra import (
     reverse,
     right_matrix,
 )
-from paracalc.diffops import (Numeric, block_jets, block_pullback, box4, bundle,
-                              central_differences)
+from paracalc.diffops import Numeric, block_pullback, box4, bundle, central_differences
 from paracalc import fields, tape
+from paracalc.kernels import jets
 from paracalc.fields import (
     DEGREE_CAP,
     Field,
@@ -785,12 +785,12 @@ def test_jets_match_the_lowered_rows(kind):
         block = tuple(None if a is None else np.repeat(a, len(xs), axis=0) for a in block_of(f))
         if kind == "framed":
             f = f.pullback(frame)
-            m, _, c, g = block_pullback(block, np.broadcast_to(frame, (len(xs), 4, 4)))
+            m, _, c = block_pullback(block, np.broadcast_to(frame, (len(xs), 4, 4)))
             # the phase A^T k as Field.pullback rounds it: at the spread rows
             # exp turns block_pullback's rounding of it into gaps up to 2e-12
-            block = m, np.repeat(f._groups[0][1][None], len(xs), axis=0), c, g
+            block = m, np.repeat(f._groups[0][1][None], len(xs), axis=0), c
         with np.errstate(all="ignore"):  # the spread rows reach exp overflow
-            value, d1, d2 = block_jets(block, xs, 2)
+            value, d1, d2 = jets(block, xs, 2)
             assert _gap(value, f._value(xs)) <= 1e-13
             for c in range(4):
                 assert _gap(d1[:, :, c], f.partial(c)._value(xs)) <= 1e-13

@@ -795,7 +795,7 @@ def _per_sample_draws(name, rng, count, attempts):
             out.append((block_of(f), np.array([random_event(rng).data for _ in range(10)])))
         elif "plane-wave" in name:
             c, k = random_wave_row(rng, k2, attempts)
-            out.append(((None, k[None], c[None], None), maxwell_event(rng).data))
+            out.append(((None, k[None], c[None]), maxwell_event(rng).data))
         elif name in ("polynomial-gauge-scalar", "factorization-chain"):
             out.append((block_of(lorenz_gauge_potential(rng)), maxwell_event(rng).data))
         elif name == "gauss-law-slice":
@@ -831,7 +831,7 @@ def _record_block_draws(monkeypatch, seen):
             *[np.ones(x.shape + (4,))] * len(steps), np.zeros(x.shape + (4,)), np.zeros(len(x)))),
         ("block_factorization_sides", record(0, 1, result=lambda x: (*pair(x), zeros(x)))),
         ("block_factorization_numeric_sides", record(0, 1, result=pair)),
-        ("block_jets", record(0, 1, result=lambda x: [zeros(x), *[np.zeros((len(x), 4, 4))] * 2])),
+        ("jets", record(0, 1, result=lambda x: [zeros(x), *[np.zeros((len(x), 4, 4))] * 2])),
         ("block_additivity_sides", record(0, 1, 2, result=pair)),
         ("block_leibniz_sides", record(0, 1, 2, result=pair)),
         ("block_em_from_potential", record(0, 1, result=zeros)),
@@ -847,8 +847,8 @@ def _arrays(draw):
     out = []
     for value in draw:
         if isinstance(value, tuple):
-            m, k, c, g = value
-            assert m is None and g is None
+            m, k, c = value
+            assert m is None
             out += [c, np.zeros((len(c), 4), np.complex128) if k is None else k]
         else:
             out.append(np.atleast_2d(value))

@@ -164,7 +164,7 @@ def _order_0_pass():
 
 def test_jets_rows_do_not_depend_on_the_stack():
     # each row of a stack equals the same row evaluated alone or among 7,
-    # bit for bit, whether the frame and phase are per row or shared
+    # bit for bit, framed and phased or not
     rng = np.random.default_rng(12)
     terms = len(_degree_exponents(3))
     step = _order_0_pass()
@@ -174,17 +174,14 @@ def test_jets_rows_do_not_depend_on_the_stack():
     def cx(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    per_row = (cx(n, 4, 4), cx(n, 4), cx(n, terms, 4))
-    shared = (cx(4, 4), cx(4), per_row[2])
+    framed = (cx(n, 4, 4), cx(n, 4), cx(n, terms, 4))
     with np.errstate(all="ignore"):  # the spread rows reach exp overflow
-        for m, k, c in [per_row, shared, (None, None, per_row[2])]:
+        for f in [framed, (None, None, framed[2])]:
             for order in (0, 1, 2):
-                whole = kernels.jets(xs, m, k, c, order)
+                whole = kernels.jets(f, xs, order)
                 for lo, hi in [(0, 1), (7, 8), (n - 1, n), (0, 7), (step - 3, step + 4)]:
-                    def part(a, ndim):
-                        return a if a is None or a.ndim == ndim else a[lo:hi]
-
-                    some = kernels.jets(xs[lo:hi], part(m, 2), part(k, 1), part(c, 2), order)
+                    some = kernels.jets(tuple(None if a is None else a[lo:hi] for a in f),
+                                        xs[lo:hi], order)
                     for got, want in zip(some, whole):
                         assert got.tobytes() == want[lo:hi].tobytes(), (order, lo, hi)
 
@@ -201,13 +198,12 @@ def test_jets_points_of_a_row_do_not_depend_on_the_row():
     def cx(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    m, ph, c = cx(n, 1, 4, 4), cx(n, 1, 4), cx(n, 1, terms, 4)
+    f = cx(n, 4, 4), cx(n, 4), cx(n, terms, 4)  # per row, over the row's points
     with np.errstate(all="ignore"):  # the spread rows reach exp overflow
         for order in (0, 1, 2):
-            whole = kernels.jets(xs, m, ph, c, order)
+            whole = kernels.jets(f, xs, order)
             for p, j in [(0, 0), (0, 21), (1, step - 1), (1, step), (2, k - 1)]:
-                one = kernels.jets(xs[p:p + 1, j:j + 1], m[p:p + 1], ph[p:p + 1], c[p:p + 1],
-                                   order)
+                one = kernels.jets(tuple(a[p:p + 1] for a in f), xs[p:p + 1, j:j + 1], order)
                 for got, want in zip(one, whole):
                     assert got.tobytes() == want[p:p + 1, j:j + 1].tobytes(), (order, p, j)
 

@@ -19,7 +19,6 @@ from paracalc.algebra import (
     right_matrix,
 )
 from paracalc.diffops import (
-    block_jets,
     block_partial,
     block_pullback,
     block_scalar_mul,
@@ -33,7 +32,7 @@ from paracalc.electromag import (
     block_wave_sides,
 )
 from paracalc.kernels import _degree_exponents
-from paracalc.kernels import pv_mul_rows
+from paracalc.kernels import jets, pv_mul_rows
 from paracalc.transforms import (
     InvarianceForm,
     block_additivity_sides,
@@ -144,7 +143,7 @@ def test_pullback_group_composition_is_exact():
         twice = block_pullback(block_pullback(f, left_matrix(inverse_rows(g1))),
                                left_matrix(inverse_rows(g2)))
         once = block_pullback(f, left_matrix(inverse_rows(pv_mul_rows(g2, g1))))
-        assert_exact(block_jets(twice, X, 0)[0], block_jets(once, X, 0)[0])
+        assert_exact(jets(twice, X, 0)[0], jets(once, X, 0)[0])
 
 
 @pytest.mark.parametrize("action", [left_matrix, right_matrix],
@@ -181,7 +180,7 @@ def test_block_jets_match_the_substituted_polynomial(action):
     # of the expanded polynomial: values, first and repeated second partials
     for g, f, X in blocks(11, unimodular_paravector, lattice_field, lattice_event):
         maps = action(inverse_rows(rows(*g)))
-        value, d1, d2 = block_jets(block_pullback(block_of(*f), maps), rows(*X), 2)
+        value, d1, d2 = jets(block_pullback(block_of(*f), maps), rows(*X), 2)
         for p, (field, m, x) in enumerate(zip(f, maps, X)):
             expanded = substitute(field, m)
             assert_exact(value[p], expanded.at(x).data)

@@ -168,7 +168,7 @@ def test_plane_wave_blocks_are_the_per_sample_rows(c):
     k = PhysConstants(c=c)
     for seed in (0, 1):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        _, phase, coeffs, _ = plane_wave_block(draw(Tape(rng), 0, 16, WAVE)[0], k)
+        _, phase, coeffs = plane_wave_block(draw(Tape(rng), 0, 16, WAVE)[0], k)
         want = stack_samples(random_wave_row(ref, k) for _ in range(16))
         assert_same([coeffs, phase], want, (c, seed))
 

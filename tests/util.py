@@ -477,7 +477,7 @@ def block_of(*fields):
             k[p] = phase
             for e, coeff in zip(exps.tolist(), coeffs):
                 c[p, _TABLE[tuple(e)]] += coeff
-    return None, k, c, None
+    return None, k, c
 
 
 # -- Gaussian-integer lattice draws ---------------------------------------------
