@@ -168,7 +168,7 @@ def det(a: Paravector) -> complex:
 
 
 def inverse(a: Paravector) -> Paravector:
-    """reverse(a)/det(a); raises SingularParavector when |det| is below threshold."""
+    """reverse(a)/det(a); raises as inverse_rows does."""
     return Paravector.from_data(inverse_rows(a.data[None])[0])
 
 
@@ -215,18 +215,21 @@ def _reciprocal(d: np.ndarray) -> np.ndarray:
 
 
 def _check_rows(rows: np.ndarray, d: np.ndarray) -> None:
-    """Raise SingularParavector if any row's |det| d is at most
-    1e-12 max(1, |row|^2), the sum of its squared component magnitudes."""
+    """Raise OverflowError at the first row whose det d is not finite, else
+    SingularParavector at the first whose |d| is at most 1e-12 max(1, |row|^2),
+    the sum of its squared component magnitudes."""
     sq = rows.real * rows.real + rows.imag * rows.imag
     eps = 1e-12 * np.maximum(1.0, sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
-    singular = np.hypot(d.real, d.imag) <= eps  # hypot is abs() of a Python complex
-    if singular.any():
-        k = int(np.flatnonzero(singular)[0])
-        raise SingularParavector(f"determinant {complex(d[k])!r} of row {k} is numerically zero")
+    size = np.hypot(d.real, d.imag)  # hypot is abs() of a Python complex
+    for bad, error, why in ((~np.isfinite(size), OverflowError, "overflows"),
+                            (size <= eps, SingularParavector, "is numerically zero")):
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise error(f"determinant {complex(d[k])!r} of row {k} {why}")
 
 
 def inverse_rows(rows: np.ndarray) -> np.ndarray:
-    """inverse of each row; raises SingularParavector if any row is singular."""
+    """inverse of each row; raises as _check_rows does."""
     d = det_rows(rows)
     _check_rows(rows, d)
     # each row scaled as np.complex128(c) * data scales one value
@@ -235,7 +238,7 @@ def inverse_rows(rows: np.ndarray) -> np.ndarray:
 
 def normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Each row rescaled so that its det becomes 1, by the principal complex
-    square root; raises SingularParavector if any row is singular."""
+    square root; raises as inverse_rows does."""
     d = det_rows(rows)
     _check_rows(rows, d)
     return (1.0 / np.sqrt(d))[:, None] * rows

@@ -251,7 +251,6 @@ def block_grad4_field(f):
     return _operator_field(f, (1, -1, -1, -1))
 
 
-
 def block_scalar_mul(rho: np.ndarray, f):
     """rho f for the scalars rho (n, 35) and the unframed block f, on the
     degree-6 table: row p's product P_rho P_f, with f's phase.

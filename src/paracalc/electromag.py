@@ -98,8 +98,8 @@ def plane_wave_rows(kv, pv, amp, k: PhysConstants = PhysConstants()):
     one row per complex wave vector kv (n, 3), polarization pv (n, 3) and
     amplitude amp (n,), unchecked.  w = c sqrt(kvec.kvec) (principal branch),
     so the rescaled phase is null and the Lorenz gauge holds for transverse
-    pol.  kv . kv is taken per row, as a 1-D ``@`` takes it."""
-    omega = k.c * np.sqrt(np.matmul(kv[:, None, :], kv[:, :, None])[:, 0, 0])
+    pol."""
+    omega = k.c * np.sqrt(kernels.dots(kv, kv))
     amplitude = np.zeros((len(kv), 4), np.complex128)
     amplitude[:, 1:] = (-k.c * amp)[:, None] * pv
     return amplitude, np.concatenate([(1j * omega)[:, None], -1j * kv], axis=1)

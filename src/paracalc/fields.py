@@ -80,8 +80,6 @@ def coord_index(coord) -> int:
 # Canonical rows
 # ---------------------------------------------------------------------------
 
-_KEY_BASE = DEGREE_CAP + 1
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -100,9 +98,7 @@ def _canonical_terms(exps, coeffs):
         raise ValueError("exponent and coefficient counts differ")
     if exps.size and (exps.min() < 0 or exps.max() > DEGREE_CAP):
         raise ValueError(f"exponents must lie in [0, {DEGREE_CAP}]")
-    # base-(DEGREE_CAP + 1) digits, so keys order like the exponent tuples
-    b = _KEY_BASE
-    keys = ((exps[:, 0] * b + exps[:, 1]) * b + exps[:, 2]) * b + exps[:, 3]
+    keys = kernels.exponent_keys(exps, DEGREE_CAP + 1)
     if not (keys[1:] > keys[:-1]).all():
         # Not sorted or not distinct.  A dense table over the keys lists them
         # in order; numpy applies repeated fancy-index writes in order, so
@@ -258,8 +254,8 @@ class Field:
         if not np.isfinite(mat).all():
             raise ValueError("matrix entries must be finite")
         return Field._of(_merged([
-            (mat if frame is None else frame @ mat,
-             k if k is _ZERO_PHASE else k @ mat, exps, coeffs)
+            (mat if frame is None else kernels.cdot("...ij,...jk->...ik", frame, mat),
+             k if k is _ZERO_PHASE else kernels.cdot("...i,...ij->...j", k, mat), exps, coeffs)
             for frame, k, exps, coeffs in self._groups
         ]))
 

@@ -41,6 +41,12 @@ def cmul(x, y):
     return out
 
 
+def dots(a, b):
+    """sum_c a[..., c] b[..., c], bilinear, left to right; complex products as cmul rounds them."""
+    p = cmul(a, b) if np.iscomplexobj(a) or np.iscomplexobj(b) else a * b
+    return functools.reduce(np.add, (p[..., c] for c in range(p.shape[-1])))
+
+
 def pv_mul_rows(a, b):
     """pv_mul of each row pair of two (n, 4) stacks, bit for bit as pv_mul."""
     p = cmul(a, b)
@@ -52,6 +58,17 @@ def pv_mul_rows(a, b):
     return out
 
 
+def coefficient_matrix(coeffs):
+    """b[..., (i, part), (m, t)] for coefficients (..., T, W): [c.re, -c.im;
+    c.im, c.re] takes the real and imaginary planes m of T monomials to part
+    (re, im) of component i of sum_t c_t y^e_t.  The summed axis (m, t) is
+    last and contiguous, so einsum sums it in one order whatever the stack."""
+    c = np.swapaxes(coeffs, -1, -2)  # (..., W, T)
+    b = np.empty(c.shape[:-1] + (4, c.shape[-1]))  # (..., W, (part, m), T), C order
+    b[..., 0, :], b[..., 1, :], b[..., 2, :], b[..., 3, :] = c.real, -c.imag, c.imag, c.real
+    return b.reshape(c.shape[:-2] + (2 * c.shape[-2], 2 * c.shape[-1]))
+
+
 def poly_eval_rows(exps, coeffs, xs):
     """Sum over terms of coeffs[i] * prod_c x[c]**exps[i, c] at each row x of an
     (n, 4) stack of points; coeffs is (T, 4), or (G, T, 4) for G coefficient
@@ -60,7 +77,7 @@ def poly_eval_rows(exps, coeffs, xs):
 
     Each monomial is built left to right, as np.prod multiplies one row, on
     contiguous real and imaginary planes, each product rounded as cmul
-    rounds it."""
+    rounds it; the planes are then summed against coefficient_matrix."""
     if exps.shape[0] == 0:
         return np.zeros(coeffs.shape[:-2] + (len(xs), 4), _C128)
     powers = xs[:, :, None] ** np.arange(exps.max() + 1)  # x[c] ** e per point
@@ -69,20 +86,14 @@ def poly_eval_rows(exps, coeffs, xs):
     for c in (1, 2, 3):
         pr, pi = planes[:, :, c, exps[:, c]]
         re, im = re * pr - im * pi, re * pi + im * pr
-    monos = np.empty(re.shape, _C128)
-    monos.real, monos.imag = re, im
-    # one vector-matrix product per row and set (a matrix product may sum by the stack)
-    return np.matmul(monos[:, None, :], coeffs[..., None, :, :])[..., 0, :]
+    monos = np.ascontiguousarray(np.concatenate([re, im], axis=1))  # real, then imaginary
+    return np.einsum("ns,...os->...no", monos, coefficient_matrix(coeffs), order="C").view(_C128)
 
 
 def plane_wave_eval_rows(k4, amps, xs):
-    """amp * exp(k4 . x) at each row x of an (n, 4) stack of points.
-
-    ``amps`` is one amplitude (4,) or one per row (n, 4).
-    """
-    s = (cmul(k4[0], xs[:, 0]) + cmul(k4[1], xs[:, 1])
-         + cmul(k4[2], xs[:, 2]) + cmul(k4[3], xs[:, 3]))
-    return amps * np.exp(s)[:, None]
+    """amp * exp(k4 . x) at each row x of an (n, 4) stack of points; ``amps``
+    is one amplitude (4,) or one per row (n, 4)."""
+    return amps * np.exp(dots(k4, xs))[:, None]
 
 
 # -- forward-mode jets --------------------------------------------------------
@@ -117,10 +128,16 @@ def _degree_exponents(degree: int) -> np.ndarray:
 TABLE_DEGREE = {math.comb(d + 4, 4): d for d in range(33)}  #: a table's rows -> its degree
 
 
+def exponent_keys(exps: np.ndarray, base: int) -> np.ndarray:
+    """The key ((e0 b + e1) b + e2) b + e3 of each exponent row (..., 4): with
+    every exponent below the base b, the keys order like the rows."""
+    return ((exps[..., 0] * base + exps[..., 1]) * base + exps[..., 2]) * base + exps[..., 3]
+
+
 def table_rows(degree: int, exps: np.ndarray) -> np.ndarray:
     """The rows of the degree's exponent table that hold the exponent rows exps."""
-    digits = (degree + 1) ** np.arange(3, -1, -1)  # the table is lexicographic: its keys increase
-    return np.searchsorted(_degree_exponents(degree) @ digits, exps @ digits)
+    b = degree + 1  # the table is lexicographic: its keys increase
+    return np.searchsorted(exponent_keys(_degree_exponents(degree), b), exponent_keys(exps, b))
 
 
 @functools.cache
@@ -161,14 +178,14 @@ def _poly_slots(y, coeffs, plan):
     _plan's degree.
 
     Each monomial is evaluated once per point in double, its parent times one
-    coordinate; each slot gathers its lowered monomials times their weights,
-    and one vector-matrix product per point and slot sums their parts against
-    b.  In passes of at most _BUDGET doubles: rows are independent, and so are
-    the points of one row (1, k, 4) past the budget."""
+    coordinate; each slot gathers its lowered monomials times their weights
+    and sums their parts against coefficient_matrix.  In passes of at most
+    _BUDGET doubles: rows are independent, and so are the points of one row
+    (1, k, 4) past the budget."""
     levels, index, weight = plan
     terms = index.shape[-1] // 2
     point = index.size + 8 * terms  # doubles per point: a, the monomials and a level's parts
-    row = 16 * terms  # and per row of its own coefficients: b
+    row = 16 * terms  # and per row of its own coefficients: coefficient_matrix
     step = max(1, _BUDGET // (math.prod(y.shape[1:-1]) * point + row))
     if len(y) > step:
         return np.concatenate([_poly_slots(y[i:i + step], coeffs[i:i + step], plan)
@@ -191,15 +208,7 @@ def _poly_slots(y, coeffs, plan):
         np.add(im[..., 0, :], re[..., 1, :], out=mono[..., 1, lo:hi])
     a = np.take(mono.reshape(mono.shape[:-2] + (2 * terms,)), index, axis=-1)  # the largest temporary
     a *= weight
-    # b[..., (m, t), (i, part)]: c_t[i].re and .im against part m = 0 (real) of
-    # the monomials, -c_t[i].im and .re against part m = 1 (imaginary)
-    b = np.empty(coeffs.shape[:-2] + (2,) + coeffs.shape[-2:] + (2,))
-    b[..., 0, :, :, 0] = b[..., 1, :, :, 1] = coeffs.real
-    b[..., 0, :, :, 1] = coeffs.imag
-    b[..., 1, :, :, 0] = -coeffs.imag
-    b = b.reshape(b.shape[:-4] + (1, 2 * terms, 8))  # one for the slots
-    # one vector-matrix product per point and slot, each of the same shape
-    return np.matmul(a[..., None, :], b)[..., 0, :].view(_C128)
+    return np.einsum("...qs,...os->...qo", a, coefficient_matrix(coeffs), order="C").view(_C128)
 
 
 def cdot(spec: str, x, y):
@@ -257,8 +266,7 @@ def jets(f, xs, order: int = 1):
         out.append(np.swapaxes(s[..., 5:9, :], -1, -2))
     if k is None:
         return out
-    kx = cmul(k, xs)  # the phase rounds as plane_wave_eval_rows rounds it
-    e = np.exp(kx[..., 0] + kx[..., 1] + kx[..., 2] + kx[..., 3])[..., None]
+    e = np.exp(dots(k, xs))[..., None]  # the phase rounds as plane_wave_eval_rows rounds it
     if order:
         kc = k[..., None, :]  # the phase factor of d_c
         kp = kc * out[0][..., :, None]

@@ -33,6 +33,7 @@ import numpy as np
 from .algebra import det_rows
 from .electromag import plane_wave_rows
 from .fields import DRAW_SCALE, MIN_DET, _disc
+from .kernels import dots
 
 __all__ = ["CHUNK", "Tape", "Item", "draw", "discs", "uniforms", "plane_wave_block",
            "EVENT", "POLY", "SCALAR", "FIELD", "NULL_WAVE", "PARAVECTOR", "WAVE",
@@ -140,11 +141,6 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u  # rng.uniform(low, high) from the double u
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[p] @ b[p] per row: the per-row matmul takes the path a 1-D @ takes."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _wave(k, c0) -> tuple:
     """A block (diffops) of plane waves: the constant rows c0 (n, 4), phases k."""
     c = np.zeros((len(c0), _TERMS, 4), np.complex128)
@@ -202,7 +198,7 @@ def _field(u, at, index):
 def _null_wave(u, at, index):
     z = _disc(_runs(u, at[:, 0], 14), 1.0)
     kappa = z[:, 4:]
-    return _wave(np.concatenate([np.sqrt(_dots(kappa, kappa))[:, None], kappa], axis=1),
+    return _wave(np.concatenate([np.sqrt(dots(kappa, kappa))[:, None], kappa], axis=1),
                  z[:, :4])
 
 
@@ -217,15 +213,13 @@ def _maxwell_event(u, at, index):
 
 def _wave_draw(u, at, index):
     kvec, raw = (_uniform(_runs(u, at[:, j], 3), -1.0, 1.0) for j in (0, 1))
-    pol = raw - (_dots(raw, kvec) / _dots(kvec, kvec))[:, None] * kvec
+    pol = raw - (dots(raw, kvec) / dots(kvec, kvec))[:, None] * kvec
     return np.concatenate([kvec, pol, _uniform(_runs(u, at[:, 2], 2), -1.0, 1.0)], axis=1)
 
 
 def _wave_ok(w):
-    # np.linalg.norm of a real vector is sqrt(x @ x), on the contiguous vector
-    kvec, pol = w[:, :3].copy(), w[:, 3:6].copy()
-    return np.stack([np.sqrt(_dots(kvec, kvec)) >= WAVE_NORM,
-                     np.sqrt(_dots(pol, pol)) >= POLARIZATION_NORM], axis=1)
+    v = w[:, :6].reshape(-1, 2, 3)  # the wave vector and the polarization
+    return np.sqrt(dots(v, v)) >= (WAVE_NORM, POLARIZATION_NORM)
 
 
 def plane_wave_block(w: np.ndarray, constants) -> tuple:

@@ -307,6 +307,20 @@ def test_actions_on_stacks_are_the_products_row_by_row_bit_for_bit():
         assert right[i].tobytes() == act_right(e, p).data.tobytes(), i
 
 
+def test_an_overflowing_determinant_is_refused_as_an_overflow():
+    # the singularity bound 1e-12 max(1, |row|^2) overflows with the det, so
+    # an overflowing det must not read as "numerically zero"
+    rows = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 1e300, 0.0, 0.0]], np.complex128)
+    p = Paravector.from_data(rows[1])
+    with np.errstate(over="ignore"):
+        for refuse in (inverse_rows, normalize_rows):
+            with pytest.raises(OverflowError, match=r"determinant \(-inf\+0j\) of row 1 overflows"):
+                refuse(rows)
+        for refuse in (inverse, normalize_orthogonal, inverse_value, normalize_value):
+            with pytest.raises(OverflowError, match="overflows"):
+                refuse(p)
+
+
 def test_stacked_inverse_raises_on_any_singular_row():
     rows = random_rows(np.random.default_rng(5), 10)[:10]
     inverse_rows(rows)

@@ -32,7 +32,7 @@ from paracalc.fields import (
     random_plane_wave,
 )
 
-from util import (block_of, central_difference, conjugate_rotate, field_value, max_abs,
+from util import (block_of, central_difference, conjugate_rotate, dot3, field_value, max_abs,
                   normalize_value, null_plane_wave, random_orthogonal, random_paravector,
                   random_rows, random_scalar_field, rel_err)
 
@@ -577,7 +577,7 @@ def ref_plane_wave(rng, null):
     amp = ref_components(rng, 1.0, 4)
     if null:
         kappa = ref_components(rng, 1.0, 3)
-        kappa0 = np.sqrt(np.complex128(kappa @ kappa))
+        kappa0 = np.sqrt(np.complex128(dot3(kappa, kappa)))
     else:
         kappa0 = ref_complex(rng, 1.0)
         kappa = ref_components(rng, 1.0, 3)

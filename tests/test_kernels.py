@@ -235,14 +235,15 @@ def test_lowering_table_follows_the_rule(degree):
 
 @pytest.mark.parametrize("terms", [35, 210])
 def test_point_products_do_not_depend_on_the_stack(terms):
-    # the jets take one vector-matrix product per point and slot; each must
-    # equal the same product taken alone, bit for bit, whether the matrix is
-    # shared or one per row
+    # the jets sum each point's slots against coefficient_matrix in one
+    # einsum; each point and slot must equal the same sum taken alone, bit
+    # for bit, whether the coefficients are shared or one set per row
     rng = np.random.default_rng(15)
     for q in (1, 5, 9, 15):
-        a = rng.normal(size=(40, q, 1, 2 * terms))
-        for b in (rng.normal(size=(2 * terms, 8)), rng.normal(size=(40, 1, 2 * terms, 8))):
-            whole = a @ b
+        a = rng.normal(size=(40, q, 2 * terms))
+        for c in (rng.normal(size=(terms, 4)), rng.normal(size=(40, terms, 4))):
+            b = kernels.coefficient_matrix(c + 1j * rng.normal(size=c.shape))
+            whole = np.einsum("...qs,...os->...qo", a, b)
             for i, s in [(0, 0), (1, q - 1), (17, q // 2), (39, 0)]:
-                alone = a[i, s] @ (b if b.ndim == 2 else b[i, 0])
+                alone = np.einsum("s,os->o", a[i, s], b if b.ndim == 2 else b[i])
                 assert alone.tobytes() == whole[i, s].tobytes(), (q, i, s)

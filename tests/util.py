@@ -2,6 +2,7 @@
 stack and block forms are held to: per-value operations, Field-level draws,
 operator fields and electromagnetics, and per-sample draws."""
 
+import cmath
 import itertools
 
 import numpy as np
@@ -110,30 +111,47 @@ def det_value(a: Paravector) -> complex:
     return complex(d[0] * d[0] - (d[1] * d[1] + d[2] * d[2] + d[3] * d[3]))
 
 
-def inverse_value(a: Paravector) -> Paravector:
-    """inverse on one value: reverse(a)/det(a), refused when |det| is within
-    singular_eps."""
+def checked_det(a: Paravector) -> complex:
+    """det_value(a), refused with OverflowError when it is not finite and with
+    SingularParavector when |det| is within singular_eps."""
     d = det_value(a)
+    if not cmath.isfinite(d):
+        raise OverflowError(f"determinant {d!r} overflows")
     if abs(d) <= singular_eps(a):
         raise SingularParavector(f"determinant {d!r} is numerically zero")
-    return scale(1.0 / d, reverse_value(a))
+    return d
+
+
+def inverse_value(a: Paravector) -> Paravector:
+    """inverse on one value: reverse(a)/det(a), with det(a) checked."""
+    return scale(1.0 / checked_det(a), reverse_value(a))
 
 
 def normalize_value(a: Paravector) -> Paravector:
     """normalize_orthogonal on one value."""
-    d = det_value(a)
-    if abs(d) <= singular_eps(a):
-        raise SingularParavector(f"determinant {d!r} is numerically zero")
-    return scale(1.0 / np.sqrt(np.complex128(d)), a)
+    return scale(1.0 / np.sqrt(np.complex128(checked_det(a))), a)
 
 
 def poly_eval(exps, coeffs, x):
     """Sum over terms of coeffs[i] * prod_c x[c]**exps[i, c] at one point x;
-    coeffs is (n, 4)."""
+    coeffs is (n, 4).  Component i's real part is the dot product of the
+    monomials' real and imaginary parts with [c.re; -c.im] of column i, and
+    its imaginary part with [c.im; c.re], each as one contiguous einsum."""
     if exps.shape[0] == 0:
         return np.zeros(4, np.complex128)
     monos = np.prod(x[np.newaxis, :] ** exps, axis=1)
-    return monos @ coeffs
+    parts = np.concatenate([monos.real, monos.imag])
+    c = coeffs.T
+    out = np.empty(len(c), np.complex128)
+    for i in range(len(c)):
+        out.real[i] = np.einsum("s,s->", parts, np.concatenate([c[i].real, -c[i].imag]))
+        out.imag[i] = np.einsum("s,s->", parts, np.concatenate([c[i].imag, c[i].real]))
+    return out
+
+
+def dot3(a, b):
+    """The bilinear dot product of two 3-vectors, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def plane_wave_eval(k4, amp, x):
@@ -187,7 +205,7 @@ def null_plane_wave(seed, scale: float = 1.0) -> Field:
     """Plane wave whose phase satisfies kappa0^2 = kappa . kappa."""
     z = _random_complexes(as_rng(seed), scale, 7)
     kappa = z[4:]
-    kappa0 = np.sqrt(np.complex128(kappa @ kappa))
+    kappa0 = np.sqrt(np.complex128(dot3(kappa, kappa)))
     return Field.plane_wave(np.concatenate([[kappa0], kappa]), Paravector.from_data(z[:4]))
 
 
@@ -310,7 +328,7 @@ def plane_wave_value(kvec, pol, amp, k=PhysConstants()):
     for one wave, in numpy-scalar arithmetic, unchecked."""
     kv = np.asarray(kvec, dtype=np.complex128)
     pv = np.asarray(pol, dtype=np.complex128)
-    omega = k.c * np.sqrt(np.complex128(kv @ kv))
+    omega = k.c * np.sqrt(np.complex128(dot3(kv, kv)))
     return (np.concatenate([[0.0], -k.c * np.complex128(amp) * pv]),
             np.concatenate([[1j * omega], -1j * kv]))
 
@@ -378,7 +396,7 @@ def null_wave_row(rng):
     z = _random_complexes(rng, 1.0, 7)  # amplitude, then kappa
     coeffs = np.zeros((len(_degree_exponents(3)), 4), np.complex128)
     coeffs[0] = z[:4]
-    return coeffs, np.concatenate([[np.sqrt(np.complex128(z[4:] @ z[4:]))], z[4:]])
+    return coeffs, np.concatenate([[np.sqrt(np.complex128(dot3(z[4:], z[4:])))], z[4:]])
 
 
 def scalar_row(rng) -> np.ndarray:
@@ -392,14 +410,14 @@ def wave_draw(rng, attempts=None):
     each call), then the complex amplitude.  ``attempts`` collects how many
     candidates each loop took."""
     kvec, tries = rng.uniform(-1.0, 1.0, size=3), [1, 1]
-    while np.linalg.norm(kvec) < tape.WAVE_NORM:
+    while np.sqrt(dot3(kvec, kvec)) < tape.WAVE_NORM:
         kvec = rng.uniform(-1.0, 1.0, size=3)
         tries[0] += 1
     raw = rng.uniform(-1.0, 1.0, size=3)
-    pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
-    while np.linalg.norm(pol) < tape.POLARIZATION_NORM:
+    pol = raw - dot3(raw, kvec) / dot3(kvec, kvec) * kvec
+    while np.sqrt(dot3(pol, pol)) < tape.POLARIZATION_NORM:
         raw = rng.uniform(-1.0, 1.0, size=3)
-        pol = raw - (raw @ kvec) / (kvec @ kvec) * kvec
+        pol = raw - dot3(raw, kvec) / dot3(kvec, kvec) * kvec
         tries[1] += 1
     if attempts is not None:
         attempts.append(tries)
