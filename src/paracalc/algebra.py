@@ -217,9 +217,17 @@ def _reciprocal(d: np.ndarray) -> np.ndarray:
 def _check_rows(rows: np.ndarray, d: np.ndarray) -> None:
     """Raise OverflowError at the first row whose det d is not finite, else
     SingularParavector at the first whose |d| is at most 1e-12 max(1, |row|^2),
-    the sum of its squared component magnitudes."""
-    sq = rows.real * rows.real + rows.imag * rows.imag
-    eps = 1e-12 * np.maximum(1.0, sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
+    the sum of its squared component magnitudes.
+
+    A finite d leaves every part below 2^512, as its square went into d, but
+    the sum can still overflow: a row with a part of 2^510 or more is summed
+    scaled by 2^-64, and its bound scaled back, exactly where it is finite.
+    """
+    part = np.maximum(abs(rows.real), abs(rows.imag)).max(axis=1)
+    s = np.where(part < 2.0 ** 510, 1.0, 2.0 ** -64)
+    re, im = rows.real * s[:, None], rows.imag * s[:, None]
+    sq = re * re + im * im
+    eps = np.maximum(1e-12, 1e-12 / (s * s) * (sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]))
     size = np.hypot(d.real, d.imag)  # hypot is abs() of a Python complex
     for bad, error, why in ((~np.isfinite(size), OverflowError, "overflows"),
                             (size <= eps, SingularParavector, "is numerically zero")):

@@ -13,8 +13,9 @@ take their exact partials from ``kernels.jets`` instead, which takes a block
 whole.  The module also provides the two documented failure witnesses of
 the product rule.
 ``central_differences`` is the one numeric stencil, the independent oracle for
-the closed-form partials: it differences a stack of points along every
-coordinate at once, and a single point as a stack of one.
+the closed-form partials: it differences points (..., 4) along every
+coordinate at once, as 8 copies (..., 8, 4) each, and returns
+d[..., component, coordinate], the layout of ``bundle`` and the jets.
 ``max_partial_errors`` measures those numeric partials against the exact
 ones for each step, in passes of steps (the convergence tables).
 """
@@ -52,6 +53,7 @@ __all__ = [
     "product_rule_failure_witness",
     "scalar_order_gap",
     "central_differences",
+    "moved_partials",
     "max_partial_errors",
 ]
 
@@ -84,10 +86,9 @@ def bundle(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
     mode evaluates the four partial fields of ``Field.partial`` at X in one
     ``Field._values`` call.
     """
-    x = X.data
     if isinstance(mode, Numeric):
-        return central_differences(f._value, x[None], mode.h).T
-    return np.stack(Field._values([f.partial(c) for c in range(4)], x), axis=-1)
+        return central_differences(f._value, X.data, mode.h)
+    return np.stack(Field._values([f.partial(c) for c in range(4)], X.data), axis=-1)
 
 
 def assemble_div(d: np.ndarray) -> np.ndarray:
@@ -131,18 +132,12 @@ def _second_partials(f: Field, X: Event, mode: DiffMode) -> np.ndarray:
     Numeric mode checks that the step moves each coordinate of X before it
     checks the inner stencils, so a step that fails both names the former.
     """
-    x = X.data
     if isinstance(mode, Numeric):
-        h = mode.h
+        def firsts(xs):  # the outer stencil's copies, each differenced along its own move
+            return moved_partials(central_differences(f._value, xs, mode.h))
 
-        def firsts(xs):
-            # row r of the outer stencil moves coordinate r % 4: keep the
-            # inner difference along that coordinate (its row 4 r + r % 4)
-            r = np.arange(len(xs))
-            return central_differences(f._value, xs, h).reshape(-1, 4, 4)[r, r % 4]
-
-        return central_differences(firsts, x[None], h).T
-    return np.stack(Field._values([f.partial(c).partial(c) for c in range(4)], x), axis=-1)
+        return central_differences(firsts, X.data, mode.h)
+    return np.stack(Field._values([f.partial(c).partial(c) for c in range(4)], X.data), axis=-1)
 
 
 def box4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
@@ -165,25 +160,13 @@ def box4(f: Field, X: Event, mode: DiffMode = EXACT) -> Paravector:
 def block_bundle(f, xs: np.ndarray, mode: DiffMode = EXACT) -> np.ndarray:
     """The first partials d[p, component, coordinate] of row p's field at xs[p].
 
-    Numeric mode differences the block's stencil in one
-    ``central_differences`` call, so a step that does not move it names the
-    first point it leaves in place.
+    Numeric mode differences the block's stencil (n, 8, 4), row p's copies
+    its jets' points, in one ``central_differences`` call, so a step that
+    does not move it names the first point it leaves in place.
     """
     if not isinstance(mode, Numeric):
         return kernels.jets(f, xs, 1)[1]
-
-    def value_fn(pts):  # stencil rows (sign, p, c): row p's field at its 8 points
-        return _at_rows(f, pts.reshape(2, len(xs), 4, 4))[0].reshape(-1, 4)
-
-    return central_differences(value_fn, xs, mode.h).reshape(-1, 4, 4).swapaxes(1, 2)
-
-
-def _at_rows(f, pts: np.ndarray, order: int = 0) -> list:
-    """kernels.jets of row p's field at every point pts[a, p, b] of an (A, n, B, 4)
-    stack, the layout of a stencil's rows (sign, point, coordinate)."""
-    a, n, b = pts.shape[:3]
-    out = kernels.jets(f, pts.swapaxes(0, 1).reshape(n, a * b, 4), order)
-    return [d.reshape((n, a, b) + d.shape[2:]).swapaxes(0, 1) for d in out]
+    return central_differences(lambda pts: kernels.jets(f, pts, 0)[0], xs, mode.h)
 
 
 def block_pullback(f, maps: np.ndarray):
@@ -310,40 +293,50 @@ def scalar_order_gap(rho: Field, a: Paravector, X: Event) -> Paravector:
 
 
 def central_differences(value_fn, xs: np.ndarray, h: float) -> np.ndarray:
-    """(value(x + h e_c) - value(x - h e_c)) / 2h at each point x of an (n, 4) stack.
+    """d[..., component, coordinate] = (value(x + h e_c) - value(x - h e_c)) / 2h
+    at each point x of a stack xs (..., 4), a single point (4,) included.
 
-    Row 4 p + c differences xs[p] along the real axis of coordinate c, which
+    Each point is differenced along the real axis of coordinate c, which
     recovers the complex partial because every field is holomorphic per
-    coordinate.  value_fn is called once, on a stack of 8 n rows: each point
-    with one coordinate moved by +h, then the same with -h (``_stencil``).
-    Raises ValueError for the first point and coordinate, in that order,
-    where x[c] +- h rounds back to x[c]: such a stencil differences nothing
-    and would read every derivative as zero.
+    coordinate.  value_fn is called once, on each point's 8 copies
+    (..., 8, 4) of ``_stencil``, and returns their values (..., 8, W).
+    Raises ValueError for the first point and coordinate, in C order, where
+    x[c] +- h rounds back to x[c]: such a stencil differences nothing and
+    would read every derivative as zero.
     """
-    v = value_fn(_stencil(xs, [h]).reshape(-1, 4))
-    half = len(v) // 2
-    return (v[:half] - v[half:]) / (2.0 * h)
+    return _differences(value_fn(_stencil(xs, [h])[0]), h)
+
+
+def _differences(v: np.ndarray, h) -> np.ndarray:
+    """d[..., component, coordinate] from the values v (..., 8, W) of a stencil at step h."""
+    return np.swapaxes(v[..., :4, :] - v[..., 4:, :], -1, -2) / (2.0 * h)
+
+
+def moved_partials(d: np.ndarray) -> np.ndarray:
+    """d[..., r, :, r % 4] (..., 8, W) of differences d (..., 8, W, 4) at a
+    stencil's copies r: each copy's partials along the coordinate it moves."""
+    return np.swapaxes(d, -1, -2)[..., np.arange(8), np.arange(8) % 4, :]
 
 
 def _stencil(xs: np.ndarray, steps) -> np.ndarray:
-    """central_differences' points for each step, (steps, 2, n, 4, 4): per
-    step, each point with its coordinate c moved by +h in copy c, then by -h.
+    """central_differences' points for each step, (steps, ..., 8, 4): copy c
+    of each point has its coordinate c moved by +h, and copy 4 + c by -h.
 
     The copies are shifted in that coordinate only, so no -0.0 in another
     coordinate turns into +0.0.  Checked step by step, in order: the first
     step that leaves a coordinate of a point where it was raises ValueError,
-    naming its first such point and coordinate.
+    naming its first such point and coordinate, in C order.
     """
-    c = np.arange(4)  # copy c of a point moves its coordinate c
-    h = np.array(steps, dtype=np.float64)[:, None, None]
-    stencil = np.broadcast_to(xs[:, None, :], (len(h), 2, len(xs), 4, 4)).copy()
-    stencil[:, 0][:, :, c, c] += h
-    stencil[:, 1][:, :, c, c] -= h
-    still = (stencil[:, :, :, c, c] == xs).any(axis=1)
+    c = np.arange(4)  # copies c and 4 + c of a point move its coordinate c
+    h = np.reshape(np.array(steps, dtype=np.float64), (-1,) + (1,) * xs.ndim)
+    stencil = np.broadcast_to(xs[..., None, :], h.shape[:1] + xs.shape[:-1] + (8, 4)).copy()
+    stencil[..., c, c] += h
+    stencil[..., 4 + c, c] -= h
+    still = (stencil[..., c, c] == xs) | (stencil[..., 4 + c, c] == xs)
     for step, moved in zip(steps, still):
         if moved.any():
-            p, c = np.argwhere(moved)[0]
-            raise ValueError(f"step {step!r} does not move coordinate {c} from {complex(xs[p, c])!r}")
+            at = tuple(np.argwhere(moved)[0])
+            raise ValueError(f"step {step!r} does not move coordinate {at[-1]} from {complex(xs[at])!r}")
     return stencil
 
 
@@ -363,10 +356,8 @@ def max_partial_errors(fields, points, steps) -> list[float]:
     an overflowing step cannot read as a zero error.
     """
     pts = np.array(points, dtype=np.complex128).reshape(-1, 4)
-    # rows in central_differences' order: point, then coordinate
-    n = len(pts)
-    exact = np.reshape(Field._values([f.partial(c) for f in fields for c in range(4)], pts),
-                       (len(fields), 4, n, 4)).swapaxes(1, 2).reshape(len(fields), 1, 4 * n, 4)
+    exact = Field._values([f.partial(c) for f in fields for c in range(4)], pts)
+    exact = np.moveaxis(np.reshape(exact, (len(fields), 4, len(pts), 4)), 1, -1)  # d[f, p, i, c]
     terms = max((len(g[2]) for f in fields for g in f._groups), default=0)
     size = max(1, kernels._BUDGET // max(1, 8 * len(pts) * (8 + 2 * terms)))
     return [e for i in range(0, len(steps), size)
@@ -375,7 +366,7 @@ def max_partial_errors(fields, points, steps) -> list[float]:
 
 def _pass_errors(fields, pts, exact, steps) -> list[float]:
     """max_partial_errors of one pass of steps: one stencil, one evaluation."""
-    v = np.reshape(Field._values(fields, _stencil(pts, steps).reshape(-1, 4)),
-                   (len(fields), len(steps), 2) + exact.shape[2:])
-    num = (v[:, :, 0] - v[:, :, 1]) / (2.0 * np.array(steps, dtype=np.float64))[:, None, None]
-    return np.abs(num - exact).max(axis=(0, 2, 3), initial=0.0).tolist()
+    stencil = _stencil(pts, steps)
+    v = np.reshape(Field._values(fields, stencil), (len(fields),) + stencil.shape)
+    num = _differences(v, np.array(steps, dtype=np.float64)[:, None, None, None])
+    return np.abs(num - exact[:, None]).max(axis=(0, 2, 3, 4), initial=0.0).tolist()

@@ -15,7 +15,8 @@ tau = c t, a field g(tau, r) = f(tau/c, r) satisfies d g/d tau = (1/c) df/dt,
 so evaluating div4/grad4/box4 of g at (c t, r) applies the c-scaled operator
 to f at (t, r).  Potentials are functions of the physical event (t, r); the
 electromagnetic field and the sources built from them live on the rescaled
-(tau, r) domain and are evaluated through the same convention.
+(tau, r) domain and are evaluated through the same convention.  The block
+forms evaluate rows with ``kernels.jets``, on a stencil in numeric mode.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .algebra import Event, Paravector
 from .diffops import (
     DiffMode,
     EXACT,
-    _at_rows,
     assemble_box,
     assemble_div,
     assemble_grad,
@@ -163,13 +163,12 @@ def block_gauss_law_sides(pot, xs: np.ndarray, h: float, k: PhysConstants = Phys
     4-gradient.
     """
     f, tau = _scaled(pot, xs, k.c)
-    emf, n = block_grad4_field(f), len(xs)
+    emf = block_grad4_field(f)
 
     def value_fn(pts):
-        pts = pts.reshape(2, n, 4, 4)
-        both = [_at_rows(emf, pts)[0], assemble_grad(_at_rows(f, pts, 1)[1])]
-        return np.concatenate(both, axis=-1).reshape(-1, 8)
+        return np.concatenate([kernels.jets(emf, pts, 0)[0],
+                               assemble_grad(kernels.jets(f, pts, 1)[1])], axis=-1)
 
-    d = central_differences(value_fn, tau, h).reshape(n, 4, 8)  # [p, coordinate, column]
-    src = assemble_div(d[..., :4].swapaxes(1, 2))[:, 0]
-    return src.real, d[:, 1, 5].real + d[:, 2, 6].real + d[:, 3, 7].real
+    d = central_differences(value_fn, tau, h)  # d[p, column, coordinate]
+    src = assemble_div(d[:, :4])[:, 0]
+    return src.real, d[:, 5, 1].real + d[:, 6, 2].real + d[:, 7, 3].real

@@ -384,7 +384,7 @@ def _diffop_cases() -> List[Case]:
     def numeric_agreement(tape, start, n, cfg):
         f, x = draw(tape, start, n, FIELD, EVENT)
         num, exact, loc = block_numeric_partials(f, x[:, None], cfg.h)
-        return ((num - exact) / (1.0 + loc)[:, None, None, None]).reshape(-1, 4)  # per coordinate
+        return ((num - exact) / (1.0 + loc)[:, None, None, None]).swapaxes(-1, -2).reshape(-1, 4)  # per coordinate
 
     def factorization_exact(tape, start, n, cfg):
         b, grad_div, div_grad = block_factorization_sides(*draw(tape, start, n, FIELD, EVENT))

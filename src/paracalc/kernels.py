@@ -6,9 +6,9 @@ Plain numpy on length-4 complex arrays ``[s, v1, v2, v3]`` (paravectors) and
 work on ``(n, 4)`` stacks of them, each row on its own, so a row rounds the
 same in any stack and one point is a stack of one.
 ``jets`` takes a block (see ``diffops``), one field per row, and evaluates
-the value and exact partials of each row's field, from its own frame, phase
-and coefficients on the exponent table of a degree, whose partials
-``lowering`` gives.
+the value and exact partials of each row's field at its points (any middle
+axes), from its own frame, phase and coefficients on the exponent table of
+a degree, whose partials ``lowering`` gives.
 """
 
 import functools
@@ -244,8 +244,12 @@ def jets(f, xs, order: int = 1):
 
     Every operation is elementwise, a sum over fixed-length axes or a product
     per point of a shape the table fixes, so a row's result does not depend
-    on the other rows of the stack.
+    on the other rows of the stack.  Several middle axes are flattened to
+    one, whose points _poly_slots may split into passes.
     """
+    if xs.ndim > 3:
+        flat = jets(f, xs.reshape(len(xs), math.prod(xs.shape[1:-1]), 4), order)
+        return [d.reshape(xs.shape[:-1] + d.shape[2:]) for d in flat]
     rows = (slice(None),) + (None,) * (xs.ndim - 2)  # a row's arguments over its points
     m, k, coeffs = (None if a is None else a[rows] for a in f)
     framed = m is not None

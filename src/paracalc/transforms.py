@@ -5,7 +5,8 @@ identity as (n, 4) rows: row p at the drawn point X_p and at its derived
 point X'_p.  Paravectors and events are (n, 4) rows, fields a block of
 ``diffops`` (one field per row over the degree-3 exponent table), and one
 sample is a block of one.  Each side of a block is evaluated in one stacked
-call, the left side first.  Identities covered:
+call, the left side first, numeric sides through ``central_differences``.
+Identities covered:
 
 * the operators' own identities (the diffop suite): div4 and grad4 against
   sum_k E_k d_k A, the factorization box4 = grad4 div4 = div4 grad4 (exact
@@ -48,7 +49,6 @@ from .algebra import (
 from .diffops import (
     EXACT,
     DiffMode,
-    _at_rows,
     assemble_box,
     assemble_div,
     assemble_grad,
@@ -61,6 +61,7 @@ from .diffops import (
     central_differences,
     div4,
     grad4,
+    moved_partials,
 )
 from .kernels import cdot, jets, pv_mul_rows
 
@@ -99,10 +100,10 @@ class NotOrthogonal(ValueError):
 
 
 def require_orthogonal(lam: Rows, tol: float = ORTHOGONALITY_TOL) -> None:
-    """Refuse a block whose paravectors do not all have det = 1 to within tol."""
+    """Refuse a block whose paravectors do not all have det = 1 to within tol, or NaN."""
     gap = np.abs(det_rows(lam) - 1.0)
-    if (gap > tol).any():
-        raise NotOrthogonal(f"|det - 1| = {gap[gap > tol][0]:.3e} exceeds {tol:.1e}")
+    if not (gap <= tol).all():
+        raise NotOrthogonal(f"|det - 1| = {gap[~(gap <= tol)][0]:.3e} exceeds {tol:.1e}")
 
 
 def _finite(values: Rows) -> Rows:
@@ -134,19 +135,15 @@ def block_factorization_numeric_sides(f, xs: np.ndarray, h: float):
 
     Numeric box4 and the numeric div4 that grad4 differences nest the same
     two stencils, so one nested stencil gives both: the outer stencil's value
-    function differences the inner one and returns, for its row r, the
-    derivative along coordinate r % 4 (for box4) and div4 (for grad4).
+    function differences the inner one and returns, at each of its points,
+    the derivative along the coordinate that point moves (for box4) beside
+    div4 (for grad4).
     """
-    n = len(xs)
+    def firsts(pts):  # the outer stencil (n, 8, 4)
+        d = central_differences(lambda q: jets(f, q, 0)[0], pts, h)
+        return np.concatenate([moved_partials(d), assemble_div(d)], axis=-1)
 
-    def firsts(pts):  # rows (sign, p, c) of the outer stencil
-        inner = central_differences(
-            lambda q: _at_rows(f, q.reshape(4, n, 16, 4))[0].reshape(-1, 4), pts, h)
-        d = inner.reshape(-1, 4, 4)  # d[r, c, i]: d_c A_i at outer row r
-        r = np.arange(len(d))
-        return np.concatenate([d[r, r % 4], assemble_div(d.swapaxes(1, 2))], axis=1)
-
-    d = central_differences(firsts, xs, h).reshape(n, 4, 8).swapaxes(1, 2)
+    d = central_differences(firsts, xs, h)  # d[p, column, coordinate]
     return assemble_grad(d[:, 4:]), assemble_box(d[:, :4])
 
 
@@ -184,20 +181,18 @@ def block_leibniz_sides(rho: np.ndarray, f, xs: np.ndarray):
 
 def block_numeric_partials(f, xs: np.ndarray, *steps: float):
     """At each point xs[p, j] of an (n, k, 4) stack, row p's numeric partials
-    for each step, then its exact ones (jets), all as d[p, j, coordinate,
-    component], and per row the largest component magnitude over the stencil
+    for each step, then its exact ones (jets), all as d[p, j, component,
+    coordinate], and per row the largest component magnitude over the stencil
     points differenced (a point with a NaN value skipped)."""
-    n, k = xs.shape[:2]
     values = []
 
     def value_fn(pts):
-        values.append(_at_rows(f, pts.reshape(2, n, 4 * k, 4))[0])
-        return values[-1].reshape(-1, 4)
+        values.append(jets(f, pts, 0)[0])
+        return values[-1]
 
-    nums = [central_differences(value_fn, xs.reshape(-1, 4), h).reshape(n, k, 4, 4) for h in steps]
-    loc = np.fmax(np.abs(np.concatenate(values, axis=2)).max(axis=-1), 0.0).max(axis=(0, 2))
-    exact = jets(f, xs, 1)[1]
-    return (*nums, exact.swapaxes(-1, -2), loc)
+    nums = [central_differences(value_fn, xs, h) for h in steps]
+    loc = np.fmax(np.abs(np.array(values)).max(axis=-1), 0.0).max(axis=(0, 2, 3))
+    return (*nums, jets(f, xs, 1)[1], loc)
 
 
 # -- transport, rotation and wave invariance ---------------------------------

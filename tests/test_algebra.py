@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +26,7 @@ from paracalc.fields import random_event
 
 from util import (conjugate_rotate, det_value, inverse_value, max_abs, norm_sq,
                   normalize_orthogonal, normalize_value, random_orthogonal, random_paravector,
-                  random_rows, rel_err, reverse_value, scale)
+                  random_rows, rel_err, reverse_value, scale, singular_eps)
 
 component = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 complexes = st.builds(complex, component, component)
@@ -319,6 +321,40 @@ def test_an_overflowing_determinant_is_refused_as_an_overflow():
         for refuse in (inverse, normalize_orthogonal, inverse_value, normalize_value):
             with pytest.raises(OverflowError, match="overflows"):
                 refuse(p)
+
+
+def test_a_large_finite_determinant_is_not_refused_as_singular():
+    # |row|^2 = 2.44e308 overflows, while det = 4.4e307 is finite
+    rows = np.array([[1.2e154, 1e154, 0.0, 0.0]], np.complex128)
+    p = Paravector.from_data(rows[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow warning leaks
+        assert inverse_rows(rows)[0].tobytes() == inverse(p).data.tobytes() \
+            == inverse_value(p).data.tobytes()
+        assert normalize_rows(rows)[0].tobytes() == normalize_value(p).data.tobytes()
+
+
+def test_the_singularity_bound_is_kept_where_it_was_finite():
+    # near-singular rows [a, a (1 - e), 0, 0], on both sides of the 2^510
+    # where the bound's sum is scaled, each refused or inverted as one value
+    for a in (2.0 ** 500, 2.0 ** 509.9, 2.0 ** 510, 2.0 ** 511, 2.0 ** 511.5, 1.2e154):
+        for e in (1e-13, 1e-12, 1e-11, 0.5):
+            rows = np.array([[a, a * (1 - e), 0.0, 0.0], [a, 1j * a * e, a * e, 0.0]])
+            for row in rows:
+                p = Paravector.from_data(row)
+                with np.errstate(over="ignore"):
+                    norm = norm_sq(p)
+                if norm < np.inf:  # the bound as it was
+                    assert singular_eps(p) == 1e-12 * max(1.0, norm)
+                try:
+                    want = inverse_value(p).data.tobytes()
+                except SingularParavector:
+                    for refuse in (inverse_rows, normalize_rows):
+                        with pytest.raises(SingularParavector):
+                            refuse(row[None])
+                    continue
+                assert inverse_rows(row[None])[0].tobytes() == want, (a, e)
+                assert normalize_rows(row[None])[0].tobytes() == normalize_value(p).data.tobytes()
 
 
 def test_stacked_inverse_raises_on_any_singular_row():

@@ -275,8 +275,8 @@ def test_block_gauss_law_sides_match_the_per_point_stencil():
     for p, (pot, x) in enumerate(zip(pots, X)):
         want = sources_from_em(em_field_from_potential(pot), x, mode=Numeric(h)).s.real
         e = each_row(lambda xd: em_from_potential(pot, Event.from_data(xd)).v.real)
-        d = central_differences(e, x.data[None], h)  # d[c, i] = dE_i/dx_c
-        div = d[1, 0] + d[2, 1] + d[3, 2]
+        d = central_differences(e, x.data, h)  # d[i, c] = dE_i/dx_c
+        div = d[0, 1] + d[1, 2] + d[2, 3]
         assert abs(src[p] - want) <= 1e-8 and abs(div_e[p] - div) <= 1e-8
         assert abs(src[p] - div_e[p]) <= 1e-6
 

@@ -454,11 +454,11 @@ def test_stacked_central_differences_match_central_difference_bit_for_bit(value_
     for h in (0.5, 1e-3, 1e-5):
         with np.errstate(all="ignore"):  # the spread rows reach exp overflow
             got = central_differences(value_fn, xs, h)
-            assert got.shape == (4 * len(xs), 4)
+            assert got.shape == (len(xs), 4, 4)
             for p, x in enumerate(xs):
                 for c in range(4):
                     want = central_difference(value_fn, x, c, h)
-                    assert got[4 * p + c].tobytes() == want.tobytes(), (h, p, c)
+                    assert got[p, :, c].tobytes() == want.tobytes(), (h, p, c)
 
 
 def _max_partial_errors_per_point(fields, points, steps):

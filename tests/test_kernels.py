@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,47 @@ def test_jets_points_of_a_row_do_not_depend_on_the_row():
                 one = kernels.jets(tuple(a[p:p + 1] for a in f), xs[p:p + 1, j:j + 1], order)
                 for got, want in zip(one, whole):
                     assert got.tobytes() == want[p:p + 1, j:j + 1].tobytes(), (order, p, j)
+
+
+def _traced_peak(fn):
+    """The tracemalloc peak of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_jets_flatten_several_middle_axes_to_one():
+    # points (n, a, b, 4), a stencil's layout, give the (n, a b, 4) call's
+    # results bit for bit, and split into passes of points as that call does
+    rng = np.random.default_rng(16)
+    terms = len(_degree_exponents(3))
+    n, a, b = 3, 16, 16
+    xs = random_rows(rng, n * a * b // 2).reshape(n, a, b, 4)
+
+    def cx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    framed = (cx(n, 4, 4), cx(n, 4), cx(n, terms, 4))
+    with np.errstate(all="ignore"):  # the spread rows reach exp overflow
+        for f in [framed, (None, framed[1], framed[2]), (None, None, framed[2])]:
+            for order in (0, 1, 2):
+                got = kernels.jets(f, xs, order)
+                want = kernels.jets(f, xs.reshape(n, a * b, 4), order)
+                for g, w in zip(got, want):
+                    assert g.shape == (n, a, b) + w.shape[2:]
+                    assert g.tobytes() == w.tobytes(), order
+    # one cubic row at 16 x 16 points: once traced without its passes, at
+    # about six times the peak of the call on the flattened points; 1 KB
+    # covers the flattening's own Python objects, a fifth of one point's
+    # doubles in a pass
+    row, one = (None, None, framed[2][:1]), xs[:1]
+    kernels.jets(row, one, 1)  # the plan is built on first use
+    nested = _traced_peak(lambda: kernels.jets(row, one, 1))
+    flat = _traced_peak(lambda: kernels.jets(row, one.reshape(1, a * b, 4), 1))
+    assert nested <= flat + 1024, (nested, flat)
 
 
 @pytest.mark.parametrize("degree", [3, 6])

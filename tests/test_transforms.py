@@ -47,10 +47,10 @@ from paracalc.transforms import (
     wave_invariance_sides,
 )
 
-from util import (TRANSPORTS, additivity_sides, block_of, conjugate_rotate, div4_field, gap,
-                  grad4_field, leibniz_sides, max_abs, normalize_orthogonal, random_orthogonal,
-                  random_paravector, random_scalar_field, rel_err, rows, sample_field as sample,
-                  scale)
+from util import (TRANSPORTS, additivity_sides, block_of, central_difference, conjugate_rotate,
+                  div4_field, gap, grad4_field, leibniz_sides, max_abs, normalize_orthogonal,
+                  random_orthogonal, random_paravector, random_scalar_field, rel_err, rows,
+                  sample_field as sample, scale)
 
 
 def draws(seed, n):
@@ -185,6 +185,17 @@ def test_require_orthogonal():
     require_orthogonal(rows(unit, IDENTITY), 1e-12)
     with pytest.raises(NotOrthogonal):
         require_orthogonal(rows(unit, Paravector(2.0, (1.0, 0.0, 0.0))), 1e-12)
+
+
+def test_a_nan_paravector_is_not_orthogonal():
+    # NaN > tol is False: a NaN gap must still refuse, not pass NaN rows on
+    lam = rows(IDENTITY, Paravector(1.0))
+    lam[1, 2] = np.nan
+    with pytest.raises(NotOrthogonal, match="nan"):
+        require_orthogonal(lam)
+    with pytest.raises(NotOrthogonal):
+        transformed_field_values(block_of(random_field(11), random_field(12)), lam,
+                                 rows(random_event(11), random_event(12)))
 
 
 def test_rotation_requires_orthogonality():
@@ -445,9 +456,31 @@ def test_operator_blocks_match_the_per_sample_fields():
             assert rel_err(got[p], want.data) <= 1e-13
         for got, want in zip(leib, leibniz_sides(rho[p], g, x)):
             assert rel_err(got[p], want.data) <= 1e-13
-        assert rel_err(num[p, 0], bundle(g, x, Numeric(1e-5)).T) <= 1e-9
-        assert rel_err(exact[p, 0], bundle(g, x, EXACT).T) <= 1e-13
+        assert rel_err(num[p, 0], bundle(g, x, Numeric(1e-5))) <= 1e-9
+        assert rel_err(exact[p, 0], bundle(g, x, EXACT)) <= 1e-13
         assert loc[p] > 0
+
+
+def test_numeric_partials_of_a_stack_name_its_first_unmoved_coordinate():
+    # on an (n, k, 4) stack, the first coordinate that the step leaves in
+    # place in (row, point, coordinate) order, as the per-point stencil meets them
+    rng = np.random.default_rng(36)
+    fields = [random_field(rng) for _ in range(3)]
+    xs = np.array([[random_event(rng).data for _ in range(4)] for _ in fields])
+    for stuck in [[(2, 0, 1), (1, 3, 0), (1, 2, 3)], [(0, 1, 2), (0, 1, 1)], [(2, 3, 3)]]:
+        pts = xs.copy()
+        for p, j, c in stuck:  # a step of 1.0 leaves 1e300 in place
+            pts[p, j, c] = complex(1e300, 100 * p + 10 * j + c)
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as want:
+            for g, row in zip(fields, pts):
+                for x in row:
+                    for c in range(4):
+                        central_difference(g._value, x, c, 1.0)
+        with pytest.raises(ValueError) as got:
+            block_numeric_partials(block_of(*fields), pts, 1.0, 0.5)
+        p, j, c = min(stuck)
+        assert str(got.value) == str(want.value) == \
+            f"step 1.0 does not move coordinate {c} from (1e+300+{100 * p + 10 * j + c}j)"
 
 
 @pytest.mark.parametrize("size", [1, 7])

@@ -94,8 +94,13 @@ def norm_sq(a) -> float:
 
 
 def singular_eps(a: Paravector) -> float:
-    """Scale-relative singularity threshold: 1e-12 * max(1, |a|^2)."""
-    return 1e-12 * max(1.0, norm_sq(a))
+    """Scale-relative singularity threshold: 1e-12 * max(1, |a|^2).  A value
+    with a part of 2^510 or more sums |a|^2 scaled by 2^-64 and scales the
+    threshold back, so that it does not overflow where it is finite."""
+    d = a.data
+    s = 2.0 ** -64 if max(abs(d.real).max(), abs(d.imag).max()) >= 2.0 ** 510 else 1.0
+    re, im = d.real * s, d.imag * s
+    return max(1e-12, 1e-12 / (s * s) * float(np.sum(re * re + im * im)))
 
 
 def reverse_value(a: Paravector) -> Paravector:
@@ -450,7 +455,8 @@ def sample_field(rng, index: int):
 
 
 def each_row(point_fn):
-    """A value function for central_differences from one that takes one point."""
+    """A value function for central_differences from one that takes one point:
+    it takes one point's stencil copies (8, 4)."""
     return lambda xs: np.array([point_fn(x) for x in xs])
 
 
