@@ -219,15 +219,12 @@ def _check_rows(rows: np.ndarray, d: np.ndarray) -> None:
     SingularParavector at the first whose |d| is at most 1e-12 max(1, |row|^2),
     the sum of its squared component magnitudes.
 
-    A finite d leaves every part below 2^512, as its square went into d, but
-    the sum can still overflow: a row with a part of 2^510 or more is summed
-    scaled by 2^-64, and its bound scaled back, exactly where it is finite.
-    """
-    part = np.maximum(abs(rows.real), abs(rows.imag)).max(axis=1)
-    s = np.where(part < 2.0 ** 510, 1.0, 2.0 ** -64)
-    re, im = rows.real * s[:, None], rows.imag * s[:, None]
+    The sum is taken on the row scaled by 2^-64, so that it cannot overflow;
+    a power of two scales exactly, and a part it underflows is too small to
+    reach the sum's last place where that sum is at least 1."""
+    re, im = rows.real * 2.0 ** -64, rows.imag * 2.0 ** -64
     sq = re * re + im * im
-    eps = np.maximum(1e-12, 1e-12 / (s * s) * (sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]))
+    eps = np.maximum(1e-12, 1e-12 * 2.0 ** 128 * (sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]))
     size = np.hypot(d.real, d.imag)  # hypot is abs() of a Python complex
     for bad, error, why in ((~np.isfinite(size), OverflowError, "overflows"),
                             (size <= eps, SingularParavector, "is numerically zero")):

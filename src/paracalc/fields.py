@@ -187,15 +187,15 @@ class Field:
         return Paravector.from_data(self._value(X.data))
 
     def _value(self, x: np.ndarray) -> np.ndarray:
-        """The value at each row of a stack x (n, 4), or at one point x (4,)
-        as a stack of one: the one-field call of ``_values``."""
+        """The value at each of the points x (..., 4), in x's shape: the
+        one-field call of ``_values``."""
         return Field._values((self,), x)[0]
 
     @staticmethod
     def _values(fields, x: np.ndarray) -> list:
-        """Each field's value at each row of a stack x (n, 4), or at one point
-        x (4,) as a stack of one.  Each row is evaluated on its own, by the
-        kernels' ``_rows`` forms, so it does not depend on the other rows.
+        """Each field's values at the points x (..., 4), in x's shape.  Each
+        point is evaluated on its own, as one row of the kernels' ``_rows``
+        forms, so it does not depend on the other points.
         Unframed, phase-free polynomial groups on equal exponent rows share
         one evaluation of their monomials; each field adds up its groups in
         its own order."""

@@ -335,9 +335,11 @@ def test_a_large_finite_determinant_is_not_refused_as_singular():
 
 
 def test_the_singularity_bound_is_kept_where_it_was_finite():
-    # near-singular rows [a, a (1 - e), 0, 0], on both sides of the 2^510
-    # where the bound's sum is scaled, each refused or inverted as one value
-    for a in (2.0 ** 500, 2.0 ** 509.9, 2.0 ** 510, 2.0 ** 511, 2.0 ** 511.5, 1.2e154):
+    # near-singular rows [a, a (1 - e), 0, 0], from parts whose squares
+    # underflow on the scaled row to parts whose old bound overflowed, each
+    # refused or inverted as one value
+    for a in (2.0 ** -500, 2.0 ** -460, 1e-6, 1.0, 3.0, 1e100, 2.0 ** 500, 2.0 ** 510,
+              2.0 ** 511, 2.0 ** 511.5, 1.2e154):
         for e in (1e-13, 1e-12, 1e-11, 0.5):
             rows = np.array([[a, a * (1 - e), 0.0, 0.0], [a, 1j * a * e, a * e, 0.0]])
             for row in rows:

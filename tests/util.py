@@ -94,13 +94,12 @@ def norm_sq(a) -> float:
 
 
 def singular_eps(a: Paravector) -> float:
-    """Scale-relative singularity threshold: 1e-12 * max(1, |a|^2).  A value
-    with a part of 2^510 or more sums |a|^2 scaled by 2^-64 and scales the
-    threshold back, so that it does not overflow where it is finite."""
-    d = a.data
-    s = 2.0 ** -64 if max(abs(d.real).max(), abs(d.imag).max()) >= 2.0 ** 510 else 1.0
-    re, im = d.real * s, d.imag * s
-    return max(1e-12, 1e-12 / (s * s) * float(np.sum(re * re + im * im)))
+    """Scale-relative singularity threshold: 1e-12 * max(1, |a|^2), with
+    |a|^2 summed on a scaled by 2^-64 so that it cannot overflow; a power of
+    two scales exactly, and a part it underflows is too small to reach the
+    sum's last place where that sum is at least 1."""
+    re, im = a.data.real * 2.0 ** -64, a.data.imag * 2.0 ** -64
+    return max(1e-12, 1e-12 * 2.0 ** 128 * float(np.sum(re * re + im * im)))
 
 
 def reverse_value(a: Paravector) -> Paravector:
