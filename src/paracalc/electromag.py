@@ -41,11 +41,13 @@ from .diffops import (
     grad4,
 )
 from .fields import Field
+from .tape import _wave
 
 __all__ = [
     "PhysConstants",
     "em_from_potential",
     "plane_wave_rows",
+    "plane_wave_block",
     "block_lorenz_potential",
     "block_em_from_potential",
     "block_sources",
@@ -103,6 +105,20 @@ def plane_wave_rows(kv, pv, amp, k: PhysConstants = PhysConstants()):
     amplitude = np.zeros((len(kv), 4), np.complex128)
     amplitude[:, 1:] = (-k.c * amp)[:, None] * pv
     return amplitude, np.concatenate([(1j * omega)[:, None], -1j * kv], axis=1)
+
+
+def plane_wave_block(w: np.ndarray, constants) -> tuple:
+    """The vacuum plane-wave potentials of ``tape.WAVE`` draws w as a block.
+
+    The rows are plane_wave_rows', unchecked: a wave vector of norm 0.3 or
+    more is not zero, and the rounding of the projection leaves pol . kvec
+    below 1e-14 |kvec|, far under 1e-12 |kvec| |pol|, the transversality
+    bound of the per-wave reference (tests/util.py)."""
+    amp = np.empty(len(w), np.complex128)
+    amp.real, amp.imag = w[:, 6], w[:, 7]
+    amplitude, phase = plane_wave_rows(w[:, :3].astype(np.complex128),
+                                       w[:, 3:6].astype(np.complex128), amp, constants)
+    return _wave(phase, amplitude)
 
 
 # -- blocks: one potential per row (see diffops) ------------------------------

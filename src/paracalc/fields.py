@@ -36,6 +36,7 @@ import operator
 import numpy as np
 
 from . import kernels
+from .kernels import DRAW_SCALE, _disc
 from .algebra import Event, Paravector, left_matrix, right_matrix
 
 __all__ = [
@@ -382,27 +383,9 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _disc(u: np.ndarray, scale: float) -> np.ndarray:
-    """Values uniform on the closed disc of radius `scale`, from the doubles
-    u (..., 2m): each value takes two consecutive doubles, the radius uniform
-    then the angle uniform; 2*pi*u is how numpy computes uniform(0, 2*pi)."""
-    radius = scale * np.sqrt(u[..., 0::2])
-    theta = 2.0 * np.pi * u[..., 1::2]
-    z = np.empty(radius.shape, np.complex128)
-    z.real = radius * np.cos(theta)
-    z.imag = radius * np.sin(theta)
-    return z
-
-
 def _random_complexes(rng, scale: float, n: int) -> np.ndarray:
     """n values uniform on the closed disc of radius `scale`, from 2n doubles."""
     return _disc(rng.random(2 * n), scale)
-
-
-#: The disc radius of the paravector and event draws, and the |det| that a
-#: drawn paravector must reach.
-DRAW_SCALE = 2.0
-MIN_DET = 0.1
 
 
 def random_event(seed, scale: float = DRAW_SCALE) -> Event:

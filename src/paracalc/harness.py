@@ -12,6 +12,13 @@ Residuals are max-abs
 over the value components; cases that pin a *floor* under a witness instead
 report the deficit ``max(0, floor - value)`` against a zero threshold so that
 ``pass == residual <= threshold`` holds uniformly.
+
+This module is the suites' core: the configuration, the reports, the
+``Worst`` tracker, ``_rel`` and the case runs.  Each suite's cases live in
+their own module (``suite_algebra``, ``suite_diffop``, ``suite_transforms``,
+``suite_wave``, ``suite_maxwell``), which ``_SUITE_BUILDERS`` imports on
+first use, so a run compiles and loads only the suites it runs; the
+convergence tables are in ``convergence``.
 """
 
 from __future__ import annotations
@@ -21,75 +28,11 @@ import math
 import sys
 import zlib
 from dataclasses import dataclass, field as dc_field
+from functools import partial
+from importlib import import_module
 from typing import Callable, List, Optional
 
 import numpy as np
-
-from .kernels import _degree_exponents, cmul, jets, pv_mul, pv_mul_rows
-from .algebra import (
-    Event,
-    IDENTITY,
-    Paravector,
-    act_left,
-    act_right,
-    det_rows,
-    inverse_rows,
-    mul,
-    normalize_rows,
-    reverse_rows,
-)
-from .diffops import (
-    EXACT,
-    Numeric,
-    assemble_box,
-    div4,
-    grad4,
-    max_partial_errors,
-    product_rule_failure_witness,
-    scalar_order_gap,
-)
-from .electromag import (
-    PhysConstants,
-    block_em_from_potential,
-    block_gauss_law_sides,
-    block_lorenz_potential,
-    block_sources,
-    block_wave_sides,
-    em_from_potential,
-)
-from .fields import DRAW_SCALE, Field, random_event, random_field, random_plane_wave
-from .tape import (
-    EVENT,
-    FIELD,
-    MAXWELL_EVENT,
-    NULL_WAVE,
-    PARAVECTOR,
-    POLY,
-    SCALAR,
-    WAVE,
-    Tape,
-    discs,
-    draw,
-    plane_wave_block,
-    uniforms,
-)
-from .transforms import (
-    InvarianceForm,
-    block_additivity_sides,
-    block_assembly_sides,
-    block_factorization_numeric_sides,
-    block_factorization_sides,
-    block_leibniz_sides,
-    block_numeric_partials,
-    form_point,
-    form_value_sides,
-    observer_rotation_sides,
-    pullback_composition_sides,
-    right_factor_sides,
-    transformed_field_values,
-    transport_sides,
-    wave_invariance_sides,
-)
 
 __all__ = [
     "ConfigError",
@@ -97,24 +40,13 @@ __all__ = [
     "SuiteConfig",
     "CaseReport",
     "SuiteReport",
-    "ConvergenceRow",
     "case_rng",
     "run_suite",
-    "run_convergence",
-    "convergence_ok",
     "report_to_json",
-    "PRODUCT_RULE_WITNESS_FLOOR",
-    "ORDER_GAP_WITNESS_FLOOR",
 ]
 
 SUITE_NAMES = ("algebra", "diffop", "transforms", "wave", "maxwell")
 
-# Regression pins from the first verified run of the stored witness inputs;
-# the measured values are exactly 2.0.
-PRODUCT_RULE_WITNESS_FLOOR = 1.9
-ORDER_GAP_WITNESS_FLOOR = 1.9
-NONCOMMUTATIVITY_FLOOR = 1.0
-VALUE_SPLIT_FLOOR = 1e-3
 NOISE_FLOOR = 1e-12  # convergence errors below this are rounding, not truncation
 
 
@@ -263,6 +195,8 @@ def _blocked(count, block, rows=BLOCK):
     from the case's tape as stacked arrays and returns their differences as
     one stack, each sample's rows in turn, samples in order.
     """
+    from .tape import Tape  # loaded with the suites, which draw from it
+
     def run(rng, cfg):
         w, tape = Worst(), Tape(rng)
         total, size = count(cfg), min(BLOCK, rows)
@@ -297,333 +231,13 @@ def _once(cfg) -> int:
     return 1
 
 
-# -- algebra suite ------------------------------------------------------------
-
-def _algebra_cases() -> List[Case]:
-    def associativity(tape, start, n, cfg):
-        a, b, c = draw(tape, start, n, PARAVECTOR, PARAVECTOR, PARAVECTOR)
-        return _rel(pv_mul_rows(pv_mul_rows(a, b), c), pv_mul_rows(a, pv_mul_rows(b, c)))
-
-    def reversion(tape, start, n, cfg):
-        a, b = draw(tape, start, n, PARAVECTOR, PARAVECTOR)
-        return _rel(reverse_rows(pv_mul_rows(a, b)),
-                    pv_mul_rows(reverse_rows(b), reverse_rows(a)))
-
-    def det_mult(tape, start, n, cfg):
-        a, b = draw(tape, start, n, PARAVECTOR, PARAVECTOR)
-        # det(a) * det(b) is a product of Python complexes
-        return _rel(det_rows(pv_mul_rows(a, b))[:, None],
-                    cmul(det_rows(a), det_rows(b))[:, None])
-
-    def inverse_identity(tape, start, n, cfg):
-        (a,) = draw(tape, start, n, PARAVECTOR)
-        inv = inverse_rows(a)
-        both = np.stack([pv_mul_rows(a, inv), pv_mul_rows(inv, a)], axis=1)
-        return both.reshape(-1, 4) - IDENTITY.data  # a a^-1, then a^-1 a, per sample
-
-    def orthogonal_unit(tape, start, n, cfg):
-        lam = normalize_rows(draw(tape, start, n, PARAVECTOR)[0])  # as random_orthogonal draws
-        return pv_mul_rows(lam, reverse_rows(lam)) - IDENTITY.data
-
-    def action_consistency(tape, start, n, cfg):
-        g, x = draw(tape, start, n, PARAVECTOR, EVENT)
-        # the actions on stacks against the product as mul takes it, sample by sample
-        gx, xg = (np.array([pv_mul(*ab) for ab in pairs]) for pairs in (zip(g, x), zip(x, g)))
-        both = np.stack([act_left(g, x) - gx, act_right(x, g) - xg], axis=1)
-        return both.reshape(-1, 4)  # g X, then X g, per sample
-
-    def left_action_expansion(tape, start, n, cfg):
-        got = act_left(Paravector(1.0, (0.0, 0.0, 1.0)), Event(0.0, (1.0, 1.0, 0.0)))
-        pure_time = act_left(Paravector(2.0 + 1.0j, (0.5j, 1.0, -2.0)), Event(1.0))
-        return np.array([got.data - np.array([0.0, 1.0 - 1.0j, 1.0 + 1.0j, 0.0]),
-                         pure_time.data - np.array([2.0 + 1.0j, 0.5j, 1.0, -2.0])])
-
-    def right_action_expansion(tape, start, n, cfg):
-        got = act_right(Event(0.0, (1.0, 1.0, 0.0)), Paravector(1.0, (0.0, 0.0, 1.0)))
-        return got.data - np.array([0.0, 1.0 + 1.0j, 1.0 - 1.0j, 0.0])
-
-    def noncommutativity(rng):
-        a = Paravector(1.0, (1.0, 0.0, 0.0))
-        b = Paravector(1.0, (0.0, 1.0, 0.0))
-        return mul(a, b).data - mul(b, a).data
-
-    def rotation_round_trip(tape, start, n, cfg):
-        g, x = draw(tape, start, n, PARAVECTOR, EVENT)  # as random_orthogonal, random_event
-        lam = normalize_rows(g)
-        rlam = reverse_rows(lam)
-        xp = pv_mul_rows(pv_mul_rows(lam, x), rlam)  # L X L~, then back: L~ X' L
-        return pv_mul_rows(pv_mul_rows(rlam, xp), lam) - x
-
-    return [
-        Case("associativity", "exact", 1e-12, _blocked(_times(20), associativity)),
-        Case("reversion-antiautomorphism", "exact", 1e-12, _blocked(_times(20), reversion)),
-        Case("det-multiplicativity", "exact", 1e-12, _blocked(_times(20), det_mult)),
-        Case("inverse-identity", "exact", 1e-10, _blocked(_times(20), inverse_identity)),
-        Case("orthogonal-unit", "exact", 1e-10, _blocked(_times(1), orthogonal_unit)),
-        Case("action-matches-product", "fixed", 0.0,
-             _blocked(_times(1), action_consistency)),
-        Case("left-action-expansion", "fixed", 0.0, _blocked(_once, left_action_expansion)),
-        Case("right-action-expansion", "fixed", 0.0, _blocked(_once, right_action_expansion)),
-        Case("noncommutativity-floor-deficit", "fixed", 0.0,
-             _floor(noncommutativity, NONCOMMUTATIVITY_FLOOR)),
-        Case("rotation-round-trip", "exact", 1e-10, _blocked(_times(1), rotation_round_trip)),
-    ]
+def _cases(suite: str) -> List[Case]:
+    """The cases of a suite, from its own module, which loads on the first call."""
+    return import_module(f".suite_{suite}", __package__).cases()
 
 
-# -- diffop suite -------------------------------------------------------------
-
-def _diffop_cases() -> List[Case]:
-    ten_events = discs(DRAW_SCALE, 10, 4)  # convergence-band-deficit's points
-
-    def assembly_oracle(tape, start, n, cfg):
-        # div4/grad4 assemble jets; the oracle is the field sum_k E_k (d_k A)
-        # from the lowered rows, evaluated
-        (div, grad) = block_assembly_sides(*draw(tape, start, n, FIELD, EVENT))
-        return np.stack([_rel(*div), _rel(*grad)], axis=1).reshape(-1, 4)
-
-    def numeric_agreement(tape, start, n, cfg):
-        f, x = draw(tape, start, n, FIELD, EVENT)
-        num, exact, loc = block_numeric_partials(f, x[:, None], cfg.h)
-        return ((num - exact) / (1.0 + loc)[:, None, None, None]).swapaxes(-1, -2).reshape(-1, 4)  # per coordinate
-
-    def factorization_exact(tape, start, n, cfg):
-        b, grad_div, div_grad = block_factorization_sides(*draw(tape, start, n, FIELD, EVENT))
-        return np.stack([_rel(grad_div, b), _rel(div_grad, b)], axis=1).reshape(-1, 4)
-
-    def factorization_numeric(tape, start, n, cfg):
-        # A fixed step, not cfg.h: a nested second difference loses ~eps/h^2
-        # to rounding (numeric box4 is off by ~1e-8 relative at 1e-4, ~2e-6
-        # at 1e-5, ~1e-2 at 1e-7), and both sides here nest the same way, so
-        # at small steps they agree as rounding noise and the check is empty.
-        return _rel(*block_factorization_numeric_sides(*draw(tape, start, n, FIELD, EVENT), 1e-4))
-
-    def null_wave_box(tape, start, n, cfg):
-        f, x = draw(tape, start, n, NULL_WAVE, EVENT)
-        return assemble_box(jets(f, x, 2)[2])
-
-    def additivity(tape, start, n, cfg):
-        f, g, x = draw(tape, start, n, POLY, FIELD, EVENT)
-        return _rel(*block_additivity_sides((None, None, f), g, x))
-
-    def leibniz(tape, start, n, cfg):
-        return _rel(*block_leibniz_sides(*draw(tape, start, n, SCALAR, FIELD, EVENT)))
-
-    def product_rule_gap(rng):
-        f = Field.monomial((0, 1, 0, 0), Paravector(0.0, (1.0, 0.0, 0.0)))
-        g = Field.monomial((0, 0, 1, 0), Paravector(0.0, (0.0, 1.0, 0.0)))
-        return product_rule_failure_witness(f, g, Event(0.0, (1.0, 1.0, 1.0))).data
-
-    def order_gap(rng):
-        rho = Field.monomial((0, 1, 0, 0), IDENTITY)
-        a = Paravector(0.0, (0.0, 1.0, 0.0))
-        return scalar_order_gap(rho, a, Event(0.0, (1.0, 1.0, 1.0))).data
-
-    def convergence_band(tape, start, n, cfg):
-        f, x = draw(tape, start, n, FIELD, ten_events)
-        *nums, exact, _ = block_numeric_partials(f, x, 1e-3, 5e-4)
-        errs = np.transpose([np.abs(num - exact).reshape(n, -1).max(axis=1) for num in nums])
-        ratio = errs[:, 0] / errs[:, 1]
-        deficit = np.max([0.0 * ratio, 3.2 - ratio, ratio - 4.8], axis=0)
-        return deficit[~(errs[:, 1] < NOISE_FLOOR)][:, None]
-
-    return [
-        Case("assembly-matches-oracle", "exact", 1e-12, _blocked(_times(2), assembly_oracle, ROWS)),
-        Case("numeric-agreement", "numeric", 1e-7, _blocked(_times(2), numeric_agreement, ROWS)),
-        Case("factorization-exact", "exact", 1e-12, _blocked(_times(1), factorization_exact, ROWS)),
-        # blocks of 2: 64 stencil points a row
-        Case("factorization-numeric", "numeric", 1e-4, _blocked(_fifth, factorization_numeric, 2)),
-        Case("null-plane-wave-box", "exact", 1e-12, _blocked(_times(1), null_wave_box, ROWS)),
-        Case("additivity", "exact", 1e-12, _blocked(_times(2), additivity, ROWS)),
-        Case("scalar-product-rule", "exact", 1e-12, _blocked(_times(2), leibniz, ROWS)),
-        Case("product-rule-failure-floor-deficit", "fixed", 0.0,
-             _floor(product_rule_gap, PRODUCT_RULE_WITNESS_FLOOR)),
-        Case("ordering-witness-floor-deficit", "fixed", 0.0,
-             _floor(order_gap, ORDER_GAP_WITNESS_FLOOR)),
-        Case("convergence-band-deficit", "fixed", 0.0,
-             _blocked(lambda cfg: 6, convergence_band, ROWS)),
-    ]
-
-
-# -- transforms suite ---------------------------------------------------------
-
-#: [s; s*u] with u.u = 1 has det = 0 exactly.
-_SINGULAR = np.array([1.0 + 0.5j, 1.0 + 0.5j, 0.0, 0.0])
-
-
-def _transport_case(op, right: bool, mode_of):
-    def block(tape, start, n, cfg):
-        g, f, x = draw(tape, start, n, PARAVECTOR, FIELD, EVENT)
-        return _rel(*transport_sides(op, right, g, f, x, mode_of(cfg)))
-
-    return _blocked(_times(1), block)
-
-
-def _right_factor_case(mode_of, singular: bool):
-    def block(tape, start, n, cfg):
-        if singular:
-            g, (f, x) = np.tile(_SINGULAR, (n, 1)), draw(tape, start, n, FIELD, EVENT)
-        else:
-            g, f, x = draw(tape, start, n, PARAVECTOR, FIELD, EVENT)
-        sides = right_factor_sides(f, g, x, mode_of(cfg))
-        return np.stack([_rel(*pair) for pair in sides], axis=1).reshape(-1, 4)
-
-    return _blocked(_fifth if singular else _times(1), block)
-
-
-def _transforms_cases() -> List[Case]:
-    exact = lambda cfg: EXACT
-    numeric = lambda cfg: Numeric(cfg.h)
-
-    def rotation(tape, start, n, cfg):
-        g, f, x = draw(tape, start, n, PARAVECTOR, FIELD, EVENT)
-        lam = normalize_rows(g)  # as random_orthogonal draws
-        xp = pv_mul_rows(pv_mul_rows(lam, x), reverse_rows(lam))  # L X L~
-        return _rel(*observer_rotation_sides(f, lam, xp))
-
-    def group_composition(tape, start, n, cfg):
-        return _rel(*pullback_composition_sides(*draw(tape, start, n, PARAVECTOR, PARAVECTOR,
-                                                           FIELD, EVENT)))
-
-    return [
-        Case("div-left-transport-exact", "exact", 1e-10,
-             _transport_case(div4, False, exact)),
-        Case("grad-left-transport-exact", "exact", 1e-10,
-             _transport_case(grad4, False, exact)),
-        Case("div-right-transport-exact", "exact", 1e-10,
-             _transport_case(div4, True, exact)),
-        Case("grad-right-transport-exact", "exact", 1e-10,
-             _transport_case(grad4, True, exact)),
-        Case("right-factor-exact", "exact", 1e-10, _right_factor_case(exact, False)),
-        Case("right-factor-singular-exact", "exact", 1e-10,
-             _right_factor_case(exact, True)),
-        Case("observer-rotation-exact", "exact", 1e-10, _blocked(_times(1), rotation)),
-        Case("pullback-group-composition", "exact", 1e-10,
-             _blocked(_times(1), group_composition)),
-        Case("div-left-transport-numeric", "numeric", 1e-5,
-             _transport_case(div4, False, numeric), substream=0),
-        Case("grad-left-transport-numeric", "numeric", 1e-5,
-             _transport_case(grad4, False, numeric), substream=1),
-        Case("div-right-transport-numeric", "numeric", 1e-5,
-             _transport_case(div4, True, numeric), substream=2),
-        Case("grad-right-transport-numeric", "numeric", 1e-5,
-             _transport_case(grad4, True, numeric), substream=3),
-        Case("right-factor-numeric", "numeric", 1e-5,
-             _right_factor_case(numeric, False), substream=4),
-    ]
-
-
-# -- wave suite ---------------------------------------------------------------
-
-def _wave_form_case(form: InvarianceForm):
-    def block(tape, start, n, cfg):
-        g, c, x = draw(tape, start, n, PARAVECTOR, POLY, EVENT)
-        f, lam = (None, None, c), normalize_rows(g)  # as random_orthogonal draws
-        return _rel(*wave_invariance_sides(form, f, lam, form_point(form, lam, x)))
-
-    return _blocked(_times(1), block)
-
-
-def _wave_cases() -> List[Case]:
-    def value_split(rng):
-        tape, best = Tape(rng), 0.0
-        best_gap = np.zeros(4, np.complex128)
-        for i in range(10):
-            lam = normalize_rows(draw(tape, i, 1, PARAVECTOR)[0])  # random_orthogonal
-            if float(np.max(np.abs(lam[0, 1:]))) < 0.1:
-                continue  # scalar-like draws do not witness the split
-            c, Xp = draw(tape, i, 1, POLY, EVENT)
-            vals = transformed_field_values((None, None, c), lam, Xp)
-            gap = (vals.covariant - vals.contravariant)[0]
-            m = float(np.max(np.abs(gap)))
-            if m > best:
-                best, best_gap = m, gap
-        return best_gap
-
-    def value_laws(tape, start, n, cfg):
-        # each form's moved field at X' against its value law at the pre-image
-        g, c, Xp = draw(tape, start, n, PARAVECTOR, POLY, EVENT)
-        f, lam = (None, None, c), normalize_rows(g)  # as random_orthogonal draws
-        return np.concatenate([_rel(*form_value_sides(form, f, lam, Xp))
-                               for form in InvarianceForm])
-
-    return [
-        Case("form1-right-invariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM1)),
-        Case("form2-right-contravariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM2)),
-        Case("form3-left-covariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM3)),
-        Case("form4-left-invariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM4)),
-        Case("covariant-contravariant-split-deficit", "fixed", 0.0,
-             _floor(value_split, VALUE_SPLIT_FLOOR)),
-        Case("form-value-structure", "exact", 1e-10, _blocked(_once, value_laws)),
-    ]
-
-
-# -- maxwell suite ------------------------------------------------------------
-
-def _plane_wave_case(constants: PhysConstants, field: str):
-    def block(tape, start, n, cfg):
-        w, x = draw(tape, start, n, WAVE, MAXWELL_EVENT)
-        f = plane_wave_block(w, constants)
-        if field == "gauge":
-            return block_em_from_potential(f, x, constants)[:, :1]
-        return block_sources(f, x, constants)
-
-    return _blocked(_times(2), block, ROWS)
-
-
-def _lorenz_draws(tape, start: int, n: int):
-    """Lorenz-gauge potentials as lorenz_gauge_potential draws them (three
-    scalar polynomials), each followed by its event."""
-    *w, x = draw(tape, start, n, SCALAR, SCALAR, SCALAR, MAXWELL_EVENT)
-    return block_lorenz_potential(np.stack(w, axis=-1)), x
-
-
-def _maxwell_cases() -> List[Case]:
-    k1 = PhysConstants()
-    k2 = PhysConstants(c=2.0)
-    spatial = uniforms(-2.0, 2.0, 3)  # a point of the t = 0 slice
-
-    def polynomial_gauge(tape, start, n, cfg):
-        return block_em_from_potential(*_lorenz_draws(tape, start, n), k1)[:, :1]
-
-    def factorization_chain(tape, start, n, cfg):
-        return _rel(*block_wave_sides(*_lorenz_draws(tape, start, n), k1))
-
-    def gauss_slice(tape, start, n, cfg):
-        # a static scalar potential: the real parts of a scalar draw's
-        # spatial terms, at a point of the t = 0 slice
-        phi, r = draw(tape, start, n, SCALAR, spatial)
-        c = np.zeros((n, 35, 4), np.complex128)
-        c[..., 0] = np.where(_degree_exponents(3)[:, 0] == 0, phi.real, 0.0)
-        x = np.zeros((n, 4), np.complex128)
-        x[:, 1:] = r
-        src, div_e = block_gauss_law_sides((None, None, c), x, cfg.h, k1)
-        return (src - div_e)[:, None]
-
-    def static_gradient(tape, start, n, cfg):
-        pot = Field.monomial((0, 1, 0, 0), Paravector(1.0))
-        val = em_from_potential(pot, Event(0.3, (0.7, -1.1, 0.4)), k1)
-        return val.data - np.array([0.0, -1.0, 0.0, 0.0])
-
-    return [
-        Case("plane-wave-gauge-scalar", "exact", 1e-12, _plane_wave_case(k1, "gauge")),
-        Case("plane-wave-sources", "exact", 1e-10, _plane_wave_case(k1, "sources")),
-        Case("polynomial-gauge-scalar", "exact", 1e-12,
-             _blocked(_times(1), polynomial_gauge, ROWS)),
-        Case("factorization-chain", "exact", 1e-9, _blocked(_times(1), factorization_chain, ROWS)),
-        Case("gauss-law-slice", "numeric", 1e-6, _blocked(_times(1), gauss_slice, ROWS)),
-        Case("c2-plane-wave-gauge-scalar", "exact", 1e-12, _plane_wave_case(k2, "gauge")),
-        Case("c2-plane-wave-sources", "exact", 1e-10, _plane_wave_case(k2, "sources")),
-        Case("static-gradient-value", "fixed", 0.0, _blocked(_once, static_gradient)),
-    ]
-
-
-_SUITE_BUILDERS = {
-    "algebra": _algebra_cases,
-    "diffop": _diffop_cases,
-    "transforms": _transforms_cases,
-    "wave": _wave_cases,
-    "maxwell": _maxwell_cases,
-}
+#: Each suite's builder: a zero-argument callable that returns its cases.
+_SUITE_BUILDERS = {name: partial(_cases, name) for name in SUITE_NAMES}
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -637,8 +251,10 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         tol_numeric=cfg.tol_numeric,
         h=cfg.h,
     )
-    for sname in names:
-        for idx, case in enumerate(_SUITE_BUILDERS[sname]()):
+    # every suite's module loads before any case runs
+    suites = [(sname, _SUITE_BUILDERS[sname]()) for sname in names]
+    for sname, cases in suites:
+        for idx, case in enumerate(cases):
             sub = idx if case.substream is None else case.substream
             name = f"{sname}/{case.name}"
             try:  # overflow reads as a non-finite residual, which fails the case
@@ -699,72 +315,3 @@ def report_to_json(rep: SuiteReport, verbose: bool = False) -> str:
         "failed": rep.failed,
     }
     return json.dumps(obj, allow_nan=False) + "\n"
-
-
-# -- convergence tables -------------------------------------------------------
-
-@dataclass
-class ConvergenceRow:
-    h: float
-    max_error: float
-    ratio: Optional[float]  # error(h_i)/error(h_{i+1}); None below the noise floor
-
-
-def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List[ConvergenceRow]:
-    """Max numeric-vs-exact derivative error per step, with step-to-step ratios.
-
-    ``fields`` overrides the default seeded draws (three fields of the chosen
-    kind); ratios are reported as not-applicable below the 1e-12 noise floor.
-    """
-    if field_kind not in ("poly", "planewave"):
-        raise ConfigError(f"unknown field kind {field_kind!r}")
-    steps = [float(s) for s in steps]
-    if len(steps) < 2:
-        raise ConfigError("need at least two steps")
-    if not all(0 < s < math.inf for s in steps) or any(
-        a <= b for a, b in zip(steps, steps[1:])
-    ):
-        raise ConfigError("steps must be finite, positive and strictly decreasing")
-    if seed < 0:
-        raise ConfigError("seed must be a natural number")
-    rng = case_rng(seed, "convergence", 0)
-    if fields is None:
-        family = random_field if field_kind == "poly" else random_plane_wave
-        fields = [family(rng) for _ in range(3)]
-    points = [random_event(rng).data for _ in range(20)]
-    try:  # overflow reads as a NaN error, which fails the table
-        with np.errstate(all="ignore"):
-            errors = max_partial_errors(fields, points, steps)
-    except ValueError as exc:  # a step that does not move the stencil
-        raise ConfigError(str(exc)) from None
-    rows = []
-    for i, h in enumerate(steps):
-        ratio = None
-        if i + 1 < len(steps) and errors[i] >= NOISE_FLOOR and errors[i + 1] >= NOISE_FLOOR:
-            ratio = errors[i] / errors[i + 1]
-        rows.append(ConvergenceRow(h=h, max_error=errors[i], ratio=ratio))
-    return rows
-
-
-def convergence_ok(rows: List[ConvergenceRow]) -> bool:
-    """Each defined ratio must sit within 20% of the second-order prediction.
-
-    Close steps put 1 (no convergence) inside that band, so when the first and
-    last errors are above the 1e-12 noise floor, the order fitted between them
-    must also be 2 +- 0.1.  A non-finite error fails the table.
-    """
-    if not all(math.isfinite(r.max_error) for r in rows):
-        return False
-    for cur, nxt in zip(rows, rows[1:]):
-        if cur.ratio is None:
-            continue
-        predicted = (cur.h / nxt.h) ** 2
-        if not 0.8 * predicted <= cur.ratio <= 1.2 * predicted:
-            return False
-    if len(rows) < 2:
-        return True
-    first, last = rows[0], rows[-1]
-    if min(first.max_error, last.max_error) >= NOISE_FLOOR:
-        order = math.log(first.max_error / last.max_error) / math.log(first.h / last.h)
-        return abs(order - 2.0) <= 0.1
-    return True

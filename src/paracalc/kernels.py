@@ -8,7 +8,9 @@ same in any stack and one point is a stack of one.
 ``jets`` takes a block (see ``diffops``), one field per row, and evaluates
 the value and exact partials of each row's field at its points (any middle
 axes), from its own frame, phase and coefficients on the exponent table of
-a degree, whose partials ``lowering`` gives.
+a degree, whose partials ``lowering`` gives.  ``_disc`` turns a stream's
+doubles into the values on a disc that every draw takes (``fields``' one at
+a time, ``tape``'s a block at a time).
 """
 
 import functools
@@ -56,6 +58,24 @@ def pv_mul_rows(a, b):
     cross = cmul(a[:, i], b[:, j]) - cmul(a[:, j], b[:, i])
     out[:, 1:] = cmul(a[:, :1], b[:, 1:]) + cmul(b[:, :1], a[:, 1:]) + cmul(1j, cross)
     return out
+
+
+#: The disc radius of the paravector and event draws, and the |det| that a
+#: drawn paravector must reach.
+DRAW_SCALE = 2.0
+MIN_DET = 0.1
+
+
+def _disc(u: np.ndarray, scale: float) -> np.ndarray:
+    """Values uniform on the closed disc of radius `scale`, from the doubles
+    u (..., 2m): each value takes two consecutive doubles, the radius uniform
+    then the angle uniform; 2*pi*u is how numpy computes uniform(0, 2*pi)."""
+    radius = scale * np.sqrt(u[..., 0::2])
+    theta = 2.0 * np.pi * u[..., 1::2]
+    z = np.empty(radius.shape, np.complex128)
+    z.real = radius * np.cos(theta)
+    z.imag = radius * np.sin(theta)
+    return z
 
 
 def coefficient_matrix(coeffs):

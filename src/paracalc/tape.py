@@ -2,7 +2,7 @@
 
 Every draw in the suites reads its case's PCG64 stream as consecutive
 doubles.  A value on a disc takes two, the radius then the angle
-(``fields._disc``), and ``rng.uniform(low, high)`` takes one, as
+(``kernels._disc``), and ``rng.uniform(low, high)`` takes one, as
 ``low + (high - low) * u``.  So a sample is a run of doubles, and a block of
 samples is its samples' runs one after another.
 
@@ -12,7 +12,7 @@ start..start+n-1 on the tape, parses each item for the whole block at once,
 and moves the cursor past the last sample.  So it returns what drawing one
 sample after another returns, and leaves the cursor where those draws leave
 the stream.  Runs of fixed length are located by a cumulative sum.  A stage
-that redraws (a paravector until its |det| reaches ``fields.MIN_DET``; a
+that redraws (a paravector until its |det| reaches ``kernels.MIN_DET``; a
 wave vector, then a polarization, until their norms reach ``WAVE_NORM`` and
 ``POLARIZATION_NORM``) first takes one candidate in every sample, all
 parsed and checked at once; the samples before the first one whose
@@ -31,13 +31,10 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from .algebra import det_rows
-from .electromag import plane_wave_rows
-from .fields import DRAW_SCALE, MIN_DET, _disc
-from .kernels import dots
+from .kernels import DRAW_SCALE, MIN_DET, _disc, dots
 
-__all__ = ["CHUNK", "Tape", "Item", "draw", "discs", "uniforms", "plane_wave_block",
-           "EVENT", "POLY", "SCALAR", "FIELD", "NULL_WAVE", "PARAVECTOR", "WAVE",
-           "MAXWELL_EVENT"]
+__all__ = ["CHUNK", "Tape", "Item", "draw", "discs", "uniforms", "EVENT", "POLY", "SCALAR",
+           "FIELD", "NULL_WAVE", "PARAVECTOR", "WAVE", "MAXWELL_EVENT"]
 
 #: Doubles the tape reads from the stream at a time.
 CHUNK = 4096
@@ -220,20 +217,6 @@ def _wave_draw(u, at, index):
 def _wave_ok(w):
     v = w[:, :6].reshape(-1, 2, 3)  # the wave vector and the polarization
     return np.sqrt(dots(v, v)) >= (WAVE_NORM, POLARIZATION_NORM)
-
-
-def plane_wave_block(w: np.ndarray, constants) -> tuple:
-    """The vacuum plane-wave potentials of WAVE draws w as a block.
-
-    The rows are plane_wave_rows', unchecked: a wave vector of norm 0.3 or
-    more is not zero, and the rounding of the projection leaves pol . kvec
-    below 1e-14 |kvec|, far under 1e-12 |kvec| |pol|, the transversality
-    bound of the per-wave reference (tests/util.py)."""
-    amp = np.empty(len(w), np.complex128)
-    amp.real, amp.imag = w[:, 6], w[:, 7]
-    amplitude, phase = plane_wave_rows(w[:, :3].astype(np.complex128),
-                                       w[:, 3:6].astype(np.complex128), amp, constants)
-    return _wave(phase, amplitude)
 
 
 #: random_event

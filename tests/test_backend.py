@@ -6,7 +6,9 @@ numpy's matrix products (``@``, ``matmul``, ``dot`` and their kin, and
 rounding depends on the host.  ``einsum`` with ``optimize`` may route a
 contraction to ``tensordot`` and so to BLAS as well.  Every contraction in
 ``src/paracalc`` is an elementwise sum in a fixed order or a plain
-``einsum``, so a report depends only on its invocation.
+``einsum``, so a report depends only on its invocation.  numpy's own loops
+dispatch on the CPU too (real ``np.exp`` rounds differently without
+AVX512_SKX), so the reports are also compared with those loops turned off.
 """
 
 import ast
@@ -73,25 +75,57 @@ def _dynamic_openblas() -> bool:
             and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
 
 
-@pytest.mark.skipif(not _dynamic_openblas(),
-                    reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
-@pytest.mark.parametrize("args", [
+def _cpu_feature(name: str) -> bool:
+    """Whether numpy dispatches loops for the CPU feature in this process."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get(name))
+
+
+REPORTS = pytest.mark.parametrize("args", [
     ["check", "all", "--json", "--verbose", "--samples", "20"],
     ["convergence", "--field", "poly", "--steps", "1e-1,1e-2,1e-3,1e-4"],
 ], ids=["check-all", "convergence-poly"])
+
+
+def _run(args, variable: str, value):
+    """A child process with the environment variable set to value (or unset)."""
+    env = {k: v for k, v in os.environ.items() if k != variable}
+    if value:
+        env[variable] = value
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent)] + (
+        [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=300)
+    return run.returncode, run.stdout, run.stderr
+
+
+@pytest.mark.skipif(not _dynamic_openblas(),
+                    reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+@REPORTS
 def test_reports_do_not_depend_on_the_blas_kernels(args):
     # OPENBLAS_CORETYPE forces OpenBLAS's kernels for an older CPU, in the
     # CLI's own process only
-    outputs = {}
-    for core in (None, "Prescott", "Nehalem"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        if core:
-            env["OPENBLAS_CORETYPE"] = core
-        env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent)] + (
-            [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        run = subprocess.run([sys.executable, "-m", "paracalc.cli", *args], env=env,
-                             capture_output=True, timeout=300)
-        outputs[core] = run.returncode, run.stdout, run.stderr
+    outputs = {core: _run(["-m", "paracalc.cli", *args], "OPENBLAS_CORETYPE", core)
+               for core in (None, "Prescott", "Nehalem")}
     assert outputs[None][0] == 0, outputs[None][2].decode()
     assert outputs["Prescott"] == outputs[None]
     assert outputs["Nehalem"] == outputs[None]
+
+
+@pytest.mark.skipif(not _cpu_feature("AVX512_SKX"),
+                    reason="numpy dispatches no AVX512_SKX loops on this CPU, so turning "
+                           "off X86_V4 would compare a run with itself")
+@REPORTS
+def test_reports_do_not_depend_on_numpy_simd_dispatch(args):
+    # NPY_DISABLE_CPU_FEATURES=X86_V4 turns off numpy's AVX512_SKX loops, in
+    # the CLI's own process only
+    probe = ["-c", "import numpy; core = getattr(numpy, '_core', None) or numpy.core; "
+                   "print(core._multiarray_umath.__cpu_features__['AVX512_SKX'])"]
+    off = _run(probe, "NPY_DISABLE_CPU_FEATURES", "X86_V4")
+    assert off[1].split() == [b"False"], off[2].decode()  # the variable took effect
+    outputs = {v4: _run(["-m", "paracalc.cli", *args], "NPY_DISABLE_CPU_FEATURES", v4)
+               for v4 in (None, "X86_V4")}
+    assert outputs[None][0] == 0, outputs[None][2].decode()
+    assert outputs["X86_V4"] == outputs[None]

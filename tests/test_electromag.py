@@ -11,11 +11,12 @@ from paracalc.electromag import (
     block_sources,
     block_wave_sides,
     em_from_potential,
+    plane_wave_block,
     plane_wave_rows,
 )
 from paracalc.fields import Field
 from paracalc.harness import BLOCK
-from paracalc.tape import SCALAR, WAVE, Tape, draw, plane_wave_block
+from paracalc.tape import SCALAR, WAVE, Tape, draw
 
 from util import (
     NonTransverse,

@@ -9,7 +9,15 @@ import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from paracalc import harness, kernels
+from paracalc import (
+    harness,
+    kernels,
+    suite_algebra,
+    suite_diffop,
+    suite_maxwell,
+    suite_transforms,
+    suite_wave,
+)
 from paracalc.algebra import (
     IDENTITY,
     Event,
@@ -37,13 +45,11 @@ from paracalc.harness import (
     SUITE_NAMES,
     SuiteConfig,
     case_rng,
-    convergence_ok,
-    ConvergenceRow,
     Worst,
     report_to_json,
-    run_convergence,
     run_suite,
 )
+from paracalc.convergence import ConvergenceRow, convergence_ok, run_convergence
 
 from util import (
     block_of,
@@ -269,7 +275,7 @@ def loop_algebra_runs(attempts):
 def test_blocked_algebra_cases_match_the_per_sample_loop(monkeypatch):
     attempts = []
     loop_runs = loop_algebra_runs(attempts)
-    blocked = harness._algebra_cases()
+    blocked = suite_algebra.cases()
     assert {c.name for c in blocked} >= set(loop_runs)
 
     def loop_cases():
@@ -744,9 +750,7 @@ def test_cli_verbose_table(capsys):
 
 
 def test_numeric_transform_cases_share_exact_substreams():
-    from paracalc import harness
-
-    cases = harness._transforms_cases()
+    cases = suite_transforms.cases()
     by_name = {c.name: c for c in cases}
     order = [c.name for c in cases]
     for exact_name in ("div-left-transport", "grad-left-transport",
@@ -807,7 +811,7 @@ def _per_sample_draws(name, rng, count, attempts):
 
 
 def _record_block_draws(monkeypatch, seen):
-    """Replace the block evaluators the harness calls by ones that record
+    """Replace the block evaluators the suites call by ones that record
     their inputs, in the per-sample layout, and return zero sides."""
     def zeros(x):
         return np.zeros((len(x), 4), np.complex128)
@@ -839,7 +843,9 @@ def _record_block_draws(monkeypatch, seen):
         ("block_wave_sides", record(0, 1, result=pair)),
         ("block_gauss_law_sides", record(0, 1, result=lambda x: (np.zeros(len(x)),) * 2)),
     ]:
-        monkeypatch.setattr(harness, name, fn)
+        for suite in (suite_diffop, suite_transforms, suite_wave, suite_maxwell):
+            if hasattr(suite, name):  # the suite that calls it
+                monkeypatch.setattr(suite, name, fn)
 
 
 def _arrays(draw):

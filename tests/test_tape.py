@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paracalc import fields, tape
-from paracalc.electromag import PhysConstants
+from paracalc.electromag import PhysConstants, plane_wave_block
 from paracalc.fields import random_event
 from paracalc.harness import case_rng
 from paracalc.tape import (
@@ -20,7 +20,6 @@ from paracalc.tape import (
     Tape,
     discs,
     draw,
-    plane_wave_block,
     uniforms,
 )
 

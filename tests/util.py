@@ -32,8 +32,6 @@ from paracalc.kernels import _degree_exponents
 from paracalc.fields import (
     _CONSTANT,
     _ZERO_PHASE,
-    DRAW_SCALE,
-    MIN_DET,
     Field,
     _random_complexes,
     _random_polynomial,
@@ -41,6 +39,7 @@ from paracalc.fields import (
     random_field,
     random_plane_wave,
 )
+from paracalc.tape import DRAW_SCALE, MIN_DET
 
 #: the four transport identities, as transforms.transport_sides's (op, right)
 TRANSPORTS = {
