@@ -3,15 +3,13 @@
 Every case gets its own random substream derived from
 ``SeedSequence([seed, crc32(suite), case_index])``, so adding cases never
 perturbs existing ones and ``check all`` reproduces the per-suite residuals
-bit for bit.  A case reads its substream through one ``tape.Tape`` and draws
-a block of samples as stacked arrays, taking the stream as drawing one
-sample after another would, and one loop (``_blocked``) runs the blocks in
-sample order; a value case that runs once is one block of one sample.  A
-floor case (``_floor``) runs its witness once.
-Residuals are max-abs
-over the value components; cases that pin a *floor* under a witness instead
-report the deficit ``max(0, floor - value)`` against a zero threshold so that
-``pass == residual <= threshold`` holds uniformly.
+bit for bit.  A sampled case is one row, ``_blocked(count, items, sides,
+rows)``, and ``_blocked`` does the rest: it draws the samples in blocks
+from one ``tape.Tape``, as drawing them one after another would, compares
+the pairs that ``sides`` returns and offers each sample's rows to
+``Worst``, samples in order.  A floor case (``_floor``) runs its witness
+once and reports the deficit ``max(0, floor - value)`` against a zero
+threshold, so ``pass == residual <= threshold`` holds uniformly.
 
 This module is the suites' core: the configuration, the reports, the
 ``Worst`` tracker, ``_rel`` and the case runs.  Each suite's cases live in
@@ -25,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 import zlib
 from dataclasses import dataclass, field as dc_field
@@ -66,6 +65,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITE_NAMES + ("all",):
             raise ConfigError(f"unknown suite {self.suite!r}")
+        if not all(isinstance(v, numbers.Integral) for v in (self.samples, self.seed)):
+            raise ConfigError("samples and seed must be integers")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         # below the smallest normal float a scaled threshold can underflow to 0
@@ -187,22 +188,27 @@ BLOCK = 256
 ROWS = 16
 
 
-def _blocked(count, block, rows=BLOCK):
-    """A case run that draws samples 0..count(cfg)-1 in blocks of ``BLOCK``,
-    or of ``rows`` if fewer.
-
-    ``block(tape, start, n, cfg)`` draws samples ``start``..``start + n - 1``
-    from the case's tape as stacked arrays and returns their differences as
-    one stack, each sample's rows in turn, samples in order.
+def _blocked(count, items, sides, rows=BLOCK, compare=_rel):
+    """A sampled case's run: samples 0..count(cfg)-1, each drawn as the tape
+    layout ``items`` (none: no draw), in blocks of ``BLOCK``, or of ``rows``
+    if fewer.  ``sides(*draws, cfg)`` gets a block's draws, one stack per
+    item, and returns the identity's ``(lhs, rhs)`` pairs, each compared by
+    ``compare``, or the difference itself as an array.  Each sample's rows
+    are offered in turn, pair by pair.
     """
     # here, not at the top: the suites load tape anyway, and convergence need not
-    from .tape import Tape
+    from .tape import Tape, draw
 
     def run(rng, cfg):
         w, tape = Worst(), Tape(rng)
         total, size = count(cfg), min(BLOCK, rows)
         for start in range(0, total, size):
-            w.offer(block(tape, start, min(size, total - start), cfg))
+            n = min(size, total - start)
+            out = sides(*(draw(tape, start, n, *items) if items else ()), cfg)
+            if not isinstance(out, np.ndarray):
+                diffs = [compare(lhs, rhs) for lhs, rhs in out]
+                out = np.stack(diffs, axis=-2).reshape(-1, diffs[0].shape[-1])
+            w.offer(out)
         return w
 
     return run

@@ -5,12 +5,13 @@ split between covariant and contravariant values.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 import numpy as np
 
 from .algebra import normalize_rows
-from .harness import Case, _blocked, _floor, _once, _rel, _times
+from .harness import Case, _blocked, _floor, _once, _times
 from .tape import EVENT, PARAVECTOR, POLY, Tape, draw
 from .transforms import (
     InvarianceForm,
@@ -21,15 +22,6 @@ from .transforms import (
 )
 
 VALUE_SPLIT_FLOOR = 1e-3
-
-
-def _wave_form_case(form: InvarianceForm):
-    def block(tape, start, n, cfg):
-        g, c, x = draw(tape, start, n, PARAVECTOR, POLY, EVENT)
-        f, lam = (None, None, c), normalize_rows(g)  # as random_orthogonal draws
-        return _rel(*wave_invariance_sides(form, f, lam, form_point(form, lam, x)))
-
-    return _blocked(_times(1), block)
 
 
 def cases() -> List[Case]:
@@ -48,19 +40,22 @@ def cases() -> List[Case]:
                 best, best_gap = m, gap
         return best_gap
 
-    def value_laws(tape, start, n, cfg):
-        # each form's moved field at X' against its value law at the pre-image
-        g, c, Xp = draw(tape, start, n, PARAVECTOR, POLY, EVENT)
-        f, lam = (None, None, c), normalize_rows(g)  # as random_orthogonal draws
-        return np.concatenate([_rel(*form_value_sides(form, f, lam, Xp))
-                               for form in InvarianceForm])
+    def invariance(form, g, c, x, cfg):
+        lam = normalize_rows(g)  # as random_orthogonal draws
+        return [wave_invariance_sides(form, (None, None, c), lam, form_point(form, lam, x))]
 
+    def value_laws(g, c, Xp, cfg):
+        # each form's moved field at X' against its value law at the pre-image
+        f, lam = (None, None, c), normalize_rows(g)  # as random_orthogonal draws
+        return [form_value_sides(form, f, lam, Xp) for form in InvarianceForm]
+
+    gcx = (PARAVECTOR, POLY, EVENT)
+    forms = zip(("form1-right-invariant", "form2-right-contravariant", "form3-left-covariant",
+                 "form4-left-invariant"), InvarianceForm)
     return [
-        Case("form1-right-invariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM1)),
-        Case("form2-right-contravariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM2)),
-        Case("form3-left-covariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM3)),
-        Case("form4-left-invariant", "exact", 1e-9, _wave_form_case(InvarianceForm.FORM4)),
+        *(Case(name, "exact", 1e-9, _blocked(_times(1), gcx, partial(invariance, form)))
+          for name, form in forms),
         Case("covariant-contravariant-split-deficit", "fixed", 0.0,
              _floor(value_split, VALUE_SPLIT_FLOOR)),
-        Case("form-value-structure", "exact", 1e-10, _blocked(_once, value_laws)),
+        Case("form-value-structure", "exact", 1e-10, _blocked(_once, gcx, value_laws)),
     ]

@@ -96,6 +96,15 @@ def test_config_validation():
                 SuiteConfig(suite="algebra", **{key: bad})
 
 
+@pytest.mark.parametrize("key, bad", [("samples", 2.5), ("samples", math.nan),
+                                      ("samples", "3"), ("seed", 1.5)])
+def test_config_refuses_a_sample_count_or_seed_that_is_not_an_integer(key, bad):
+    # each case would crash on it inside the harness and report an identity failure
+    with pytest.raises(ConfigError):
+        SuiteConfig(suite="algebra", **{key: bad})
+    SuiteConfig(suite="algebra", **{key: np.int64(3)})  # a numpy integer is an integer
+
+
 _EDGE_FLOATS = st.sampled_from(
     [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-5, 1e308, 5e-324, 1e-5, 1e-10]
 )
@@ -926,7 +935,33 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, capsys, block):
         assert main(["check", suite, "--samples", "20", "--json", "--verbose"]) == 0
         return capsys.readouterr().out
 
-    want = {suite: report(suite) for suite in ("algebra", "diffop", "maxwell")}
+    want = {suite: report(suite) for suite in SUITE_NAMES}
     monkeypatch.setattr(harness, "BLOCK", block)
     for suite, out in want.items():
         assert report(suite) == out, suite
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+def test_every_sample_of_a_case_offers_the_same_number_of_rows(monkeypatch, seed):
+    # in blocks of one sample, each offer is one sample's rows; a fixed count
+    # per case maps a row of a block back to its sample
+    offered, rows = [], {}
+    offer = Worst.offer
+    monkeypatch.setattr(Worst, "offer", lambda w, diff: (
+        offered.append(len(np.atleast_2d(diff))), offer(w, diff)))
+    monkeypatch.setattr(harness, "BLOCK", 1)
+    for suite in SUITE_NAMES:
+        for index, case in enumerate(harness._SUITE_BUILDERS[suite]()):
+            offered.clear()
+            sub = index if case.substream is None else case.substream
+            case.run(case_rng(seed, suite, sub), small_cfg(suite, seed=seed))
+            assert len(set(offered)) == 1, (case.name, offered)
+            rows[f"{suite}/{case.name}"] = offered[0]
+    pairs = {"algebra/inverse-identity", "algebra/action-matches-product",
+             "algebra/left-action-expansion", "diffop/assembly-matches-oracle",
+             "diffop/factorization-exact", "transforms/right-factor-exact",
+             "transforms/right-factor-singular-exact", "transforms/right-factor-numeric"}
+    per_coordinate = {"diffop/numeric-agreement", "wave/form-value-structure"}
+    assert len(rows) == 47
+    assert rows == {name: 2 if name in pairs else 4 if name in per_coordinate else 1
+                    for name in rows}
