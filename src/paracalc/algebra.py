@@ -1,10 +1,11 @@
 """Complex paravector arithmetic and its actions on space-time events.
 
-Two value types share one (4,) complex128 layout but are kept semantically
-apart: ``Paravector`` is multiplicative (no addition is defined on it) and
-``Event`` is additive (no product is defined on it).  Paravectors act on
-events through ``act_left`` and ``act_right``; a value reads as the other
-type through ``from_data``, as ``Paravector.from_data(x.data)``.
+Two value types share one (4,) complex128 layout and one body (``_Value``:
+``from_data``, equality, ``repr``) but are kept semantically apart:
+``Paravector`` is multiplicative (no addition is defined on it) and ``Event``
+is additive (no product is defined on it).  Paravectors act on events through
+``act_left`` and ``act_right``; a value reads as the other type through
+``from_data``, as ``Paravector.from_data(x.data)``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,30 @@ def _freeze(data: np.ndarray) -> np.ndarray:
     return data
 
 
-class Paravector:
+class _Value:
+    """The body both value types share: frozen (4,) complex128 data, equal to
+    a value of the same type with equal data, and so unhashable."""
+
+    __slots__ = ("data",)
+
+    @classmethod
+    def from_data(cls, data):
+        value = object.__new__(cls)
+        value.data = _freeze(data)
+        return value
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return bool(np.array_equal(self.data, other.data))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.data[0]!r}, {tuple(self.data[1:])!r})"
+
+
+class Paravector(_Value):
     """Multiplicative pair [s; v] of a complex scalar and complex 3-vector.
 
     Supports the non-commutative product (``*`` or :func:`mul`), reversion,
@@ -68,16 +92,12 @@ class Paravector:
     on :class:`Event`.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ()
+    # an entry of its own: perfbench/tracer.py wraps each class's namespace
+    from_data = _Value.__dict__["from_data"]
 
     def __init__(self, scalar=0.0, vector=(0.0, 0.0, 0.0)):
         self.data = _freeze(_pack(scalar, vector))
-
-    @classmethod
-    def from_data(cls, data) -> "Paravector":
-        p = object.__new__(cls)
-        p.data = _freeze(data)
-        return p
 
     @property
     def s(self) -> complex:
@@ -92,30 +112,15 @@ class Paravector:
             return mul(self, other)
         return NotImplemented
 
-    def __eq__(self, other):
-        if isinstance(other, Paravector):
-            return bool(np.array_equal(self.data, other.data))
-        return NotImplemented
 
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Paravector({self.data[0]!r}, {tuple(self.data[1:])!r})"
-
-
-class Event:
+class Event(_Value):
     """Additive space-time point (t, r) in C^(1+3)."""
 
-    __slots__ = ("data",)
+    __slots__ = ()
+    from_data = _Value.__dict__["from_data"]
 
     def __init__(self, t=0.0, r=(0.0, 0.0, 0.0)):
         self.data = _freeze(_pack(t, r))
-
-    @classmethod
-    def from_data(cls, data) -> "Event":
-        x = object.__new__(cls)
-        x.data = _freeze(data)
-        return x
 
     @property
     def t(self) -> complex:
@@ -134,16 +139,6 @@ class Event:
         if isinstance(other, Event):
             return Event.from_data(self.data - other.data)
         return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, Event):
-            return bool(np.array_equal(self.data, other.data))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Event({self.data[0]!r}, {tuple(self.data[1:])!r})"
 
 
 # -- product, reversion, determinant ----------------------------------------

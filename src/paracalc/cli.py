@@ -12,7 +12,8 @@ import gc
 import sys
 from typing import Optional, Sequence
 
-from .harness import ConfigError, SUITE_NAMES, SuiteConfig, report_to_json, run_suite
+from .harness import (SAMPLES, SEED, STEP, SUITE_NAMES, TOL_EXACT, TOL_NUMERIC, ConfigError,
+                      SuiteConfig, report_to_json, run_suite)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,11 +25,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a verification suite")
     check.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    check.add_argument("--seed", type=int, default=42)
-    check.add_argument("--samples", type=int, default=50)
-    check.add_argument("--tol-exact", type=float, default=1e-10)
-    check.add_argument("--tol-numeric", type=float, default=1e-5)
-    check.add_argument("--step", type=float, default=1e-5,
+    check.add_argument("--seed", type=int, default=SEED)
+    check.add_argument("--samples", type=int, default=SAMPLES)
+    check.add_argument("--tol-exact", type=float, default=TOL_EXACT)
+    check.add_argument("--tol-numeric", type=float, default=TOL_NUMERIC)
+    check.add_argument("--step", type=float, default=STEP,
                        help="central-difference step for numeric-mode cases, "
                             "except diffop/factorization-numeric, which always "
                             "steps by 1e-4: its nested second difference loses "
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--field", choices=("poly", "planewave"), required=True)
     conv.add_argument("--steps", required=True,
                       help="comma-separated strictly decreasing step sizes")
-    conv.add_argument("--seed", type=int, default=42)
+    conv.add_argument("--seed", type=int, default=SEED)
     return parser
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .diffops import max_partial_errors
 from .fields import random_event, random_field, random_plane_wave
-from .harness import NOISE_FLOOR, ConfigError, case_rng
+from .harness import NOISE_FLOOR, SEED, ConfigError, case_rng
 
 __all__ = ["ConvergenceRow", "run_convergence", "convergence_ok"]
 
@@ -26,7 +26,7 @@ class ConvergenceRow:
     ratio: Optional[float]  # error(h_i)/error(h_{i+1}); None below the noise floor
 
 
-def run_convergence(field_kind: str, steps, seed: int = 42, fields=None) -> List[ConvergenceRow]:
+def run_convergence(field_kind: str, steps, seed: int = SEED, fields=None) -> List[ConvergenceRow]:
     """Max numeric-vs-exact derivative error per step, with step-to-step ratios.
 
     ``fields`` overrides the default seeded draws (three fields of the chosen

@@ -11,13 +11,14 @@ Each operator runs in exact mode (the closed-form partial fields of
 differences with a caller-chosen step).  Blocks, one field per row as arrays,
 take their exact partials from ``kernels.jets`` instead, which takes a block
 whole.  The module also provides the two documented failure witnesses of
-the product rule.
+the product rule, each built from one bundle per field.
 ``central_differences`` is the one numeric stencil, the independent oracle for
 the closed-form partials: it differences points (..., 4) along every
 coordinate at once, as 8 copies (..., 8, 4) each, and returns
 d[..., component, coordinate], the layout of ``bundle`` and the jets.
 ``max_partial_errors`` measures those numeric partials against the exact
-ones for each step, in passes of steps (the convergence tables).
+ones for each step, in passes of steps (the convergence tables) sized by
+the sweep's own budget, ``_SWEEP_BUDGET``.
 """
 
 from __future__ import annotations
@@ -270,17 +271,16 @@ def product_rule_failure_witness(f: Field, g: Field, X: Event) -> Paravector:
     Unlike the scalar case this residual is generically nonzero; the suites pin
     a floor under a stored witness pair rather than a tolerance above it.
     div4[f g] is computed from the componentwise (complex-bilinear) product
-    rule, which does hold per coordinate partial.
+    rule, which does hold per coordinate partial; div4 f and div4 g come from
+    the same bundles.
     """
-    x = X.data
-    fv = f._value(x)
-    gv = g._value(x)
+    fv, gv = Field._values((f, g), X.data)
     df, dg = bundle(f, X, EXACT), bundle(g, X, EXACT)
     d = np.empty((4, 4), np.complex128)
     for c in range(4):
         d[:, c] = kernels.pv_mul(df[:, c], gv) + kernels.pv_mul(fv, dg[:, c])
     lhs = assemble_div(d)
-    rhs = kernels.pv_mul(div4(f, X).data, gv) + kernels.pv_mul(fv, div4(g, X).data)
+    rhs = kernels.pv_mul(assemble_div(df), gv) + kernels.pv_mul(fv, assemble_div(dg))
     return Paravector.from_data(lhs - rhs)
 
 
@@ -340,6 +340,9 @@ def _stencil(xs: np.ndarray, steps) -> np.ndarray:
     return stencil
 
 
+_SWEEP_BUDGET = 12288  # doubles in a pass of max_partial_errors (96 KB), apart from the jets'
+
+
 def max_partial_errors(fields, points, steps) -> list[float]:
     """Per step h, max |central difference - exact partial| over fields x points x coordinates.
 
@@ -350,7 +353,7 @@ def max_partial_errors(fields, points, steps) -> list[float]:
     order) and evaluates every field on it in one ``Field._values`` call, so
     polynomials on one exponent table share their monomials.  A stencil row
     takes 8 doubles, and 2 per term of the largest group for its monomials;
-    a pass takes as many steps as fit in ``kernels._BUDGET`` doubles, at
+    a pass takes as many steps as fit in ``_SWEEP_BUDGET`` doubles, at
     least one: one step of three dense cubics at 20 points, seven of plane
     waves.  So memory does not grow with the step count.  NaN propagates, so
     an overflowing step cannot read as a zero error.
@@ -359,7 +362,7 @@ def max_partial_errors(fields, points, steps) -> list[float]:
     exact = Field._values([f.partial(c) for f in fields for c in range(4)], pts)
     exact = np.moveaxis(np.reshape(exact, (len(fields), 4, len(pts), 4)), 1, -1)  # d[f, p, i, c]
     terms = max((len(g[2]) for f in fields for g in f._groups), default=0)
-    size = max(1, kernels._BUDGET // max(1, 8 * len(pts) * (8 + 2 * terms)))
+    size = max(1, _SWEEP_BUDGET // max(1, 8 * len(pts) * (8 + 2 * terms)))
     return [e for i in range(0, len(steps), size)
             for e in _pass_errors(fields, pts, exact, steps[i:i + size])]
 

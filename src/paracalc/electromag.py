@@ -58,14 +58,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysConstants:
-    """Speed of light and vacuum permittivity; both default to 1."""
+    """The speed of light, 1 by default.  No permittivity: the sources read
+    as the operator's value, (rho/eps0; -j/(c eps0)), whatever eps0 is."""
 
     c: float = 1.0
-    eps0: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.c < np.inf and 0 < self.eps0 < np.inf):
-            raise ValueError("physical constants must be positive and finite")
+        if not 0 < self.c < np.inf:
+            raise ValueError("the speed of light must be positive and finite")
 
 
 def _tau_event(X: Event, c: float) -> Event:

@@ -48,6 +48,9 @@ SUITE_NAMES = ("algebra", "diffop", "transforms", "wave", "maxwell")
 
 NOISE_FLOOR = 1e-12  # convergence errors below this are rounding, not truncation
 
+#: The run defaults of the CLI, SuiteConfig and run_convergence; Case.threshold's scale bases.
+SEED, SAMPLES, TOL_EXACT, TOL_NUMERIC, STEP = 42, 50, 1e-10, 1e-5, 1e-5
+
 
 class ConfigError(ValueError):
     """Invalid suite configuration or command-line arguments."""
@@ -56,11 +59,11 @@ class ConfigError(ValueError):
 @dataclass
 class SuiteConfig:
     suite: str
-    seed: int = 42
-    samples: int = 50
-    tol_exact: float = 1e-10
-    tol_numeric: float = 1e-5
-    h: float = 1e-5
+    seed: int = SEED
+    samples: int = SAMPLES
+    tol_exact: float = TOL_EXACT
+    tol_numeric: float = TOL_NUMERIC
+    h: float = STEP
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES + ("all",):
@@ -73,7 +76,7 @@ class SuiteConfig:
         if not all(sys.float_info.min <= v < math.inf
                    for v in (self.tol_exact, self.tol_numeric, self.h)):
             raise ConfigError("tolerances and step must be finite and at least 2.2e-308")
-        scales = (self.tol_exact / 1e-10, self.tol_numeric / 1e-5)  # see Case.threshold
+        scales = (self.tol_exact / TOL_EXACT, self.tol_numeric / TOL_NUMERIC)  # Case.threshold
         if not all(math.isfinite(s) for s in scales):
             raise ConfigError("tolerances too large: scaled thresholds must stay finite")
         if self.seed < 0:
@@ -174,9 +177,9 @@ class Case:
 
     def threshold(self, cfg: SuiteConfig) -> float:
         if self.kind == "exact":
-            return self.base_threshold * (cfg.tol_exact / 1e-10)
+            return self.base_threshold * (cfg.tol_exact / TOL_EXACT)
         if self.kind == "numeric":
-            return self.base_threshold * (cfg.tol_numeric / 1e-5)
+            return self.base_threshold * (cfg.tol_numeric / TOL_NUMERIC)
         return self.base_threshold
 
 

@@ -211,11 +211,9 @@ def _poly_slots(y, coeffs, plan):
         return np.concatenate([_poly_slots(y[i:i + step], coeffs[i:i + step], plan)
                                for i in range(0, len(y), step)])
     step = max(1, (_BUDGET - row) // point)
-    if y.ndim == 3 and y.shape[1] > step:
-        shared = coeffs.shape[1] == 1
-        return np.concatenate([
-            _poly_slots(y[:, j:j + step], coeffs if shared else coeffs[:, j:j + step], plan)
-            for j in range(0, y.shape[1], step)], axis=1)
+    if y.ndim == 3 and y.shape[1] > step:  # coeffs (1, 1, T, 4): one set for the points
+        return np.concatenate([_poly_slots(y[:, j:j + step], coeffs, plan)
+                               for j in range(0, y.shape[1], step)], axis=1)
     mono = np.empty(y.shape[:-1] + (2, terms))  # real and imaginary parts, graded
     mono[..., 0] = 1.0, 0.0
     y = np.stack([y.real, y.imag], axis=-2)

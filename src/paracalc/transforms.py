@@ -28,13 +28,16 @@ Identities covered:
 * observer rotation X' = L X L~ for orthogonal L (det = 1);
 * the four wave-operator invariance forms for orthogonal L, two of which keep
   field values untouched and two of which transform them co-/contra-variantly.
+  FORM_ACTIONS gives each form its side and its factor as a function of L;
+  form_value, the one value law, takes the field's values (or box4's) at the
+  form's pre-image of X', times that factor.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -281,11 +284,11 @@ class InvarianceForm(enum.IntEnum):
 
 
 #: form -> (whether it maps on the right, X' = X L rather than X' = L X;
-#: the factor that multiplies its values on the left, or None)
+#: the factor that multiplies its values on the left, as a function of L, or None)
 FORM_ACTIONS = {
     InvarianceForm.FORM1: (True, None),
-    InvarianceForm.FORM2: (True, "L~"),
-    InvarianceForm.FORM3: (False, "L"),
+    InvarianceForm.FORM2: (True, reverse_rows),
+    InvarianceForm.FORM3: (False, lambda lam: lam),
     InvarianceForm.FORM4: (False, None),
 }
 
@@ -298,44 +301,34 @@ def form_point(form: InvarianceForm, g: Rows, xs: Rows) -> Rows:
     return pv_mul_rows(xs, g) if FORM_ACTIONS[form][0] else pv_mul_rows(g, xs)
 
 
-def _factor(form: InvarianceForm, lam: Rows) -> Optional[Rows]:
+def form_value(form: InvarianceForm, lam: Rows, xps: Rows, value) -> Rows:
+    """The form's value law at X': ``value`` (the field's values, or box4's,
+    at points) at the pre-image of X', times the form's factor."""
     factor = FORM_ACTIONS[form][1]
-    return None if factor is None else lam if factor == "L" else reverse_rows(lam)
-
-
-def form_value(form: InvarianceForm, lam: Rows, values: Rows) -> Rows:
-    """The form's value law: L~ value for form 2, L value for form 3, else value."""
-    factor = _factor(form, lam)
-    return values if factor is None else pv_mul_rows(factor, values)
+    values = value(form_point(form, reverse_rows(lam), xps))
+    return values if factor is None else pv_mul_rows(factor(lam), values)
 
 
 def transformed_wave_field(form: InvarianceForm, f, lam: Rows):
     """The primed-frame fields whose box4 the selected form takes: each row
     pulled back to the pre-image of X', its values times the form's factor."""
-    form = InvarianceForm(form)
-    to_pre = right_matrix if FORM_ACTIONS[form][0] else left_matrix
-    moved = block_pullback(f, to_pre(reverse_rows(lam)))
-    factor = _factor(form, lam)
-    return moved if factor is None else block_times(moved, left_matrix(factor))
+    right, factor = FORM_ACTIONS[InvarianceForm(form)]
+    moved = block_pullback(f, (right_matrix if right else left_matrix)(reverse_rows(lam)))
+    return moved if factor is None else block_times(moved, left_matrix(factor(lam)))
 
 
 def form_value_sides(form: InvarianceForm, f, lam: Rows, xps: Rows) -> Tuple[Rows, Rows]:
-    """The form's moved fields at X', and its value law at the pre-image of X'."""
-    pre = form_point(form, reverse_rows(lam), xps)
+    """The form's moved fields at X', and its value law there."""
     return (jets(transformed_wave_field(form, f, lam), xps, 0)[0],
-            form_value(form, lam, jets(f, pre, 0)[0]))
+            form_value(form, lam, xps, lambda pre: jets(f, pre, 0)[0]))
 
 
 def wave_invariance_sides(form: InvarianceForm, f, lam: Rows, xps: Rows) -> Tuple[Rows, Rows]:
-    """The two sides of the selected invariance form at the primed points X'.
-
-    Forms 1/2 correspond to X' = X L (right map), forms 3/4 to X' = L X.
-    B is box4 of the original field, evaluated at the pre-image of X'.
-    """
+    """The two sides of the selected invariance form at the primed points X':
+    box4' of its moved fields, and its value law on B = box4 A."""
     require_orthogonal(lam)
     lhs = _finite(assemble_box(jets(transformed_wave_field(form, f, lam), xps, 2)[2]))
-    b = _finite(assemble_box(jets(f, form_point(form, reverse_rows(lam), xps), 2)[2]))
-    return lhs, form_value(form, lam, b)
+    return lhs, form_value(form, lam, xps, lambda pre: _finite(assemble_box(jets(f, pre, 2)[2])))
 
 
 @dataclass(frozen=True)
@@ -348,18 +341,13 @@ class TransformedValues:
 
 
 def transformed_field_values(f, lam: Rows, xps: Rows) -> TransformedValues:
-    """A' = A, A' = L A and A' = L~ A at the pre-image of X'.
+    """A' = A, A' = L A and A' = L~ A at the pre-image of X': the value laws
+    of forms 4, 3 and 2.
 
     The invariant and covariant laws read the field at the left-map pre-image
-    L~ X' (forms 4 and 3); the contravariant law reads it at the right-map
-    pre-image X' L~ (form 2).
+    L~ X'; the contravariant law reads it at the right-map pre-image X' L~.
     """
     require_orthogonal(lam)
-    rlam = reverse_rows(lam)
-    left_pre = jets(f, form_point(InvarianceForm.FORM4, rlam, xps), 0)[0]
-    right_pre = jets(f, form_point(InvarianceForm.FORM2, rlam, xps), 0)[0]
-    return TransformedValues(
-        invariant=left_pre,
-        covariant=form_value(InvarianceForm.FORM3, lam, left_pre),
-        contravariant=form_value(InvarianceForm.FORM2, lam, right_pre),
-    )
+    return TransformedValues(*(form_value(form, lam, xps, lambda pre: jets(f, pre, 0)[0])
+                               for form in (InvarianceForm.FORM4, InvarianceForm.FORM3,
+                                            InvarianceForm.FORM2)))

@@ -49,19 +49,15 @@ def complex_time_event(rng):
 
 
 def test_phys_constants_validation():
-    assert PhysConstants().c == 1.0 and PhysConstants().eps0 == 1.0
+    assert PhysConstants().c == 1.0
     with pytest.raises(ValueError):
         PhysConstants(c=0.0)
-    with pytest.raises(ValueError):
-        PhysConstants(eps0=-1.0)
 
 
 def test_phys_constants_refuse_non_finite_values():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             PhysConstants(c=bad)
-        with pytest.raises(ValueError, match="finite"):
-            PhysConstants(eps0=bad)
 
 
 def test_static_scalar_potential_gives_negative_gradient():

@@ -965,3 +965,26 @@ def test_every_sample_of_a_case_offers_the_same_number_of_rows(monkeypatch, seed
     assert len(rows) == 47
     assert rows == {name: 2 if name in pairs else 4 if name in per_coordinate else 1
                     for name in rows}
+
+
+def test_convergence_band_offers_a_sample_below_the_noise_floor_as_deficit_0(monkeypatch):
+    # numeric partials equal to the exact ones: every finer error is 0, below
+    # the floor, and each sample still offers its one row
+    numeric_partials = suite_diffop.block_numeric_partials
+
+    def exact_partials(f, xs, *steps):
+        *_, exact, loc = numeric_partials(f, xs, *steps)
+        return (*(exact for _ in steps), exact, loc)
+
+    offered = []
+    offer = Worst.offer
+    monkeypatch.setattr(Worst, "offer", lambda w, diff: (
+        offered.append(len(np.atleast_2d(diff))), offer(w, diff)))
+    monkeypatch.setattr(suite_diffop, "block_numeric_partials", exact_partials)
+    monkeypatch.setattr(harness, "BLOCK", 1)
+    index, case = next((i, c) for i, c in enumerate(suite_diffop.cases())
+                       if c.name == "convergence-band-deficit")
+    with np.errstate(all="ignore"):  # 0 / 0 ratios, as run_suite runs them
+        w = case.run(case_rng(42, "diffop", index), small_cfg("diffop"))
+    assert offered == [1] * 6
+    assert w.value == 0.0 and w.components.tolist() == [0j]
