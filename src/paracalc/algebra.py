@@ -149,7 +149,7 @@ def mul(a: Paravector, b: Paravector) -> Paravector:
     The 3-vector dot product is bilinear (never conjugating); the i-weighted
     cross product makes the product non-commutative.
     """
-    return Paravector.from_data(kernels.pv_mul(a.data, b.data))
+    return Paravector.from_data(kernels.pv_mul_rows(a.data[None], b.data[None])[0])
 
 
 def reverse(a: Paravector) -> Paravector:
@@ -169,10 +169,10 @@ def inverse(a: Paravector) -> Paravector:
 
 # -- stacks: (n, 4) arrays of paravector rows ---------------------------------
 #
-# The one implementation of each operation; det, reverse and inverse are
-# one-row calls.  Every row rounds on its own, as the numpy-scalar or CPython
-# arithmetic of one value would round it, operation for operation: the tests
-# hold each against such a value.
+# The one implementation of each operation; mul (kernels.pv_mul_rows), det,
+# reverse and inverse are one-row calls.  Every row rounds on its own, as the
+# numpy-scalar or CPython arithmetic of one value would round it, operation
+# for operation: the tests hold each against such a value.
 
 def det_rows(rows: np.ndarray) -> np.ndarray:
     """det of each row, as an (n,) complex array."""
@@ -279,7 +279,7 @@ BASIS = (
 #: The product on the basis, T[:, j, l] = BASIS[j] * BASIS[l], so that
 #: (a b)_i = sum_jl a_j b_l T[i, j, l].  Each product of two basis
 #: paravectors is one basis paravector times +-1 or +-i.
-_T = np.array([[kernels.pv_mul(a.data, b.data) for b in BASIS] for a in BASIS])
+_T = np.array([[mul(a, b).data for b in BASIS] for a in BASIS])
 _T = np.ascontiguousarray(_T.transpose(2, 0, 1))
 _T.flags.writeable = False
 

@@ -54,7 +54,8 @@ def _print_check_report(rep, verbose: bool) -> None:
         if verbose and c.components is not None:
             comps = ", ".join(repr(complex(z)) for z in c.components)
             print(f"{'':<{width}}  components: [{comps}]")
-    print(f"suite={rep.suite} seed={rep.seed} passed={rep.passed} failed={rep.failed}")
+    cfg = rep.config
+    print(f"suite={cfg.suite} seed={cfg.seed} passed={rep.passed} failed={rep.failed}")
 
 
 def _print_convergence(rows) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .diffops import max_partial_errors
 from .fields import random_event, random_field, random_plane_wave
-from .harness import NOISE_FLOOR, SEED, ConfigError, case_rng
+from .harness import NOISE_FLOOR, SEED, ConfigError, case_rng, check_seed
 
 __all__ = ["ConvergenceRow", "run_convergence", "convergence_ok"]
 
@@ -41,8 +41,7 @@ def run_convergence(field_kind: str, steps, seed: int = SEED, fields=None) -> Li
         a <= b for a, b in zip(steps, steps[1:])
     ):
         raise ConfigError("steps must be finite, positive and strictly decreasing")
-    if seed < 0:
-        raise ConfigError("seed must be a natural number")
+    check_seed(seed)
     rng = case_rng(seed, "convergence", 0)
     if fields is None:
         family = random_field if field_kind == "poly" else random_plane_wave

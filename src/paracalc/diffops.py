@@ -30,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from . import kernels
-from .algebra import Event, Paravector, left_matrix
+from .algebra import Event, Paravector, left_matrix, mul
 from .fields import Field
 
 __all__ = [
@@ -276,20 +276,16 @@ def product_rule_failure_witness(f: Field, g: Field, X: Event) -> Paravector:
     """
     fv, gv = Field._values((f, g), X.data)
     df, dg = bundle(f, X, EXACT), bundle(g, X, EXACT)
-    d = np.empty((4, 4), np.complex128)
-    for c in range(4):
-        d[:, c] = kernels.pv_mul(df[:, c], gv) + kernels.pv_mul(fv, dg[:, c])
-    lhs = assemble_div(d)
-    rhs = kernels.pv_mul(assemble_div(df), gv) + kernels.pv_mul(fv, assemble_div(dg))
-    return Paravector.from_data(lhs - rhs)
+    # each column's (d_c f) g and f (d_c g), then (div4 f) g and f (div4 g): one product
+    p = kernels.pv_mul_rows(np.vstack([df.T, [fv] * 4, assemble_div(df), fv]),
+                            np.vstack([[gv] * 4, dg.T, gv, assemble_div(dg)]))
+    return Paravector.from_data(assemble_div((p[:4] + p[4:8]).T) - (p[8] + p[9]))
 
 
 def scalar_order_gap(rho: Field, a: Paravector, X: Event) -> Paravector:
     """(d rho) A - A (d rho): the cost of reordering the scalar product rule."""
     drho = div4(rho, X)
-    return Paravector.from_data(
-        kernels.pv_mul(drho.data, a.data) - kernels.pv_mul(a.data, drho.data)
-    )
+    return Paravector.from_data(mul(drho, a).data - mul(a, drho).data)
 
 
 def central_differences(value_fn, xs: np.ndarray, h: float) -> np.ndarray:

@@ -56,6 +56,14 @@ class ConfigError(ValueError):
     """Invalid suite configuration or command-line arguments."""
 
 
+def check_seed(seed) -> None:
+    """The seed rule of the suites and the convergence tables: an integer >= 0."""
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigError("seed must be an integer")
+    if seed < 0:
+        raise ConfigError("seed must be a natural number")
+
+
 @dataclass
 class SuiteConfig:
     suite: str
@@ -68,8 +76,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITE_NAMES + ("all",):
             raise ConfigError(f"unknown suite {self.suite!r}")
-        if not all(isinstance(v, numbers.Integral) for v in (self.samples, self.seed)):
-            raise ConfigError("samples and seed must be integers")
+        if not isinstance(self.samples, numbers.Integral):
+            raise ConfigError("samples must be an integer")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         # below the smallest normal float a scaled threshold can underflow to 0
@@ -79,8 +87,7 @@ class SuiteConfig:
         scales = (self.tol_exact / TOL_EXACT, self.tol_numeric / TOL_NUMERIC)  # Case.threshold
         if not all(math.isfinite(s) for s in scales):
             raise ConfigError("tolerances too large: scaled thresholds must stay finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be a natural number")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -94,12 +101,7 @@ class CaseReport:
 
 @dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    samples: int
-    tol_exact: float
-    tol_numeric: float
-    h: float
+    config: SuiteConfig
     cases: List[CaseReport] = dc_field(default_factory=list)
 
     @property
@@ -253,14 +255,7 @@ _SUITE_BUILDERS = {name: partial(_cases, name) for name in SUITE_NAMES}
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Run the selected suite (or all, in the fixed order) deterministically."""
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
-    report = SuiteReport(
-        suite=cfg.suite,
-        seed=cfg.seed,
-        samples=cfg.samples,
-        tol_exact=cfg.tol_exact,
-        tol_numeric=cfg.tol_numeric,
-        h=cfg.h,
-    )
+    report = SuiteReport(cfg)
     # every suite's module compiles before any case allocates its arrays,
     # which keeps the peak RSS of check all down (README, Peak memory)
     suites = [(sname, _SUITE_BUILDERS[sname]()) for sname in names]
@@ -312,14 +307,15 @@ def report_to_json(rep: SuiteReport, verbose: bool = False) -> str:
                 for z in np.atleast_1d(c.components)
             ]
         cases.append(entry)
+    cfg = rep.config
     obj = {
-        "suite": rep.suite,
-        "seed": rep.seed,
-        "samples": rep.samples,
+        "suite": cfg.suite,
+        "seed": cfg.seed,
+        "samples": cfg.samples,
         "tolerances": {
-            "exact": float(rep.tol_exact),
-            "numeric": float(rep.tol_numeric),
-            "step": float(rep.h),
+            "exact": float(cfg.tol_exact),
+            "numeric": float(cfg.tol_numeric),
+            "step": float(cfg.h),
         },
         "cases": cases,
         "passed": rep.passed,

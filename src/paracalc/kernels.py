@@ -2,9 +2,9 @@
 and the jets of exact derivatives.
 
 Plain numpy on length-4 complex arrays ``[s, v1, v2, v3]`` (paravectors) and
-``[t, x, y, z]`` (events).  ``pv_mul`` takes one pair; the ``*_rows`` kernels
-work on ``(n, 4)`` stacks of them, each row on its own, so a row rounds the
-same in any stack and one point is a stack of one.
+``[t, x, y, z]`` (events).  The ``*_rows`` kernels work on ``(n, 4)`` stacks
+of them, each row on its own, so a row rounds the same in any stack and one
+pair or point is a stack of one.
 ``jets`` takes a block (see ``diffops``), one field per row, and evaluates
 the value and exact partials of each row's field at its points (any middle
 axes), from its own frame, phase and coefficients on the exponent table of
@@ -19,16 +19,6 @@ import math
 import numpy as np
 
 _C128 = np.complex128
-
-
-def pv_mul(a, b):
-    # scalar = a0*b0 + a.v . b.v (bilinear); vector = a0*b.v + b0*a.v + i (a.v x b.v)
-    out = np.empty(4, _C128)
-    out[0] = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-    out[1] = a[0] * b[1] + b[0] * a[1] + 1j * (a[2] * b[3] - a[3] * b[2])
-    out[2] = a[0] * b[2] + b[0] * a[2] + 1j * (a[3] * b[1] - a[1] * b[3])
-    out[3] = a[0] * b[3] + b[0] * a[3] + 1j * (a[1] * b[2] - a[2] * b[1])
-    return out
 
 
 def cmul(x, y):
@@ -50,7 +40,8 @@ def dots(a, b):
 
 
 def pv_mul_rows(a, b):
-    """pv_mul of each row pair of two (n, 4) stacks, bit for bit as pv_mul."""
+    """The paravector product of each row pair of two (n, 4) stacks: scalar
+    a0 b0 + a.v . b.v (bilinear), vector a0 b.v + b0 a.v + i (a.v x b.v)."""
     p = cmul(a, b)
     out = np.empty(p.shape, _C128)
     out[:, 0] = p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]

@@ -50,30 +50,24 @@ def cases() -> List[Case]:
         return [pullback_composition_sides(g1, g2, f, x)]
 
     gfx = (PARAVECTOR, FIELD, EVENT)
+    # the exact cases that numeric mode reruns, each on its twin's substream,
+    # which is the twin's position in the table
+    twins = [
+        ("div-left-transport", partial(transport, div4, False)),
+        ("grad-left-transport", partial(transport, grad4, False)),
+        ("div-right-transport", partial(transport, div4, True)),
+        ("grad-right-transport", partial(transport, grad4, True)),
+        ("right-factor", right_factor),
+    ]
     return [
-        Case("div-left-transport-exact", "exact", 1e-10,
-             _blocked(_times(1), gfx, partial(transport, div4, False, exact))),
-        Case("grad-left-transport-exact", "exact", 1e-10,
-             _blocked(_times(1), gfx, partial(transport, grad4, False, exact))),
-        Case("div-right-transport-exact", "exact", 1e-10,
-             _blocked(_times(1), gfx, partial(transport, div4, True, exact))),
-        Case("grad-right-transport-exact", "exact", 1e-10,
-             _blocked(_times(1), gfx, partial(transport, grad4, True, exact))),
-        Case("right-factor-exact", "exact", 1e-10,
-             _blocked(_times(1), gfx, partial(right_factor, exact))),
+        *(Case(f"{name}-exact", "exact", 1e-10, _blocked(_times(1), gfx, partial(sides, exact)))
+          for name, sides in twins),
         Case("right-factor-singular-exact", "exact", 1e-10,
              _blocked(_fifth, (FIELD, EVENT), singular_right_factor)),
         Case("observer-rotation-exact", "exact", 1e-10, _blocked(_times(1), gfx, rotation)),
         Case("pullback-group-composition", "exact", 1e-10,
              _blocked(_times(1), (PARAVECTOR, PARAVECTOR, FIELD, EVENT), group_composition)),
-        Case("div-left-transport-numeric", "numeric", 1e-5,
-             _blocked(_times(1), gfx, partial(transport, div4, False, numeric)), substream=0),
-        Case("grad-left-transport-numeric", "numeric", 1e-5,
-             _blocked(_times(1), gfx, partial(transport, grad4, False, numeric)), substream=1),
-        Case("div-right-transport-numeric", "numeric", 1e-5,
-             _blocked(_times(1), gfx, partial(transport, div4, True, numeric)), substream=2),
-        Case("grad-right-transport-numeric", "numeric", 1e-5,
-             _blocked(_times(1), gfx, partial(transport, grad4, True, numeric)), substream=3),
-        Case("right-factor-numeric", "numeric", 1e-5,
-             _blocked(_times(1), gfx, partial(right_factor, numeric)), substream=4),
+        *(Case(f"{name}-numeric", "numeric", 1e-5,
+               _blocked(_times(1), gfx, partial(sides, numeric)), substream=i)
+          for i, (name, sides) in enumerate(twins)),
     ]

@@ -240,9 +240,7 @@ def right_factor_sides(
                  for assemble in (assemble_div, assemble_grad))
 
 
-def observer_rotation_sides(
-    f, lam: Rows, xps: Rows, mode: DiffMode = EXACT
-) -> Tuple[Rows, Rows]:
+def observer_rotation_sides(f, lam: Rows, xps: Rows) -> Tuple[Rows, Rows]:
     """div4'[L A(L~ X' L) L~] at X', and L [B(L~ X' L)] L~ with B = div4 A.
 
     X' is the rotated-frame point (X' = L X L~ for the drawn X); the pre-image
@@ -254,7 +252,7 @@ def observer_rotation_sides(
     moved = block_times(block_pullback(f, to_pre), left_matrix(lam))
     moved = block_times(moved, right_matrix(rlam))
     pre = pv_mul_rows(pv_mul_rows(rlam, xps), lam)
-    d = block_bundle(moved, xps, mode), block_bundle(f, pre, mode)
+    d = block_bundle(moved, xps), block_bundle(f, pre)
     lhs, b = (_finite(assemble_div(side)) for side in d)
     return lhs, pv_mul_rows(pv_mul_rows(lam, b), rlam)
 

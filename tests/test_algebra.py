@@ -23,8 +23,10 @@ from paracalc.algebra import (
     reverse_rows,
 )
 from paracalc.fields import random_event
+from paracalc.kernels import pv_mul_rows
+from paracalc.suite_algebra import pauli_product
 
-from util import (conjugate_rotate, det_value, inverse_value, max_abs, norm_sq,
+from util import (conjugate_rotate, det_value, inverse_value, lattice_complex, max_abs, norm_sq,
                   normalize_orthogonal, normalize_value, random_orthogonal, random_paravector,
                   random_rows, rel_err, reverse_value, scale, singular_eps)
 
@@ -195,6 +197,13 @@ def test_actions_match_product_reinterpretation():
         g, x = random_paravector(rng), random_event(rng)
         via_mul = Event.from_data(mul(g, Paravector.from_data(x.data)).data)
         assert act_left(g, x) == via_mul
+
+
+def test_pauli_product_is_the_product_exactly_on_the_lattice():
+    # on Gaussian integers both formulas compute every value exactly
+    rng = np.random.default_rng(29)
+    a, b = lattice_complex(rng, (500, 4)), lattice_complex(rng, (500, 4))
+    np.testing.assert_array_equal(pauli_product(a, b), pv_mul_rows(a, b))
 
 
 def test_conjugate_rotate():

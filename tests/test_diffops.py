@@ -32,7 +32,7 @@ from paracalc.fields import (
 )
 
 from util import (additivity_sides, block_of, central_difference, div4_field, gap, grad4_field,
-                  leibniz_sides, max_abs, null_plane_wave, random_paravector,
+                  leibniz_sides, max_abs, null_plane_wave, pv_mul, random_paravector,
                   random_scalar_field, rel_err, rows, sample_field)
 
 
@@ -214,6 +214,25 @@ def test_scalar_order_gap_frozen_value():
     res = scalar_order_gap(rho, a, Event(0.0, (1.0, 1.0, 1.0)))
     np.testing.assert_allclose(res.data, [0, 0, 0, 2j], atol=1e-12)
     assert max_abs(res.data) >= 1.9  # regression pin
+
+
+def test_stacked_witnesses_match_the_per_pair_products_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for i in range(12):
+        f = random_field(rng) if i % 3 else random_plane_wave(rng)
+        g, rho = random_field(rng, degree=2), random_scalar_field(rng)
+        a, X = random_paravector(rng), random_event(rng)
+        fv, gv = f.at(X).data, g.at(X).data
+        df, dg = bundle(f, X, EXACT), bundle(g, X, EXACT)
+        d = np.empty((4, 4), np.complex128)
+        for c in range(4):
+            d[:, c] = pv_mul(df[:, c], gv) + pv_mul(fv, dg[:, c])
+        want = assemble_div(d) - (pv_mul(assemble_div(df), gv) + pv_mul(fv, assemble_div(dg)))
+        got = product_rule_failure_witness(f, g, X).data
+        assert got.tobytes() == want.tobytes(), i
+        drho = div4(rho, X).data
+        want = pv_mul(drho, a.data) - pv_mul(a.data, drho)
+        assert scalar_order_gap(rho, a, X).data.tobytes() == want.tobytes(), i
 
 
 def test_numeric_mode_validation():

@@ -326,7 +326,7 @@ def test_numeric_box4_names_an_unmoved_coordinate_of_the_point_first():
 # -- action matrices ------------------------------------------------------------
 #
 # The matrices come from the product table in algebra; these compare them with the
-# actions on events, which multiply through kernels.pv_mul directly.
+# actions on events, which multiply through kernels.pv_mul_rows directly.
 
 def test_left_action_matrix_matches_event_action():
     rng = np.random.default_rng(21)

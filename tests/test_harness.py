@@ -252,10 +252,12 @@ def loop_algebra_runs(attempts):
         lam = normalize_value(draw(rng))  # random_orthogonal
         return [mul(lam, reverse(lam)).data - IDENTITY.data]
 
+    def pauli(a, b):  # the case's other side, a one-row call
+        return suite_algebra.pauli_product(a.data[None], b.data[None])[0]
+
     def action_consistency(rng):
         g, x = draw(rng), event(rng)
-        return [act_left(g, x).data - kernels.pv_mul(g.data, x.data),
-                act_right(x, g).data - kernels.pv_mul(x.data, g.data)]
+        return [rel(act_left(g, x).data, pauli(g, x)), rel(act_right(x, g).data, pauli(x, g))]
 
     def rotation_round_trip(rng):
         lam = normalize_value(draw(rng))
@@ -279,6 +281,22 @@ def loop_algebra_runs(attempts):
             "orthogonal-unit": loop(orthogonal_unit, 1),
             "action-matches-product": loop(action_consistency, 1),
             "rotation-round-trip": loop(rotation_round_trip, 1)}
+
+
+def test_a_cross_sign_flipped_product_fails_the_action_case(monkeypatch):
+    # b a is a b with its cross term's sign flipped; the product is then still
+    # associative and reversion still reverses it, so of the sampled cases only
+    # the actions' check against Baylis's matrices can tell
+    product = kernels.pv_mul_rows
+    for module in (kernels, suite_algebra):
+        monkeypatch.setattr(module, "pv_mul_rows", lambda a, b: product(b, a))
+    for seed in (42, 3):
+        rep = run_suite(small_cfg("algebra", samples=20, seed=seed))
+        assert {c.name for c in rep.cases if not c.passed} == {
+            "algebra/action-matches-product",
+            "algebra/left-action-expansion",
+            "algebra/right-action-expansion",
+        }
 
 
 def test_blocked_algebra_cases_match_the_per_sample_loop(monkeypatch):
@@ -420,6 +438,9 @@ def test_run_convergence_validation():
         run_convergence("poly", [math.inf, 1e-3])
     with pytest.raises(ConfigError, match="seed must be a natural number"):
         run_convergence("poly", [1e-3, 5e-4], seed=-1)
+    for bad in (2.5, "3"):  # the seed rule of SuiteConfig, not numpy's TypeError
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            run_convergence("poly", [1e-3, 5e-4], seed=bad)
 
 
 def test_convergence_ok_band_check():

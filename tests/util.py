@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from paracalc import kernels, tape
+from paracalc import tape
 from paracalc.algebra import (
     BASIS,
     IDENTITY,
@@ -70,6 +70,17 @@ def rel_err(a, b) -> float:
 # its per-value name is a one-row call.  These compute one value in
 # numpy-scalar and CPython arithmetic: the references that the stack forms
 # and their one-row calls must match bit for bit.
+
+def pv_mul(a, b):
+    """The paravector product of two (4,) arrays in numpy-scalar arithmetic:
+    scalar a0 b0 + a.v . b.v (bilinear), vector a0 b.v + b0 a.v + i (a.v x b.v)."""
+    out = np.empty(4, np.complex128)
+    out[0] = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+    out[1] = a[0] * b[1] + b[0] * a[1] + 1j * (a[2] * b[3] - a[3] * b[2])
+    out[2] = a[0] * b[2] + b[0] * a[2] + 1j * (a[3] * b[1] - a[1] * b[3])
+    out[3] = a[0] * b[3] + b[0] * a[3] + 1j * (a[1] * b[2] - a[2] * b[1])
+    return out
+
 
 def scale(c, a: Paravector) -> Paravector:
     """Componentwise scaling by a complex scalar; det scales by c^2."""
@@ -322,7 +333,7 @@ def leibniz_sides(rho: Field, f: Field, X: Event, mode=EXACT):
     drho = div4(rho, X, mode)
     fv = f._value(X.data)
     rv = rho._value(X.data)[0]
-    rhs = kernels.pv_mul(drho.data, fv) + rv * div4(f, X, mode).data
+    rhs = pv_mul(drho.data, fv) + rv * div4(f, X, mode).data
     return lhs, Paravector.from_data(rhs)
 
 
